@@ -5,6 +5,13 @@ full v1 kick, half x-shift.  Production runs fuse adjacent x half-steps;
 states materialised at output times are identical to the unfused
 composition up to roundoff.  Per-step diagnostics are sampled at the
 staggered midpoints the fused loop naturally visits.
+
+The field acts along x1 and the x-shift reads v1 only, so v2 is a passive
+label: f = sum_j A_j(x, v1) B_j(v2) keeps B and its rank r exactly under every
+step.  ``run`` factors the state once (SVD over v2 above 1e-15 sigma_1; 1D-1V
+is A = f, B = [[1]]), advances A (Nx, Nv1, r) alone, takes moments through
+W = B (1, v2, v2^2) and forms the dense A B only at outputs, re-factoring
+after a nonzero clip.  ``step`` and ``SimState`` use A = f, B = I.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from scipy import fft as sfft
 from .errors import PenroseUnstableError, UnresolvableBumpError, ValidationError
 from .norms import mixed_norm
 from .penrose import DualLattice, critical_points, penrose_check, pv_integral
-from .profiles import project
+from .profiles import VelocityGrid, project
 
-FFT_WORKERS = 2
+FFT_WORKERS = 1
 
 
 def set_fft_workers(n):
@@ -37,8 +44,6 @@ class PhaseGrid:
     """
 
     def __init__(self, T1, Nx, vaxes, dt):
-        from .profiles import VelocityGrid
-
         self.T1 = float(T1)
         self.Nx = int(Nx)
         self.dt = float(dt)
@@ -107,6 +112,34 @@ def poisson_solve(rho, T1):
     return phi, efield
 
 
+def _transverse_table(grid):
+    """Columns 1, v2, v2^2 on the passive axis: (Nv2, 3), or [[1, 0, 0]] in 1D-1V."""
+    v2 = grid.vaxes[1].axis() if len(grid.vaxes) == 2 else np.zeros(1)
+    return np.stack([np.ones_like(v2), v2, v2 ** 2], axis=1)
+
+
+def _factor(f, grid):
+    """Transverse factors of a dense state: A (Nx, Nv1, r), B (r, Nv2) and the
+    weights W = B (1, v2, v2^2), keeping singular values above 1e-15 sigma_1."""
+    a = f.reshape(grid.Nx, grid.vaxes[0].n, -1)
+    if a.shape[2] == 1:
+        return a, np.ones((1, 1)), _transverse_table(grid)
+    u, s, vt = np.linalg.svd(a.reshape(-1, a.shape[2]), full_matrices=False)
+    r = max(1, int(np.count_nonzero(s > 1e-15 * s[0])))
+    return (u[:, :r] * s[:r]).reshape(a.shape[:2] + (r,)), vt[:r], vt[:r] @ _transverse_table(grid)
+
+
+def _moments(a, w, grid):
+    """Density and v1-current on the x grid, then mass, momentum and kinetic
+    energy, of f = A B through the transverse weights W = B (1, v2, v2^2)."""
+    m = np.tensordot(w, a, axes=(0, 2))  # v2-moments 0, 1, 2 at each (x, v1)
+    v1, c = grid.vaxes[0].axis(), grid.cell_v
+    rho, j1 = m[0].sum(axis=1) * c, m[0] @ v1 * c
+    mom = np.array([j1.sum(), m[1].sum() * c][:len(grid.vaxes)]) * grid.dx
+    kin = float((m[0] @ v1 ** 2).sum() + m[2].sum()) * c * grid.dx
+    return rho, j1, float(rho.sum()) * grid.dx, mom, kin
+
+
 @dataclass
 class SimState:
     grid: PhaseGrid
@@ -114,91 +147,73 @@ class SimState:
     time: float = 0.0
     clipped_mass: float = 0.0
 
+    def _moments(self):
+        g = self.grid
+        return _moments(self.f.reshape(g.Nx, g.vaxes[0].n, -1), _transverse_table(g), g)
+
     def density(self):
-        axes = tuple(range(1, self.f.ndim))
-        return self.f.sum(axis=axes) * self.grid.cell_v
+        return self._moments()[0]
 
     def current(self):
         """j1(x) = int v1 f dv."""
-        v1 = self.grid.vaxes[0].axis()
-        if self.f.ndim == 2:
-            return (self.f * v1[None, :]).sum(axis=1) * self.grid.cell_v
-        return (self.f * v1[None, :, None]).sum(axis=(1, 2)) * self.grid.cell_v
+        return self._moments()[1]
 
     def efield(self):
         return poisson_solve(self.density(), self.grid.T1)[1]
 
     def moments(self):
-        g = self.grid
-        v1 = g.vaxes[0].axis()
-        cell = g.dx * g.cell_v
-        mass = float(self.f.sum()) * cell
-        if self.f.ndim == 2:
-            mom = [float((self.f * v1[None, :]).sum()) * cell]
-            kin = float((self.f * (v1 ** 2)[None, :]).sum()) * cell
-        else:
-            v2 = g.vaxes[1].axis()
-            mom = [float((self.f * v1[None, :, None]).sum()) * cell,
-                   float((self.f * v2[None, None, :]).sum()) * cell]
-            v2sq = v1[:, None] ** 2 + v2[None, :] ** 2
-            kin = float((self.f * v2sq[None, :, :]).sum()) * cell
-        return mass, np.array(mom), kin
+        return self._moments()[2:]
 
 
-def _advect_x(f, grid, tau):
-    """f(x, v) <- f(x - v1 tau, v), spectral in x."""
-    kx = grid.kx
-    v1 = grid.vaxes[0].axis()
-    phase = np.exp(-1j * np.multiply.outer(kx, v1) * tau)
-    fhat = sfft.rfft(f, axis=0, workers=FFT_WORKERS)
-    if f.ndim == 3:
-        phase = phase[:, :, None]
-    return sfft.irfft(fhat * phase, n=grid.Nx, axis=0, workers=FFT_WORKERS)
+def _x_phase(grid, tau):
+    """Multiplier of rfft(a, axis=0) shifting x by v1 tau, broadcast over the rank."""
+    return np.exp(-1j * np.multiply.outer(grid.kx, grid.vaxes[0].axis()) * tau)[:, :, None]
 
 
-def _advect_v(f, grid, efield, tau):
-    """f(x, v) <- f(x, v1 + E(x) tau, ...): the acceleration kick, spectral in v1."""
+def _advect_x(a, grid, phase):
+    """a(x, v1, j) <- a(x - v1 tau, v1, j), spectral in x; phase = _x_phase(grid, tau)."""
+    ahat = sfft.rfft(a, axis=0, workers=FFT_WORKERS)
+    ahat *= phase
+    return sfft.irfft(ahat, n=grid.Nx, axis=0, workers=FFT_WORKERS)
+
+
+def _advect_v(a, grid, efield, tau):
+    """a(x, v1, j) <- a(x, v1 + E(x) tau, j): the acceleration kick, spectral in v1."""
     n = grid.vaxes[0].n
     eta = 2.0 * np.pi * sfft.rfftfreq(n, d=grid.vaxes[0].h)
-    shift = -efield * tau  # dv/dt = -E
-    phase = np.exp(-1j * np.multiply.outer(shift, eta))
-    fhat = sfft.rfft(f, axis=1, workers=FFT_WORKERS)
-    if f.ndim == 3:
-        phase = phase[:, :, None]
-    out = sfft.irfft(fhat * phase, n=n, axis=1, workers=FFT_WORKERS)
-    return out
+    ahat = sfft.rfft(a, axis=1, workers=FFT_WORKERS)
+    ahat *= np.exp(1j * np.multiply.outer(efield * tau, eta))[:, :, None]  # dv/dt = -E
+    return sfft.irfft(ahat, n=n, axis=1, workers=FFT_WORKERS)
 
 
-def _clip(state, f):
-    neg = f < 0.0
-    if np.any(neg):
-        clipped = -float(f[neg].sum()) * state.grid.dx * state.grid.cell_v
-        state.clipped_mass += clipped
-        if clipped > 1e-8:
-            raise ValidationError(
-                f"clipped mass {clipped:.2e} in one step: resolution too low")
-        np.maximum(f, 0.0, out=f)
-    return f
+def _clip(state):
+    """Zero the negative part of state.f in place; returns the mass it adds."""
+    clipped = -float(np.minimum(state.f, 0.0).sum()) * state.grid.dx * state.grid.cell_v
+    state.clipped_mass += clipped
+    if clipped > 1e-8:
+        raise ValidationError(
+            f"clipped mass {clipped:.2e} since the last output: resolution too low")
+    np.maximum(state.f, 0.0, out=state.f)
+    return clipped
 
 
 def step(state, force_zero_field=False):
-    """One Strang step: x half, Poisson, v kick, x half (unfused reference)."""
+    """One Strang step on the dense state: x half, Poisson, v kick, x half
+    (the unfused reference for ``run``)."""
     g = state.grid
-    f = _advect_x(state.f, g, 0.5 * g.dt)
-    e = np.zeros(g.Nx) if force_zero_field else poisson_solve(
-        f.sum(axis=tuple(range(1, f.ndim))) * g.cell_v, g.T1)[1]
-    f = _advect_v(f, g, e, g.dt)
-    f = _advect_x(f, g, 0.5 * g.dt)
-    new = SimState(g, f, state.time + g.dt, state.clipped_mass)
-    _clip(new, new.f)
+    half = _x_phase(g, 0.5 * g.dt)
+    a = _advect_x(state.f.reshape(g.Nx, g.vaxes[0].n, -1), g, half)
+    e = np.zeros(g.Nx) if force_zero_field else SimState(g, a).efield()
+    a = _advect_x(_advect_v(a, g, e, g.dt), g, half)
+    new = SimState(g, a.reshape(g.shape), state.time + g.dt, state.clipped_mass)
+    _clip(new)
     return new
 
 
 def reverse_velocity(state):
     """Conjugation v -> -v (time-reversal test companion)."""
-    f = state.f[:, ::-1, ...]
-    f = np.roll(f, 1, axis=1)
-    return SimState(state.grid, f.copy(), state.time, state.clipped_mass)
+    f = np.roll(state.f[:, ::-1], 1, axis=1)
+    return SimState(state.grid, f, state.time, state.clipped_mass)
 
 
 @dataclass
@@ -223,65 +238,57 @@ class RunLog:
 
 def _e_sobolev_sq(efield, T1, s):
     n = len(efield)
-    k = 2.0 * np.pi * sfft.rfftfreq(n, d=T1 / n)
-    ehat = sfft.rfft(efield) / n
-    w = (1.0 + k ** 2) ** s
-    mult = np.full(len(ehat), 2.0)
-    mult[0] = 1.0
-    if n % 2 == 0:
-        mult[-1] = 1.0
-    return float(T1 * np.sum(mult * w * np.abs(ehat) ** 2))
+    k = 2.0 * np.pi * sfft.fftfreq(n, d=T1 / n)
+    return float(T1 * np.sum((1.0 + k ** 2) ** s * np.abs(sfft.fft(efield) / n) ** 2))
 
 
 def run(state, n_steps, output_every=None, s_sobolev=1.5, force_zero_field=False,
         snapshot_times=(), diagnostics_every=1):
-    """Fused production loop; returns (final state, RunLog).
+    """Fused production loop on the transverse factors; returns (final state, RunLog).
 
     Midpoint diagnostics (mass, momenta, energy, field norms, the current-
-    field pairing) are recorded every step; full states are materialised at
-    the output cadence and at requested snapshot times.
+    field pairing) are recorded every step; dense states are materialised
+    at the output cadence and at requested snapshot times.
     """
     g = state.grid
     log = RunLog()
     snap_steps = sorted({int(round(ts / g.dt)) for ts in snapshot_times})
     out_every = output_every or max(1, n_steps // 64)
+    half, full = _x_phase(g, 0.5 * g.dt), _x_phase(g, g.dt)
 
-    f = _advect_x(state.f, g, 0.5 * g.dt)
-    clip_holder = SimState(g, f, state.time, state.clipped_mass)
+    a, b, w = _factor(state.f, g)
+    a = _advect_x(a, g, half)
+    snap = state
     for i in range(n_steps):
-        rho = f.sum(axis=tuple(range(1, f.ndim))) * g.cell_v
+        rho, j1, mass, mom, kin = _moments(a, w, g)
         e = np.zeros(g.Nx) if force_zero_field else poisson_solve(rho, g.T1)[1]
 
         # midpoint diagnostics (x-advection leaves all of them invariant)
         if i % diagnostics_every == 0:
-            st_mid = SimState(g, f, state.time + (i + 0.5) * g.dt)
-            mass, mom, kin = st_mid.moments()
-            j = st_mid.current()
             el2 = float(np.sum(e ** 2)) * g.dx
-            log.t_mid.append(st_mid.time)
+            log.t_mid.append(state.time + (i + 0.5) * g.dt)
             log.mass.append(mass)
             log.momentum.append(mom)
             log.kinetic.append(kin)
             log.e_l2sq.append(el2)
             log.e_hs.append(math.sqrt(_e_sobolev_sq(e, g.T1, s_sobolev)))
-            log.je.append(float(np.sum(j * e)) * g.dx)
+            log.je.append(float(np.sum(j1 * e)) * g.dx)
             log.energy.append(kin + el2)
 
-        f = _advect_v(f, g, e, g.dt)
+        a = _advect_v(a, g, e, g.dt)
         last = i == n_steps - 1
         if last or (i + 1) % out_every == 0 or (i + 1) in snap_steps:
-            f = _advect_x(f, g, 0.5 * g.dt)
-            clip_holder.f = f
-            _clip(clip_holder, f)
-            snap = SimState(g, f.copy(), state.time + (i + 1) * g.dt,
-                            clip_holder.clipped_mass)
+            a = _advect_x(a, g, half)
+            snap = SimState(g, (a @ b).reshape(g.shape), state.time + (i + 1) * g.dt,
+                            snap.clipped_mass)
+            if _clip(snap):
+                a, b, w = _factor(snap.f, g)
             log.snapshots[round(snap.time, 12)] = snap
             if not last:
-                f = _advect_x(f, g, 0.5 * g.dt)
+                a = _advect_x(a, g, half)
         else:
-            f = _advect_x(f, g, g.dt)
-    final = SimState(g, f, state.time + n_steps * g.dt, clip_holder.clipped_mass)
-    return final, log
+            a = _advect_x(a, g, full)
+    return SimState(g, snap.f.copy(), snap.time, snap.clipped_mass), log
 
 
 def sample_profile(profile, grid):
@@ -297,12 +304,9 @@ def perturb_cosine(state, amplitude, mode=1, velocity_shape=None):
     """Single-mode perturbation: additive a cos(k x) shape(v) when a velocity
     shape is given, multiplicative (1 + a cos(k x)) f otherwise."""
     g = state.grid
-    cosx = np.cos(2.0 * np.pi * mode * state.grid.x / g.T1)
-    sl = (slice(None),) + (None,) * (state.f.ndim - 1)
-    if velocity_shape is not None:
-        state.f = state.f + amplitude * cosx[sl] * velocity_shape[None, ...]
-    else:
-        state.f = state.f * (1.0 + amplitude * cosx[sl])
+    cosx = np.cos(2.0 * np.pi * mode * g.x / g.T1).reshape((-1,) + (1,) * len(g.vaxes))
+    shape = state.f if velocity_shape is None else velocity_shape
+    state.f = state.f + amplitude * cosx * shape
     return state
 
 
@@ -311,12 +315,9 @@ def comoving_compare(state, reference_f, c):
     g = state.grid
     if c == 0.0:
         return float(np.max(np.abs(state.f - reference_f)))
-    kx = g.kx
-    phase = np.exp(1j * kx * (c * state.time))
-    fhat = sfft.rfft(state.f, axis=0, workers=FFT_WORKERS)
-    shifted = sfft.irfft(fhat * phase.reshape((-1,) + (1,) * (state.f.ndim - 1)),
-                         n=g.Nx, axis=0, workers=FFT_WORKERS)
-    return float(np.max(np.abs(shifted - reference_f)))
+    shifted = _advect_x(state.f.reshape(g.Nx, g.vaxes[0].n, -1), g,
+                        np.exp(1j * g.kx * (c * state.time))[:, None, None])
+    return float(np.max(np.abs(shifted.reshape(g.shape) - reference_f)))
 
 
 @dataclass
@@ -349,9 +350,8 @@ def run_bgk_steadiness(wave, grid, t_end, output_every_t=0.5, diagnostics_every=
             raise UnresolvableBumpError(
                 f"wave feature width {width:.3g} below the grid resolution "
                 f"{grid.vaxes[0].h:.3g}; the sampled state would misrepresent it")
-    v_axes = [g.axis() for g in grid.vaxes]
-    f0 = wave.sample_phase_space(grid.x, *v_axes)
-    state = SimState(grid, f0.copy())
+    f0 = wave.sample_phase_space(grid.x, *(ax.axis() for ax in grid.vaxes))
+    state = SimState(grid, f0)
     e0 = state.efield()
     n_steps = int(round(t_end / grid.dt))
     out_every = max(1, int(round(output_every_t / grid.dt)))

@@ -6,6 +6,7 @@ from vplab.profiles import VelocityGrid, make_builtin
 from vplab.sim import (
     PhaseGrid,
     SimState,
+    _factor,
     comoving_compare,
     perturb_cosine,
     poisson_solve,
@@ -166,6 +167,91 @@ class TestSplittingOrder:
             rep = run_bgk_steadiness(wave, g, t_end=3.0, output_every_t=0.5)
             drifts.append(rep.drift_f_max)
         assert drifts[0] / drifts[1] >= 3.5
+
+
+def _grid2v(nx=32, nv2=32):
+    return PhaseGrid(2 * np.pi, nx, (VelocityGrid(1, 8.0, 64),
+                                     VelocityGrid(1, 8.0, nv2)), 0.02)
+
+
+def _normalised(g, f):
+    return SimState(g, f / SimState(g, f).density().mean())
+
+
+def _maxwellian_v(g):
+    v1, v2 = (ax.axis() for ax in g.vaxes)
+    return np.exp(-(v1[:, None] ** 2 + v2[None, :] ** 2) / 2) / (2 * np.pi)
+
+
+class TestFactoredRun:
+    """``run`` advances the transverse factors; repeated ``step`` is the
+    dense composition it must reproduce."""
+
+    @staticmethod
+    def check_against_dense(st, n_steps=20, every=10):
+        fin, log = run(st, n_steps, output_every=every)
+        cur = st
+        for i in range(1, n_steps + 1):
+            cur = step(cur)
+            if i % every == 0:
+                snap = log.snapshots[round(cur.time, 12)]
+                assert np.max(np.abs(snap.f - cur.f)) < 1e-13
+        assert len(log.snapshots) == n_steps // every
+        assert np.max(np.abs(fin.f - cur.f)) < 1e-13
+
+    def test_rank1_wave(self):
+        from tests.test_bgk import tuned_case3_profile
+        from vplab.bgk import match_period
+
+        p, _ = tuned_case3_profile()
+        _, wave = match_period(p, 2 * np.pi, 0.0, 1e-3, case=3)
+        g = PhaseGrid(2 * np.pi, 64, (VelocityGrid(1, 8.0, 128),
+                                      VelocityGrid(1, 8.0, 32)), 0.01)
+        f0 = wave.sample_phase_space(g.x, *(ax.axis() for ax in g.vaxes))
+        assert _factor(f0, g)[0].shape[2] == 1
+        self.check_against_dense(SimState(g, f0))
+
+    def test_rank2_datum(self):
+        # M(v1) M(v2) (1 + a cos x (1 + v1 v2)): span{M(v2), v2 M(v2)} over v2
+        g = _grid2v()
+        v1, v2 = (ax.axis() for ax in g.vaxes)
+        f = _maxwellian_v(g)[None] * (1 + 0.01 * np.cos(g.x)[:, None, None]
+                        * (1 + v1[:, None] * v2[None, :])[None])
+        st = _normalised(g, f)
+        assert _factor(st.f, g)[0].shape[2] == 2
+        self.check_against_dense(st)
+
+    def test_full_rank_random_transverse(self, rng):
+        # random x-profiles over the 17 modes |m| <= 8 for each of 16 v2 points;
+        # the box keeps them far below the x Nyquist mode, whose imaginary
+        # part the fused and unfused x-shifts discard differently
+        g = _grid2v(nx=64, nv2=16)
+        v1 = g.vaxes[0].axis()
+        m1 = np.exp(-v1 ** 2 / 2) / np.sqrt(2 * np.pi)
+        modes = np.concatenate([np.cos(np.outer(g.x, np.arange(9))),
+                                np.sin(np.outer(g.x, np.arange(1, 9)))], axis=1)
+        rand = 1.0 + 0.02 * modes @ rng.uniform(-1, 1, (17, g.vaxes[1].n))
+        f = m1[None, :, None] * rand[:, None, :]
+        st = _normalised(g, f)
+        assert _factor(st.f, g)[0].shape[2] == g.vaxes[1].n
+        self.check_against_dense(st)
+
+    def test_clip_refactors_and_conserves_mass(self):
+        # a roundoff-scale negative lobe far in the (v1, v2) tail: each output
+        # clips it, the clipped state is re-factored with fresh weights, and
+        # the run goes on with the mass changed by the clipped mass alone
+        g = _grid2v()
+        v1, v2 = (ax.axis() for ax in g.vaxes)
+        lobe = np.exp(-((v1[:, None] - 6) ** 2 + (v2[None, :] - 6) ** 2) / 0.25)
+        f = (1 + 0.05 * np.cos(g.x))[:, None, None] * (_maxwellian_v(g) - 1e-12 * lobe)[None]
+        st = _normalised(g, f)
+        assert st.f.min() < 0
+        fin, log = run(st, 30, output_every=5)
+        assert 0 < fin.clipped_mass < 1e-10
+        assert fin.f.min() >= 0
+        mass = np.asarray(log.mass)
+        assert np.max(np.abs(np.diff(mass))) < 1e-10
+        assert abs(fin.moments()[0] - st.moments()[0] - fin.clipped_mass) < 1e-13
 
 
 class TestSteadiness:
