@@ -7,10 +7,12 @@ the mode direction.  The field mode is the oscillatory integral
 
 evaluated by tapered FFT on a compact window plus exact contour-rotated
 tails (the boundary data decay only like 1/y, which no taper can absorb);
-grid refinement covers the t-resolution.  The damping-rate oracle finds
-the lower-half-plane root of |k|^2 - F by analytic continuation (residue
-term added below the axis); it is validation plumbing, independent of the
-FFT pipeline.
+grid refinement covers the t-resolution.  The PV parts of the boundary
+values F(y+i0), G(y+i0) are exact for the sinc interpolant of the samples:
+a sum against the Hilbert kernel of sinc (Weideman, Math. Comp. 64, 1995).
+The damping-rate oracle finds the lower-half-plane root of |k|^2 - F by
+analytic continuation (residue term added below the axis); it is
+validation plumbing, independent of the FFT pipeline.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import PenroseUnstableError, RefinementCapError, ValidationError
-from .profiles import _decaying_spline, _spectral_derivative, smooth_step
+from .profiles import _decaying_spline, smooth_step
 
 
 @dataclass
 class Datum1D:
-    """Per-mode initial datum f_k(alpha, 0) with value/derivative access."""
+    """Per-mode initial datum f_k(alpha, 0) on a uniform alpha grid."""
 
     alphas: np.ndarray
     values: np.ndarray
@@ -36,16 +38,9 @@ class Datum1D:
         self.values = np.asarray(self.values, dtype=complex)
         self._re = _decaying_spline(self.alphas, self.values.real)
         self._im = _decaying_spline(self.alphas, self.values.imag)
-        dre = _spectral_derivative(self.values.real, self.alphas)
-        dim = _spectral_derivative(self.values.imag, self.alphas)
-        self._dre = _decaying_spline(self.alphas, dre)
-        self._dim = _decaying_spline(self.alphas, dim)
 
     def val(self, a):
         return self._re(a) + 1j * self._im(a)
-
-    def dval(self, a):
-        return self._dre(a) + 1j * self._dim(a)
 
     def mass(self):
         return complex(np.trapezoid(self.values, self.alphas))
@@ -67,33 +62,44 @@ class DispersionBoundary:
         return re + 1j * im
 
 
-def _pv_grid(val, dval, ys, t_max, n_t, chunk=4096):
-    """Vectorised symmetrised PV integrals at many evaluation points."""
-    t = np.linspace(0.0, t_max, n_t + 1)
-    ts = t[1:]
-    out = np.empty(len(ys))
-    for i0 in range(0, len(ys), chunk):
-        yc = ys[i0:i0 + chunk]
-        plus = val(np.add.outer(yc, ts))
-        minus = val(np.subtract.outer(yc, ts))
-        integ = np.empty((len(yc), len(t)))
-        integ[:, 0] = 2.0 * np.real(dval(yc))
-        integ[:, 1:] = np.real(plus - minus) / ts[None, :]
-        out[i0:i0 + chunk] = np.trapezoid(integ, t, axis=1)
-    return out
+def _sinc_pv(samples, alphas, ys):
+    """PV int s(alpha)/(alpha - y) dalpha for the sinc interpolant of uniform samples.
+
+    The Hilbert transform of sinc gives sum_j s_j K(u - j), u = (y - alpha_0)/h,
+    with K(u) = -2 sin^2(pi u/2)/u and K(0) = 0.  sin^2(pi (u - j)/2) is
+    sin^2 or cos^2 of pi u/2 by the parity of j, so the sines are taken once
+    per y, and each row chunk of about 2M kernel entries is one real
+    matrix product over the real and imaginary columns.  Returns complex.
+    """
+    cols = np.asarray(samples, dtype=complex).view(float).reshape(-1, 2)
+    j = np.arange(len(alphas), dtype=float)
+    odd = (j % 2)[:, None]
+    weights = np.hstack([cols * (1.0 - odd), cols * odd])
+    u = (np.asarray(ys, dtype=float) - alphas[0]) / (alphas[1] - alphas[0])
+    r = u - 2.0 * np.round(0.5 * u)  # |r| <= 1 keeps the sines exact at the nodes
+    sin2 = np.sin(0.5 * math.pi * np.stack([r, 1.0 - np.abs(r)], axis=1)) ** 2
+    out = np.empty((len(u), 2))
+    rows = max(1, 2_000_000 // len(alphas))
+    for i0 in range(0, len(u), rows):
+        d = u[i0:i0 + rows, None] - j[None, :]
+        d[d == 0.0] = np.inf  # K(0) = 0
+        acc = np.reciprocal(d, out=d) @ weights
+        s = sin2[i0:i0 + rows]
+        out[i0:i0 + rows] = -2.0 * (s[:, :1] * acc[:, :2] + s[:, 1:] * acc[:, 2:])
+    return out.view(complex).ravel()
 
 
 def dispersion(fp, ygrid, k2_min, check_stability=True):
     """F(y+i0) on the grid plus the uniform lower bound c0 at the smallest |k|^2.
 
+    Re F is the sinc-Hilbert PV of the derivative samples, Im F = pi f'(y).
     Stability refusal: the boundary minimum c0 alone cannot see roots off
     the real axis, so the check also evaluates the stability margin
     |k|^2 - max PV over the critical points of the projection and raises
     PenroseUnstableError when either fails.
     """
     ygrid = np.asarray(ygrid, dtype=float)
-    t_max = (fp.alphas[-1] - fp.alphas[0]) / 2.0 + float(np.max(np.abs(ygrid)))
-    re = _pv_grid(fp.dval, fp.d2val, ygrid, t_max, 4 * len(fp.alphas))
+    re = _sinc_pv(fp.derivative, fp.alphas, ygrid).real
     im = math.pi * np.real(fp.dval(ygrid))
     F = re + 1j * im
     c0 = float(np.min(np.abs(k2_min - F) ** 2) / k2_min)
@@ -113,15 +119,9 @@ def dispersion(fp, ygrid, k2_min, check_stability=True):
 
 
 def initial_transform(datum, ygrid):
-    """Boundary values G_k(y+i0) = PV integral of the datum plus i pi datum(y)."""
+    """Boundary values G_k(y+i0): sinc-Hilbert PV of the samples plus i pi datum(y)."""
     ygrid = np.asarray(ygrid, dtype=float)
-    t_max = (datum.alphas[-1] - datum.alphas[0]) / 2.0 + float(np.max(np.abs(ygrid)))
-    n_t = 4 * len(datum.alphas)
-    re = _pv_grid(lambda a: datum.val(a).real, lambda a: datum.dval(a).real,
-                  ygrid, t_max, n_t)
-    re_i = _pv_grid(lambda a: datum.val(a).imag, lambda a: datum.dval(a).imag,
-                    ygrid, t_max, n_t)
-    return re + 1j * re_i + 1j * math.pi * datum.val(ygrid)
+    return _sinc_pv(datum.values, datum.alphas, ygrid) + 1j * math.pi * datum.val(ygrid)
 
 
 @dataclass
@@ -376,18 +376,16 @@ def fit_damped_mode(t, values, t_lo, t_hi, n_poles=2):
 # ---------------------------------------------------------------------------
 
 def continued_dispersion(fp, z):
-    """F analytically continued to Im z < 0: quadrature plus the residue term."""
+    """F continued to Im z < 0 (scalar or array z): Cauchy quadrature plus residue."""
     if fp.closure1d is None:
         raise ValidationError("continuation oracle needs an analytic projection")
-    z = complex(z)
-    if z.imag == 0:
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.imag == 0):
         raise ValidationError("use the boundary-value path on the real axis")
-    a = fp.alphas
-    vals = fp.closure1d.dval(a.astype(complex))
-    base = complex(np.trapezoid(vals / (a - z), a))
-    if z.imag < 0:
-        base += 2j * math.pi * complex(fp.closure1d.dval(np.array([z]))[0])
-    return base
+    base = _cauchy_quad(fp.derivative, fp.alphas, z)
+    below = z.imag < 0
+    base[below] += 2j * math.pi * fp.closure1d.dval(z[below])
+    return complex(base) if base.ndim == 0 else base
 
 
 def find_damping_root(fp, kmag, scan_re=(0.2, 8.0), scan_im=(-1.5, -0.02),
@@ -400,21 +398,14 @@ def find_damping_root(fp, kmag, scan_re=(0.2, 8.0), scan_im=(-1.5, -0.02),
     k2 = kmag ** 2
     res = np.linspace(*scan_re, n_scan[0])
     ims = np.linspace(*scan_im, n_scan[1])
-    best, best_val = None, math.inf
-    for im in ims:
-        for re in res:
-            z = complex(re, im)
-            val = abs(k2 - continued_dispersion(fp, z))
-            if val < best_val:
-                best, best_val = z, val
-    z = best
+    grid = res[None, :] + 1j * ims[:, None]
+    z = complex(grid.flat[np.argmin(np.abs(k2 - continued_dispersion(fp, grid)))])
     for _ in range(newton_iter):
-        f = k2 - continued_dispersion(fp, z)
+        dz = 1e-7 * (1.0 + abs(z))
+        f, f_plus, f_minus = k2 - continued_dispersion(fp, np.array([z, z + dz, z - dz]))
         if abs(f) < tol:
             break
-        dz = 1e-7 * (1.0 + abs(z))
-        df = (continued_dispersion(fp, z + dz) - continued_dispersion(fp, z - dz)) / (2 * dz)
-        z = z + f / df
+        z = z + f / ((f_minus - f_plus) / (2 * dz))
         if z.imag >= 0:
             z = complex(z.real, -abs(z.imag) - 1e-3)
     rate = kmag * abs(z.imag)

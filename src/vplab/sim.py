@@ -182,7 +182,12 @@ def _advect_v(a, grid, efield, tau):
     n = grid.vaxes[0].n
     eta = 2.0 * np.pi * sfft.rfftfreq(n, d=grid.vaxes[0].h)
     ahat = sfft.rfft(a, axis=1, workers=FFT_WORKERS)
-    ahat *= np.exp(1j * np.multiply.outer(efield * tau, eta))[:, :, None]  # dv/dt = -E
+    # e^{i theta} written as cos + i sin: the same bits as complex exp, faster
+    theta = np.multiply.outer(efield * tau, eta)  # dv/dt = -E
+    kick = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=kick.real)
+    np.sin(theta, out=kick.imag)
+    ahat *= kick[:, :, None]
     return sfft.irfft(ahat, n=n, axis=1, workers=FFT_WORKERS)
 
 

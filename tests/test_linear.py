@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vplab.errors import PenroseUnstableError, ValidationError
 from vplab.linear import (
     Datum1D,
     FieldHistory,
+    _sinc_pv,
     continued_dispersion,
     dispersion,
     efield_mode,
@@ -12,7 +15,14 @@ from vplab.linear import (
     fit_damped_mode,
     initial_transform,
 )
-from vplab.profiles import VelocityGrid, make_builtin, project
+from vplab.profiles import (
+    Mixture1D,
+    ProjectedProfile,
+    VelocityGrid,
+    _spectral_derivative,
+    make_builtin,
+    project,
+)
 
 # Landau root of the unit Maxwellian at k = 0.5, from the closed-form
 # dispersion function (Faddeeva representation); frozen reference
@@ -110,6 +120,69 @@ class TestEfieldMode:
         assert np.max(np.abs(ser2.values - 2.0 * maxwell_mode.values)) < 1e-10
 
 
+AXIS = VelocityGrid(1, 8.0, 512).axis()
+H = float(AXIS[1] - AXIS[0])
+
+
+@st.composite
+def mixtures(draw):
+    """1-3 Gaussian components whose tails fall below roundoff inside the grid."""
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        s = draw(st.floats(0.3, 0.9))
+        mu = draw(st.floats(-1.0, 1.0)) * (8.0 - 8.5 * s)
+        comps.append((draw(st.floats(0.1, 1.0)), mu, s))
+    return Mixture1D(tuple(comps))
+
+
+def _pv_scale(m):
+    return sum(w / s ** 2 for w, _, s in m.comps)
+
+
+class TestSincPv:
+    @settings(max_examples=60, deadline=None)
+    @given(m=mixtures(), node=st.integers(0, len(AXIS) - 2),
+           y_off=st.floats(-8.0, 8.0), y_far=st.floats(8.0, 100.0),
+           side=st.sampled_from((-1.0, 1.0)))
+    def test_against_dawson_closed_form(self, m, node, y_off, y_far, side):
+        # at a node, at a half-node, off the grid and beyond the sampled range
+        ys = np.array([AXIS[node], AXIS[node] + 0.5 * H, y_off, side * y_far])
+        exact = np.array([m.pv_exact(y) for y in ys])
+        ours = _sinc_pv(m.dval(AXIS), AXIS, ys)
+        assert np.max(np.abs(ours - exact)) < 1e-12 * _pv_scale(m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m1=mixtures(), m2=mixtures(),
+           c1=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+           c2=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+    def test_initial_transform_linear_in_complex_datum(self, m1, m2, c1, c2):
+        u = m1.val(AXIS) + 1j * m2.dval(AXIS)
+        v = m2.val(AXIS) - 1j * m1.dval(AXIS)
+        y = np.linspace(-12.0, 12.0, 97) + 0.3 * H
+        lhs = initial_transform(Datum1D(AXIS, c1 * u + c2 * v), y)
+        rhs = c1 * initial_transform(Datum1D(AXIS, u), y) \
+            + c2 * initial_transform(Datum1D(AXIS, v), y)
+        scale = (1.0 + abs(c1) + abs(c2)) * (_pv_scale(m1) + _pv_scale(m2))
+        assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=mixtures())
+    def test_grid_only_dispersion_matches_closure(self, m):
+        vals = m.val(AXIS)
+        closure = ProjectedProfile(np.array([1.0]), AXIS, vals, m.dval(AXIS), m, m.mass())
+        grid = ProjectedProfile(np.array([1.0]), AXIS, vals,
+                                _spectral_derivative(vals, AXIS), None, m.mass())
+        y = np.linspace(-10.0, 10.0, 201)
+        fc = dispersion(closure, y, 1.0, check_stability=False).values
+        fg = dispersion(grid, y, 1.0, check_stability=False).values
+        # the PV part comes from the samples on both paths
+        assert np.max(np.abs(fg.real - fc.real)) < 1e-10
+        # the imaginary part pi f'(y) comes from the closure on one path and
+        # from the quintic spline of the samples on the other: O(h^6), which
+        # reaches 4e-8 at width 0.3 on this grid
+        assert np.max(np.abs(fg.imag - fc.imag)) < 1e-7
+
+
 class TestContinuation:
     def test_against_faddeeva_closed_form(self, fp_maxwellian):
         # for the unit Gaussian the continuation has the closed Faddeeva
@@ -126,6 +199,17 @@ class TestContinuation:
     def test_real_axis_rejected(self, fp_maxwellian):
         with pytest.raises(ValidationError):
             continued_dispersion(fp_maxwellian, complex(1.0, 0.0))
+        with pytest.raises(ValidationError):
+            continued_dispersion(fp_maxwellian, np.array([1.0 - 0.5j, 2.0]))
+
+    def test_array_matches_scalar(self, fp_maxwellian):
+        z = np.array([[1.3 - 0.4j, 0.5 + 1.0j], [2.83 - 0.31j, -1.0 - 2.0j]])
+        batch = continued_dispersion(fp_maxwellian, z)
+        assert batch.shape == z.shape
+        for zi, bi in zip(z.ravel(), batch.ravel()):
+            ours = continued_dispersion(fp_maxwellian, zi)
+            assert isinstance(ours, complex)
+            assert abs(bi - ours) < 1e-14
 
 
 class TestReductionConsistency:

@@ -6,6 +6,7 @@ from vplab.profiles import VelocityGrid, make_builtin
 from vplab.sim import (
     PhaseGrid,
     SimState,
+    _advect_v,
     _factor,
     comoving_compare,
     perturb_cosine,
@@ -97,6 +98,19 @@ class TestStep:
     def test_cfl_guard(self):
         with pytest.raises(ValidationError):
             PhaseGrid(T1, 64, VelocityGrid(1, 8.0, 64), 1.0)
+
+    def test_kick_bits_match_complex_exp(self, rng):
+        # the cos/sin kick phase must be the very bits of exp(1j theta)
+        from scipy import fft as sfft
+
+        g = PhaseGrid(T1, 256, VelocityGrid(1, 8.0, 512), 0.02)
+        n = g.vaxes[0].n
+        a = rng.normal(size=(g.Nx, n, 2))
+        e = rng.normal(scale=0.3, size=g.Nx)
+        eta = 2.0 * np.pi * sfft.rfftfreq(n, d=g.vaxes[0].h)
+        ahat = sfft.rfft(a, axis=1)
+        ahat *= np.exp(1j * np.multiply.outer(e * g.dt, eta))[:, :, None]
+        assert np.array_equal(_advect_v(a, g, e, g.dt), sfft.irfft(ahat, n=n, axis=1))
 
 
 @pytest.fixture(scope="module")
