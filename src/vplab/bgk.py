@@ -16,6 +16,7 @@ which stays numerically exact down to amplitudes at the roundoff floor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -307,6 +308,44 @@ def build_modified(f1, gamma, delta, case, v0=3.0):
 # the bifurcation right-hand side h(beta)
 # ---------------------------------------------------------------------------
 
+# unit-width tables: shifts |c| <= 9 (the u-grid reaches (a + 10)^2 - (a + 8)^2
+# >= 36, and e^{|c|/2} of the even continuation stays tame), Taylor radius 2
+_C_OK, _RHO = 9.0, 2.0
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_kernel(a, n_v1, n_cheb, n_taylor):
+    """Tables of K for the unit-weight, unit-width pair term with offset a.
+
+    Returns the Chebyshev antiderivatives P, Q of K and c K(c) on
+    [-_C_OK, _C_OK], and the scaled Taylor coefficients of
+    K(_RHO chat) = sum k_hat_m chat^m.
+    """
+    t = GaussianPairTerm(1.0, a, 1.0, ())
+    cheb = np.polynomial.chebyshev.Chebyshev
+    u = np.linspace(0.0, a + 10.0, n_v1 + 1)
+
+    def kfun(c):
+        c = np.atleast_1d(c)
+        y = u[None, :] ** 2 - c[:, None]
+        return 2.0 * np.trapezoid(t.even_dval(y.ravel()).reshape(y.shape), u, axis=1)
+
+    kc = cheb.interpolate(kfun, n_cheb, domain=[-_C_OK, _C_OK])
+    qc = cheb.interpolate(lambda c: np.atleast_1d(c) * kfun(c),
+                          n_cheb + 1, domain=[-_C_OK, _C_OK])
+
+    # Taylor coefficients of K at 0 by a Cauchy-integral FFT; K is entire,
+    # so this gives relative accuracy at arbitrarily small shifts where the
+    # Chebyshev floor would dominate
+    m = 2 * n_taylor
+    circ = _RHO * np.exp(2j * np.pi * np.arange(m) / m)
+    y = u[None, :] ** 2 - circ[:, None]
+    kvals = 2.0 * np.trapezoid(t.even_dval_complex(y.ravel()).reshape(y.shape), u, axis=1)
+    k_hat = (np.fft.fft(kvals) / m)[:n_taylor].real
+    k_hat.flags.writeable = False  # shared by every caller of the cache
+    return kc.integ(lbnd=0.0), qc.integ(lbnd=0.0), k_hat
+
+
 class BifurcationH:
     """Callable h(beta) = int f^beta dv - 1, exact down to roundoff amplitudes.
 
@@ -316,54 +355,21 @@ class BifurcationH:
         h(beta) = -int_0^{2 beta} K(c) dc,
         V(beta) = -int_0^beta h = int_0^{2 beta} K(c) (beta - c/2) dc.
 
-    One Chebyshev interpolant of K per term (window scaled to the term's
-    feature width) turns h, V and h' into series algebra: cancellation-free,
+    A pair term of weight W, width w and offset ratio a = v0/w has
+    K(c) = (W/w^2) K_a(c/w^2), so one cached Chebyshev/Taylor table of the
+    unit kernel K_a serves every term, delta and gamma with that ratio.
+    Series algebra on the tables gives h, V and h': cancellation-free,
     h(0) = 0 identically, cheap enough for orbit quadratures.
     """
 
-    def __init__(self, mp, decomposition=None, n_v1=2048, n_cheb=256, n_taylor=56):
+    def __init__(self, mp, n_v1=2048, n_cheb=256, n_taylor=56):
         self.mp = mp
-        self.decomp = decomposition
-        self._P = []        # Chebyshev antiderivatives of K (outer zone)
-        self._Q = []        # Chebyshev antiderivatives of c K(c)
-        self._taylor = []   # (coeffs k_m, validity radius) per term (inner zone)
-        self.c_admissible = math.inf
-        cheb = np.polynomial.chebyshev.Chebyshev
-        for t in mp.mixture.terms:
-            extent = t.v0 + 10.0 * t.w1
-            u = np.linspace(0.0, extent, n_v1 + 1)
-            # window of shifts c: the u-grid must cover the support, and the
-            # even continuation e^{|c|/(2 w1^2)} must stay tame on it
-            c_geom = extent ** 2 - (t.v0 + 8.0 * t.w1) ** 2
-            c_ok = min(c_geom, 9.0 * t.w1 ** 2)
-            self.c_admissible = min(self.c_admissible, c_ok)
-
-            def kfun(c, _t=t, _u=u):
-                c = np.atleast_1d(c)
-                y = _u[None, :] ** 2 - c[:, None]
-                ap = _t.weight * _t.even_dval(y.ravel()).reshape(y.shape)
-                return 2.0 * np.trapezoid(ap, _u, axis=1)
-
-            kc = cheb.interpolate(kfun, n_cheb, domain=[-c_ok, c_ok])
-            qc = cheb.interpolate(lambda c: np.atleast_1d(c) * kfun(c),
-                                  n_cheb + 1, domain=[-c_ok, c_ok])
-            self._P.append(kc.integ(lbnd=0.0))
-            self._Q.append(qc.integ(lbnd=0.0))
-
-            # Taylor coefficients of K at 0 by a Cauchy-integral FFT; K is
-            # entire, so this gives relative accuracy at arbitrarily small
-            # shifts where the Chebyshev floor would dominate.
-            rho = 0.5 * min(c_ok, 4.0 * t.w1 ** 2)
-            m = 2 * n_taylor
-            phi = 2.0 * np.pi * np.arange(m) / m
-            circ = rho * np.exp(1j * phi)
-            y = u[None, :] ** 2 - circ[:, None]
-            ap = t.weight * t.even_dval_complex(y.ravel()).reshape(y.shape)
-            kvals = 2.0 * np.trapezoid(ap, u, axis=1)
-            # scaled coefficients of K(rho*chat) = sum k_hat_m chat^m; keeping
-            # the rho scaling implicit avoids under/overflow for narrow terms
-            k_hat = (np.fft.fft(kvals) / m)[:n_taylor].real
-            self._taylor.append((k_hat, rho, 0.45 * rho))
+        # (unit table, weight, width^2) per term; the ratio is rounded to 14
+        # digits so that float ratios like (3 lam)/lam share one table
+        self._terms = [
+            (_unit_kernel(float(f"{t.v0 / t.w1:.14g}"), n_v1, n_cheb, n_taylor),
+             t.weight, t.w1 ** 2) for t in mp.mixture.terms]
+        self.c_admissible = _C_OK * min(w2 for _, _, w2 in self._terms)
 
     def hprime0(self):
         return -self.mp.pv_d_integral()
@@ -380,12 +386,15 @@ class BifurcationH:
         """Sum the per-term inner (Taylor) / outer (Chebyshev) evaluations.
 
         With c = 2 beta:  h = -sum_m k_m c^{m+1}/(m+1)
-                          V =  sum_m k_m c^{m+2}/(2 (m+1)(m+2)).
+                          V =  sum_m k_m c^{m+2}/(2 (m+1)(m+2)),
+        and in the outer zone P(c) = W P_a(c/w^2), Q(c) = W w^2 Q_a(c/w^2).
         """
         out = np.zeros_like(b)
         c = 2.0 * b
-        for P, Q, (k_hat, rho, r_in) in zip(self._P, self._Q, self._taylor):
-            inner = np.abs(c) <= r_in
+        for (P, Q, k_unit), weight, w2 in self._terms:
+            rho = w2 * _RHO
+            k_hat = (weight / w2) * k_unit
+            inner = np.abs(c) <= 0.45 * rho
             outer = ~inner
             if np.any(inner):
                 ch = c[inner] / rho
@@ -398,41 +407,35 @@ class BifurcationH:
                         k_hat / (2.0 * (mm + 1) * (mm + 2))))
             if np.any(outer):
                 co = c[outer]
+                pc = weight * P(co / w2)
                 if mode == "h":
-                    out[outer] -= P(co)
+                    out[outer] -= pc
                 else:
-                    out[outer] += 0.5 * co * P(co) - 0.5 * Q(co)
+                    out[outer] += 0.5 * co * pc - 0.5 * weight * w2 * Q(co / w2)
         return out
 
-    def __call__(self, beta):
+    def _evaluate(self, beta, mode):
         beta = np.asarray(beta, dtype=float)
-        scalar = beta.ndim == 0
-        b = np.atleast_1d(beta).astype(float).ravel()
+        b = np.atleast_1d(beta).ravel()
         self._guard(b)
-        out = self._accumulate(b, "h")
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.atleast_1d(beta).shape)
+        out = self._accumulate(b, mode)
+        return float(out[0]) if beta.ndim == 0 else out.reshape(beta.shape)
+
+    def __call__(self, beta):
+        return self._evaluate(beta, "h")
 
     def potential(self, beta):
         """ODE potential V(beta) = -int_0^beta h, scale-free in amplitude."""
-        beta = np.asarray(beta, dtype=float)
-        scalar = beta.ndim == 0
-        b = np.atleast_1d(beta).astype(float).ravel()
-        self._guard(b)
-        out = self._accumulate(b, "V")
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.atleast_1d(beta).shape)
+        return self._evaluate(beta, "V")
 
 
-def make_h(mp, decomposition=None, **kw):
-    return BifurcationH(mp, decomposition, **kw)
+def make_h(mp, **kw):
+    return BifurcationH(mp, **kw)
 
 
-def h_function(mp, decomposition, beta):
+def h_function(mp, beta):
     """Value of the reduced ODE right-hand side at the given potential level."""
-    return make_h(mp, decomposition)(beta)
+    return make_h(mp)(beta)
 
 
 def hprime0_centered(h, scale=1e-6):

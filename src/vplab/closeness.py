@@ -17,12 +17,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 
 from .errors import ValidationError
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
 _GL8 = np.polynomial.legendre.leggauss(8)
+
+# offsets of the p = 2 Gagliardo sums taken directly, free of cancellation
+_GAG_BAND = 32
 
 
 # ---------------------------------------------------------------------------
@@ -35,14 +39,33 @@ def lp_pow(vals, h, p):
 
 
 def gagliardo_pow(vals, h, order, p, axis=0):
-    """p-th power of the axis Gagliardo seminorm of fractional order in (0,1)."""
-    v = np.moveaxis(np.asarray(vals), axis, 0)
+    """p-th power of the axis Gagliardo seminorm of fractional order in (0,1).
+
+    Sums |v(i + m) - v(i)|^p / (m h)^(1 + order p) over every offset m >= 1,
+    without wrap-around, and over the other axes.  For p = 2 the offset sums
+    S(m) = sum_{i>=m} v_i^2 + sum_{i<n-m} v_i^2 - 2 sum_i v_i v_{i+m} are
+    correlations (v with v, v^2 with ones) read from one inverse FFT of
+    zero-padded spectra, O(n log n); the first _GAG_BAND are summed directly.
+    """
+    v = np.moveaxis(np.asarray(vals, dtype=float), axis, 0)
     n = v.shape[0]
-    total = 0.0
-    for m in range(1, n):
-        diff = v[m:] - v[:-m]
-        total += float(np.sum(np.abs(diff) ** p)) / (m * h) ** (1.0 + order * p)
-    return 2.0 * total * h * h
+    v = v.reshape(n, -1)
+    offsets = np.arange(1, n)
+    sums = np.empty(n - 1)
+    band = n - 1 if p != 2.0 else min(n - 1, _GAG_BAND)
+    for m in range(1, band + 1):
+        sums[m - 1] = np.sum(np.abs(v[m:] - v[:-m]) ** p)
+    if band < n - 1:
+        # differences are shift-invariant: centring keeps the mean out of S
+        v = v - v.mean(axis=0)
+        size = sfft.next_fast_len(2 * n - 1, real=True)
+        spec = sfft.rfft(v, n=size, axis=0)
+        squares = sfft.rfft(np.sum(v * v, axis=1), n=size)
+        ones = sfft.rfft(np.ones(n), n=size)
+        corr = sfft.irfft(2.0 * (squares.conj() * ones).real
+                          - 2.0 * np.sum(spec.real ** 2 + spec.imag ** 2, axis=1), n=size)
+        sums[band:] = np.maximum(corr[band + 1:n], 0.0)
+    return 2.0 * h * h * float(sums @ (offsets * h) ** -(1.0 + order * p))
 
 
 def fd_derivative(vals, h, axis=0):
@@ -96,7 +119,7 @@ def wsp_pow_separable(axes, s, p):
     return total
 
 
-def wsp_norm_coupled(field2d, hx, hv, trans_axes, s, p, x_periodic=True):
+def wsp_norm_coupled(field2d, hx, hv, trans_axes, s, p):
     """W^{s,p} norm (p-th power) of D(x, v1) times transverse 1D factors.
 
     The x direction is the periodic box; offsets never wrap, matching the
@@ -108,36 +131,21 @@ def wsp_norm_coupled(field2d, hx, hv, trans_axes, s, p, x_periodic=True):
     d_lp = float(np.sum(np.abs(field2d) ** p)) * cell
 
     def gag2d(arr, axis, order):
-        v = np.moveaxis(arr, axis, 0)
-        n = v.shape[0]
-        step = hx if axis == 0 else hv
-        other = hv if axis == 0 else hx
-        total = 0.0
-        for m in range(1, n):
-            diff = v[m:] - v[:-m]
-            total += float(np.sum(np.abs(diff) ** p)) / (m * step) ** (1.0 + order * p)
-        return 2.0 * total * step * step * other
+        step, other = (hx, hv) if axis == 0 else (hv, hx)
+        return gagliardo_pow(arr, step, order, p, axis) * other
 
     total = d_lp * prod_t
     if s == 0.0:
         return total
 
-    def add_orders(arr, weight):
-        nonlocal total
-        if s < 1.0:
-            total += weight * (gag2d(arr, 0, s) + gag2d(arr, 1, s)) * prod_t
-            base = float(np.sum(np.abs(arr) ** p)) * cell
-            for k, a in enumerate(trans_axes):
-                total += weight * base * a.gag(s, p) * math.prod(
-                    lps_t[:k] + lps_t[k + 1:])
-
     if s < 1.0:
-        add_orders(field2d, 1.0)
+        total += (gag2d(field2d, 0, s) + gag2d(field2d, 1, s)) * prod_t
+        for k, a in enumerate(trans_axes):
+            total += d_lp * a.gag(s, p) * math.prod(lps_t[:k] + lps_t[k + 1:])
         return total
 
     # s in [1, 2): first derivatives, then (s-1)-order seminorms of each
-    dx = _periodic_derivative(field2d, hx, axis=0) if x_periodic else \
-        fd_derivative(field2d, hx, axis=0)
+    dx = _periodic_derivative(field2d, hx, axis=0)
     dv = fd_derivative(field2d, hv, axis=1)
     grads = [(dx, None), (dv, None)]
     for k, a in enumerate(trans_axes):
@@ -162,8 +170,6 @@ def wsp_norm_coupled(field2d, hx, hv, trans_axes, s, p, x_periodic=True):
 
 
 def _periodic_derivative(arr, h, axis=0):
-    from scipy import fft as sfft
-
     n = arr.shape[axis]
     xi = 2.0 * np.pi * sfft.fftfreq(n, d=h)
     shape = [1] * arr.ndim

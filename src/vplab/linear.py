@@ -26,6 +26,9 @@ from scipy import fft as sfft
 from .errors import PenroseUnstableError, RefinementCapError, ValidationError
 from .profiles import _decaying_spline, smooth_step
 
+# nodes of the ray-tail and taper-wedge quadratures
+_GL96 = np.polynomial.legendre.leggauss(96)
+
 
 @dataclass
 class Datum1D:
@@ -160,7 +163,7 @@ def _cauchy_quad(samples, alphas, z_batch):
     return out.reshape(np.shape(z_batch))
 
 
-def _ray_tail(kmag, y0, t, fp, datum, n_phi=96):
+def _ray_tail(kmag, y0, t, fp, datum):
     """Exact completion of the two |y| > y0 tails by contour rotation.
 
     For t >= 0 the rays rotate into the lower half-plane where the
@@ -168,7 +171,7 @@ def _ray_tail(kmag, y0, t, fp, datum, n_phi=96):
     the projected support, so the deformation crosses nothing.  The paired
     rays make the s-integral absolutely convergent even at t = 0.
     """
-    x, w = np.polynomial.legendre.leggauss(n_phi)
+    x, w = _GL96
     phi = 0.25 * math.pi * (x + 1.0)
     wphi = 0.25 * math.pi * w
     s = y0 * np.tan(phi)
@@ -254,13 +257,13 @@ def efield_mode(kmag, fp, datum, t_end, kvec=None, y_max=None, n_y=None,
         f"window truncation error {err:.2e} above {tol} after {max_refine} refinements")
 
 
-def _wedge_correction(kmag, ym, taper_frac, t, fp, datum, n_gl=96):
+def _wedge_correction(kmag, ym, taper_frac, t, fp, datum):
     """Oscillatory integral of (1 - taper) H over the two tapered shoulders.
 
     Gauss-Legendre on each shoulder with fresh boundary-value evaluations;
     node spacing stays well below 1/(k t_end) for the runs this serves.
     """
-    x, w = np.polynomial.legendre.leggauss(n_gl)
+    x, w = _GL96
     lo = (1.0 - taper_frac) * ym
     out = np.zeros(len(t), dtype=complex)
     for a, b in ((lo, ym), (-ym, -lo)):

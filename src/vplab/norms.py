@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
+from .closeness import gagliardo_pow
 from .errors import BoundaryDecayError, ValidationError
 
 KINDS = ("weighted_Hsb", "mixed_HsxHsvb", "fractional_Wsp", "L1",
@@ -121,22 +122,6 @@ def _lp_norm(values, cell, p):
     return (float(np.sum(np.abs(values) ** p)) * cell) ** (1.0 / p)
 
 
-def _gagliardo_axis_p(values, axis, order, p, h, cell):
-    """Axis-split Gagliardo seminorm (p-th power) of fractional order in (0,1).
-
-    Integrates |f(x + t e_axis) - f(x)|^p / |t|^(1+order*p) over the box and
-    t in R, using every grid offset without periodic wrap-around.
-    """
-    n = values.shape[axis]
-    v = np.moveaxis(values, axis, 0)
-    total = 0.0
-    for m in range(1, n):
-        diff = v[m:] - v[:-m]
-        t = m * h
-        total += float(np.sum(np.abs(diff) ** p)) / t ** (1.0 + order * p)
-    return 2.0 * total * cell * h
-
-
 def _spectral_grad(values, grid, axis):
     xi = grid.freqs()
     shape = [1] * values.ndim
@@ -153,9 +138,10 @@ def fractional_wsp_norm(values, grid, s, p):
     acc = _lp_norm(values, cell, p) ** p
     if s == 0.0:
         return acc ** (1.0 / p)
+    # axis-split Gagliardo seminorms over the box, every offset, no wrap
     if s < 1.0:
         for ax in range(grid.dim):
-            acc += _gagliardo_axis_p(values, ax, s, p, h, cell)
+            acc += gagliardo_pow(values, h, s, p, ax) * (cell / h)
         return acc ** (1.0 / p)
     grads = [_spectral_grad(values, grid, ax) for ax in range(grid.dim)]
     for g in grads:
@@ -163,7 +149,7 @@ def fractional_wsp_norm(values, grid, s, p):
     if s > 1.0:
         for g in grads:
             for ax in range(grid.dim):
-                acc += _gagliardo_axis_p(g, ax, s - 1.0, p, h, cell)
+                acc += gagliardo_pow(g, h, s - 1.0, p, ax) * (cell / h)
     return acc ** (1.0 / p)
 
 

@@ -428,7 +428,7 @@ def run_decay_experiment(profile, grid, amplitude, s_x, s_v, b, t_end,
             f"perturbation norm {pert_norm:.3e} not below eps0 = {eps0:.3e}")
 
     n_steps = int(round(t_end / grid.dt))
-    final, log = run(state, n_steps, output_every=max(1, n_steps // 256),
+    final, log = run(state, n_steps, output_every=max(1, n_steps),
                      s_sobolev=1.5 + s_x)
     t = np.asarray(log.t_mid)
     el2 = np.asarray(log.e_l2sq)

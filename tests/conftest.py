@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vplab.profiles import VelocityGrid, make_builtin
+
+# one hypothesis profile for every property test: timings on shared
+# machines vary, so no per-example deadline; a failure prints its blob
+settings.register_profile("vplab", deadline=None, print_blob=True)
+settings.load_profile("vplab")
 
 
 @pytest.fixture(scope="session")

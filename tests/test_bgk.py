@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import ellipk
 
 from vplab.bgk import (
     BifurcationH,
+    _unit_kernel,
     build_modified,
     build_wave,
     decompose,
@@ -23,7 +26,15 @@ from vplab.errors import (
     BracketError,
     ValidationError,
 )
-from vplab.profiles import Profile, VelocityGrid, make_builtin, mollify, symmetrize
+from vplab.profiles import (
+    GaussianMixture,
+    GaussianPairTerm,
+    Profile,
+    VelocityGrid,
+    make_builtin,
+    mollify,
+    symmetrize,
+)
 
 
 class HarmonicH:
@@ -162,9 +173,8 @@ class TestBuildModified:
 
 class TestHFunction:
     def test_h_zero_is_zero(self, maxwellian2):
-        dec = decompose(maxwellian2, 1.0)
         mp = build_modified(maxwellian2, 0.1, 1.0, 1, v0=3.0)
-        assert abs(h_function(mp, dec, 0.0)) < 1e-10
+        assert abs(h_function(mp, 0.0)) < 1e-10
 
     def test_hprime_negative_and_centered_match(self, maxwellian2):
         mp = build_modified(maxwellian2, 0.1, 1.0, 1, v0=3.0)
@@ -188,6 +198,83 @@ class TestHFunction:
         dV = np.gradient(h.potential(bs), bs)
         scale = np.max(np.abs(h(bs)))
         assert np.max(np.abs(dV + h(bs))[2:-2]) < 1e-4 * scale
+
+
+def per_term_h(term, beta, n_v1=2048, n_cheb=256, n_taylor=56):
+    """Oracle: h and V of one pair term from its own Chebyshev/Taylor build.
+
+    The direct construction on the term's own window of shifts, without the
+    unit-width tables and their scaling.
+    """
+    cheb = np.polynomial.chebyshev.Chebyshev
+    extent = term.v0 + 10.0 * term.w1
+    u = np.linspace(0.0, extent, n_v1 + 1)
+    c_ok = min(extent ** 2 - (term.v0 + 8.0 * term.w1) ** 2, 9.0 * term.w1 ** 2)
+
+    def kfun(c):
+        c = np.atleast_1d(c)
+        y = u[None, :] ** 2 - c[:, None]
+        ap = term.weight * term.even_dval(y.ravel()).reshape(y.shape)
+        return 2.0 * np.trapezoid(ap, u, axis=1)
+
+    P = cheb.interpolate(kfun, n_cheb, domain=[-c_ok, c_ok]).integ(lbnd=0.0)
+    Q = cheb.interpolate(lambda c: np.atleast_1d(c) * kfun(c), n_cheb + 1,
+                         domain=[-c_ok, c_ok]).integ(lbnd=0.0)
+    rho = 0.5 * min(c_ok, 4.0 * term.w1 ** 2)
+    m = 2 * n_taylor
+    circ = rho * np.exp(2j * np.pi * np.arange(m) / m)
+    y = u[None, :] ** 2 - circ[:, None]
+    ap = term.weight * term.even_dval_complex(y.ravel()).reshape(y.shape)
+    k_hat = (np.fft.fft(2.0 * np.trapezoid(ap, u, axis=1)) / m)[:n_taylor].real
+
+    c = 2.0 * np.asarray(beta, dtype=float)
+    h, V = -P(c), 0.5 * c * P(c) - 0.5 * Q(c)
+    inner = np.abs(c) <= 0.45 * rho
+    ch = c[inner] / rho
+    powers = ch[:, None] ** np.arange(1, n_taylor + 1)[None, :]
+    mm = np.arange(n_taylor)
+    h[inner] = -rho * (powers @ (k_hat / (mm + 1)))
+    V[inner] = rho ** 2 * ((powers * ch[:, None]) @ (k_hat / (2.0 * (mm + 1) * (mm + 2))))
+    return h, V, c_ok
+
+
+class TestKernelTables:
+    @pytest.mark.parametrize("a", [0.0, 3.0])
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.3, 1.0])
+    def test_scaled_table_matches_per_term_build(self, a, lam):
+        term = GaussianPairTerm(0.7, a * lam, lam, ())
+        mix = GaussianMixture(1, [term])
+        h = BifurcationH(SimpleNamespace(mixture=mix, pv_d_integral=mix.pv_d_integral))
+        h_ref, V_ref, c_ok = per_term_h(term, np.zeros(1))
+        assert h.c_admissible == pytest.approx(c_ok, rel=1e-12)
+        # both Taylor and Chebyshev zones, down to roundoff-scale amplitudes
+        beta = 0.5 * c_ok * np.concatenate([
+            np.linspace(-0.88, 0.88, 45), [1e-9, -1e-6, 1e-3, 0.2, 0.5]])
+        h_ref, V_ref, _ = per_term_h(term, beta)
+        nonzero = beta != 0.0
+        assert np.max(np.abs(h(beta) - h_ref)[nonzero]
+                      / np.abs(h_ref[nonzero])) < 1e-12
+        assert np.max(np.abs(h.potential(beta) - V_ref)[nonzero]
+                      / np.abs(V_ref[nonzero])) < 1e-12
+        # h'(0) = -2 K(0) from the table, against the closed form
+        assert h.hprime0() == pytest.approx(-mix.pv_d_integral(), rel=1e-12)
+        assert hprime0_centered(h, 1e-9 * c_ok) == pytest.approx(h.hprime0(), rel=1e-12)
+
+    def test_new_delta_builds_no_table(self, maxwellian2):
+        _unit_kernel.cache_clear()
+        make_h(build_modified(maxwellian2, 0.1, 1.0, 1, v0=3.0))
+        misses = _unit_kernel.cache_info().misses
+        assert misses == 2  # the Maxwellian (a = 0) and the bump (a = 3)
+        ratios = set()
+        for delta in (0.7, 1.1):
+            mp = build_modified(maxwellian2, 0.1, delta, 1, v0=3.0)
+            bump = mp.mixture.terms[-1]
+            ratios.add(bump.v0 / bump.w1)
+            make_h(mp)
+        # (3 lam) / lam is 3 at delta = 0.7 and one ulp off at 1.0 and 1.1:
+        # all three share one table
+        assert len(ratios) == 2
+        assert _unit_kernel.cache_info().misses == misses
 
 
 class TestPeriodicOrbit:

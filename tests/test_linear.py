@@ -140,7 +140,7 @@ def _pv_scale(m):
 
 
 class TestSincPv:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(m=mixtures(), node=st.integers(0, len(AXIS) - 2),
            y_off=st.floats(-8.0, 8.0), y_far=st.floats(8.0, 100.0),
            side=st.sampled_from((-1.0, 1.0)))
@@ -151,7 +151,7 @@ class TestSincPv:
         ours = _sinc_pv(m.dval(AXIS), AXIS, ys)
         assert np.max(np.abs(ours - exact)) < 1e-12 * _pv_scale(m)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(m1=mixtures(), m2=mixtures(),
            c1=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
            c2=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
@@ -165,7 +165,7 @@ class TestSincPv:
         scale = (1.0 + abs(c1) + abs(c2)) * (_pv_scale(m1) + _pv_scale(m2))
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(m=mixtures())
     def test_grid_only_dispersion_matches_closure(self, m):
         vals = m.val(AXIS)
