@@ -364,12 +364,19 @@ class BifurcationH:
 
     def __init__(self, mp, n_v1=2048, n_cheb=256, n_taylor=56):
         self.mp = mp
-        # (unit table, weight, width^2) per term; the ratio is rounded to 14
-        # digits so that float ratios like (3 lam)/lam share one table
-        self._terms = [
-            (_unit_kernel(float(f"{t.v0 / t.w1:.14g}"), n_v1, n_cheb, n_taylor),
-             t.weight, t.w1 ** 2) for t in mp.mixture.terms]
-        self.c_admissible = _C_OK * min(w2 for _, _, w2 in self._terms)
+        # per term: the unit tables P, Q, the weight, width^2, the Taylor
+        # radius, the scaled Taylor vectors of h and V and their exponents; the
+        # ratio is rounded to 14 digits so that float ratios like (3 lam)/lam
+        # share one table
+        self._terms = []
+        for t in mp.mixture.terms:
+            P, Q, k_unit = _unit_kernel(float(f"{t.v0 / t.w1:.14g}"), n_v1, n_cheb, n_taylor)
+            w2 = t.w1 ** 2
+            k_hat = (t.weight / w2) * k_unit
+            mm = np.arange(len(k_hat))
+            self._terms.append((P, Q, t.weight, w2, w2 * _RHO, k_hat / (mm + 1),
+                                k_hat / (2.0 * (mm + 1) * (mm + 2)), mm + 1))
+        self.c_admissible = _C_OK * min(t.w1 ** 2 for t in mp.mixture.terms)
 
     def hprime0(self):
         return -self.mp.pv_d_integral()
@@ -391,20 +398,16 @@ class BifurcationH:
         """
         out = np.zeros_like(b)
         c = 2.0 * b
-        for (P, Q, k_unit), weight, w2 in self._terms:
-            rho = w2 * _RHO
-            k_hat = (weight / w2) * k_unit
+        for P, Q, weight, w2, rho, k_h, k_v, expo in self._terms:
             inner = np.abs(c) <= 0.45 * rho
             outer = ~inner
             if np.any(inner):
                 ch = c[inner] / rho
-                powers = ch[:, None] ** np.arange(1, len(k_hat) + 1)[None, :]
-                mm = np.arange(len(k_hat))
+                powers = ch[:, None] ** expo
                 if mode == "h":
-                    out[inner] -= rho * (powers @ (k_hat / (mm + 1)))
+                    out[inner] -= rho * (powers @ k_h)
                 else:
-                    out[inner] += rho ** 2 * ((powers * ch[:, None]) @ (
-                        k_hat / (2.0 * (mm + 1) * (mm + 2))))
+                    out[inner] += rho ** 2 * ((powers * ch[:, None]) @ k_v)
             if np.any(outer):
                 co = c[outer]
                 pc = weight * P(co / w2)

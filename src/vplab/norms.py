@@ -60,12 +60,14 @@ def check_boundary_decay(values, grid, tol=1e-12):
         raise BoundaryDecayError(res, tol * scale)
 
 
-def _symbol(grid, s):
-    xi = grid.freqs()
-    xi2 = None
-    for _ in range(grid.dim):
-        xi2 = xi ** 2 if xi2 is None else np.add.outer(xi2, xi ** 2)
-    return (1.0 + xi2) ** (s / 2.0)
+def _symbol(grid, s, half=False):
+    """(1 + |xi|^2)^(s/2) on the fftn grid, or on the rfftn half spectrum."""
+    xi2 = grid.freqs() ** 2
+    out = None
+    for ax in range(grid.dim):
+        q = xi2[:grid.n // 2 + 1] if half and ax == grid.dim - 1 else xi2
+        out = q if out is None else np.add.outer(out, q)
+    return (1.0 + out) ** (s / 2.0)
 
 
 def weighted_hsb_norm(values, grid, s, b, skip_decay_check=False):
@@ -75,9 +77,11 @@ def weighted_hsb_norm(values, grid, s, b, skip_decay_check=False):
         raise ValidationError("field shape does not match grid")
     if not skip_decay_check:
         check_boundary_decay(values, grid)
-    smoothed = sfft.ifftn(sfft.fftn(values) * _symbol(grid, s))
-    if not np.iscomplexobj(values):
-        smoothed = smoothed.real
+    if np.iscomplexobj(values):
+        smoothed = sfft.ifftn(sfft.fftn(values) * _symbol(grid, s))
+    else:
+        smoothed = sfft.irfftn(sfft.rfftn(values) * _symbol(grid, s, half=True),
+                               s=values.shape)
     mesh = grid.mesh()
     w = (1.0 + sum(m ** 2 for m in mesh)) ** b
     return math.sqrt(float(np.sum(np.abs(w * smoothed) ** 2)) * grid.cell)

@@ -10,8 +10,12 @@ The field acts along x1 and the x-shift reads v1 only, so v2 is a passive
 label: f = sum_j A_j(x, v1) B_j(v2) keeps B and its rank r exactly under every
 step.  ``run`` factors the state once (SVD over v2 above 1e-15 sigma_1; 1D-1V
 is A = f, B = [[1]]), advances A (Nx, Nv1, r) alone, takes moments through
-W = B (1, v2, v2^2) and forms the dense A B only at outputs, re-factoring
-after a nonzero clip.  ``step`` and ``SimState`` use A = f, B = I.
+W = B (1, v2, v2^2) and forms the dense A B only at outputs.  A nonzero clip
+at an output is projected onto B, which is kept while the clipped state
+lies in its span to the SVD's own threshold (||f - A B||_F <= 1e-15
+sigma_1(A)), as roundoff clips of a state positive in v2 do; a larger
+residual re-factors the state, and the clip at the final output needs
+neither.  ``step`` and ``SimState`` use A = f, B = I.
 """
 
 from __future__ import annotations
@@ -118,25 +122,42 @@ def _transverse_table(grid):
     return np.stack([np.ones_like(v2), v2, v2 ** 2], axis=1)
 
 
-def _factor(f, grid):
-    """Transverse factors of a dense state: A (Nx, Nv1, r), B (r, Nv2) and the
-    weights W = B (1, v2, v2^2), keeping singular values above 1e-15 sigma_1."""
-    a = f.reshape(grid.Nx, grid.vaxes[0].n, -1)
-    if a.shape[2] == 1:
-        return a, np.ones((1, 1)), _transverse_table(grid)
-    u, s, vt = np.linalg.svd(a.reshape(-1, a.shape[2]), full_matrices=False)
-    r = max(1, int(np.count_nonzero(s > 1e-15 * s[0])))
-    return (u[:, :r] * s[:r]).reshape(a.shape[:2] + (r,)), vt[:r], vt[:r] @ _transverse_table(grid)
+def _factor(f, grid, b=None):
+    """Transverse factors of a dense state: A (Nx, Nv1, r), B (r, Nv2) with
+    orthonormal rows, and the weights W = B (1, v2, v2^2).
+
+    A given basis b is kept, with A = f b^T, when f lies in its span up to
+    the truncation threshold ||f - A b||_F <= 1e-15 sigma_1(A); otherwise
+    (or without b) the basis comes from svd(qr(f)), keeping the singular
+    values above 1e-15 sigma_1.
+    """
+    x = f.reshape(grid.Nx * grid.vaxes[0].n, -1)
+    shape, table = (grid.Nx, grid.vaxes[0].n, -1), _transverse_table(grid)
+    if x.shape[1] == 1:
+        return x.reshape(shape), np.ones((1, 1)), table
+    if b is not None:
+        a = x @ b.T
+        sigma1 = math.sqrt(float(np.linalg.eigvalsh(a.T @ a)[-1]))
+        resid = a @ b
+        resid -= x
+        if np.linalg.norm(resid) <= 1e-15 * sigma1:
+            return a.reshape(shape), b, b @ table
+    _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"))
+    b = vt[:max(1, int(np.count_nonzero(s > 1e-15 * s[0])))]
+    return (x @ b.T).reshape(shape), b, b @ table
 
 
 def _moments(a, w, grid):
     """Density and v1-current on the x grid, then mass, momentum and kinetic
-    energy, of f = A B through the transverse weights W = B (1, v2, v2^2)."""
-    m = np.tensordot(w, a, axes=(0, 2))  # v2-moments 0, 1, 2 at each (x, v1)
+    energy, of f = A B through the transverse weights W = B (1, v2, v2^2).
+
+    One pass: (1, v1, v1^2) A W gives every moment int v1^i v2^j f at each x.
+    """
     v1, c = grid.vaxes[0].axis(), grid.cell_v
-    rho, j1 = m[0].sum(axis=1) * c, m[0] @ v1 * c
-    mom = np.array([j1.sum(), m[1].sum() * c][:len(grid.vaxes)]) * grid.dx
-    kin = float((m[0] @ v1 ** 2).sum() + m[2].sum()) * c * grid.dx
+    m = (np.stack([np.ones_like(v1), v1, v1 ** 2]) @ a) @ w  # (Nx, v1^i, v2^j)
+    rho, j1 = m[:, 0, 0] * c, m[:, 1, 0] * c
+    mom = np.array([j1.sum(), m[:, 0, 1].sum() * c][:len(grid.vaxes)]) * grid.dx
+    kin = float(m[:, 2, 0].sum() + m[:, 0, 2].sum()) * c * grid.dx
     return rho, j1, float(rho.sum()) * grid.dx, mom, kin
 
 
@@ -286,8 +307,8 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, force_zero_field=False
             a = _advect_x(a, g, half)
             snap = SimState(g, (a @ b).reshape(g.shape), state.time + (i + 1) * g.dt,
                             snap.clipped_mass)
-            if _clip(snap):
-                a, b, w = _factor(snap.f, g)
+            if _clip(snap) and not last:
+                a, b, w = _factor(snap.f, g, b)
             log.snapshots[round(snap.time, 12)] = snap
             if not last:
                 a = _advect_x(a, g, half)

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ellipk
 
 from vplab.bgk import (
+    _RHO,
     BifurcationH,
     _unit_kernel,
     build_modified,
@@ -238,7 +239,55 @@ def per_term_h(term, beta, n_v1=2048, n_cheb=256, n_taylor=56):
     return h, V, c_ok
 
 
+def per_call_accumulate(mp, b, mode):
+    """Oracle: ``BifurcationH._accumulate`` with each term's scaled Taylor
+    vectors rebuilt from the unit table on every call."""
+    out = np.zeros_like(b)
+    c = 2.0 * b
+    for t in mp.mixture.terms:
+        P, Q, k_unit = _unit_kernel(float(f"{t.v0 / t.w1:.14g}"), 2048, 256, 56)
+        weight, w2 = t.weight, t.w1 ** 2
+        rho = w2 * _RHO
+        k_hat = (weight / w2) * k_unit
+        inner = np.abs(c) <= 0.45 * rho
+        outer = ~inner
+        if np.any(inner):
+            ch = c[inner] / rho
+            powers = ch[:, None] ** np.arange(1, len(k_hat) + 1)[None, :]
+            mm = np.arange(len(k_hat))
+            if mode == "h":
+                out[inner] -= rho * (powers @ (k_hat / (mm + 1)))
+            else:
+                out[inner] += rho ** 2 * ((powers * ch[:, None]) @ (
+                    k_hat / (2.0 * (mm + 1) * (mm + 2))))
+        if np.any(outer):
+            co = c[outer]
+            pc = weight * P(co / w2)
+            if mode == "h":
+                out[outer] -= pc
+            else:
+                out[outer] += 0.5 * co * pc - 0.5 * weight * w2 * Q(co / w2)
+    return out
+
+
 class TestKernelTables:
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_precomputed_taylor_vectors_same_bits(self, maxwellian2, case):
+        # h and V from the vectors built in __init__ are the very bits of the
+        # per-call build, in both zones of every term and for scalar calls
+        mp = build_modified(maxwellian2, 0.1, 0.5, case, v0=3.0)
+        h = make_h(mp)
+        # the whole admissible range, and each term's Taylor disc up to its edge
+        edges = [0.45 * t.w1 ** 2 for t in mp.mixture.terms]
+        beta = np.concatenate(
+            [0.5 * h.c_admissible * np.linspace(-0.99, 0.99, 67), [1e-12, -1e-7, 1e-3]]
+            + [e * np.linspace(-1.0, 1.0, 101) for e in edges if 2 * e <= h.c_admissible])
+        for mode in ("h", "V"):
+            assert np.array_equal(h._accumulate(beta, mode),
+                                  per_call_accumulate(mp, beta, mode))
+            for b in beta[::7]:
+                assert np.array_equal(h._accumulate(np.array([b]), mode),
+                                      per_call_accumulate(mp, np.array([b]), mode))
     @pytest.mark.parametrize("a", [0.0, 3.0])
     @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.3, 1.0])
     def test_scaled_table_matches_per_term_build(self, a, lam):

@@ -63,6 +63,23 @@ class TestWeightedHsb:
         assert np.all(np.diff(vals, axis=0) > 0)
         assert np.all(np.diff(vals, axis=1) > 0)
 
+    @pytest.mark.parametrize("dim, n", [(1, 64), (1, 1024), (2, 32), (2, 256), (3, 16)])
+    def test_real_path_matches_complex_path(self, dim, n, rng):
+        # rfftn with the half-spectrum symbol against fftn of the same field
+        # as complex: a smooth bump, a narrow one and white noise, all under
+        # a Gaussian envelope that meets the boundary-decay check
+        grid = VelocityGrid(dim, 8.0, n)
+        mesh = grid.mesh()
+        envelope = np.exp(-sum(m ** 2 for m in mesh))
+        phase = sum(rng.uniform(0.5, 3.0) * m for m in mesh)
+        fields = (envelope * (1 + 0.5 * np.sin(phase)),
+                  envelope * np.exp(-sum((m - 0.3) ** 2 for m in mesh) / 0.02),
+                  envelope * rng.standard_normal(grid.shape))
+        for field in fields:
+            for s, b in ((0.0, 0.0), (0.7, 0.4), (1.6, 0.3), (2.0, 1.0)):
+                cplx = weighted_hsb_norm(field.astype(complex), grid, s, b)
+                assert abs(weighted_hsb_norm(field, grid, s, b) - cplx) <= 1e-13 * cplx
+
     def test_homogeneity_and_triangle(self, grid2, rng):
         mesh = grid2.mesh()
         base = np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / 2)

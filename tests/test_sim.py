@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from vplab import sim
 from vplab.errors import PenroseUnstableError, ValidationError
 from vplab.profiles import VelocityGrid, make_builtin
 from vplab.sim import (
@@ -8,6 +11,8 @@ from vplab.sim import (
     SimState,
     _advect_v,
     _factor,
+    _moments,
+    _transverse_table,
     comoving_compare,
     perturb_cosine,
     poisson_solve,
@@ -197,6 +202,66 @@ def _maxwellian_v(g):
     return np.exp(-(v1[:, None] ** 2 + v2[None, :] ** 2) / 2) / (2 * np.pi)
 
 
+def tensordot_moments(a, w, grid, absolute=False):
+    """Oracle: the moments of f = A B through three full (Nx, Nv1) v2-moment
+    arrays; with ``absolute`` the same sums over |A|, |W| and |v1|, the scale
+    of their rounding error."""
+    v1, c = grid.vaxes[0].axis(), grid.cell_v
+    if absolute:
+        a, w, v1 = np.abs(a), np.abs(w), np.abs(v1)
+    m = np.tensordot(w, a, axes=(0, 2))  # v2-moments 0, 1, 2 at each (x, v1)
+    rho, j1 = m[0].sum(axis=1) * c, m[0] @ v1 * c
+    mom = np.array([j1.sum(), m[1].sum() * c][:len(grid.vaxes)]) * grid.dx
+    kin = float((m[0] @ v1 ** 2).sum() + m[2].sum()) * c * grid.dx
+    return rho, j1, float(rho.sum()) * grid.dx, mom, kin
+
+
+class TestMoments:
+    @settings(max_examples=60)
+    @given(nx=hst.sampled_from((4, 16, 64)), nv1=hst.sampled_from((4, 32, 128)),
+           nv2=hst.sampled_from((None, 4, 8, 32)), r=hst.integers(1, 4),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_one_pass_matches_tensordot(self, nx, nv1, nv2, r, seed):
+        # random A (Nx, Nv1, r) and B (r, Nv2) with orthonormal rows; in 1D-1V
+        # (Nv2 = 1) B is a unit column, since r rows cannot be orthonormal there
+        rng = np.random.default_rng(seed)
+        vaxes = (VelocityGrid(1, 8.0, nv1),) + ((VelocityGrid(1, 6.0, nv2),) if nv2 else ())
+        g = PhaseGrid(T1, nx, vaxes, 0.01)
+        a = rng.standard_normal((nx, nv1, r))
+        if nv2:
+            b = np.linalg.qr(rng.standard_normal((nv2, r)))[0].T
+        else:
+            b = rng.standard_normal((r, 1))
+            b /= np.linalg.norm(b)
+        w = b @ _transverse_table(g)
+        ours = _moments(a, w, g)
+        exact = tensordot_moments(a, w, g)
+        scale = tensordot_moments(a, w, g, absolute=True)
+        for got, want, size in zip(ours, exact, scale):
+            assert np.all(np.abs(np.asarray(got) - want) <= 1e-13 * np.asarray(size))
+
+
+def count_svds(monkeypatch):
+    """Record the shape of every np.linalg.svd argument from here on."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _lobe_datum(g):
+    # a 1e-12 negative lobe far in the (v1, v2) tail: outside the state's
+    # transverse span once clipped, so the clip re-factors
+    v1, v2 = (ax.axis() for ax in g.vaxes)
+    lobe = np.exp(-((v1[:, None] - 6) ** 2 + (v2[None, :] - 6) ** 2) / 0.25)
+    f = (1 + 0.05 * np.cos(g.x))[:, None, None] * (_maxwellian_v(g) - 1e-12 * lobe)[None]
+    return _normalised(g, f)
+
+
 class TestFactoredRun:
     """``run`` advances the transverse factors; repeated ``step`` is the
     dense composition it must reproduce."""
@@ -212,8 +277,11 @@ class TestFactoredRun:
                 assert np.max(np.abs(snap.f - cur.f)) < 1e-13
         assert len(log.snapshots) == n_steps // every
         assert np.max(np.abs(fin.f - cur.f)) < 1e-13
+        return log
 
-    def test_rank1_wave(self):
+    def test_rank1_wave(self, monkeypatch):
+        # v2 is positive in the wave, so the roundoff negatives each output
+        # clips lie in its rank-1 span: one SVD, at the start, for the run
         from tests.test_bgk import tuned_case3_profile
         from vplab.bgk import match_period
 
@@ -223,7 +291,10 @@ class TestFactoredRun:
                                       VelocityGrid(1, 8.0, 32)), 0.01)
         f0 = wave.sample_phase_space(g.x, *(ax.axis() for ax in g.vaxes))
         assert _factor(f0, g)[0].shape[2] == 1
-        self.check_against_dense(SimState(g, f0))
+        svds = count_svds(monkeypatch)
+        log = self.check_against_dense(SimState(g, f0))
+        assert log.snapshots[min(log.snapshots)].clipped_mass > 0
+        assert svds == [(32, 32)]
 
     def test_rank2_datum(self):
         # M(v1) M(v2) (1 + a cos x (1 + v1 v2)): span{M(v2), v2 M(v2)} over v2
@@ -251,14 +322,10 @@ class TestFactoredRun:
         self.check_against_dense(st)
 
     def test_clip_refactors_and_conserves_mass(self):
-        # a roundoff-scale negative lobe far in the (v1, v2) tail: each output
-        # clips it, the clipped state is re-factored with fresh weights, and
-        # the run goes on with the mass changed by the clipped mass alone
-        g = _grid2v()
-        v1, v2 = (ax.axis() for ax in g.vaxes)
-        lobe = np.exp(-((v1[:, None] - 6) ** 2 + (v2[None, :] - 6) ** 2) / 0.25)
-        f = (1 + 0.05 * np.cos(g.x))[:, None, None] * (_maxwellian_v(g) - 1e-12 * lobe)[None]
-        st = _normalised(g, f)
+        # each output clips the lobe, the clipped state is re-factored with
+        # fresh weights, and the run goes on with the mass changed by the
+        # clipped mass alone
+        st = _lobe_datum(_grid2v())
         assert st.f.min() < 0
         fin, log = run(st, 30, output_every=5)
         assert 0 < fin.clipped_mass < 1e-10
@@ -266,6 +333,32 @@ class TestFactoredRun:
         mass = np.asarray(log.mass)
         assert np.max(np.abs(np.diff(mass))) < 1e-10
         assert abs(fin.moments()[0] - st.moments()[0] - fin.clipped_mass) < 1e-13
+
+    def test_clip_outside_the_span_grows_the_rank(self, monkeypatch):
+        # the first clip leaves the rank-2 span by far more than 1e-15 sigma_1:
+        # a fresh SVD with a larger rank; the second clip lies in the grown
+        # span, which is kept, and the third, final one needs no factor
+        st = _lobe_datum(_grid2v())
+        ranks, factor = [], sim._factor
+
+        def recorded(*args):
+            out = factor(*args)
+            ranks.append(out[1].shape[0])
+            return out
+
+        monkeypatch.setattr(sim, "_factor", recorded)
+        svds = count_svds(monkeypatch)
+        fin, _ = run(st, 15, output_every=5)
+        assert fin.clipped_mass > 0
+        assert len(ranks) == 3 and ranks[0] == 2 and ranks[1] > 2 and ranks[2] == ranks[1]
+        assert len(svds) == 2
+
+    def test_clip_at_the_final_output_makes_no_svd(self, monkeypatch):
+        st = _lobe_datum(_grid2v())
+        svds = count_svds(monkeypatch)
+        fin, log = run(st, 5, output_every=5)
+        assert 0 < fin.clipped_mass and fin.f.min() >= 0
+        assert len(log.snapshots) == 1 and len(svds) == 1
 
 
 class TestSteadiness:
