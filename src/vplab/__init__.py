@@ -34,11 +34,9 @@ from .norms import (
 from .penrose import DualLattice, PenroseReport, critical_points, penrose_check, pv_integral
 from .bgk import (
     BgkWave,
-    EnergyDecomposition,
     ModifiedProfile,
     build_modified,
     build_wave,
-    decompose,
     galilean_boost,
     h_function,
     match_period,

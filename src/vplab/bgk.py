@@ -1,7 +1,7 @@
 """Construction of small-amplitude 1D BGK travelling waves.
 
 The pipeline follows the bifurcation route: regularise the base profile,
-split it into energy-variable branches g+/g-, add a scaled modification
+continue it evenly in the energy variable y = v1^2, add a scaled modification
 that turns the origin of beta'' = h(beta) into a center, select the orbit
 with prescribed H^2 amplitude, and match the spatial period by adjusting
 the modification scale.
@@ -33,7 +33,6 @@ from .profiles import (
     GaussianMixture,
     GaussianPairTerm,
     Profile,
-    cutoff_sigma,
     dv1_over_v1_integral,
 )
 
@@ -47,150 +46,6 @@ def _gl_nodes(order, lo, hi):
     x, w = {8: _GL8, 16: _GL16}[order]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
-
-
-# ---------------------------------------------------------------------------
-# energy decomposition
-# ---------------------------------------------------------------------------
-
-class EnergyDecomposition:
-    """Branches g+(y, w), g-(y, w) of a profile in the energy variable y = v1^2.
-
-    Both branches agree with the smooth even core on (-4a^2, a^2], vanish
-    for y <= -4a^2, and reproduce the profile exactly at y = v1^2.  For
-    closure-backed profiles the even core is the exact analytic
-    continuation of each Gaussian pair; for grid profiles it is a
-    fourth-order even Taylor continuation from spectral derivatives at
-    v1 = 0, which is indistinguishable from smooth at the amplitudes the
-    construction admits.
-    """
-
-    def __init__(self, f1, delta2):
-        self.f1 = f1
-        self.delta2 = float(delta2)
-        self.a = 0.5 * float(delta2)
-        if f1.closure is None:
-            self._init_grid()
-
-    # -- closure path -------------------------------------------------------
-
-    def _chi(self, y):
-        """Smooth support cut: 1 for y >= -2a^2, 0 for y <= -4a^2."""
-        y = np.asarray(y, dtype=float)
-        out = np.ones_like(y)
-        neg = y < 0
-        out[neg] = cutoff_sigma(y[neg] / (2.0 * self.a ** 2))
-        return out
-
-    def _branch_closure(self, y, sign, trans_pts):
-        out = None
-        chi = self._chi(y)
-        for t in self.f1.closure.terms:
-            a = t.weight * t.even_val(np.asarray(y, dtype=float)) * chi
-            tv = 1.0
-            for w, pts in zip(t.wt, trans_pts):
-                tv = tv * np.exp(-np.asarray(pts) ** 2 / (2 * w ** 2)) / (w * SQRT2PI)
-            term = a * tv
-            out = term if out is None else out + term
-        return out
-
-    # -- grid path ----------------------------------------------------------
-
-    def _init_grid(self):
-        from scipy.interpolate import make_interp_spline
-
-        g = self.f1.grid
-        ax = g.axis()
-        vals = self.f1.values.reshape(g.n, -1)
-        win = np.abs(ax) <= self.delta2
-        asym = np.max(np.abs(vals - np.roll(vals[::-1], 1, axis=0))[win])
-        if asym > 1e-10 * max(1.0, float(np.max(vals))):
-            raise ValidationError(
-                f"profile asymmetry {asym:.2e} on |v1| <= delta2; symmetrize first"
-            )
-        # spectral even-order derivatives at v1 = 0 for the Taylor core
-        xi = g.freqs()
-        fhat = sfft.fft(vals, axis=0)
-        izero = int(round(g.vmax / g.h))
-        self._taylor = []
-        for j in range(5):
-            dj = sfft.ifft(((1j * xi) ** (2 * j))[:, None] * fhat, axis=0).real
-            self._taylor.append(dj[izero] / math.factorial(2 * j))
-        self._taylor = np.array(self._taylor)  # (5, ntrans)
-        self._splines = [
-            make_interp_spline(ax, vals[:, i], k=5) for i in range(vals.shape[1])
-        ]
-        self._ax_lo, self._ax_hi = ax[0], ax[-1]
-
-    def _branch_grid(self, y, sign, islice):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        a2 = self.a ** 2
-        spl = self._splines[islice]
-
-        hi = y > 0.0
-        if np.any(hi):
-            v1 = sign * np.sqrt(y[hi])
-            v1 = np.clip(v1, self._ax_lo, self._ax_hi)
-            out[hi] = spl(v1)
-        core = (~hi) & (y > -4.0 * a2)
-        if np.any(core):
-            yc = y[core]
-            acc = np.zeros_like(yc)
-            for j in range(4, -1, -1):
-                acc = acc * yc + self._taylor[j, islice]
-            out[core] = acc * self._chi(yc)
-        return out
-
-    # -- public evaluators ---------------------------------------------------
-
-    def g_plus(self, y, *trans_pts):
-        return self._g(y, +1, trans_pts)
-
-    def g_minus(self, y, *trans_pts):
-        return self._g(y, -1, trans_pts)
-
-    def _g(self, y, sign, trans_pts):
-        if self.f1.closure is not None:
-            return self._branch_closure(y, sign, trans_pts)
-        if self.f1.grid.dim == 1:
-            return self._branch_grid(y, sign, 0)
-        raise ValidationError("grid-path branch evaluation is 1D-sliced; use g_slice")
-
-    def g_slice(self, y, sign, islice):
-        if self.f1.closure is not None:
-            raise ValidationError("g_slice is the grid-profile path")
-        return self._branch_grid(y, sign, islice)
-
-    def reconstruct(self, v1, *trans_pts):
-        """f1 rebuilt from the branches; exact at grid points to 1e-10."""
-        v1 = np.asarray(v1, dtype=float)
-        y = v1 ** 2
-        if self.f1.closure is not None:
-            plus = self._branch_closure(y, +1, trans_pts)
-            minus = self._branch_closure(y, -1, trans_pts)
-            return np.where(v1 > 0, plus, minus)
-        out = np.empty_like(y)
-        pos = v1 > 0
-        out[pos] = self._branch_grid(y[pos], +1, 0)
-        out[~pos] = self._branch_grid(y[~pos], -1, 0)
-        return out
-
-
-def decompose(f1, delta2):
-    """Energy decomposition of a profile even in v1 on [-delta2, delta2]."""
-    if delta2 <= 0:
-        raise ValidationError("delta2 must be positive")
-    if f1.closure is None:
-        ax = f1.grid.axis()
-        win = np.abs(ax) <= delta2
-        flipped = np.roll(f1.values[::-1, ...], 1, axis=0)
-        asym = float(np.max(np.abs(f1.values - flipped)[win]))
-        if asym > 1e-10 * max(1.0, float(np.max(f1.values))):
-            raise ValidationError(
-                f"asymmetry {asym:.2e} exceeds 1e-10 on |v1| <= delta2"
-            )
-    return EnergyDecomposition(f1, delta2)
 
 
 # ---------------------------------------------------------------------------
@@ -659,19 +514,7 @@ class BgkWave:
 
     def sample_phase_space(self, x, v1, *trans_axes):
         """Tensor-grid samples f[x, v1, w...] for the nonlinear solver."""
-        shape = [len(x), len(v1)] + [len(a) for a in trans_axes]
-        b = self.beta_at(x)
-        u = v1 - self.c
-        y = u[None, :] ** 2 - 2.0 * b[:, None]
-        out = np.zeros(shape)
-        for t in self.mp.mixture.terms:
-            a = t.weight * t.even_val(y.ravel()).reshape(y.shape)
-            tv = t.transverse_val(*trans_axes)
-            if trans_axes:
-                out += np.multiply.outer(a, tv) if np.ndim(tv) else a[..., None] * tv
-            else:
-                out += a
-        return out
+        return self.f_eval(*np.ix_(x, v1, *trans_axes))
 
     def poisson_residual(self):
         """max |beta'' - h(beta)| on the sample grid (the reduced field equation)."""

@@ -36,19 +36,18 @@ class ExperimentConfig:
 
     SCHEMAS = {
         "penrose": {"profile.name", "profile.v0", "profile.width", "grid.n",
-                    "grid.vmax", "grid.dim", "periods", "s", "b", "seed"},
+                    "grid.vmax", "grid.dim", "periods", "s", "b"},
         "bgk-build": {"profile.name", "profile.v0", "profile.width", "grid.n",
                       "grid.vmax", "grid.dim", "T1", "c", "eps", "gamma", "r",
-                      "v0", "seed"},
+                      "v0"},
         "linear-decay": {"profile.name", "profile.v0", "profile.width",
                          "grid.n", "grid.vmax", "grid.dim", "periods", "kmag",
-                         "s_x", "s_v", "b", "t_end", "amplitude", "seed"},
+                         "s_x", "s_v", "b", "t_end", "amplitude"},
         "simulate": {"profile.name", "profile.v0", "profile.width", "grid.n",
                      "grid.vmax", "grid.dim", "T1", "Nx", "dt", "t_end",
-                     "amplitude", "mode", "s_x", "s_v", "b", "cadence", "seed"},
+                     "amplitude", "mode", "s_x", "s_v", "b", "cadence"},
         "norms": {"profile.name", "profile.v0", "profile.width", "grid.n",
-                  "grid.vmax", "grid.dim", "kind", "s", "s_x", "s_v", "b", "p",
-                  "seed"},
+                  "grid.vmax", "grid.dim", "kind", "s", "s_x", "s_v", "b", "p"},
     }
 
     def __init__(self, command, values, raw_text=""):
@@ -135,8 +134,6 @@ def run(config, outdir, threads=1, verbose=False):
     """Execute one experiment; returns the process exit code."""
     os.makedirs(outdir, exist_ok=True)
     sim_mod.set_fft_workers(threads)
-    seed = config.get("seed", 0, int)
-    np.random.seed(seed)
 
     if config.command == "penrose":
         profile = _profile_from(config)

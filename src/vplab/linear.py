@@ -8,9 +8,11 @@ the mode direction.  The field mode is the oscillatory integral
 evaluated by tapered FFT on a compact window plus exact contour-rotated
 tails (the boundary data decay only like 1/y, which no taper can absorb);
 grid refinement covers the t-resolution.  The PV parts of the boundary
-values F(y+i0), G(y+i0) are exact for the sinc interpolant of the samples:
-a sum against the Hilbert kernel of sinc (Weideman, Math. Comp. 64, 1995).
-The damping-rate oracle finds the lower-half-plane root of |k|^2 - F by
+values F(y+i0), G(y+i0) come from the package's one principal-value
+routine, ``profiles._sinc_pv``: exact for the sinc interpolant of the
+samples, a sum against the Hilbert kernel of sinc (Weideman, Math. Comp.
+64, 1995).  The stability refusal in ``dispersion`` reads the same
+Penrose margin as ``penrose.penrose_check``.  The damping-rate oracle finds the lower-half-plane root of |k|^2 - F by
 analytic continuation (residue term added below the axis); it is
 validation plumbing, independent of the FFT pipeline.
 """
@@ -24,7 +26,8 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import PenroseUnstableError, RefinementCapError, ValidationError
-from .profiles import _decaying_spline, smooth_step
+from .penrose import critical_pv, margin_ok
+from .profiles import _decaying_spline, _sinc_pv, smooth_step
 
 # nodes of the ray-tail and taper-wedge quadratures
 _GL96 = np.polynomial.legendre.leggauss(96)
@@ -65,33 +68,6 @@ class DispersionBoundary:
         return re + 1j * im
 
 
-def _sinc_pv(samples, alphas, ys):
-    """PV int s(alpha)/(alpha - y) dalpha for the sinc interpolant of uniform samples.
-
-    The Hilbert transform of sinc gives sum_j s_j K(u - j), u = (y - alpha_0)/h,
-    with K(u) = -2 sin^2(pi u/2)/u and K(0) = 0.  sin^2(pi (u - j)/2) is
-    sin^2 or cos^2 of pi u/2 by the parity of j, so the sines are taken once
-    per y, and each row chunk of about 2M kernel entries is one real
-    matrix product over the real and imaginary columns.  Returns complex.
-    """
-    cols = np.asarray(samples, dtype=complex).view(float).reshape(-1, 2)
-    j = np.arange(len(alphas), dtype=float)
-    odd = (j % 2)[:, None]
-    weights = np.hstack([cols * (1.0 - odd), cols * odd])
-    u = (np.asarray(ys, dtype=float) - alphas[0]) / (alphas[1] - alphas[0])
-    r = u - 2.0 * np.round(0.5 * u)  # |r| <= 1 keeps the sines exact at the nodes
-    sin2 = np.sin(0.5 * math.pi * np.stack([r, 1.0 - np.abs(r)], axis=1)) ** 2
-    out = np.empty((len(u), 2))
-    rows = max(1, 2_000_000 // len(alphas))
-    for i0 in range(0, len(u), rows):
-        d = u[i0:i0 + rows, None] - j[None, :]
-        d[d == 0.0] = np.inf  # K(0) = 0
-        acc = np.reciprocal(d, out=d) @ weights
-        s = sin2[i0:i0 + rows]
-        out[i0:i0 + rows] = -2.0 * (s[:, :1] * acc[:, :2] + s[:, 1:] * acc[:, 2:])
-    return out.view(complex).ravel()
-
-
 def dispersion(fp, ygrid, k2_min, check_stability=True):
     """F(y+i0) on the grid plus the uniform lower bound c0 at the smallest |k|^2.
 
@@ -107,14 +83,8 @@ def dispersion(fp, ygrid, k2_min, check_stability=True):
     F = re + 1j * im
     c0 = float(np.min(np.abs(k2_min - F) ** 2) / k2_min)
     if check_stability:
-        from .penrose import PlateauInterval, critical_points, pv_integral
-
-        worst = -math.inf
-        for c in critical_points(fp):
-            probe = c.midpoint if isinstance(c, PlateauInterval) else c
-            worst = max(worst, pv_integral(fp, probe))
-        margin = k2_min - worst
-        if c0 <= 1e-14 or not margin > 1e-8 * (1.0 + k2_min):
+        margin = k2_min - max(critical_pv(fp)[1], default=-math.inf)
+        if c0 <= 1e-14 or not margin_ok(margin, k2_min):
             raise PenroseUnstableError(
                 f"margin {margin:.3e}, c0 {c0:.3e}: profile not "
                 f"Penrose-stable at |k|^2 = {k2_min}")

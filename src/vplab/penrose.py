@@ -1,9 +1,14 @@
 """Penrose linear-stability margins for homogeneous profiles on a periodic box.
 
-For every dual-lattice wave vector k below a certified truncation bound,
-the margin |k|^2 - max over critical points of the principal-value integral
-of the projected derivative decides stability.  Directions sharing a line
-share one projection.
+For every dual-lattice wave vector k below the truncation bound B, the
+margin |k|^2 - max over critical points a' of PV int f_e'(alpha)/(alpha - a')
+dalpha decides stability (Penrose, Phys. Fluids 3, 1960).  Every PV here is
+``profiles._sinc_pv``, the exact PV of the sinc interpolant of the projected
+derivative samples.  ``critical_pv`` and ``margin_ok`` are the one margin
+that ``penrose_check``, ``linear.dispersion`` and
+``sim.check_axis_stability`` read.  Directions sharing a line share one
+projection.  B is sampled; it is certified only where ``certifies`` proves
+it from the profile's analytic closure.
 """
 
 from __future__ import annotations
@@ -16,9 +21,11 @@ import numpy as np
 
 from .errors import DegenerateProfileError, ValidationError
 from .norms import weighted_hsb_norm
-from .profiles import project
+from .profiles import _sinc_pv, project
 
 MARGIN_TOL = 1e-8
+# sup over x of 2x D(x) - 1, D the Dawson function: 0.2847494 at x = 1.502
+PV_SUP = 0.28475
 
 
 @dataclass(frozen=True)
@@ -58,36 +65,15 @@ class DualLattice:
         return min(b * b for b in self.base())
 
 
-def pv_cauchy(val, dval, a_prime, t_max, n_t):
-    """PV integral of g(alpha)/(alpha - a') via the symmetrised half-line form.
-
-    The integrand (g(a'+t) - g(a'-t))/t is even in t, so the endpoint terms
-    of the trapezoid rule cancel to all orders and the rule converges
-    spectrally for smooth decaying g.
-    """
-    t = np.linspace(0.0, t_max, n_t + 1)
-    integrand = np.empty_like(t)
-    integrand[0] = 2.0 * float(dval(a_prime))
-    ts = t[1:]
-    integrand[1:] = (val(a_prime + ts) - val(a_prime - ts)) / ts
-    return float(np.trapezoid(integrand, t))
-
-
-def pv_integral(fp, a_prime, refine=1):
-    """Principal-value integral of f'_e(alpha)/(alpha - a').
-
-    The singular cell is regularised exactly as in the Hardy quotient: the
-    t -> 0 limit of the symmetrised integrand is the second derivative.
-    """
+def pv_integral(fp, a_prime):
+    """Principal-value integral of f'_e(alpha)/(alpha - a'), one ``_sinc_pv`` call."""
     a_prime = float(a_prime)
     lo, hi = fp.alphas[0], fp.alphas[-1]
     if not (lo <= a_prime <= hi):
         raise ValidationError(
             f"a'={a_prime} outside the projected grid range [{lo}, {hi}]"
         )
-    t_max = (hi - lo) / 2.0 + abs(a_prime)
-    n_t = refine * 4 * len(fp.alphas)
-    return pv_cauchy(fp.dval, fp.d2val, a_prime, t_max, n_t)
+    return float(_sinc_pv(fp.derivative, fp.alphas, [a_prime]).real[0])
 
 
 @dataclass(frozen=True)
@@ -107,7 +93,7 @@ def critical_points(fp, tol=1e-12):
     """Critical points of the projected profile, bisection-refined.
 
     Flat stretches of the derivative where the profile itself is significant
-    are reported as PlateauInterval with their midpoint as representative.
+    are reported as PlateauInterval; its probes are both edges and the midpoint.
     The negligible tails (profile below 1e-12 of its peak) carry no critical
     points.
     """
@@ -144,6 +130,24 @@ def critical_points(fp, tol=1e-12):
             points.append(float(root))
 
     return sorted(points, key=lambda c: c.midpoint if isinstance(c, PlateauInterval) else c)
+
+
+def critical_pv(fp):
+    """Critical set of the projection and the PV at each of its points.
+
+    A plateau takes the largest PV over its edges and midpoint, because the
+    PV varies along a flat stretch and the margin must hold on all of it.
+    Every probe goes through one ``_sinc_pv`` call.
+    """
+    crit = critical_points(fp)
+    probes = [c.probes() if isinstance(c, PlateauInterval) else (c,) * 3 for c in crit]
+    pv = _sinc_pv(fp.derivative, fp.alphas, np.ravel(probes)).real
+    return crit, [float(v) for v in pv.reshape(-1, 3).max(axis=1)]
+
+
+def margin_ok(margin, k2):
+    """The stability predicate: margin > MARGIN_TOL * (1 + |k|^2)."""
+    return margin > MARGIN_TOL * (1.0 + k2)
 
 
 def _runs(mask, min_len):
@@ -186,13 +190,30 @@ def _random_directions(dim, count, seed):
     return dirs
 
 
+def certifies(p, bound):
+    """True when every |k|^2 > bound provably has a positive margin.
+
+    A Gaussian component of weight w and width s has PV
+    w (2x D(x) - 1)/s^2 <= max(PV_SUP w, -w)/s^2 at every point, and any
+    projection of a closure term is at least as wide as the term's
+    smallest width.  A grid-only profile has no such proof.
+    """
+    if p.closure is None:
+        return False
+    proof = sum(max(PV_SUP * t.weight, -t.weight) / min((t.w1,) + t.wt) ** 2
+                for t in p.closure.terms)
+    return bound >= proof
+
+
 def truncation_bound(p, s, b, n_directions=20, seed=7, return_details=False):
-    """Certified cut-off B: every |k|^2 > B has positive margin automatically.
+    """Cut-off B beyond which every |k|^2 is taken to have a positive margin.
 
     B = 2 * Chat * ||p||_{H^{s,b}} with Chat the largest observed ratio
-    |PV| / ||p|| over sampled directions; the factor 2 is the safety
-    inflation.  Chat is an engineering surrogate for the projection
-    constant, not a proven bound.
+    |PV| / ||p|| over 64 probes in each sampled direction (one ``_sinc_pv``
+    call per direction); the factor 2 is the safety inflation.  Chat is
+    sampled, so B is certified only when ``certifies(p, B)`` holds: a
+    closure-backed profile whose proven PV bound B covers.  The details
+    carry that verdict as ``certified``.
     """
     if not s > 1.5:
         raise ValidationError("truncation bound requires s > 3/2")
@@ -203,12 +224,13 @@ def truncation_bound(p, s, b, n_directions=20, seed=7, return_details=False):
     for e in _random_directions(p.grid.dim, n_directions, seed):
         fp = project(p, e)
         probes = fp.alphas[:: max(1, len(fp.alphas) // 64)]
-        for a in probes:
-            pv_max = max(pv_max, abs(pv_integral(fp, float(a))))
+        pv = _sinc_pv(fp.derivative, fp.alphas, probes).real
+        pv_max = max(pv_max, float(np.max(np.abs(pv))))
     c_hat = pv_max / norm if norm > 0 else 0.0
     bound = 2.0 * c_hat * norm
     if return_details:
-        return bound, {"C_hat": c_hat, "norm_hsb": norm, "pv_max": pv_max}
+        return bound, {"C_hat": c_hat, "norm_hsb": norm, "pv_max": pv_max,
+                       "certified": certifies(p, bound)}
     return bound
 
 
@@ -236,6 +258,7 @@ class PenroseReport:
     stable: bool
     bound: float
     c_hat: float
+    certified: bool
     entries: list = field(default_factory=list)
 
     def to_json(self):
@@ -243,21 +266,9 @@ class PenroseReport:
             "stable": bool(self.stable),
             "B": self.bound,
             "C_hat": self.c_hat,
-            "certified_beyond_B": True,
+            "certified_beyond_B": bool(self.certified),
             "entries": [e.to_json() for e in self.entries],
         }
-
-
-def _direction_worst_pv(p, e):
-    fp = project(p, np.asarray(e))
-    crit = critical_points(fp)
-    pvs = []
-    for c in crit:
-        if isinstance(c, PlateauInterval):
-            pvs.append(max(pv_integral(fp, a) for a in c.probes()))
-        else:
-            pvs.append(pv_integral(fp, c))
-    return crit, pvs
 
 
 def penrose_check(p, lattice, s, b, threads=None):
@@ -273,22 +284,24 @@ def penrose_check(p, lattice, s, b, threads=None):
         by_dir.setdefault(key, []).append((k, k2))
 
     keys = list(by_dir)
+
+    def direction(key):
+        return critical_pv(project(p, np.asarray(key)))
+
     if threads and threads > 1 and len(keys) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(keys, pool.map(
-                lambda key: _direction_worst_pv(p, np.asarray(key)), keys)))
+            results = dict(zip(keys, pool.map(direction, keys)))
     else:
-        results = {key: _direction_worst_pv(p, np.asarray(key)) for key in keys}
+        results = {key: direction(key) for key in keys}
 
     entries = []
     stable = True
     for key, klist in by_dir.items():
         crit, pvs = results[key]
-        worst = max(pvs) if pvs else -math.inf
+        worst = max(pvs, default=-math.inf)
         for k, k2 in klist:
             margin = k2 - worst
             entries.append(PenroseEntry(k, k2, key, crit, pvs, margin))
-            if not margin > MARGIN_TOL * (1.0 + k2):
-                stable = False
+            stable = stable and margin_ok(margin, k2)
     entries.sort(key=lambda e: (e.k2, e.k))
-    return PenroseReport(stable, bound, details["C_hat"], entries)
+    return PenroseReport(stable, bound, details["C_hat"], details["certified"], entries)

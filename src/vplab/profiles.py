@@ -286,19 +286,14 @@ class Mixture1D:
             out = out + w * g * (-(a - mu) / s ** 2)
         return out
 
-    def d2val(self, a):
-        a = self._coerce(a)
-        out = np.zeros(a.shape, dtype=a.dtype)
-        for w, mu, s in self.comps:
-            g = np.exp(-((a - mu) ** 2) / (2 * s ** 2)) / (s * SQRT2PI)
-            out = out + w * g * (((a - mu) / s ** 2) ** 2 - 1.0 / s ** 2)
-        return out
-
     def mass(self):
         return sum(w for w, _, _ in self.comps)
 
     def pv_exact(self, ap):
-        """Closed-form PV integral of dval/(alpha - ap) via the Dawson function."""
+        """Closed-form PV integral of dval/(alpha - ap) via the Dawson function.
+
+        The test oracle for ``_sinc_pv``; the pipeline does not read it.
+        """
         total = 0.0
         for w, mu, s in self.comps:
             yh = (ap - mu) / s
@@ -334,16 +329,6 @@ class GaussianMixture:
             a = t.weight * t.pair_1d(v1)
             tr = t.transverse_val(*axes[1:])
             out += np.multiply.outer(a, tr) if self.dim > 1 else a * tr
-        return out
-
-    def f_points(self, v1, *w_axes_pts):
-        """Pointwise evaluation at arrays of coordinates (broadcast together)."""
-        out = np.zeros(np.broadcast(v1, *w_axes_pts).shape)
-        for t in self.terms:
-            a = t.weight * t.pair_1d(np.asarray(v1, dtype=float))
-            for w, pts in zip(t.wt, w_axes_pts):
-                a = a * np.exp(-np.asarray(pts) ** 2 / (2 * w ** 2)) / (w * SQRT2PI)
-            out += a
         return out
 
     def project_unit(self, e):
@@ -584,14 +569,6 @@ class ProjectedProfile:
             return self.closure1d.dval(a)
         return self._spline("dval", self.derivative)(a)
 
-    def d2val(self, a):
-        if self.closure1d is not None:
-            return self.closure1d.d2val(a)
-        if "d2" not in self._splines:
-            dd = _spectral_derivative(self.derivative, self.alphas)
-            self._splines["d2"] = _decaying_spline(self.alphas, dd)
-        return self._splines["d2"](a)
-
 
 def _spectral_derivative(values, axis_pts):
     xi = 2.0 * np.pi * sfft.fftfreq(len(axis_pts), d=axis_pts[1] - axis_pts[0])
@@ -615,6 +592,35 @@ def _decaying_spline(x, y):
         return out[0] if scalar else out
 
     return evaluate
+
+
+def _sinc_pv(samples, alphas, ys):
+    """PV int s(alpha)/(alpha - y) dalpha for the sinc interpolant of uniform samples.
+
+    The one principal-value routine: the Hilbert transform of sinc
+    (Weideman, Math. Comp. 64, 1995) gives sum_j s_j K(u - j),
+    u = (y - alpha_0)/h, with K(u) = -2 sin^2(pi u/2)/u and K(0) = 0.
+    sin^2(pi (u - j)/2) is sin^2 or cos^2 of pi u/2 by the parity of j, so
+    the sines are taken once per y, and each row chunk of about 2M kernel
+    entries is one real matrix product over the real and imaginary
+    columns.  Returns complex.
+    """
+    cols = np.asarray(samples, dtype=complex).view(float).reshape(-1, 2)
+    j = np.arange(len(alphas), dtype=float)
+    odd = (j % 2)[:, None]
+    weights = np.hstack([cols * (1.0 - odd), cols * odd])
+    u = (np.asarray(ys, dtype=float) - alphas[0]) / (alphas[1] - alphas[0])
+    r = u - 2.0 * np.round(0.5 * u)  # |r| <= 1 keeps the sines exact at the nodes
+    sin2 = np.sin(0.5 * math.pi * np.stack([r, 1.0 - np.abs(r)], axis=1)) ** 2
+    out = np.empty((len(u), 2))
+    rows = max(1, 2_000_000 // len(alphas))
+    for i0 in range(0, len(u), rows):
+        d = u[i0:i0 + rows, None] - j[None, :]
+        d[d == 0.0] = np.inf  # K(0) = 0
+        acc = np.reciprocal(d, out=d) @ weights
+        s = sin2[i0:i0 + rows]
+        out[i0:i0 + rows] = -2.0 * (s[:, :1] * acc[:, :2] + s[:, 1:] * acc[:, 2:])
+    return out.view(complex).ravel()
 
 
 def _shear(values, ax_moving, ax_fixed, s, coords):

@@ -10,7 +10,6 @@ from vplab.bgk import (
     _unit_kernel,
     build_modified,
     build_wave,
-    decompose,
     galilean_boost,
     h_function,
     hprime0_centered,
@@ -30,11 +29,8 @@ from vplab.errors import (
 from vplab.profiles import (
     GaussianMixture,
     GaussianPairTerm,
-    Profile,
     VelocityGrid,
     make_builtin,
-    mollify,
-    symmetrize,
 )
 
 
@@ -72,50 +68,6 @@ def tuned_case3_profile(T1=2 * np.pi, width=0.45):
     return make_builtin("product", grid, factors=[
         ("double_bump", {"v0": v0, "width": width}),
         ("gaussian", {"width": 1.0})]), v0
-
-
-class TestDecompose:
-    def test_even_profile_branches_agree(self, maxwellian2):
-        dec = decompose(maxwellian2, 1.0)
-        y = np.linspace(-0.2, 4.0, 64)
-        w = np.array([0.3])
-        assert np.allclose(dec.g_plus(y, w), dec.g_minus(y, w), atol=1e-15)
-
-    def test_reconstruction_random_points(self, maxwellian2, rng):
-        dec = decompose(maxwellian2, 1.0)
-        v1 = rng.uniform(-6, 6, size=10000)
-        v2 = rng.uniform(-6, 6, size=10000)
-        rebuilt = dec.reconstruct(v1, v2)
-        expect = maxwellian2.closure.f_points(v1, v2)
-        assert np.max(np.abs(rebuilt - expect)) < 1e-10
-
-    def test_vanishes_below_window(self, maxwellian2):
-        dec = decompose(maxwellian2, 1.0)  # a = 0.5, 4a^2 = 1
-        y = np.array([-1.01, -2.0, -5.0])
-        assert np.all(dec.g_plus(y, np.array([0.0])) == 0.0)
-
-    def test_asymmetric_rejected(self, grid1):
-        ax = grid1.axis()
-        p = Profile.from_values(
-            grid1, np.exp(-((ax - 1.0) ** 2) / 2) / np.sqrt(2 * np.pi))
-        with pytest.raises(ValidationError):
-            decompose(p, 0.5)
-
-    def test_grid_path_reconstruction(self, grid1):
-        # exact at grid points, spline-accurate between
-        ax = grid1.axis()
-        p = Profile.from_values(
-            grid1, np.exp(-((ax - 1.0) ** 2) / 2) / np.sqrt(2 * np.pi))
-        sym = symmetrize(mollify(p, 0.1), 0.8)
-        dec = decompose(sym, 0.8)
-        nodes = np.abs(ax) < 5.0
-        rebuilt = dec.reconstruct(ax[nodes])
-        assert np.max(np.abs(rebuilt - sym.values[nodes])) < 1e-10
-        mid = 0.5 * (ax[:-1] + ax[1:])
-        sel = np.abs(mid) < 5.0
-        between = dec.reconstruct(mid[sel])
-        expect = np.interp(mid[sel], ax, sym.values)
-        assert np.max(np.abs(between - expect)) < 1e-3
 
 
 class TestSelectCase:
@@ -443,6 +395,37 @@ class TestGalileanBoost:
         resid = (-boosted.c * dfdx + v1[None, :] * dfdx
                  - e[:, None] * dfdv)
         assert np.max(np.abs(resid)) < 1e-6
+
+
+def tensor_sample(wave, x, v1, *trans_axes):
+    """The outer-product form of BgkWave.sample_phase_space (bit oracle)."""
+    shape = [len(x), len(v1)] + [len(a) for a in trans_axes]
+    b = wave.beta_at(x)
+    u = v1 - wave.c
+    y = u[None, :] ** 2 - 2.0 * b[:, None]
+    out = np.zeros(shape)
+    for t in wave.mp.mixture.terms:
+        a = t.weight * t.even_val(y.ravel()).reshape(y.shape)
+        tv = t.transverse_val(*trans_axes)
+        if trans_axes:
+            out += np.multiply.outer(a, tv) if np.ndim(tv) else a[..., None] * tv
+        else:
+            out += a
+    return out
+
+
+class TestSamplePhaseSpace:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_same_bits_as_tensor_form(self, dim, maxwellian1, maxwellian2):
+        p = maxwellian1 if dim == 1 else maxwellian2
+        _, wave = match_period(p, 2 * np.pi, gamma=0.1, r=1e-3)
+        boosted = galilean_boost(wave, 0.5)
+        x = 2 * np.pi / 256 * np.arange(256)
+        v1 = VelocityGrid(1, 8.0, 128).axis()
+        trans = [VelocityGrid(1, 8.0, 64).axis()] * (dim - 1)
+        f = boosted.sample_phase_space(x, v1, *trans)
+        assert f.shape == (256, 128) + (64,) * (dim - 1)
+        assert np.array_equal(f, tensor_sample(boosted, x, v1, *trans))
 
 
 class TestBuildWave:

@@ -58,6 +58,11 @@ class TestConfig:
             ExperimentConfig.parse(path)
         assert "bogus.key" in str(err.value)
 
+    def test_seed_key_refused(self, tmp_path):
+        # no experiment draws from a global generator, so there is no seed
+        path = write_config(tmp_path, PENROSE_STABLE + "seed = 1\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
     def test_missing_command(self, tmp_path):
         with pytest.raises(ValidationError):
             ExperimentConfig.parse(write_config(tmp_path, "s = 1.6\n"))

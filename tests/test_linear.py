@@ -72,6 +72,15 @@ class TestDispersion:
             dispersion(fp, np.linspace(-10, 10, 401), k2)
 
 
+    def test_plateau_edge_decides(self):
+        # the midpoint PV 0.0115 is below |k|^2 = 0.03, the edge PV 0.0584
+        # above it: a midpoint-only margin would pass this profile
+        from tests.test_penrose import flat_dip
+
+        with pytest.raises(PenroseUnstableError):
+            dispersion(flat_dip(), np.linspace(-10, 10, 401), 0.03)
+
+
 class TestInitialTransform:
     def test_zero(self, fp_maxwellian):
         datum = Datum1D(fp_maxwellian.alphas,

@@ -3,14 +3,38 @@ import pytest
 
 from vplab.errors import DegenerateProfileError, ValidationError
 from vplab.penrose import (
+    PV_SUP,
     DualLattice,
     PlateauInterval,
+    certifies,
     critical_points,
+    critical_pv,
     penrose_check,
     pv_integral,
     truncation_bound,
 )
-from vplab.profiles import Profile, VelocityGrid, make_builtin, project
+from vplab.profiles import (
+    Profile,
+    ProjectedProfile,
+    VelocityGrid,
+    cutoff_sigma,
+    make_builtin,
+    project,
+)
+
+
+def flat_dip():
+    """Unit-mass profile with a flat-bottomed central dip on |alpha| <= 1.5.
+
+    np.gradient leaves the derivative exactly zero on the flat stretches.
+    The PV along the dip runs from 0.0115 at its midpoint to 0.0584 at its
+    edges.
+    """
+    g = VelocityGrid(1, 12.0, 1024)
+    ax = g.axis()
+    vals = cutoff_sigma(ax / 4.0) - 0.5 * cutoff_sigma(ax / 1.5)
+    vals = vals / (np.sum(vals) * g.h)
+    return ProjectedProfile(np.array([1.0]), ax, vals, np.gradient(vals, ax), None, 1.0)
 
 
 def pv_excision_oracle(fp, a_prime):
@@ -73,7 +97,7 @@ class TestCriticalPoints:
         # no critical points inside a strictly monotone sub-interval
         ax = grid1.axis()
         vals = 1.0 / (1.0 + np.exp(-ax)) * np.exp(-ax ** 2 / 50)
-        from vplab.profiles import ProjectedProfile, _spectral_derivative
+        from vplab.profiles import _spectral_derivative
 
         fp = ProjectedProfile(np.array([1.0]), ax, vals,
                               _spectral_derivative(vals, ax), None, 1.0)
@@ -83,8 +107,6 @@ class TestCriticalPoints:
         assert inner == []
 
     def test_degenerate_rejected(self, grid1):
-        from vplab.profiles import ProjectedProfile
-
         ax = grid1.axis()
         ones = np.exp(-ax ** 2)
         fp = ProjectedProfile(np.array([1.0]), ax, ones, np.zeros_like(ax),
@@ -93,8 +115,7 @@ class TestCriticalPoints:
             critical_points(fp)
 
     def test_plateau_reported(self, grid1):
-        from vplab.profiles import ProjectedProfile, _spectral_derivative
-        from vplab.profiles import cutoff_sigma
+        from vplab.profiles import _spectral_derivative
 
         ax = grid1.axis()
         vals = cutoff_sigma(ax / 1.5)
@@ -109,8 +130,7 @@ class TestCriticalPoints:
 class TestPvIntegral:
     def test_maxwellian_minus_one(self, maxwellian2):
         fp = project(maxwellian2, (1.0, 0.0))
-        assert abs(pv_integral(fp, 0.0) + 1.0) < 1e-6
-        assert abs(pv_integral(fp, 0.0, refine=2) + 1.0) < 1e-9
+        assert abs(pv_integral(fp, 0.0) + 1.0) < 1e-9
 
     def test_against_excision_oracle(self, maxwellian2):
         fp = project(maxwellian2, (1.0, 0.0))
@@ -124,8 +144,6 @@ class TestPvIntegral:
             assert abs(pv_integral(fp, ap) - fp.closure1d.pv_exact(ap)) < 1e-8
 
     def test_zero_derivative_gives_zero(self, grid1):
-        from vplab.profiles import ProjectedProfile
-
         ax = grid1.axis()
         fp = ProjectedProfile(np.array([1.0]), ax, np.exp(-ax ** 2),
                               np.zeros_like(ax), None, 1.0)
@@ -155,6 +173,23 @@ class TestPvIntegral:
             pv_integral(fp, 9.5)
 
 
+class TestCriticalPv:
+    def test_plateau_takes_its_edge_value(self):
+        fp = flat_dip()
+        crit, pvs = critical_pv(fp)
+        i = next(i for i, c in enumerate(crit)
+                 if isinstance(c, PlateauInterval) and c.lo < 0.0 < c.hi)
+        edges = [pv_integral(fp, a) for a in (crit[i].lo, crit[i].hi)]
+        assert pv_integral(fp, crit[i].midpoint) < 0.02
+        assert abs(pvs[i] - max(edges)) < 1e-14
+        assert abs(pvs[i] - 0.0584) < 1e-4
+
+    def test_points_match_pv_integral(self, double_bump2):
+        fp = project(double_bump2, (1.0, 0.0))
+        crit, pvs = critical_pv(fp)
+        assert [pv_integral(fp, c) for c in crit] == pytest.approx(pvs, abs=1e-14)
+
+
 class TestTruncationBound:
     def test_maxwellian_bound(self, maxwellian2):
         b = truncation_bound(maxwellian2, 1.6, 0.3)
@@ -168,6 +203,23 @@ class TestTruncationBound:
         b1 = truncation_bound(maxwellian2, 1.6, 0.3)
         b2 = truncation_bound(doubled, 1.6, 0.3)
         assert abs(b2 - 2.0 * b1) < 1e-8 * b1
+
+    def test_certified_only_by_the_proof_bound(self, maxwellian2):
+        bound, details = truncation_bound(maxwellian2, 1.6, 0.3, return_details=True)
+        assert details["certified"] and certifies(maxwellian2, bound)
+        # unit weight and unit widths: the proven PV bound is PV_SUP itself
+        assert certifies(maxwellian2, PV_SUP)
+        assert not certifies(maxwellian2, 0.99 * PV_SUP)
+        grid_only = Profile.from_values(maxwellian2.grid, maxwellian2.values.copy())
+        assert not certifies(grid_only, 1e6)
+
+    def test_pv_sup_bounds_the_dawson_form(self):
+        from scipy.special import dawsn
+
+        x = np.linspace(0.0, 10.0, 200001)
+        peak = 2.0 * x * dawsn(x) - 1.0
+        assert 0.28474 < peak.max() <= PV_SUP
+        assert abs(x[np.argmax(peak)] - 1.502) < 1e-3
 
     def test_bad_weight_rejected(self, maxwellian2):
         with pytest.raises(ValidationError):
@@ -215,4 +267,11 @@ class TestPenroseCheck:
                             1.6, 0.3)
         js = rep.to_json()
         assert js["stable"] is True
+        assert js["certified_beyond_B"] is True
         assert {"k", "k2", "direction", "S", "pv", "margin"} <= set(js["entries"][0])
+
+    def test_grid_only_profile_not_certified(self, maxwellian2):
+        grid_only = Profile.from_values(maxwellian2.grid, maxwellian2.values.copy())
+        rep = penrose_check(grid_only, DualLattice((2 * np.pi, 2 * np.pi)), 1.6, 0.3)
+        assert rep.stable
+        assert rep.to_json()["certified_beyond_B"] is False
