@@ -26,6 +26,7 @@ from scipy import fft as sfft
 from .errors import (
     AmplitudeTooLargeError,
     BracketError,
+    RegularityError,
     UnresolvableBumpError,
     ValidationError,
 )
@@ -516,12 +517,20 @@ class BgkWave:
         """Tensor-grid samples f[x, v1, w...] for the nonlinear solver."""
         return self.f_eval(*np.ix_(x, v1, *trans_axes))
 
-    def poisson_residual(self):
-        """max |beta'' - h(beta)| on the sample grid (the reduced field equation)."""
+    def _beta2(self):
         n = len(self.beta)
         k = 2.0 * np.pi * sfft.rfftfreq(n, d=self.T1 / n)
-        b2 = sfft.irfft(-(k ** 2) * sfft.rfft(self.beta), n=n)
-        return float(np.max(np.abs(b2 - self.h(self.beta))))
+        return sfft.irfft(-(k ** 2) * sfft.rfft(self.beta), n=n)
+
+    def poisson_residual(self):
+        """max |beta'' - h(beta)| on the sample grid (the reduced field equation)."""
+        return float(np.max(np.abs(self._beta2() - self.h(self.beta))))
+
+    def relative_poisson_residual(self):
+        """max |beta'' - h(beta)| / max |beta''|: the residual at the wave's own
+        scale, which the absolute one cannot see for roundoff-scale waves."""
+        b2 = self._beta2()
+        return float(np.max(np.abs(b2 - self.h(self.beta))) / np.max(np.abs(b2)))
 
     def min_distribution_value(self, n_x=64, n_v=513, n_w=17):
         xs = np.linspace(0.0, self.T1, n_x, endpoint=False)
@@ -576,13 +585,46 @@ def _seed_delta(f1, T1, gamma, case, v0):
     return math.sqrt(val)
 
 
+def _false_position(fun, lo, hi, f_lo, f_hi, tol):
+    """Illinois false position for fun(x) = 0 on a bracket with a sign change.
+
+    Each new point is the secant through the bracket ends; the bracket
+    always keeps its sign change, and the residual of an end kept twice in
+    a row is halved (Dowell & Jarratt, BIT 11 (1971) 168), which makes the
+    convergence superlinear.  Returns (x, brackets): the first point with
+    |fun(x)| <= tol, or None after 300 steps, and the bracket (lo, hi)
+    before each step.
+    """
+    brackets = [(lo, hi)]
+    kept = 0  # the end the previous step kept: -1 lo, +1 hi
+    for _ in range(300):
+        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        f_mid = fun(mid)
+        if abs(f_mid) <= tol:
+            return mid, brackets
+        if f_mid * f_lo < 0:
+            hi, f_hi = mid, f_mid
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
+        else:
+            lo, f_lo = mid, f_mid
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+        brackets.append((lo, hi))
+    return None, brackets
+
+
 def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None,
                  c=0.0, n_x=1024, tol_rel=1e-9, delta2=1.0, h_kw=None):
-    """Bisection on the modification scale until the orbit period equals T1.
+    """Illinois false position on the modification scale until the orbit
+    period equals T1.
 
     Returns (delta, BgkWave).  The bracket must satisfy the period
     inequality at its endpoints; otherwise BracketError reports both
-    endpoint periods.  Bracket widths halve exactly each step.
+    endpoint periods.  ``provenance["bisection_widths"]`` is the bracket
+    width after each step; it never grows.
     """
     sel = select_case(f1, T1, check=False)
     if case is None:
@@ -622,19 +664,11 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None,
     else:
         raise BracketError(T1, t_lo, t_hi)
 
-    widths = [hi - lo]
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        t_mid = at(mid)[2].period
-        if abs(t_mid - T1) <= tol_rel * T1:
-            break
-        if (t_mid - T1) * (t_lo - T1) < 0:
-            hi = mid
-        else:
-            lo, t_lo = mid, t_mid
-        widths.append(hi - lo)
-    else:
+    mid, brackets = _false_position(lambda d: at(d)[2].period - T1, lo, hi,
+                                    t_lo - T1, t_hi - T1, tol_rel * T1)
+    if mid is None:
         raise BracketError(T1, t_lo, t_hi)
+    widths = [b - a for a, b in brackets]
 
     mp, h, orb = at(mid)
     a = 0.5 * delta2
@@ -810,7 +844,9 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None,
     below eps; the fractional-norm cost of the added feature scales like
     gamma^(1 + 1/p - s), so small eps forces features far below any
     practical grid, which the analytic closure carries exactly.  With
-    explicit ``gamma``/``r`` the construction is direct.
+    explicit ``gamma``/``r`` the construction is direct.  A budget at
+    s >= 1 + 1/p on the gamma path (cases 1-2) raises RegularityError
+    before any search.
 
     Returns (wave, ClosenessReport).
     """
@@ -846,6 +882,8 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None,
             r_try *= 0.5 * min(1.0, eps / rep.total)
         raise ValidationError(f"distance budget {eps} not met; last {rep.total}")
 
+    if 1.0 + 1.0 / p - s <= 0.0:
+        raise RegularityError(s, p)
     if case == 2:
         v0 = 0.0
 

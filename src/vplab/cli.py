@@ -162,14 +162,16 @@ def run(config, outdir, threads=1, verbose=False):
             r=None if r <= 0 else r)
         container.save_wave(os.path.join(outdir, "wave.vplb"), wave)
         container.wave_to_csv(os.path.join(outdir, "wave.csv"), wave)
+        resid = wave.poisson_residual()
         _write_manifest(outdir, config, {
             "period_tol_rel": 1e-9, "poisson_residual_tol": 1e-7},
             extra={"closeness": rep.to_json(), "provenance": {
                 k: v for k, v in wave.provenance.items()
-                if k != "bisection_widths"}})
+                if k != "bisection_widths"},
+                "poisson_residual": resid,
+                "relative_poisson_residual": wave.relative_poisson_residual()})
         if verbose:
-            print(f"distance bound {rep.total:.4g}; "
-                  f"residual {wave.poisson_residual():.2e}")
+            print(f"distance bound {rep.total:.4g}; residual {resid:.2e}")
         return 0
 
     if config.command == "linear-decay":

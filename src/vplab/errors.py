@@ -28,6 +28,24 @@ class UnresolvableBumpError(ValidationError):
     """Requested velocity-space feature is below the grid resolution."""
 
 
+class RegularityError(ValidationError):
+    """Regularity s at or above the critical 1 + 1/p of the distance budget.
+
+    The fractional-norm cost of a modification of size gamma scales like
+    gamma^gap with gap = 1 + 1/p - s, so at gap <= 0 no gamma meets a budget.
+    """
+
+    def __init__(self, s, p):
+        self.s = float(s)
+        self.p = float(p)
+        self.gap = 1.0 + 1.0 / self.p - self.s
+        super().__init__(
+            f"regularity s = {self.s:.6g} is not below the critical "
+            f"1 + 1/p = {1.0 + 1.0 / self.p:.6g} (gap {self.gap:.3g}); "
+            "no modification size meets the distance budget"
+        )
+
+
 class QuadratureConvergenceError(VplabError):
     """An integral failed its refinement-stability check."""
 

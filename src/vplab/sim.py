@@ -352,6 +352,7 @@ class SteadinessReport:
     drift_e_l2: float
     model_drift: float
     flagged: bool
+    resolved: bool
     times: np.ndarray
     drift_series: np.ndarray
     log: RunLog
@@ -362,8 +363,11 @@ def run_bgk_steadiness(wave, grid, t_end, output_every_t=0.5, diagnostics_every=
 
     Boosted waves are compared in the co-moving frame.  The drift is
     flagged when it exceeds ten times the second-order splitting-error
-    model dt^2 T_end max|E| vmax.
+    model dt^2 T_end max|E| vmax.  ``resolved`` is false when a sub-grid,
+    sub-roundoff feature was let through: the sampled state is then the
+    homogeneous background, and the drift says nothing about the wave.
     """
+    resolved = True
     width = getattr(wave.mp, "bump_width", None)
     if width is not None and width < 2.0 * grid.vaxes[0].h:
         # reject only when the unresolvable feature would actually matter:
@@ -376,6 +380,7 @@ def run_bgk_steadiness(wave, grid, t_end, output_every_t=0.5, diagnostics_every=
             raise UnresolvableBumpError(
                 f"wave feature width {width:.3g} below the grid resolution "
                 f"{grid.vaxes[0].h:.3g}; the sampled state would misrepresent it")
+        resolved = False
     f0 = wave.sample_phase_space(grid.x, *(ax.axis() for ax in grid.vaxes))
     state = SimState(grid, f0)
     e0 = state.efield()
@@ -392,7 +397,7 @@ def run_bgk_steadiness(wave, grid, t_end, output_every_t=0.5, diagnostics_every=
     model = grid.dt ** 2 * t_end * max(float(np.max(np.abs(e0))), 1e-13) * \
         grid.vaxes[0].vmax
     worst = max(drifts) if drifts else 0.0
-    return SteadinessReport(worst, drift_e, model, worst > 10 * model,
+    return SteadinessReport(worst, drift_e, model, worst > 10 * model, resolved,
                             np.asarray(times), np.asarray(drifts), log)
 
 

@@ -1,12 +1,19 @@
+import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ellipk
 
+import vplab.bgk as bgk_mod
 from vplab.bgk import (
     _RHO,
     BifurcationH,
+    _false_position,
+    _seed_delta,
     _unit_kernel,
     build_modified,
     build_wave,
@@ -24,6 +31,7 @@ from vplab.bgk import (
 from vplab.errors import (
     AmplitudeTooLargeError,
     BracketError,
+    RegularityError,
     ValidationError,
 )
 from vplab.profiles import (
@@ -318,8 +326,15 @@ class TestPeriodicOrbit:
 
 
 class TestMatchPeriod:
-    def test_case1_end_to_end(self, maxwellian2):
+    def test_case1_end_to_end(self, maxwellian2, monkeypatch):
         t1 = 2 * np.pi
+        solves = []
+
+        def counted(*args, **kw):
+            solves.append(1)
+            return periodic_orbit(*args, **kw)
+
+        monkeypatch.setattr(bgk_mod, "periodic_orbit", counted)
         delta, wave = match_period(maxwellian2, t1, gamma=0.1, r=1e-3)
         assert abs(wave.amplitude - 1e-3) < 1e-12
         assert wave.poisson_residual() <= 1e-7
@@ -327,9 +342,25 @@ class TestMatchPeriod:
         assert np.max(np.abs(wave.efield)) > 0.1 * wave.amplitude / t1
         assert wave.min_distribution_value() >= 0.0
         assert abs(wave.mass_per_period() - t1) < 1e-7
-        widths = wave.provenance["bisection_widths"]
-        ratios = np.diff(np.log(np.asarray(widths[1:])))
-        assert np.allclose(np.exp(ratios), 0.5, atol=1e-9)
+        widths = np.asarray(wave.provenance["bisection_widths"])
+        assert np.all(widths > 0) and np.all(np.diff(widths) <= 0)
+        d_star = _seed_delta(maxwellian2, t1, 0.1, 1, 3.0)
+        assert widths[0] == pytest.approx(0.45 * d_star, rel=1e-12)
+        assert 0.8 * d_star < delta < 1.25 * d_star
+        assert len(solves) <= 12
+
+    def test_relative_poisson_residual(self, maxwellian2):
+        _, wave = match_period(maxwellian2, 2 * np.pi, gamma=0.1, r=1e-3)
+        rel = wave.relative_poisson_residual()
+        assert rel <= 1e-6
+        assert rel == pytest.approx(
+            wave.poisson_residual() / np.max(np.abs(wave._beta2())), rel=1e-12)
+        # a 1e-5 relative error in h stays under the absolute 1e-7 gate at
+        # this amplitude; only the relative residual sees it
+        h = wave.h
+        off = dataclasses.replace(wave, h=lambda b: (1.0 + 1e-5) * h(b))
+        assert off.poisson_residual() <= 1e-7
+        assert off.relative_poisson_residual() > 5e-6
 
     def test_distance_to_profile_vanishes_with_r(self, maxwellian2):
         from vplab.closeness import wave_profile_distance
@@ -356,6 +387,45 @@ class TestMatchPeriod:
         assert abs(delta - 1.0) < 0.05
         assert wave.poisson_residual() <= 1e-7
         assert wave.min_distribution_value() >= 0.0
+
+
+class TestFalsePosition:
+    @settings(max_examples=200)
+    @given(a=st.floats(1e-3, 1e3), b=st.floats(1e-2, 8.0),
+           c=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           root=st.floats(1e-3, 0.999), sign=st.sampled_from((-1.0, 1.0)))
+    def test_smooth_monotone(self, a, b, c, root, sign):
+        # steep exponentials keep one end many times in a row, which is
+        # where the halving of the kept residual takes effect
+        t = a * math.exp(b * root) + c * root
+
+        def f(x):
+            return sign * (a * math.exp(b * x) + c * x - t)
+
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        f_lo, f_hi = f(0.0), f(1.0)
+        tol = 1e-10 * abs(f_hi - f_lo)
+        x, brackets = _false_position(counted, 0.0, 1.0, f_lo, f_hi, tol)
+        assert x is not None and abs(f(x)) <= tol
+        assert all(f(lo) * f(hi) < 0 for lo, hi in brackets)
+        widths = np.array([hi - lo for lo, hi in brackets])
+        assert np.all(np.diff(widths) <= 0)
+        assert len(calls) <= 40
+
+    def test_linear_in_one_step(self):
+        x, brackets = _false_position(lambda x: 3.0 * x - 1.0, -2.0, 5.0,
+                                      -7.0, 14.0, 1e-12)
+        assert x == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert len(brackets) == 1
+
+    def test_unmet_tolerance_returns_none(self):
+        x, brackets = _false_position(lambda x: x, -1.0, 2.0, -1.0, 2.0, -1.0)
+        assert x is None and len(brackets) == 301
 
 
 class TestGalileanBoost:
@@ -437,6 +507,21 @@ class TestBuildWave:
     def test_explicit_parameters(self, maxwellian2):
         wave, rep = build_wave(maxwellian2, 2 * np.pi, gamma=0.1, r=1e-3)
         assert wave.amplitude == pytest.approx(1e-3, rel=1e-10)
+
+    @pytest.mark.parametrize("p, s", [(2.0, 1.5), (2.0, 1.6), (1.5, 1.7)])
+    def test_regularity_refused_up_front(self, maxwellian2, monkeypatch, p, s):
+        import vplab.closeness
+
+        def no_search(*args, **kw):
+            raise AssertionError("gamma search started")
+
+        monkeypatch.setattr(vplab.closeness, "modified_profile_distance", no_search)
+        with pytest.raises(RegularityError) as err:
+            build_wave(maxwellian2, 2 * np.pi, eps=0.5, s=s, p=p)
+        assert isinstance(err.value, ValidationError)
+        assert (err.value.s, err.value.p) == (s, p)
+        assert err.value.gap == pytest.approx(1.0 + 1.0 / p - s, abs=1e-15)
+        assert err.value.gap <= 0.0
 
 
 class TestObstruction:

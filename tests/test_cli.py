@@ -98,6 +98,24 @@ r = 1.0
         code = main(["--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_bgk_build_manifest_residuals(self, tmp_path):
+        text = """
+command = bgk-build
+profile.name = maxwellian
+grid.dim = 2
+grid.n = 128
+grid.vmax = 8.0
+T1 = 6.283185307179586
+gamma = 0.1
+r = 1e-3
+"""
+        cfg = ExperimentConfig.parse(write_config(tmp_path, text))
+        out = tmp_path / "out"
+        assert run(cfg, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["poisson_residual"] <= 1e-7
+        assert manifest["relative_poisson_residual"] <= 1e-6
+
     def test_linear_decay_unstable_exit2(self, tmp_path):
         text = """
 command = linear-decay
