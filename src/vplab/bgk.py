@@ -39,16 +39,6 @@ from .profiles import (
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
-_GL8 = np.polynomial.legendre.leggauss(8)
-_GL16 = np.polynomial.legendre.leggauss(16)
-
-
-def _gl_nodes(order, lo, hi):
-    x, w = {8: _GL8, 16: _GL16}[order]
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
-
-
 # ---------------------------------------------------------------------------
 # case selection and the modified profile
 # ---------------------------------------------------------------------------
@@ -335,24 +325,6 @@ class OrbitSolution:
         return xs, sol.y[0]
 
 
-class NumericPotential:
-    """V(beta) for a plain callable h, by Gauss-Legendre in scaled form."""
-
-    def __init__(self, h):
-        self.h = h
-        self._s, self._w = _gl_nodes(16, 0.0, 1.0)
-
-    def potential(self, beta):
-        beta = np.asarray(beta, dtype=float)
-        scalar = beta.ndim == 0
-        b = np.atleast_1d(beta).astype(float).ravel()
-        hv = self.h((b[:, None] * self._s[None, :]).ravel()).reshape(len(b), -1)
-        out = -b * (hv @ self._w)
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.atleast_1d(beta).shape)
-
-
 def periodic_orbit(h, r, n_theta=128, r_tol=1e-12, max_iter=80):
     """Periodic solution of beta'' = h(beta) with H^2 amplitude r over one period.
 
@@ -361,15 +333,16 @@ def periodic_orbit(h, r, n_theta=128, r_tol=1e-12, max_iter=80):
 
         T = sqrt(2) * int dtheta / sqrt(G),  G = (E - V) / (rho cos theta)^2,
 
-    which is smooth through the turning points.  Leaving the center basin
-    (V losing convexity before the turning point) raises
+    which is smooth through the turning points.  h supplies h(beta),
+    h.hprime0() and h.potential(beta) = -int_0^beta h.  Leaving the center
+    basin (V losing convexity before the turning point) raises
     AmplitudeTooLargeError.
     """
-    hp0 = h.hprime0() if hasattr(h, "hprime0") else hprime0_centered(h)
+    hp0 = h.hprime0()
     if not hp0 < 0:
         raise ValidationError(f"h'(0) = {hp0:.3e} is not negative: no center at 0")
     om = math.sqrt(-hp0)
-    V = h.potential if hasattr(h, "potential") else NumericPotential(h).potential
+    V = h.potential
 
     theta, th_w = np.polynomial.legendre.leggauss(n_theta)
     theta = theta * (math.pi / 2.0)
@@ -475,28 +448,23 @@ class BgkWave:
 
     def __post_init__(self):
         n = len(self.beta)
-        self._coef = sfft.rfft(self.beta) / n
+        coef = sfft.rfft(self.beta) / n
+        coef[1:(n + 1) // 2] *= 2.0  # each interior mode stands for its conjugate too
+        self._coef = coef
+        self._k = 2.0 * np.pi * np.arange(len(coef)) / self.T1
+
+    def _trig_sum(self, x, coef):
+        """Real part of sum_k coef_k e^{i k x}, the shared trigonometric sum."""
+        phases = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), self._k))
+        return (phases * coef).real.sum(axis=-1)
 
     def beta_at(self, x):
         """Trigonometric interpolation of the potential (spectrally accurate)."""
-        x = np.asarray(x, dtype=float)
-        k = 2.0 * np.pi * np.arange(len(self._coef)) / self.T1
-        phases = np.exp(1j * np.multiply.outer(x, k))
-        w = np.full(len(self._coef), 2.0)
-        w[0] = 1.0
-        if len(self.beta) % 2 == 0:
-            w[-1] = 1.0
-        return (phases * (w * self._coef)).real.sum(axis=-1)
+        return self._trig_sum(x, self._coef)
 
     def efield_at(self, x):
-        x = np.asarray(x, dtype=float)
-        k = 2.0 * np.pi * np.arange(len(self._coef)) / self.T1
-        phases = np.exp(1j * np.multiply.outer(x, k))
-        w = np.full(len(self._coef), 2.0)
-        w[0] = 1.0
-        if len(self.beta) % 2 == 0:
-            w[-1] = 1.0
-        return -(phases * (w * self._coef * 1j * k)).real.sum(axis=-1)
+        """E = -beta' of the trigonometric interpolant."""
+        return self._trig_sum(x, -1j * self._k * self._coef)
 
     def f_eval(self, x, v1, *trans):
         """Distribution at t = 0 on broadcastable coordinate arrays."""
@@ -622,9 +590,10 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None,
     period equals T1.
 
     Returns (delta, BgkWave).  The bracket must satisfy the period
-    inequality at its endpoints; otherwise BracketError reports both
-    endpoint periods.  ``provenance["bisection_widths"]`` is the bracket
-    width after each step; it never grows.
+    inequality at its endpoints; otherwise the last AmplitudeTooLargeError
+    of an endpoint is raised, or BracketError reports both endpoint
+    periods.  ``provenance["bisection_widths"]`` is the bracket width after
+    each step; it never grows.
     """
     sel = select_case(f1, T1, check=False)
     if case is None:
@@ -649,10 +618,15 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None,
     else:
         lo, hi = delta_bracket
 
+    refusals = []
+
     def period_or_nan(delta):
         try:
             return at(delta)[2].period
-        except (ValidationError, AmplitudeTooLargeError):
+        except ValidationError:
+            return math.nan
+        except AmplitudeTooLargeError as exc:
+            refusals.append(exc)
             return math.nan
 
     for _ in range(3):
@@ -662,6 +636,9 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None,
             break
         lo, hi = lo / 1.4, hi * 1.4
     else:
+        # an amplitude refusal carries |beta| and the admissible range
+        if refusals:
+            raise refusals[-1]
         raise BracketError(T1, t_lo, t_hi)
 
     mid, brackets = _false_position(lambda d: at(d)[2].period - T1, lo, hi,

@@ -7,14 +7,16 @@ the mode direction.  The field mode is the oscillatory integral
 
 evaluated by tapered FFT on a compact window plus exact contour-rotated
 tails (the boundary data decay only like 1/y, which no taper can absorb);
-grid refinement covers the t-resolution.  The PV parts of the boundary
-values F(y+i0), G(y+i0) come from the package's one principal-value
-routine, ``profiles._sinc_pv``: exact for the sinc interpolant of the
-samples, a sum against the Hilbert kernel of sinc (Weideman, Math. Comp.
-64, 1995).  The stability refusal in ``dispersion`` reads the same
-Penrose margin as ``penrose.penrose_check``.  The damping-rate oracle finds the lower-half-plane root of |k|^2 - F by
-analytic continuation (residue term added below the axis); it is
-validation plumbing, independent of the FFT pipeline.
+grid refinement covers the t-resolution.  The boundary values F(y+i0),
+G(y+i0) = PV + i pi s(y) each come whole from the package's one boundary
+value, ``profiles._sinc_cauchy``: exact for the sinc interpolant s of the
+samples, a sum against the kernel (e^{i pi t} - 1)/t whose real part is
+the Hilbert transform of sinc (Weideman, Math. Comp. 64, 1995).  The
+stability refusal in ``dispersion`` reads the same Penrose margin as
+``penrose.penrose_check``.  The damping-rate oracle finds the
+lower-half-plane root of |k|^2 - F by analytic continuation (residue term
+added below the axis); it is validation plumbing, independent of the FFT
+pipeline.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from scipy import fft as sfft
 
 from .errors import PenroseUnstableError, RefinementCapError, ValidationError
 from .penrose import critical_pv, margin_ok
-from .profiles import _decaying_spline, _sinc_pv, smooth_step
+from .profiles import _sinc_cauchy, smooth_step
 
 # nodes of the ray-tail and taper-wedge quadratures
 _GL96 = np.polynomial.legendre.leggauss(96)
@@ -35,18 +37,10 @@ _GL96 = np.polynomial.legendre.leggauss(96)
 
 @dataclass
 class Datum1D:
-    """Per-mode initial datum f_k(alpha, 0) on a uniform alpha grid."""
+    """Per-mode initial datum f_k(alpha, 0), real or complex, on a uniform alpha grid."""
 
     alphas: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        self._re = _decaying_spline(self.alphas, self.values.real)
-        self._im = _decaying_spline(self.alphas, self.values.imag)
-
-    def val(self, a):
-        return self._re(a) + 1j * self._im(a)
 
     def mass(self):
         return complex(np.trapezoid(self.values, self.alphas))
@@ -62,25 +56,18 @@ class DispersionBoundary:
     c0: float
     k2_min: float
 
-    def interp(self, y):
-        re = np.interp(y, self.y, self.values.real)
-        im = np.interp(y, self.y, self.values.imag)
-        return re + 1j * im
-
 
 def dispersion(fp, ygrid, k2_min, check_stability=True):
     """F(y+i0) on the grid plus the uniform lower bound c0 at the smallest |k|^2.
 
-    Re F is the sinc-Hilbert PV of the derivative samples, Im F = pi f'(y).
-    Stability refusal: the boundary minimum c0 alone cannot see roots off
+    F = PV + i pi f'(y) is the sinc Cauchy boundary value of the derivative
+    samples.  Stability refusal: the boundary minimum c0 alone cannot see roots off
     the real axis, so the check also evaluates the stability margin
     |k|^2 - max PV over the critical points of the projection and raises
     PenroseUnstableError when either fails.
     """
     ygrid = np.asarray(ygrid, dtype=float)
-    re = _sinc_pv(fp.derivative, fp.alphas, ygrid).real
-    im = math.pi * np.real(fp.dval(ygrid))
-    F = re + 1j * im
+    F = _sinc_cauchy(fp.derivative, fp.alphas, ygrid)
     c0 = float(np.min(np.abs(k2_min - F) ** 2) / k2_min)
     if check_stability:
         margin = k2_min - max(critical_pv(fp)[1], default=-math.inf)
@@ -92,9 +79,8 @@ def dispersion(fp, ygrid, k2_min, check_stability=True):
 
 
 def initial_transform(datum, ygrid):
-    """Boundary values G_k(y+i0): sinc-Hilbert PV of the samples plus i pi datum(y)."""
-    ygrid = np.asarray(ygrid, dtype=float)
-    return _sinc_pv(datum.values, datum.alphas, ygrid) + 1j * math.pi * datum.val(ygrid)
+    """Boundary values G_k(y+i0) = PV + i pi datum(y), from the sinc interpolant."""
+    return _sinc_cauchy(datum.values, datum.alphas, ygrid)
 
 
 @dataclass
@@ -122,7 +108,13 @@ def _taper(y, y_max, frac):
 
 
 def _cauchy_quad(samples, alphas, z_batch):
-    """int samples(alpha)/(alpha - z) dalpha for complex z off the real axis."""
+    """int samples(alpha)/(alpha - z) dalpha for complex z off the real axis.
+
+    The trapezoid form treats the samples as a discrete measure, which is
+    what the contour-rotated ray tails need: the Cauchy transform of the
+    sinc interpolant is entire and grows like e^{pi |Im z|/h} below the
+    axis, so ``_sinc_cauchy`` serves the real axis only.
+    """
     z = np.asarray(z_batch).ravel()
     out = np.empty(len(z), dtype=complex)
     chunk = max(1, 2_000_000 // len(alphas))

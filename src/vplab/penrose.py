@@ -3,10 +3,10 @@
 For every dual-lattice wave vector k below the truncation bound B, the
 margin |k|^2 - max over critical points a' of PV int f_e'(alpha)/(alpha - a')
 dalpha decides stability (Penrose, Phys. Fluids 3, 1960).  Every PV here is
-``profiles._sinc_pv``, the exact PV of the sinc interpolant of the projected
-derivative samples.  ``critical_pv`` and ``margin_ok`` are the one margin
-that ``penrose_check``, ``linear.dispersion`` and
-``sim.check_axis_stability`` read.  Directions sharing a line share one
+the real part of ``profiles._sinc_cauchy``, the exact boundary value of the
+sinc interpolant of the projected derivative samples.  ``critical_pv`` and
+``margin_ok`` are the one margin that ``penrose_check``,
+``linear.dispersion`` and ``sim.check_axis_stability`` read.  Directions sharing a line share one
 projection.  B is sampled; it is certified only where ``certifies`` proves
 it from the profile's analytic closure.
 """
@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateProfileError, ValidationError
-from .norms import weighted_hsb_norm
-from .profiles import _sinc_pv, project
+from .profiles import _sinc_cauchy, project
 
 MARGIN_TOL = 1e-8
 # sup over x of 2x D(x) - 1, D the Dawson function: 0.2847494 at x = 1.502
@@ -66,14 +65,14 @@ class DualLattice:
 
 
 def pv_integral(fp, a_prime):
-    """Principal-value integral of f'_e(alpha)/(alpha - a'), one ``_sinc_pv`` call."""
+    """Principal-value integral of f'_e(alpha)/(alpha - a'), one ``_sinc_cauchy`` call."""
     a_prime = float(a_prime)
     lo, hi = fp.alphas[0], fp.alphas[-1]
     if not (lo <= a_prime <= hi):
         raise ValidationError(
             f"a'={a_prime} outside the projected grid range [{lo}, {hi}]"
         )
-    return float(_sinc_pv(fp.derivative, fp.alphas, [a_prime]).real[0])
+    return float(_sinc_cauchy(fp.derivative, fp.alphas, [a_prime]).real[0])
 
 
 @dataclass(frozen=True)
@@ -137,11 +136,11 @@ def critical_pv(fp):
 
     A plateau takes the largest PV over its edges and midpoint, because the
     PV varies along a flat stretch and the margin must hold on all of it.
-    Every probe goes through one ``_sinc_pv`` call.
+    Every probe goes through one ``_sinc_cauchy`` call.
     """
     crit = critical_points(fp)
     probes = [c.probes() if isinstance(c, PlateauInterval) else (c,) * 3 for c in crit]
-    pv = _sinc_pv(fp.derivative, fp.alphas, np.ravel(probes)).real
+    pv = _sinc_cauchy(fp.derivative, fp.alphas, np.ravel(probes)).real
     return crit, [float(v) for v in pv.reshape(-1, 3).max(axis=1)]
 
 
@@ -208,29 +207,27 @@ def certifies(p, bound):
 def truncation_bound(p, s, b, n_directions=20, seed=7, return_details=False):
     """Cut-off B beyond which every |k|^2 is taken to have a positive margin.
 
-    B = 2 * Chat * ||p||_{H^{s,b}} with Chat the largest observed ratio
-    |PV| / ||p|| over 64 probes in each sampled direction (one ``_sinc_pv``
-    call per direction); the factor 2 is the safety inflation.  Chat is
-    sampled, so B is certified only when ``certifies(p, B)`` holds: a
-    closure-backed profile whose proven PV bound B covers.  The details
-    carry that verdict as ``certified``.
+    B = 2 * max |PV| over 64 probes in each sampled direction (one
+    ``_sinc_cauchy`` call per direction); the factor 2 is the safety
+    inflation.  The maximum is sampled, so B is certified only when
+    ``certifies(p, B)`` holds: a closure-backed profile whose proven PV
+    bound B covers.  The details carry ``pv_max`` and that verdict as
+    ``certified``.  s > 3/2 and b > (d-1)/4 are the weighted H^{s,b}
+    regularity under which the PV is bounded by the profile's norm.
     """
     if not s > 1.5:
         raise ValidationError("truncation bound requires s > 3/2")
     if not b > (p.grid.dim - 1) / 4.0:
         raise ValidationError("truncation bound requires b > (d-1)/4")
-    norm = weighted_hsb_norm(p.values, p.grid, s, b)
     pv_max = 0.0
     for e in _random_directions(p.grid.dim, n_directions, seed):
         fp = project(p, e)
         probes = fp.alphas[:: max(1, len(fp.alphas) // 64)]
-        pv = _sinc_pv(fp.derivative, fp.alphas, probes).real
+        pv = _sinc_cauchy(fp.derivative, fp.alphas, probes).real
         pv_max = max(pv_max, float(np.max(np.abs(pv))))
-    c_hat = pv_max / norm if norm > 0 else 0.0
-    bound = 2.0 * c_hat * norm
+    bound = 2.0 * pv_max
     if return_details:
-        return bound, {"C_hat": c_hat, "norm_hsb": norm, "pv_max": pv_max,
-                       "certified": certifies(p, bound)}
+        return bound, {"pv_max": pv_max, "certified": certifies(p, bound)}
     return bound
 
 
@@ -257,7 +254,7 @@ class PenroseEntry:
 class PenroseReport:
     stable: bool
     bound: float
-    c_hat: float
+    pv_max: float
     certified: bool
     entries: list = field(default_factory=list)
 
@@ -265,7 +262,7 @@ class PenroseReport:
         return {
             "stable": bool(self.stable),
             "B": self.bound,
-            "C_hat": self.c_hat,
+            "pv_max": self.pv_max,
             "certified_beyond_B": bool(self.certified),
             "entries": [e.to_json() for e in self.entries],
         }
@@ -304,4 +301,4 @@ def penrose_check(p, lattice, s, b, threads=None):
             entries.append(PenroseEntry(k, k2, key, crit, pvs, margin))
             stable = stable and margin_ok(margin, k2)
     entries.sort(key=lambda e: (e.k2, e.k))
-    return PenroseReport(stable, bound, details["C_hat"], details["certified"], entries)
+    return PenroseReport(stable, bound, details["pv_max"], details["certified"], entries)

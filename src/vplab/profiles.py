@@ -4,7 +4,9 @@ Profiles are nonnegative unit-mass distributions f(v) on a uniform tensor
 grid, optionally backed by an analytic closure (a Gaussian mixture whose
 components are even pairs in v1).  The closure keeps projections, moments
 and the even continuation in the energy variable exact; everything also
-works from grid samples alone.
+works from grid samples alone.  Sampled 1D data have one interpolant, the
+sinc interpolant, and one boundary value, ``_sinc_cauchy``: its Cauchy
+integral PV + i pi s(y) along the real axis.
 """
 
 from __future__ import annotations
@@ -292,7 +294,7 @@ class Mixture1D:
     def pv_exact(self, ap):
         """Closed-form PV integral of dval/(alpha - ap) via the Dawson function.
 
-        The test oracle for ``_sinc_pv``; the pipeline does not read it.
+        The test oracle for ``_sinc_cauchy``; the pipeline does not read it.
         """
         total = 0.0
         for w, mu, s in self.comps:
@@ -545,29 +547,17 @@ class ProjectedProfile:
     closure1d: Mixture1D | None
     parent_mass: float
 
-    def __post_init__(self):
-        self._splines = {}
-
     @property
     def h(self):
         return float(self.alphas[1] - self.alphas[0])
 
-    def _spline(self, which, data):
-        spl = self._splines.get(which)
-        if spl is None:
-            spl = _decaying_spline(self.alphas, data)
-            self._splines[which] = spl
-        return spl
-
-    def val(self, a):
-        if self.closure1d is not None:
-            return self.closure1d.val(a)
-        return self._spline("val", self.values)(a)
-
     def dval(self, a):
+        """f_e'(a): the closure, or the sinc interpolant of the derivative samples."""
         if self.closure1d is not None:
             return self.closure1d.dval(a)
-        return self._spline("dval", self.derivative)(a)
+        a = np.asarray(a, dtype=float)
+        out = _sinc_cauchy(self.derivative, self.alphas, a.ravel()).imag / math.pi
+        return out.reshape(a.shape)
 
 
 def _spectral_derivative(values, axis_pts):
@@ -575,52 +565,43 @@ def _spectral_derivative(values, axis_pts):
     return sfft.ifft(1j * xi * sfft.fft(values)).real
 
 
-def _decaying_spline(x, y):
-    """Quintic spline evaluator returning 0 outside the sampled range."""
-    from scipy.interpolate import make_interp_spline
+def _sinc_cauchy(samples, alphas, ys):
+    """Boundary value int s(alpha)/(alpha - y - i0) dalpha = PV + i pi s(y).
 
-    spl = make_interp_spline(x, y, k=5)
-    lo, hi = x[0], x[-1]
-
-    def evaluate(a):
-        a = np.asarray(a, dtype=float)
-        scalar = a.ndim == 0
-        a = np.atleast_1d(a)
-        out = np.zeros_like(a)
-        inside = (a >= lo) & (a <= hi)
-        out[inside] = spl(a[inside])
-        return out[0] if scalar else out
-
-    return evaluate
-
-
-def _sinc_pv(samples, alphas, ys):
-    """PV int s(alpha)/(alpha - y) dalpha for the sinc interpolant of uniform samples.
-
-    The one principal-value routine: the Hilbert transform of sinc
-    (Weideman, Math. Comp. 64, 1995) gives sum_j s_j K(u - j),
-    u = (y - alpha_0)/h, with K(u) = -2 sin^2(pi u/2)/u and K(0) = 0.
-    sin^2(pi (u - j)/2) is sin^2 or cos^2 of pi u/2 by the parity of j, so
-    the sines are taken once per y, and each row chunk of about 2M kernel
-    entries is one real matrix product over the real and imaginary
-    columns.  Returns complex.
+    s is the sinc interpolant of the uniform samples, the one interpolant
+    of sampled 1D data in the package.  With u = (y - alpha_0)/h the value
+    is sum_j s_j K(u - j) for the kernel K(t) = (e^{i pi t} - 1)/t,
+    K(0) = i pi: Re K = -2 sin^2(pi t/2)/t is the Hilbert transform of sinc
+    (Weideman, Math. Comp. 64, 1995) and Im K = pi sinc(t) the interpolant
+    itself.  sin^2(pi (u - j)/2) is sin^2 or cos^2 of pi u/2 and
+    sin(pi (u - j)) is +-sin(pi u) by the parity of j, so the sines are
+    taken once per y, and each row chunk of about 2M kernel entries is one
+    real matrix product over the real and imaginary columns split by
+    parity.  An exact node adds i pi s_j.  Returns complex.
     """
-    cols = np.asarray(samples, dtype=complex).view(float).reshape(-1, 2)
+    samples = np.asarray(samples, dtype=complex)
+    cols = samples.view(float).reshape(-1, 2)
     j = np.arange(len(alphas), dtype=float)
     odd = (j % 2)[:, None]
     weights = np.hstack([cols * (1.0 - odd), cols * odd])
     u = (np.asarray(ys, dtype=float) - alphas[0]) / (alphas[1] - alphas[0])
     r = u - 2.0 * np.round(0.5 * u)  # |r| <= 1 keeps the sines exact at the nodes
     sin2 = np.sin(0.5 * math.pi * np.stack([r, 1.0 - np.abs(r)], axis=1)) ** 2
-    out = np.empty((len(u), 2))
+    sin1 = np.sin(math.pi * r)[:, None]
+    pv = np.empty((len(u), 2))
+    sinc = np.empty((len(u), 2))  # pi s(y)
     rows = max(1, 2_000_000 // len(alphas))
     for i0 in range(0, len(u), rows):
         d = u[i0:i0 + rows, None] - j[None, :]
-        d[d == 0.0] = np.inf  # K(0) = 0
+        d[d == 0.0] = np.inf  # the node term is added below
         acc = np.reciprocal(d, out=d) @ weights
         s = sin2[i0:i0 + rows]
-        out[i0:i0 + rows] = -2.0 * (s[:, :1] * acc[:, :2] + s[:, 1:] * acc[:, 2:])
-    return out.view(complex).ravel()
+        pv[i0:i0 + rows] = -2.0 * (s[:, :1] * acc[:, :2] + s[:, 1:] * acc[:, 2:])
+        sinc[i0:i0 + rows] = sin1[i0:i0 + rows] * (acc[:, :2] - acc[:, 2:])
+    out = pv.view(complex).ravel() + 1j * sinc.view(complex).ravel()
+    node = (u == np.round(u)) & (u >= 0) & (u <= len(alphas) - 1)
+    out[node] += 1j * math.pi * samples[u[node].astype(int)]
+    return out
 
 
 def _shear(values, ax_moving, ax_fixed, s, coords):

@@ -52,6 +52,9 @@ class HarmonicH:
     def hprime0(self):
         return -self.om ** 2
 
+    def potential(self, b):
+        return 0.5 * self.om ** 2 * np.asarray(b, dtype=float) ** 2
+
 
 class PendulumH:
     def __call__(self, b):
@@ -59,6 +62,10 @@ class PendulumH:
 
     def hprime0(self):
         return -1.0
+
+    def potential(self, b):
+        # 1 - cos(b) without the cancellation near b = 0
+        return 2.0 * np.sin(0.5 * np.asarray(b, dtype=float)) ** 2
 
 
 def tuned_case3_profile(T1=2 * np.pi, width=0.45):

@@ -82,21 +82,24 @@ class TestRun:
         cfg = ExperimentConfig.parse(write_config(tmp_path, PENROSE_UNSTABLE))
         assert run(cfg, tmp_path / "out") == 2
 
-    def test_bgk_build_invalid_amplitude_exit1(self, tmp_path):
+    def test_bgk_build_invalid_amplitude_exit1(self, tmp_path, capsys):
         text = """
 command = bgk-build
 profile.name = maxwellian
 grid.dim = 2
-grid.n = 64
+grid.n = 128
 grid.vmax = 8.0
 T1 = 6.283185307179586
 gamma = 0.05
 r = 1.0
 """
-        # amplitude far beyond the admissible range of the narrow feature
+        # amplitude far beyond the admissible range of the narrow feature;
+        # n = 128 passes the profile's tail check, so the refusal is the
+        # amplitude's own
         path = write_config(tmp_path, text)
         code = main(["--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
+        assert "admissible range" in capsys.readouterr().err
 
     def test_bgk_build_manifest_residuals(self, tmp_path):
         text = """

@@ -7,7 +7,6 @@ from vplab.errors import PenroseUnstableError, ValidationError
 from vplab.linear import (
     Datum1D,
     FieldHistory,
-    _sinc_pv,
     continued_dispersion,
     dispersion,
     efield_mode,
@@ -19,6 +18,7 @@ from vplab.profiles import (
     Mixture1D,
     ProjectedProfile,
     VelocityGrid,
+    _sinc_cauchy,
     _spectral_derivative,
     make_builtin,
     project,
@@ -43,8 +43,7 @@ def maxwell_mode(fp_maxwellian):
 
 class TestDispersion:
     def test_maxwellian_at_origin(self, fp_maxwellian):
-        disp = dispersion(fp_maxwellian, np.linspace(-6, 6, 121), 0.25)
-        f0 = disp.interp(np.array([0.0]))[0]
+        f0 = dispersion(fp_maxwellian, [0.0], 0.25).values[0]
         assert abs(f0.real + 1.0) < 1e-9
         assert abs(f0.imag) < 1e-14
 
@@ -100,7 +99,7 @@ class TestInitialTransform:
         datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.values.copy())
         g = initial_transform(datum, y)
         assert np.min(g.imag) >= -1e-14
-        assert np.max(np.abs(g.imag - np.pi * datum.val(y).real)) < 1e-12
+        assert np.max(np.abs(g.imag - np.pi * fp_maxwellian.closure1d.val(y))) < 1e-12
 
 
 class TestEfieldMode:
@@ -156,8 +155,8 @@ class TestSincPv:
     def test_against_dawson_closed_form(self, m, node, y_off, y_far, side):
         # at a node, at a half-node, off the grid and beyond the sampled range
         ys = np.array([AXIS[node], AXIS[node] + 0.5 * H, y_off, side * y_far])
-        exact = np.array([m.pv_exact(y) for y in ys])
-        ours = _sinc_pv(m.dval(AXIS), AXIS, ys)
+        exact = np.array([m.pv_exact(y) for y in ys]) + 1j * np.pi * m.dval(ys)
+        ours = _sinc_cauchy(m.dval(AXIS), AXIS, ys)
         assert np.max(np.abs(ours - exact)) < 1e-12 * _pv_scale(m)
 
     @settings(max_examples=30)
@@ -184,12 +183,10 @@ class TestSincPv:
         y = np.linspace(-10.0, 10.0, 201)
         fc = dispersion(closure, y, 1.0, check_stability=False).values
         fg = dispersion(grid, y, 1.0, check_stability=False).values
-        # the PV part comes from the samples on both paths
+        # both paths read the sinc interpolant of derivative samples: exact
+        # ones on one path, spectral ones on the other
         assert np.max(np.abs(fg.real - fc.real)) < 1e-10
-        # the imaginary part pi f'(y) comes from the closure on one path and
-        # from the quintic spline of the samples on the other: O(h^6), which
-        # reaches 4e-8 at width 0.3 on this grid
-        assert np.max(np.abs(fg.imag - fc.imag)) < 1e-7
+        assert np.max(np.abs(fg.imag - fc.imag)) < 1e-12
 
 
 class TestContinuation:

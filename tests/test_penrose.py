@@ -206,6 +206,7 @@ class TestTruncationBound:
 
     def test_certified_only_by_the_proof_bound(self, maxwellian2):
         bound, details = truncation_bound(maxwellian2, 1.6, 0.3, return_details=True)
+        assert bound == 2.0 * details["pv_max"]
         assert details["certified"] and certifies(maxwellian2, bound)
         # unit weight and unit widths: the proven PV bound is PV_SUP itself
         assert certifies(maxwellian2, PV_SUP)
