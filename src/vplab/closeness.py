@@ -6,9 +6,12 @@ The distance is measured in the triple norm
 
 over one spatial period times velocity space.  Every contribution is
 separable or two-scale (broad base plus narrow feature), so each piece is
-evaluated on its own adapted grid with the same Gagliardo realisation used
-by ``norms.fractional_wsp_norm``; pieces combine by the triangle
-inequality, so the reported total is a certified upper bound.
+evaluated on its own adapted grid.  ``wsp_pow_separable`` is the one
+W^{s,p} assembly: a tensor product of ``Axis1D`` factors of any rank, each
+axis periodic (spectral derivative) or decaying (fourth-order stencil).
+The coupled wave field here and ``norms.fractional_wsp_norm`` on a gridded
+field are single calls to it.  Pieces combine by the triangle inequality,
+so the reported total is a certified upper bound.
 """
 
 from __future__ import annotations
@@ -79,103 +82,87 @@ def fd_derivative(vals, h, axis=0):
 
 @dataclass
 class Axis1D:
-    """One separable factor sampled on its own uniform grid."""
+    """One factor of a tensor product, sampled on its own uniform grid.
+
+    ``vals`` may have any rank; ``h`` is one spacing per axis and
+    ``periodic`` one flag per axis (a scalar means every axis).  A periodic
+    axis is the box of its FFT and takes its derivative spectrally; any
+    other axis decays at both ends and takes ``fd_derivative``.  Gagliardo
+    offsets never wrap on either kind.
+    """
 
     vals: np.ndarray
-    h: float
+    h: float | tuple
+    periodic: bool | tuple = False
+
+    def __post_init__(self):
+        self.vals = np.asarray(self.vals, dtype=float)
+        self.h = tuple(float(x) for x in np.broadcast_to(self.h, self.vals.ndim))
+        self.periodic = tuple(bool(x) for x in np.broadcast_to(self.periodic, self.vals.ndim))
 
     def lp(self, p):
-        return lp_pow(self.vals, self.h, p)
+        return lp_pow(self.vals, math.prod(self.h), p)
 
     def gag(self, order, p):
-        return gagliardo_pow(self.vals, self.h, order, p)
+        """Axis-split Gagliardo seminorms, p-th powers summed over the axes."""
+        hs = self.h
+        return sum(gagliardo_pow(self.vals, h, order, p, ax) * math.prod(hs[:ax] + hs[ax + 1:])
+                   for ax, h in enumerate(hs))
 
-    def deriv(self):
-        return Axis1D(fd_derivative(self.vals, self.h), self.h)
+    def grad(self):
+        """One factor per axis: the field differentiated along that axis."""
+        return [Axis1D(self._derivative(ax), self.h, self.periodic)
+                for ax in range(self.vals.ndim)]
+
+    def _derivative(self, ax):
+        h = self.h[ax]
+        if not self.periodic[ax]:
+            return fd_derivative(self.vals, h, ax)
+        n = self.vals.shape[ax]
+        shape = [1] * self.vals.ndim
+        shape[ax] = n // 2 + 1
+        xi = 2.0 * np.pi * sfft.rfftfreq(n, d=h)
+        return sfft.irfft(sfft.rfft(self.vals, axis=ax) * (1j * xi.reshape(shape)), n=n, axis=ax)
+
+
+def _rows(axes, order, p):
+    """||f||_p^p of a tensor product plus, at order > 0, its Gagliardo rows."""
+    lps = [a.lp(p) for a in axes]
+    total = math.prod(lps)
+    if order > 0.0:
+        for k, a in enumerate(axes):
+            total += a.gag(order, p) * math.prod(lps[:k] + lps[k + 1:])
+    return total
 
 
 def wsp_pow_separable(axes, s, p):
-    """p-th power of the W^{s,p} norm of a tensor product of 1D factors."""
+    """p-th power of the W^{s,p} norm of a tensor product of factors.
+
+    Below s = 1: ||f||_p^p plus the order-s Gagliardo row of every axis of
+    every factor.  For s in [1, 2): ||f||_p^p plus one gradient row per
+    axis, ||D_a f||_p^p with its own Gagliardo rows of order s - 1.
+    """
     if not 0.0 <= s < 2.0:
         raise ValidationError("separable W^{s,p} supports 0 <= s < 2")
-    lps = [a.lp(p) for a in axes]
-    total = math.prod(lps)
-    if s == 0.0:
-        return total
+    axes = list(axes)
     if s < 1.0:
-        for k, a in enumerate(axes):
-            total += a.gag(s, p) * math.prod(lps[:k] + lps[k + 1:])
-        return total
-    derivs = [a.deriv() for a in axes]
-    for k in range(len(axes)):
-        dk = derivs[k].lp(p)
-        total += dk * math.prod(lps[:k] + lps[k + 1:])
-    if s > 1.0:
-        for k in range(len(axes)):
-            row = [derivs[j] if j == k else axes[j] for j in range(len(axes))]
-            row_lp = [a.lp(p) for a in row]
-            for l, a in enumerate(row):
-                total += a.gag(s - 1.0, p) * math.prod(row_lp[:l] + row_lp[l + 1:])
+        return _rows(axes, s, p)
+    total = math.prod(a.lp(p) for a in axes)
+    for k, a in enumerate(axes):
+        for d in a.grad():
+            total += _rows(axes[:k] + [d] + axes[k + 1:], s - 1.0, p)
     return total
 
 
 def wsp_norm_coupled(field2d, hx, hv, trans_axes, s, p):
     """W^{s,p} norm (p-th power) of D(x, v1) times transverse 1D factors.
 
-    The x direction is the periodic box; offsets never wrap, matching the
-    box convention of the velocity-grid Gagliardo sums.
+    The x direction is the periodic box, differentiated spectrally; offsets
+    never wrap, matching the box convention of the velocity-grid Gagliardo
+    sums.
     """
-    lps_t = [a.lp(p) for a in trans_axes]
-    prod_t = math.prod(lps_t) if trans_axes else 1.0
-    cell = hx * hv
-    d_lp = float(np.sum(np.abs(field2d) ** p)) * cell
-
-    def gag2d(arr, axis, order):
-        step, other = (hx, hv) if axis == 0 else (hv, hx)
-        return gagliardo_pow(arr, step, order, p, axis) * other
-
-    total = d_lp * prod_t
-    if s == 0.0:
-        return total
-
-    if s < 1.0:
-        total += (gag2d(field2d, 0, s) + gag2d(field2d, 1, s)) * prod_t
-        for k, a in enumerate(trans_axes):
-            total += d_lp * a.gag(s, p) * math.prod(lps_t[:k] + lps_t[k + 1:])
-        return total
-
-    # s in [1, 2): first derivatives, then (s-1)-order seminorms of each
-    dx = _periodic_derivative(field2d, hx, axis=0)
-    dv = fd_derivative(field2d, hv, axis=1)
-    grads = [(dx, None), (dv, None)]
-    for k, a in enumerate(trans_axes):
-        grads.append((field2d, (k, a.deriv())))
-
-    for arr, trans_sub in grads:
-        if trans_sub is None:
-            t_lps, t_axes = lps_t, trans_axes
-        else:
-            k, da = trans_sub
-            t_axes = [da if j == k else trans_axes[j] for j in range(len(trans_axes))]
-            t_lps = [a.lp(p) for a in t_axes]
-        pt = math.prod(t_lps) if t_lps else 1.0
-        base = float(np.sum(np.abs(arr) ** p)) * cell
-        total += base * pt
-        if s > 1.0:
-            total += (gag2d(arr, 0, s - 1.0) + gag2d(arr, 1, s - 1.0)) * pt
-            for l, a in enumerate(t_axes):
-                total += base * a.gag(s - 1.0, p) * math.prod(
-                    t_lps[:l] + t_lps[l + 1:])
-    return total
-
-
-def _periodic_derivative(arr, h, axis=0):
-    n = arr.shape[axis]
-    xi = 2.0 * np.pi * sfft.fftfreq(n, d=h)
-    shape = [1] * arr.ndim
-    shape[axis] = n
-    return sfft.ifft(sfft.fft(arr, axis=axis) * (1j * xi.reshape(shape)),
-                     axis=axis).real
+    coupled = Axis1D(field2d, (hx, hv), periodic=(True, False))
+    return wsp_pow_separable([coupled] + list(trans_axes), s, p)
 
 
 # ---------------------------------------------------------------------------

@@ -46,36 +46,24 @@ class Datum1D:
         return complex(np.trapezoid(self.values, self.alphas))
 
 
-@dataclass
-class DispersionBoundary:
-    """Boundary values F(y+i0) of the projected dispersion integrand."""
-
-    direction: np.ndarray
-    y: np.ndarray
-    values: np.ndarray  # complex F(y+i0)
-    c0: float
-    k2_min: float
-
-
 def dispersion(fp, ygrid, k2_min, check_stability=True):
-    """F(y+i0) on the grid plus the uniform lower bound c0 at the smallest |k|^2.
+    """Complex boundary values F(y+i0) on the grid, for a profile stable at |k|^2 = k2_min.
 
     F = PV + i pi f'(y) is the sinc Cauchy boundary value of the derivative
-    samples.  Stability refusal: the boundary minimum c0 alone cannot see roots off
-    the real axis, so the check also evaluates the stability margin
-    |k|^2 - max PV over the critical points of the projection and raises
-    PenroseUnstableError when either fails.
+    samples.  Stability refusal: the boundary minimum c0 of |k2_min - F|^2 / k2_min
+    alone cannot see roots off the real axis, so the check also evaluates the
+    stability margin |k|^2 - max PV over the critical points of the
+    projection and raises PenroseUnstableError when either fails.
     """
-    ygrid = np.asarray(ygrid, dtype=float)
-    F = _sinc_cauchy(fp.derivative, fp.alphas, ygrid)
-    c0 = float(np.min(np.abs(k2_min - F) ** 2) / k2_min)
+    F = _sinc_cauchy(fp.derivative, fp.alphas, np.asarray(ygrid, dtype=float))
     if check_stability:
+        c0 = float(np.min(np.abs(k2_min - F) ** 2) / k2_min)
         margin = k2_min - max(critical_pv(fp)[1], default=-math.inf)
         if c0 <= 1e-14 or not margin_ok(margin, k2_min):
             raise PenroseUnstableError(
                 f"margin {margin:.3e}, c0 {c0:.3e}: profile not "
                 f"Penrose-stable at |k|^2 = {k2_min}")
-    return DispersionBoundary(np.asarray(fp.direction, float), ygrid, F, c0, k2_min)
+    return F
 
 
 def initial_transform(datum, ygrid):
@@ -182,9 +170,9 @@ def efield_mode(kmag, fp, datum, t_end, kvec=None, y_max=None, n_y=None,
             n_y = 2 ** int(math.ceil(math.log2(n_min)))
         dy = 2.0 * y_max / n_y
         y = -y_max + dy * np.arange(n_y)
-        disp = dispersion(fp, y, kmag ** 2)
+        F = dispersion(fp, y, kmag ** 2)
         G = initial_transform(datum, y)
-        H = G / (kmag ** 2 - disp.values)
+        H = G / (kmag ** 2 - F)
 
         def series(window_scale):
             ym = window_scale * y_max
@@ -231,7 +219,7 @@ def _wedge_correction(kmag, ym, taper_frac, t, fp, datum):
     for a, b in ((lo, ym), (-ym, -lo)):
         ys = 0.5 * (a + b) + 0.5 * (b - a) * x
         ws = 0.5 * (b - a) * w
-        F = dispersion(fp, ys, kmag ** 2, check_stability=False).values
+        F = dispersion(fp, ys, kmag ** 2, check_stability=False)
         G = initial_transform(datum, ys)
         Hs = (G / (kmag ** 2 - F)) * (1.0 - _taper(ys, ym, taper_frac)) * ws
         out += np.exp(-1j * kmag * np.outer(t, ys)) @ Hs

@@ -6,8 +6,9 @@ Conventions
   fractional operator applied as the Fourier multiplier (1+|xi|^2)^(s/2) on
   the periodic extension of the truncated grid.  The boundary-decay
   precondition keeps the periodisation error below 1e-10.
-* ``fractional_wsp_norm`` uses the Gagliardo seminorm (axis-split double
-  sums) for non-integer orders and spectral derivative L^p norms at integer
+* ``fractional_wsp_norm`` is ``closeness.wsp_pow_separable`` on one fully
+  periodic factor: axis-split Gagliardo seminorms (every offset, no wrap)
+  for non-integer orders and spectral-derivative L^p norms at integer
   orders; pieces combine in the l^p sense, so for p = 2 and integer s the
   value matches the Fourier norm up to quadrature error.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .closeness import gagliardo_pow
+from .closeness import Axis1D, wsp_pow_separable
 from .errors import BoundaryDecayError, ValidationError
 
 KINDS = ("weighted_Hsb", "mixed_HsxHsvb", "fractional_Wsp", "L1",
@@ -91,7 +92,8 @@ def mixed_norm(h, x_periods, vgrid, s_x, s_v, b):
     """Fourier-sum phase-space norm: per-mode weighted norms with |k|^(2 s_x) weights.
 
     ``h`` is sampled on the tensor grid (x-axes..., v-axes...); the number of
-    leading x-axes equals len(x_periods).
+    leading x-axes equals len(x_periods).  The x-FFT gives the modes of
+    ``mixed_norm_modes``.
     """
     h = np.asarray(h)
     nx_axes = len(x_periods)
@@ -99,17 +101,10 @@ def mixed_norm(h, x_periods, vgrid, s_x, s_v, b):
         raise ValidationError("field rank does not match x_periods + velocity grid")
     nxs = h.shape[:nx_axes]
     modes = sfft.fftn(h, axes=tuple(range(nx_axes))) / np.prod(nxs)
-    total = 0.0
-    for idx in np.ndindex(*nxs):
-        k = np.array([
-            2.0 * np.pi * (j if j <= n // 2 else j - n) / T
-            for j, n, T in zip(idx, nxs, x_periods)
-        ])
-        k2 = float(np.dot(k, k))
-        weight = 1.0 if k2 == 0.0 else k2 ** s_x
-        val = weighted_hsb_norm(modes[idx], vgrid, s_v, b)
-        total += weight * val ** 2
-    return math.sqrt(total)
+    return mixed_norm_modes({
+        tuple(2.0 * np.pi * (j if j <= n // 2 else j - n) / T
+              for j, n, T in zip(idx, nxs, x_periods)): modes[idx]
+        for idx in np.ndindex(*nxs)}, vgrid, s_x, s_v, b)
 
 
 def mixed_norm_modes(modes, vgrid, s_x, s_v, b):
@@ -122,39 +117,10 @@ def mixed_norm_modes(modes, vgrid, s_x, s_v, b):
     return math.sqrt(total)
 
 
-def _lp_norm(values, cell, p):
-    return (float(np.sum(np.abs(values) ** p)) * cell) ** (1.0 / p)
-
-
-def _spectral_grad(values, grid, axis):
-    xi = grid.freqs()
-    shape = [1] * values.ndim
-    shape[axis] = grid.n
-    return sfft.ifftn(sfft.fftn(values) * (1j * xi.reshape(shape))).real
-
-
 def fractional_wsp_norm(values, grid, s, p):
-    """W^{s,p} norm for 0 <= s < 2 (Gagliardo realisation, l^p combination)."""
-    spec = NormSpec("fractional_Wsp", dim=grid.dim, s=s, p=p)
-    values = np.asarray(values, dtype=float)
-    cell = grid.cell
-    h = grid.h
-    acc = _lp_norm(values, cell, p) ** p
-    if s == 0.0:
-        return acc ** (1.0 / p)
-    # axis-split Gagliardo seminorms over the box, every offset, no wrap
-    if s < 1.0:
-        for ax in range(grid.dim):
-            acc += gagliardo_pow(values, h, s, p, ax) * (cell / h)
-        return acc ** (1.0 / p)
-    grads = [_spectral_grad(values, grid, ax) for ax in range(grid.dim)]
-    for g in grads:
-        acc += _lp_norm(g, cell, p) ** p
-    if s > 1.0:
-        for g in grads:
-            for ax in range(grid.dim):
-                acc += gagliardo_pow(g, h, s - 1.0, p, ax) * (cell / h)
-    return acc ** (1.0 / p)
+    """W^{s,p} norm for 0 <= s < 2: one ``wsp_pow_separable`` call on a periodic factor."""
+    NormSpec("fractional_Wsp", dim=grid.dim, s=s, p=p)
+    return wsp_pow_separable([Axis1D(values, grid.h, periodic=True)], s, p) ** (1.0 / p)
 
 
 def check_norm_equivalence(values, grid, s, b):

@@ -60,9 +60,6 @@ class DualLattice:
         out.sort(key=lambda kk: (kk[1], kk[0]))
         return out
 
-    def min_k2(self):
-        return min(b * b for b in self.base())
-
 
 def pv_integral(fp, a_prime):
     """Principal-value integral of f'_e(alpha)/(alpha - a'), one ``_sinc_cauchy`` call."""

@@ -245,11 +245,6 @@ class GaussianPairTerm:
             out = g if out is None else np.multiply.outer(out, g)
         return out
 
-    @property
-    def v1_scale(self):
-        """Characteristic v1 extent, used to size adapted quadratures."""
-        return self.v0 + 8.0 * self.w1
-
     def pv_d_integral(self):
         """Exact value of the v1-marginal principal-value integral at 0."""
         a = self.v0 / self.w1
@@ -315,13 +310,6 @@ class GaussianMixture:
 
     def mass(self):
         return sum(t.weight for t in self.terms)
-
-    def moment2(self):
-        """Exact second moment integral of |v|^2 f dv."""
-        total = 0.0
-        for t in self.terms:
-            total += t.weight * (t.v0 ** 2 + t.w1 ** 2 + sum(w ** 2 for w in t.wt))
-        return total
 
     def values_on(self, grid):
         axes = grid.axes()
