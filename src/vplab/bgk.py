@@ -38,6 +38,10 @@ from .profiles import (
 )
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
+# relative tolerance of the matched period |T - T1| <= PERIOD_TOL_REL T1
+PERIOD_TOL_REL = 1e-9
+# ceiling on the reduced field equation residual max |beta'' - h(beta)|
+POISSON_RESIDUAL_TOL = 1e-7
 
 # ---------------------------------------------------------------------------
 # case selection and the modified profile
@@ -76,7 +80,6 @@ class ModifiedProfile:
     C0: float
     v0: float
     mixture: GaussianMixture
-    resolvable_on_grid: bool
 
     def as_profile(self):
         return Profile.from_closure(
@@ -115,7 +118,7 @@ def build_modified(f1, gamma, delta, case, v0=3.0):
         if delta <= 0:
             raise ValidationError("case-3 scale must be positive")
         mix = f1.closure.scaled_v1(delta)
-        return ModifiedProfile(f1, 0.0, float(delta), 3, 0.0, 0.0, mix, True)
+        return ModifiedProfile(f1, 0.0, float(delta), 3, 0.0, 0.0, mix)
 
     if gamma <= 0 or delta <= 0:
         raise ValidationError("gamma and delta must be positive")
@@ -144,10 +147,7 @@ def build_modified(f1, gamma, delta, case, v0=3.0):
         GaussianPairTerm(bump_mass, lam * bump_v0, lam, (1.0,) * (dim - 1))
     ])
     mix = f1.closure.plus(bump).reweighted(1.0 / (1.0 + c0 * gamma ** 2))
-
-    resolvable = lam >= 2.0 * f1.grid.h
-    return ModifiedProfile(f1, float(gamma), float(delta), case, c0, float(v0),
-                           mix, resolvable)
+    return ModifiedProfile(f1, float(gamma), float(delta), case, c0, float(v0), mix)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +160,17 @@ _C_OK, _RHO = 9.0, 2.0
 
 
 @functools.lru_cache(maxsize=64)
-def _unit_kernel(a, n_v1, n_cheb, n_taylor):
+def _unit_kernel(a):
     """Tables of K for the unit-weight, unit-width pair term with offset a.
 
     Returns the Chebyshev antiderivatives P, Q of K and c K(c) on
     [-_C_OK, _C_OK], and the scaled Taylor coefficients of
     K(_RHO chat) = sum k_hat_m chat^m.
     """
+    n_cheb, n_taylor = 256, 56
     t = GaussianPairTerm(1.0, a, 1.0, ())
     cheb = np.polynomial.chebyshev.Chebyshev
-    u = np.linspace(0.0, a + 10.0, n_v1 + 1)
+    u = np.linspace(0.0, a + 10.0, 2049)
 
     def kfun(c):
         c = np.atleast_1d(c)
@@ -208,7 +209,7 @@ class BifurcationH:
     h(0) = 0 identically, cheap enough for orbit quadratures.
     """
 
-    def __init__(self, mp, n_v1=2048, n_cheb=256, n_taylor=56):
+    def __init__(self, mp):
         self.mp = mp
         # per term: the unit tables P, Q, the weight, width^2, the Taylor
         # radius, the scaled Taylor vectors of h and V and their exponents; the
@@ -216,7 +217,7 @@ class BifurcationH:
         # share one table
         self._terms = []
         for t in mp.mixture.terms:
-            P, Q, k_unit = _unit_kernel(float(f"{t.v0 / t.w1:.14g}"), n_v1, n_cheb, n_taylor)
+            P, Q, k_unit = _unit_kernel(float(f"{t.v0 / t.w1:.14g}"))
             w2 = t.w1 ** 2
             k_hat = (t.weight / w2) * k_unit
             mm = np.arange(len(k_hat))
@@ -278,8 +279,8 @@ class BifurcationH:
         return self._evaluate(beta, "V")
 
 
-def make_h(mp, **kw):
-    return BifurcationH(mp, **kw)
+def make_h(mp):
+    return BifurcationH(mp)
 
 
 def h_function(mp, beta):
@@ -325,7 +326,7 @@ class OrbitSolution:
         return xs, sol.y[0]
 
 
-def periodic_orbit(h, r, n_theta=128, r_tol=1e-12, max_iter=80):
+def periodic_orbit(h, r):
     """Periodic solution of beta'' = h(beta) with H^2 amplitude r over one period.
 
     The energy level is selected by a secant iteration; the period and the
@@ -344,7 +345,7 @@ def periodic_orbit(h, r, n_theta=128, r_tol=1e-12, max_iter=80):
     om = math.sqrt(-hp0)
     V = h.potential
 
-    theta, th_w = np.polynomial.legendre.leggauss(n_theta)
+    theta, th_w = np.polynomial.legendre.leggauss(128)
     theta = theta * (math.pi / 2.0)
     th_w = th_w * (math.pi / 2.0)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
@@ -371,7 +372,7 @@ def periodic_orbit(h, r, n_theta=128, r_tol=1e-12, max_iter=80):
     e0 = 0.5 * (om * r / math.sqrt((1 + om ** 2 + om ** 4) * math.pi / om)) ** 2
     e_prev, e_cur = e0, e0 * 1.05
     T_p, r_p, *_ = orbit_at(e_prev)
-    for _ in range(max_iter):
+    for _ in range(80):
         try:
             T_c, r_c, bp, bm = orbit_at(e_cur)
         except AmplitudeTooLargeError:
@@ -384,7 +385,7 @@ def periodic_orbit(h, r, n_theta=128, r_tol=1e-12, max_iter=80):
                     continue
             else:
                 raise
-        if abs(r_c - r) <= r_tol * r:
+        if abs(r_c - r) <= 1e-12 * r:
             return OrbitSolution(T_c, e_cur, bp, bm, r_c, om, h)
         d = math.log(r_c) - math.log(r_p)
         if d == 0:
@@ -500,12 +501,12 @@ class BgkWave:
         b2 = self._beta2()
         return float(np.max(np.abs(b2 - self.h(self.beta))) / np.max(np.abs(b2)))
 
-    def min_distribution_value(self, n_x=64, n_v=513, n_w=17):
-        xs = np.linspace(0.0, self.T1, n_x, endpoint=False)
+    def min_distribution_value(self):
+        xs = np.linspace(0.0, self.T1, 64, endpoint=False)
         vmax = max(t.v0 + 6 * t.w1 for t in self.mp.mixture.terms)
-        vs = np.linspace(-vmax, vmax, n_v) + self.c
+        vs = np.linspace(-vmax, vmax, 513) + self.c
         vals = self.sample_phase_space(
-            xs, vs, *([np.linspace(-4, 4, n_w)] * (self.dim - 1)))
+            xs, vs, *([np.linspace(-4, 4, 17)] * (self.dim - 1)))
         return float(np.min(vals))
 
     def mass_per_period(self):
@@ -584,28 +585,28 @@ def _false_position(fun, lo, hi, f_lo, f_hi, tol):
     return None, brackets
 
 
-def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None,
-                 c=0.0, n_x=1024, tol_rel=1e-9, delta2=1.0, h_kw=None):
+def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None, c=0.0):
     """Illinois false position on the modification scale until the orbit
-    period equals T1.
+    period equals T1 to PERIOD_TOL_REL.
 
-    Returns (delta, BgkWave).  The bracket must satisfy the period
-    inequality at its endpoints; otherwise the last AmplitudeTooLargeError
-    of an endpoint is raised, or BracketError reports both endpoint
-    periods.  ``provenance["bisection_widths"]`` is the bracket width after
-    each step; it never grows.
+    Returns (delta, BgkWave), the wave sampled at 1024 points per period.
+    The bracket must satisfy the period inequality at its endpoints;
+    otherwise the last AmplitudeTooLargeError of an endpoint is raised, or
+    BracketError reports both endpoint periods.
+    ``provenance["bisection_widths"]`` is the bracket width after each step;
+    it never grows.  The trapped depth 2 max|beta| must stay inside the
+    decomposition window a^2 = 1/4, and the reduced field equation residual
+    below POISSON_RESIDUAL_TOL.
     """
-    sel = select_case(f1, T1, check=False)
     if case is None:
-        case = sel.case
-    h_kw = dict(h_kw or {})
+        case = select_case(f1, T1, check=False).case
 
     cache = {}
 
     def at(delta):
         if delta not in cache:
             mp = build_modified(f1, gamma, delta, case, v0=v0)
-            h = make_h(mp, **h_kw)
+            h = make_h(mp)
             orb = periodic_orbit(h, r)
             cache[delta] = (mp, h, orb)
             if len(cache) > 8:
@@ -642,18 +643,17 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None,
         raise BracketError(T1, t_lo, t_hi)
 
     mid, brackets = _false_position(lambda d: at(d)[2].period - T1, lo, hi,
-                                    t_lo - T1, t_hi - T1, tol_rel * T1)
+                                    t_lo - T1, t_hi - T1, PERIOD_TOL_REL * T1)
     if mid is None:
         raise BracketError(T1, t_lo, t_hi)
     widths = [b - a for a, b in brackets]
 
     mp, h, orb = at(mid)
-    a = 0.5 * delta2
-    if 2.0 * max(abs(orb.beta_plus), abs(orb.beta_minus)) > a ** 2:
+    if 2.0 * max(abs(orb.beta_plus), abs(orb.beta_minus)) > 0.25:
         raise AmplitudeTooLargeError(
             "trapped region deeper than the decomposition window a^2; reduce r"
         )
-    xs, beta = orb.sample(n_x)
+    xs, beta = orb.sample(1024)
     n = len(beta)
     k = 2.0 * np.pi * sfft.rfftfreq(n, d=T1 / n)
     efield = sfft.irfft(-1j * k * sfft.rfft(beta), n=n)
@@ -670,9 +670,9 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None,
     if float(np.max(np.abs(efield))) < 0.1 * orb.r / T1:
         raise ValidationError("field amplitude below the harmonic-limit floor")
     resid = wave.poisson_residual()
-    if resid > 1e-7:
+    if resid > POISSON_RESIDUAL_TOL:
         raise ValidationError(
-            f"reduced field equation residual {resid:.2e} exceeds 1e-7")
+            f"reduced field equation residual {resid:.2e} exceeds {POISSON_RESIDUAL_TOL:g}")
     if c != 0.0:
         wave = galilean_boost(wave, c)
     return mid, wave
@@ -691,7 +691,7 @@ class ObstructionCertificate:
     elliptic_residual: float
 
 
-def _g_of_beta(mu, beta, u_max=80.0, n_u=16001):
+def _g_of_beta(mu, beta):
     """g(beta) = 1 - 2 pi int_0^inf mu(u - beta) du for radial energy profiles.
 
     Large batches are served from a spline over the batch's beta-range, so
@@ -700,7 +700,7 @@ def _g_of_beta(mu, beta, u_max=80.0, n_u=16001):
     from scipy.integrate import simpson
 
     beta = np.asarray(beta, dtype=float)
-    u = np.linspace(0.0, u_max, n_u)
+    u = np.linspace(0.0, 80.0, 16001)
 
     def direct(b_flat):
         vals = mu(u[None, :] - b_flat[:, None])
@@ -719,7 +719,7 @@ def _g_of_beta(mu, beta, u_max=80.0, n_u=16001):
     return spline(flat).reshape(beta.shape)
 
 
-def obstruction_diagnostic(mu, beta_candidate, periods, mu_range_hint=None):
+def obstruction_diagnostic(mu, beta_candidate, periods):
     """Certify that a radial-energy ansatz on the 2-torus has only trivial fields.
 
     Checks mu >= 0, evaluates g'(beta) = -2 pi mu(-beta) on the candidate's
@@ -731,10 +731,7 @@ def obstruction_diagnostic(mu, beta_candidate, periods, mu_range_hint=None):
     beta = np.asarray(beta_candidate, dtype=float)
     if beta.ndim != 2:
         raise ValidationError("candidate must live on a 2-torus grid")
-    lo = -float(np.max(beta)) - 1.0
-    hi = -float(np.min(beta)) + 1.0
-    probes = np.linspace(lo if mu_range_hint is None else mu_range_hint[0],
-                         hi if mu_range_hint is None else mu_range_hint[1], 512)
+    probes = np.linspace(-float(np.max(beta)) - 1.0, -float(np.min(beta)) + 1.0, 512)
     mu_vals = mu(probes)
     if np.min(mu_vals) < -1e-14:
         raise ValidationError("mu must be nonnegative")
@@ -760,7 +757,7 @@ def obstruction_diagnostic(mu, beta_candidate, periods, mu_range_hint=None):
     return ObstructionCertificate(gp_max, cert, lhs, rhs, resid)
 
 
-def obstruction_fixed_point(mu, periods, shape, beta0=None, iters=400, tol=1e-13):
+def obstruction_fixed_point(mu, periods, shape, beta0=None):
     """Solve -Lap beta = g(beta) on the 2-torus by a contracting split iteration.
 
     With g' <= 0 the map beta -> (m - Lap)^(-1)(m beta + g(beta)) contracts
@@ -772,14 +769,14 @@ def obstruction_fixed_point(mu, periods, shape, beta0=None, iters=400, tol=1e-13
     kx = 2.0 * np.pi * sfft.fftfreq(nx, d=periods[0] / nx)
     ky = 2.0 * np.pi * sfft.fftfreq(ny, d=periods[1] / ny)
     k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-    for _ in range(iters):
+    for _ in range(400):
         # shift just above |g'| on the currently visited range keeps the
         # map contracting without crushing the convergence rate
         probes = np.linspace(np.min(beta) - 0.5, np.max(beta) + 0.5, 64)
         m = 2.0 * np.pi * float(np.max(mu(-probes))) + 1.0
         rhs = m * beta + _g_of_beta(mu, beta)
         new = sfft.ifft2(sfft.fft2(rhs) / (m + k2)).real
-        if float(np.max(np.abs(new - beta))) < tol:
+        if float(np.max(np.abs(new - beta))) < 1e-13:
             beta = new
             break
         beta = new
@@ -791,10 +788,10 @@ def obstruction_fixed_point(mu, periods, shape, beta0=None, iters=400, tol=1e-13
     return beta, grad_l2
 
 
-def obstruction_1d_contrast(mu, beta_range, n=512, v_max=40.0, n_v=4001):
+def obstruction_1d_contrast(mu, beta_range):
     """1D analogue where g' has no sign certificate; reports observed signs."""
-    betas = np.linspace(beta_range[0], beta_range[1], n)
-    v = np.linspace(-v_max, v_max, n_v)
+    betas = np.linspace(beta_range[0], beta_range[1], 512)
+    v = np.linspace(-40.0, 40.0, 4001)
     # g(beta) = 1 - int mu(v^2/2 - beta) dv; differentiate under the integral
     eps = 1e-6 * max(1.0, beta_range[1] - beta_range[0])
     g_hi = 1.0 - np.trapezoid(mu(v[None, :] ** 2 / 2 - (betas[:, None] + eps)), v, axis=1)
@@ -812,8 +809,7 @@ def obstruction_1d_contrast(mu, beta_range, n=512, v_max=40.0, n_v=4001):
 # closeness-driven construction
 # ---------------------------------------------------------------------------
 
-def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None,
-               v0=3.0, n_x=1024, max_rounds=6):
+def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
     """Construct a travelling wave within a prescribed triple-norm distance.
 
     With ``eps`` given, the modification size gamma (cases 1-2) and the
@@ -842,8 +838,7 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None,
     if eps is None:
         if r is None:
             raise ValidationError("give either eps or an explicit amplitude r")
-        delta, wave = match_period(f0, T1, gamma or 0.0, r, case=case, v0=v0,
-                                   c=c, n_x=n_x)
+        delta, wave = match_period(f0, T1, gamma or 0.0, r, case=case, c=c)
         return wave, closeness_report(wave, s=s, p=p)
 
     target_mod, target_wave = 0.45 * eps, 0.2 * eps
@@ -851,8 +846,8 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None,
     if case == 3:
         r_cap = 0.02 * kappa_r
         r_try = r_cap
-        for _ in range(max_rounds):
-            delta, wave = match_period(f0, T1, 0.0, r_try, case=3, c=c, n_x=n_x)
+        for _ in range(6):
+            delta, wave = match_period(f0, T1, 0.0, r_try, case=3, c=c)
             rep = closeness_report(wave, s=s, p=p)
             if rep.total < eps:
                 return wave, rep
@@ -861,8 +856,7 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None,
 
     if 1.0 + 1.0 / p - s <= 0.0:
         raise RegularityError(s, p)
-    if case == 2:
-        v0 = 0.0
+    v0 = 0.0 if case == 2 else 3.0
 
     def mod_distance(g):
         d_star = _seed_delta(f0, T1, g, case, v0)
@@ -894,7 +888,7 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None,
                 break
         g = math.exp(mid if d_mid <= target_mod else lo)
 
-    for _ in range(max_rounds):
+    for _ in range(6):
         _, d_star = mod_distance(g)
         lam = g * d_star
         if case == 1:
@@ -902,7 +896,7 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None,
         else:
             beta_cap = 0.25 * lam ** 2
         r_try = min(beta_cap * kappa_r, 0.02 * kappa_r) if r is None else r
-        delta, wave = match_period(f0, T1, g, r_try, case=case, v0=v0, c=c, n_x=n_x)
+        delta, wave = match_period(f0, T1, g, r_try, case=case, v0=v0, c=c)
         rep = closeness_report(wave, s=s, p=p)
         if rep.total < eps:
             return wave, rep

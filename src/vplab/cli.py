@@ -21,11 +21,11 @@ import numpy as np
 from . import container
 from .errors import PenroseUnstableError, ValidationError, VplabError
 from .norms import NormSpec, fractional_wsp_norm, mixed_norm, norm_report, weighted_hsb_norm
-from .penrose import DualLattice, penrose_check
+from .penrose import MARGIN_TOL, DualLattice, penrose_check
 from .profiles import Profile, VelocityGrid, make_builtin, moments
 from . import linear as linear_mod
 from . import sim as sim_mod
-from .bgk import build_wave
+from .bgk import PERIOD_TOL_REL, POISSON_RESIDUAL_TOL, build_wave
 from .profiles import project
 
 COMMANDS = ("penrose", "bgk-build", "linear-decay", "simulate", "norms")
@@ -38,19 +38,18 @@ class ExperimentConfig:
         "penrose": {"profile.name", "profile.v0", "profile.width", "grid.n",
                     "grid.vmax", "grid.dim", "periods", "s", "b"},
         "bgk-build": {"profile.name", "profile.v0", "profile.width", "grid.n",
-                      "grid.vmax", "grid.dim", "T1", "c", "eps", "gamma", "r",
-                      "v0"},
+                      "grid.vmax", "grid.dim", "T1", "c", "eps", "gamma", "r"},
         "linear-decay": {"profile.name", "profile.v0", "profile.width",
-                         "grid.n", "grid.vmax", "grid.dim", "periods", "kmag",
-                         "s_x", "s_v", "b", "t_end", "amplitude"},
+                         "grid.n", "grid.vmax", "grid.dim", "kmag",
+                         "s_x", "s_v", "t_end", "amplitude"},
         "simulate": {"profile.name", "profile.v0", "profile.width", "grid.n",
                      "grid.vmax", "grid.dim", "T1", "Nx", "dt", "t_end",
-                     "amplitude", "mode", "s_x", "s_v", "b", "cadence"},
+                     "amplitude", "mode", "s_x", "s_v", "b"},
         "norms": {"profile.name", "profile.v0", "profile.width", "grid.n",
                   "grid.vmax", "grid.dim", "kind", "s", "s_x", "s_v", "b", "p"},
     }
 
-    def __init__(self, command, values, raw_text=""):
+    def __init__(self, command, values):
         if command not in COMMANDS:
             raise ValidationError(f"unknown command {command!r}")
         allowed = self.SCHEMAS[command]
@@ -60,7 +59,6 @@ class ExperimentConfig:
                 f"config keys not in the {command} schema: {sorted(bad)}")
         self.command = command
         self.values = dict(values)
-        self.raw_text = raw_text
 
     @classmethod
     def parse(cls, path):
@@ -81,7 +79,7 @@ class ExperimentConfig:
                 values[key] = val
         if command is None:
             raise ValidationError(f"{path}: missing 'command = <name>' line")
-        return cls(command, values, text)
+        return cls(command, values)
 
     def get(self, key, default=None, cast=str):
         if key not in self.values:
@@ -143,7 +141,7 @@ def run(config, outdir, threads=1, verbose=False):
                                config.get("b", 0.3, float), threads=threads)
         container.write_json(os.path.join(outdir, "penrose.json"),
                              report.to_json())
-        _write_manifest(outdir, config, {"margin_tol": 1e-8})
+        _write_manifest(outdir, config, {"margin_tol": MARGIN_TOL})
         if verbose:
             print(f"stable={report.stable} B={report.bound:.4g} "
                   f"entries={len(report.entries)}")
@@ -164,7 +162,7 @@ def run(config, outdir, threads=1, verbose=False):
         container.wave_to_csv(os.path.join(outdir, "wave.csv"), wave)
         resid = wave.poisson_residual()
         _write_manifest(outdir, config, {
-            "period_tol_rel": 1e-9, "poisson_residual_tol": 1e-7},
+            "period_tol_rel": PERIOD_TOL_REL, "poisson_residual_tol": POISSON_RESIDUAL_TOL},
             extra={"closeness": rep.to_json(), "provenance": {
                 k: v for k, v in wave.provenance.items()
                 if k != "bisection_widths"},
@@ -204,7 +202,7 @@ def run(config, outdir, threads=1, verbose=False):
             "poisson_relerr": series.poisson_relerr,
             "truncation_error": series.truncation_error,
         })
-        _write_manifest(outdir, config, {"window_tol": 1e-8})
+        _write_manifest(outdir, config, {"window_tol": linear_mod.WINDOW_TOL})
         return 0
 
     if config.command == "simulate":

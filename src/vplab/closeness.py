@@ -169,15 +169,15 @@ def wsp_norm_coupled(field2d, hx, hv, trans_axes, s, p):
 # adapted sampling of mixture pieces
 # ---------------------------------------------------------------------------
 
-def _pair_axis(term, n=4096, reach=12.0):
+def _pair_axis(term):
     """Samples of the unit-mass even pair of a term on its adapted v1 window."""
-    lo = term.v0 + reach * term.w1
-    v = np.linspace(-lo, lo, n)
+    lo = term.v0 + 12.0 * term.w1
+    v = np.linspace(-lo, lo, 4096)
     return Axis1D(term.pair_1d(v), v[1] - v[0]), v
 
 
-def _gauss_axis(width, n=2048, reach=10.0):
-    v = np.linspace(-reach * width, reach * width, n)
+def _gauss_axis(width):
+    v = np.linspace(-10.0 * width, 10.0 * width, 2048)
     return Axis1D(np.exp(-v ** 2 / (2 * width ** 2)) / (width * SQRT2PI),
                   v[1] - v[0])
 
@@ -252,7 +252,7 @@ def modified_profile_distance(mp, s=1.2, p=2.0):
     return ClosenessReport(l1, mom, wsp, {"kind": "scaling"}, s, p)
 
 
-def wave_profile_distance(wave, s=1.2, p=2.0, n_x=192, n_v=1024):
+def wave_profile_distance(wave, s=1.2, p=2.0):
     """Distance of the wave to its modified profile over one period.
 
     Each mixture term contributes the cancellation-free field
@@ -260,6 +260,7 @@ def wave_profile_distance(wave, s=1.2, p=2.0, n_x=192, n_v=1024):
     mean-value identity on the term's adapted window; pieces combine by the
     triangle inequality.
     """
+    n_x, n_v = 192, 1024
     gl_x, gl_w = _GL8
     sn = 0.5 * (gl_x + 1.0)
     sw = 0.5 * gl_w
@@ -288,17 +289,10 @@ def wave_profile_distance(wave, s=1.2, p=2.0, n_x=192, n_v=1024):
     return ClosenessReport(l1, mom, wsp, {"kind": "wave-vs-profile"}, s, p)
 
 
-def closeness_report(wave, base_distance=None, s=1.2, p=2.0):
+def closeness_report(wave, s=1.2, p=2.0):
     """Total certified distance wave -> base homogeneous state (triangle sum)."""
     d_mod = modified_profile_distance(wave.mp, s, p)
     d_wave = wave_profile_distance(wave, s, p)
-    l1 = d_mod.l1 + d_wave.l1
-    mom = d_mod.second_moment + d_wave.second_moment
-    wsp = d_mod.wsp + d_wave.wsp
     pieces = {"modified_vs_base": d_mod.to_json(), "wave_vs_modified": d_wave.to_json()}
-    if base_distance is not None:
-        l1 += base_distance.l1
-        mom += base_distance.second_moment
-        wsp += base_distance.wsp
-        pieces["base_vs_raw"] = base_distance.to_json()
-    return ClosenessReport(l1, mom, wsp, pieces, s, p)
+    return ClosenessReport(d_mod.l1 + d_wave.l1, d_mod.second_moment + d_wave.second_moment,
+                           d_mod.wsp + d_wave.wsp, pieces, s, p)

@@ -74,10 +74,6 @@ class AmplitudeTooLargeError(VplabError):
 class PenroseUnstableError(VplabError):
     """Profile fails the Penrose stability condition; decay computation refused."""
 
-    def __init__(self, message, report=None):
-        self.report = report
-        super().__init__(message)
-
 
 class RefinementCapError(VplabError):
     """Automatic grid refinement hit its cap without meeting the tolerance."""

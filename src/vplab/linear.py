@@ -33,6 +33,10 @@ from .profiles import _sinc_cauchy, smooth_step
 
 # nodes of the ray-tail and taper-wedge quadratures
 _GL96 = np.polynomial.legendre.leggauss(96)
+# the window self-check: full and 20%-narrower core agree to WINDOW_TOL of the peak
+WINDOW_TOL = 1e-8
+# share of the window's half-width over which the taper falls to zero
+_TAPER_FRAC = 0.1
 
 
 @dataclass
@@ -88,10 +92,10 @@ class ModeSeries:
         return fit_damped_mode(self.t, self.values, t_lo, t_hi)
 
 
-def _taper(y, y_max, frac):
+def _taper(y, y_max):
     out = np.ones_like(y)
-    edge = np.abs(y) > (1.0 - frac) * y_max
-    out[edge] = smooth_step((y_max - np.abs(y[edge])) / (frac * y_max))
+    edge = np.abs(y) > (1.0 - _TAPER_FRAC) * y_max
+    out[edge] = smooth_step((y_max - np.abs(y[edge])) / (_TAPER_FRAC * y_max))
     return out
 
 
@@ -144,26 +148,25 @@ def _ray_tail(kmag, y0, t, fp, datum):
                   - np.exp(1j * kmag * y0 * t) * minus)
 
 
-def efield_mode(kmag, fp, datum, t_end, kvec=None, y_max=None, n_y=None,
-                tol=1e-8, taper_frac=0.1, max_refine=3):
+def efield_mode(kmag, fp, datum, t_end, kvec=None):
     """Field mode series: tapered FFT over the core window plus exact ray tails.
 
     The Cauchy tails of the boundary data decay only like 1/y, so a taper
     alone cannot reach tolerance; the two tails are completed exactly by
-    rotating them into the lower half-plane.  The window self-check
-    (against a 20% narrower core) then verifies quadrature convergence and
-    triggers refinement; RefinementCapError if the cap is hit.
+    rotating them into the lower half-plane.  The window reaches beyond the
+    projected support and every dispersion root; it starts at 4096 points,
+    more when t_end needs them.  The window self-check (against a 20%
+    narrower core, to WINDOW_TOL) then verifies quadrature convergence and
+    doubles the grid up to three times; RefinementCapError if the cap is hit.
     """
     if kmag <= 0:
         raise ValidationError("mode wavenumber must be positive")
     support = float(fp.alphas[-1])
     # rays must stay beyond the projected support and beyond every
     # dispersion root (phase velocities scale like 1/k)
-    y_floor = max(support + 4.0, 2.0 + 2.0 / kmag)
-    y_max = float(y_max or y_floor)
-    y_max = max(y_max, y_floor)
-    n_y = int(n_y or 4096)
-    for _ in range(max_refine + 1):
+    y_max = float(max(support + 4.0, 2.0 + 2.0 / kmag))
+    n_y = 4096
+    for _ in range(4):
         # keep the oscillation resolved out to t_end: k * t * dy <= 1/2
         n_min = int(2.0 * y_max * kmag * t_end / 0.5) + 2
         if n_y < n_min:
@@ -176,7 +179,7 @@ def efield_mode(kmag, fp, datum, t_end, kvec=None, y_max=None, n_y=None,
 
         def series(window_scale):
             ym = window_scale * y_max
-            Hw = H * _taper(y, ym, taper_frac) * (np.abs(y) <= ym)
+            Hw = H * _taper(y, ym) * (np.abs(y) <= ym)
             fhat = sfft.fft(Hw)
             t = 2.0 * np.pi * np.arange(n_y) / (kmag * n_y * dy)
             phase = np.exp(1j * kmag * y_max * t)
@@ -188,14 +191,14 @@ def efield_mode(kmag, fp, datum, t_end, kvec=None, y_max=None, n_y=None,
             # by Gauss-Legendre, and complete |y| > ym along the rotated rays
             vals = vals + (kmag / (2.0 * np.pi)) * (
                 _ray_tail(kmag, ym, t, fp, datum)
-                + _wedge_correction(kmag, ym, taper_frac, t, fp, datum))
+                + _wedge_correction(kmag, ym, t, fp, datum))
             return t, vals
 
         t, vals = series(1.0)
         _, vals_narrow = series(0.8)
         err = float(np.max(np.abs(vals - vals_narrow)))
         scale = float(np.max(np.abs(vals)))
-        if err <= tol * max(scale, 1e-300):
+        if err <= WINDOW_TOL * max(scale, 1e-300):
             mass = datum.mass()
             e0_expected = -mass / (1j * kmag)
             pois = abs(vals[0] - e0_expected) / max(abs(e0_expected), 1e-300)
@@ -204,24 +207,24 @@ def efield_mode(kmag, fp, datum, t_end, kvec=None, y_max=None, n_y=None,
                               pois)
         n_y *= 2
     raise RefinementCapError(
-        f"window truncation error {err:.2e} above {tol} after {max_refine} refinements")
+        f"window truncation error {err:.2e} above {WINDOW_TOL} after 3 refinements")
 
 
-def _wedge_correction(kmag, ym, taper_frac, t, fp, datum):
+def _wedge_correction(kmag, ym, t, fp, datum):
     """Oscillatory integral of (1 - taper) H over the two tapered shoulders.
 
     Gauss-Legendre on each shoulder with fresh boundary-value evaluations;
     node spacing stays well below 1/(k t_end) for the runs this serves.
     """
     x, w = _GL96
-    lo = (1.0 - taper_frac) * ym
+    lo = (1.0 - _TAPER_FRAC) * ym
     out = np.zeros(len(t), dtype=complex)
     for a, b in ((lo, ym), (-ym, -lo)):
         ys = 0.5 * (a + b) + 0.5 * (b - a) * x
         ws = 0.5 * (b - a) * w
         F = dispersion(fp, ys, kmag ** 2, check_stability=False)
         G = initial_transform(datum, ys)
-        Hs = (G / (kmag ** 2 - F)) * (1.0 - _taper(ys, ym, taper_frac)) * ws
+        Hs = (G / (kmag ** 2 - F)) * (1.0 - _taper(ys, ym)) * ws
         out += np.exp(-1j * kmag * np.outer(t, ys)) @ Hs
     return out
 
@@ -257,14 +260,13 @@ class FieldHistory:
             out += (contrib + np.conj(contrib))[:, None] * e[None, :]
         return out
 
-    def decay_norm(self, s_x, s_v, t_end=None, tail_tol=0.01):
+    def decay_norm(self, s_x, s_v):
         """|| t^{s_v} E ||_{L^2_t H_x^{3/2+s_x+s_v}} from the mode series."""
         total = 0.0
         suggestions = []
         for kvec, series in self.modes.items():
             k2 = float(sum(c * c for c in kvec))
-            t = series.t if t_end is None else series.t[series.t <= t_end]
-            v = series.values[: len(t)]
+            t, v = series.t, series.values
             integrand = t ** (2.0 * s_v) * np.abs(v) ** 2
             integral = float(np.trapezoid(integrand, t))
             # tail estimate from the decay slope over the last fifth
@@ -288,7 +290,7 @@ class FieldHistory:
             # a mode already at the roundoff floor has nothing left to damp
             if recent < 1e-12 * float(np.max(integrand)):
                 tail = 0.0
-            if tail > tail_tol * max(integral, 1e-300):
+            if tail > 0.01 * max(integral, 1e-300):
                 suggestions.append(t[-1] + (6.0 / max(lam, 1e-3)))
             total += (1.0 if k2 == 0 else k2 ** (1.5 + s_x + s_v)) * \
                 (integral * 2.0)  # +-k pair
@@ -299,7 +301,7 @@ class FieldHistory:
         return math.sqrt(total)
 
 
-def fit_damped_mode(t, values, t_lo, t_hi, n_poles=2):
+def fit_damped_mode(t, values, t_lo, t_hi):
     """Damping rate and frequency by a matrix-pencil fit on a time window.
 
     Returns (rate, freq) of the least-damped pole with positive frequency.
@@ -312,7 +314,7 @@ def fit_damped_mode(t, values, t_lo, t_hi, n_poles=2):
     Y = np.array([vs[i:i + L] for i in range(n - L)])
     Y0, Y1 = Y[:-1], Y[1:]
     u, sv, vh = np.linalg.svd(Y0, full_matrices=False)
-    rank = min(n_poles, int(np.sum(sv > 1e-12 * sv[0])))
+    rank = min(2, int(np.sum(sv > 1e-12 * sv[0])))
     u, sv, vh = u[:, :rank], sv[:rank], vh[:rank]
     A = np.diag(1.0 / sv) @ u.conj().T @ Y1 @ vh.conj().T
     z = np.linalg.eigvals(A)
@@ -341,22 +343,21 @@ def continued_dispersion(fp, z):
     return complex(base) if base.ndim == 0 else base
 
 
-def find_damping_root(fp, kmag, scan_re=(0.2, 8.0), scan_im=(-1.5, -0.02),
-                      n_scan=(80, 50), newton_iter=60, tol=1e-12):
+def find_damping_root(fp, kmag):
     """Lower-half-plane root of |k|^2 - F(z): scan for a seed, then Newton.
 
     The phase-velocity root z maps to a field mode ~ e^{-i |k| z t}, so the
     damping rate is |k| |Im z| and the oscillation frequency |k| |Re z|.
     """
     k2 = kmag ** 2
-    res = np.linspace(*scan_re, n_scan[0])
-    ims = np.linspace(*scan_im, n_scan[1])
+    res = np.linspace(0.2, 8.0, 80)
+    ims = np.linspace(-1.5, -0.02, 50)
     grid = res[None, :] + 1j * ims[:, None]
     z = complex(grid.flat[np.argmin(np.abs(k2 - continued_dispersion(fp, grid)))])
-    for _ in range(newton_iter):
+    for _ in range(60):
         dz = 1e-7 * (1.0 + abs(z))
         f, f_plus, f_minus = k2 - continued_dispersion(fp, np.array([z, z + dz, z - dz]))
-        if abs(f) < tol:
+        if abs(f) < 1e-12:
             break
         z = z + f / ((f_minus - f_plus) / (2 * dz))
         if z.imag >= 0:

@@ -54,11 +54,11 @@ class NormSpec:
             raise ValidationError("orders must be nonnegative")
 
 
-def check_boundary_decay(values, grid, tol=1e-12):
+def check_boundary_decay(values, grid):
     scale = max(1.0, float(np.max(np.abs(values))))
     res = grid.boundary_residual(np.abs(values))
-    if res > tol * scale:
-        raise BoundaryDecayError(res, tol * scale)
+    if res > 1e-12 * scale:
+        raise BoundaryDecayError(res, 1e-12 * scale)
 
 
 def _symbol(grid, s, half=False):
@@ -71,13 +71,12 @@ def _symbol(grid, s, half=False):
     return (1.0 + out) ** (s / 2.0)
 
 
-def weighted_hsb_norm(values, grid, s, b, skip_decay_check=False):
+def weighted_hsb_norm(values, grid, s, b):
     """Velocity-weighted fractional Sobolev norm of a (possibly complex) field."""
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValidationError("field shape does not match grid")
-    if not skip_decay_check:
-        check_boundary_decay(values, grid)
+    check_boundary_decay(values, grid)
     if np.iscomplexobj(values):
         smoothed = sfft.ifftn(sfft.fftn(values) * _symbol(grid, s))
     else:
@@ -147,7 +146,7 @@ def check_norm_equivalence(values, grid, s, b):
     }
 
 
-def hardy_quotient(u, alphas, v0, du_at_v0=None):
+def hardy_quotient(u, alphas, v0):
     """Integral of |u(v)/(v - v0)| with the singular cell replaced by |u'(v0)|.
 
     Requires |u(v0)| < 1e-10; otherwise the integral genuinely diverges.
@@ -165,10 +164,8 @@ def hardy_quotient(u, alphas, v0, du_at_v0=None):
     mask = np.ones(len(u), dtype=bool)
     mask[j] = False
     integrand[mask] = np.abs(u[mask] / (alphas[mask] - v0))
-    if du_at_v0 is None:
-        jl, jr = max(j - 1, 0), min(j + 1, len(u) - 1)
-        du_at_v0 = (u[jr] - u[jl]) / (alphas[jr] - alphas[jl])
-    integrand[j] = abs(du_at_v0)
+    jl, jr = max(j - 1, 0), min(j + 1, len(u) - 1)
+    integrand[j] = abs((u[jr] - u[jl]) / (alphas[jr] - alphas[jl]))
     return float(np.sum(integrand) * h)
 
 

@@ -85,7 +85,7 @@ class PlateauInterval:
         return (self.lo, self.midpoint, self.hi)
 
 
-def critical_points(fp, tol=1e-12):
+def critical_points(fp):
     """Critical points of the projected profile, bisection-refined.
 
     Flat stretches of the derivative where the profile itself is significant
@@ -100,7 +100,7 @@ def critical_points(fp, tol=1e-12):
     if scale < 1e-14:
         raise DegenerateProfileError("projected derivative vanishes identically")
     significant = fp.values > 1e-12 * float(np.max(fp.values))
-    flat = (np.abs(d) <= tol * scale) & significant
+    flat = (np.abs(d) <= 1e-12 * scale) & significant
 
     points = []
     runs = _runs(flat, min_len=3)
@@ -201,11 +201,11 @@ def certifies(p, bound):
     return bound >= proof
 
 
-def truncation_bound(p, s, b, n_directions=20, seed=7, return_details=False):
+def truncation_bound(p, s, b, return_details=False):
     """Cut-off B beyond which every |k|^2 is taken to have a positive margin.
 
-    B = 2 * max |PV| over 64 probes in each sampled direction (one
-    ``_sinc_cauchy`` call per direction); the factor 2 is the safety
+    B = 2 * max |PV| over 64 probes in each of 20 seeded random directions
+    (one ``_sinc_cauchy`` call per direction); the factor 2 is the safety
     inflation.  The maximum is sampled, so B is certified only when
     ``certifies(p, B)`` holds: a closure-backed profile whose proven PV
     bound B covers.  The details carry ``pv_max`` and that verdict as
@@ -217,7 +217,7 @@ def truncation_bound(p, s, b, n_directions=20, seed=7, return_details=False):
     if not b > (p.grid.dim - 1) / 4.0:
         raise ValidationError("truncation bound requires b > (d-1)/4")
     pv_max = 0.0
-    for e in _random_directions(p.grid.dim, n_directions, seed):
+    for e in _random_directions(p.grid.dim, 20, 7):
         fp = project(p, e)
         probes = fp.alphas[:: max(1, len(fp.alphas) // 64)]
         pv = _sinc_cauchy(fp.derivative, fp.alphas, probes).real

@@ -398,9 +398,9 @@ class Profile:
     def mass_grid(self):
         return self.grid.integrate(self.values)
 
-    def is_even_v1(self, tol=1e-10):
+    def is_even_v1(self):
         flipped = _flip_v1(self.values)
-        return float(np.max(np.abs(self.values - flipped))) <= tol * max(
+        return float(np.max(np.abs(self.values - flipped))) <= 1e-15 * max(
             1.0, float(np.max(np.abs(self.values)))
         )
 
@@ -495,7 +495,7 @@ def symmetrize(p, delta2):
         raise ValidationError("delta2 must be positive")
     meta = dict(p.meta)
     meta.update(provenance="symmetrized", delta2=float(delta2))
-    if p.is_even_v1(tol=1e-15):
+    if p.is_even_v1():
         return Profile(p.grid, p.values.copy(), p.closure, meta)
     v1 = p.grid.axis()
     sig = cutoff_sigma(v1 / delta2)

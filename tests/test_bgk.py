@@ -212,7 +212,7 @@ def per_call_accumulate(mp, b, mode):
     out = np.zeros_like(b)
     c = 2.0 * b
     for t in mp.mixture.terms:
-        P, Q, k_unit = _unit_kernel(float(f"{t.v0 / t.w1:.14g}"), 2048, 256, 56)
+        P, Q, k_unit = _unit_kernel(float(f"{t.v0 / t.w1:.14g}"))
         weight, w2 = t.weight, t.w1 ** 2
         rho = w2 * _RHO
         k_hat = (weight / w2) * k_unit

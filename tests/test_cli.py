@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from vplab import bgk
 from vplab.cli import ExperimentConfig, main, run
 from vplab.errors import ValidationError
 
@@ -51,6 +52,15 @@ class TestConfig:
         cfg3 = ExperimentConfig.parse(write_config(
             tmp_path, PENROSE_STABLE + "# a comment\n", "c.cfg"))
         assert cfg3.hash() == h1  # comments do not enter the hash
+
+    @pytest.mark.parametrize("command,key", [
+        ("bgk-build", "v0"), ("linear-decay", "periods"), ("linear-decay", "b"),
+        ("simulate", "cadence")])
+    def test_unread_key_refused(self, tmp_path, capsys, command, key):
+        # keys the command never reads are refused, not silently ignored
+        path = write_config(tmp_path, f"command = {command}\n{key} = 1\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert repr(key) in capsys.readouterr().err
 
     def test_schema_violation_lists_keys(self, tmp_path):
         path = write_config(tmp_path, PENROSE_STABLE + "bogus.key = 1\n")
@@ -118,6 +128,7 @@ r = 1e-3
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["poisson_residual"] <= 1e-7
         assert manifest["relative_poisson_residual"] <= 1e-6
+        assert manifest["tolerances"]["period_tol_rel"] == bgk.PERIOD_TOL_REL
 
     def test_linear_decay_unstable_exit2(self, tmp_path):
         text = """

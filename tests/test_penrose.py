@@ -238,6 +238,14 @@ class TestPenroseCheck:
         for e in rep.entries:
             assert abs(e.margin - (e.k2 + 1.0)) < 1e-6
 
+    def test_threads_match_serial(self, maxwellian2):
+        # four directions below B, so two threads take the pooled path
+        lattice = DualLattice((2 * np.pi, 2 * np.pi))
+        serial = penrose_check(maxwellian2, lattice, 1.6, 0.3, threads=1)
+        assert len({e.direction for e in serial.entries}) > 1
+        pooled = penrose_check(maxwellian2, lattice, 1.6, 0.3, threads=2)
+        assert pooled.to_json() == serial.to_json()
+
     def test_double_bump_unstable_on_long_box(self, double_bump2):
         # pick T1 with (2 pi/T1)^2 below the PV value at the central dip
         fp = project(double_bump2, (1.0, 0.0))

@@ -408,6 +408,30 @@ class TestDecayExperiment:
         assert rep.perturbation_norm > 0
 
 
+class TestFftWorkers:
+    """``--threads`` reaches the solver as ``sim.FFT_WORKERS``: two FFT
+    workers must give the one-worker state bit for bit."""
+
+    @staticmethod
+    def _final(state, monkeypatch, workers):
+        monkeypatch.setattr(sim, "FFT_WORKERS", workers)
+        return run(SimState(state.grid, state.f.copy()), 20, output_every=5)[0].f
+
+    def test_1d1v(self, grid1v, maxprofile, monkeypatch):
+        st = perturb_cosine(sample_profile(maxprofile, grid1v), 0.05)
+        one = self._final(st, monkeypatch, 1)
+        assert np.array_equal(self._final(st, monkeypatch, 2), one)
+
+    def test_1d2v(self, monkeypatch):
+        # rank 2 over v2, so the transverse factor is not trivial
+        g = _grid2v()
+        v2 = g.vaxes[1].axis()
+        cosx = np.cos(g.x)[:, None, None]
+        st = _normalised(g, _maxwellian_v(g)[None] * (1.0 + 0.05 * cosx * (1.0 + 0.2 * v2 ** 2)))
+        one = self._final(st, monkeypatch, 1)
+        assert np.array_equal(self._final(st, monkeypatch, 2), one)
+
+
 class TestComoving:
     def test_shift_identity(self, grid1v, maxprofile):
         st = perturb_cosine(sample_profile(maxprofile, grid1v), 0.05)
