@@ -2,7 +2,7 @@
 
 Modules
 -------
-profiles   velocity distributions, regularisation, projections
+profiles   velocity distributions, projections
 norms      weighted/fractional Sobolev norms and Hardy quotients
 penrose    linear-stability margins with certified wave-vector truncation
 bgk        small-amplitude travelling-wave construction and diagnostics
@@ -18,10 +18,7 @@ from .profiles import (
     ProjectedProfile,
     VelocityGrid,
     make_builtin,
-    mollify,
-    moments,
     project,
-    symmetrize,
 )
 from .norms import (
     NormSpec,
@@ -38,7 +35,6 @@ from .bgk import (
     build_modified,
     build_wave,
     galilean_boost,
-    h_function,
     match_period,
     obstruction_diagnostic,
     periodic_orbit,

@@ -1,7 +1,7 @@
 """Construction of small-amplitude 1D BGK travelling waves.
 
-The pipeline follows the bifurcation route: regularise the base profile,
-continue it evenly in the energy variable y = v1^2, add a scaled modification
+The pipeline follows the bifurcation route: continue the base profile
+evenly in the energy variable y = v1^2, add a scaled modification
 that turns the origin of beta'' = h(beta) into a center, select the orbit
 with prescribed H^2 amplitude, and match the spatial period by adjusting
 the modification scale.
@@ -27,7 +27,6 @@ from .errors import (
     AmplitudeTooLargeError,
     BracketError,
     RegularityError,
-    UnresolvableBumpError,
     ValidationError,
 )
 from .profiles import (
@@ -283,11 +282,6 @@ def make_h(mp):
     return BifurcationH(mp)
 
 
-def h_function(mp, beta):
-    """Value of the reduced ODE right-hand side at the given potential level."""
-    return make_h(mp)(beta)
-
-
 def hprime0_centered(h, scale=1e-6):
     """Centered-difference h'(0) at a step matched to the feature scale."""
     return (h(scale) - h(-scale)) / (2.0 * scale)
@@ -454,18 +448,10 @@ class BgkWave:
         self._coef = coef
         self._k = 2.0 * np.pi * np.arange(len(coef)) / self.T1
 
-    def _trig_sum(self, x, coef):
-        """Real part of sum_k coef_k e^{i k x}, the shared trigonometric sum."""
-        phases = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), self._k))
-        return (phases * coef).real.sum(axis=-1)
-
     def beta_at(self, x):
         """Trigonometric interpolation of the potential (spectrally accurate)."""
-        return self._trig_sum(x, self._coef)
-
-    def efield_at(self, x):
-        """E = -beta' of the trigonometric interpolant."""
-        return self._trig_sum(x, -1j * self._k * self._coef)
+        phases = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), self._k))
+        return (phases * self._coef).real.sum(axis=-1)
 
     def f_eval(self, x, v1, *trans):
         """Distribution at t = 0 on broadcastable coordinate arrays."""
@@ -508,12 +494,6 @@ class BgkWave:
         vals = self.sample_phase_space(
             xs, vs, *([np.linspace(-4, 4, 17)] * (self.dim - 1)))
         return float(np.min(vals))
-
-    def mass_per_period(self):
-        """Integral of f over one period; equals T1 + time-independent residual."""
-        hb = self.h(self.beta)
-        dx = self.T1 / len(self.beta)
-        return self.T1 + float(np.sum(hb) * dx)
 
     def count_maxima(self):
         b = self.beta
@@ -827,8 +807,8 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
 
     if f0.closure is None:
         raise ValidationError(
-            "build_wave needs an analytic closure; mollify/symmetrize produce "
-            "grid profiles for diagnostics, not for the construction driver"
+            "build_wave needs a profile with an analytic closure; "
+            "grid profiles are not accepted"
         )
     sel = select_case(f0, T1)
     case = sel.case

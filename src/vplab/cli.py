@@ -20,9 +20,9 @@ import numpy as np
 
 from . import container
 from .errors import PenroseUnstableError, ValidationError, VplabError
-from .norms import NormSpec, fractional_wsp_norm, mixed_norm, norm_report, weighted_hsb_norm
+from .norms import NormSpec, fractional_wsp_norm, norm_report, weighted_hsb_norm
 from .penrose import MARGIN_TOL, DualLattice, penrose_check
-from .profiles import Profile, VelocityGrid, make_builtin, moments
+from .profiles import Profile, VelocityGrid, make_builtin
 from . import linear as linear_mod
 from . import sim as sim_mod
 from .bgk import PERIOD_TOL_REL, POISSON_RESIDUAL_TOL, build_wave
@@ -180,7 +180,7 @@ def run(config, outdir, threads=1, verbose=False):
         datum = linear_mod.Datum1D(
             fp.alphas, config.get("amplitude", 1e-3, float) * fp.values)
         series = linear_mod.efield_mode(kmag, fp, datum,
-                                        config.get("t_end", 50.0, float),
+                                        config.get("t_end", 80.0, float),
                                         kvec=(kmag,) + (0.0,) * (profile.grid.dim - 1))
         hist = linear_mod.FieldHistory()
         hist.add(series)

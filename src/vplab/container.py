@@ -15,7 +15,6 @@ import struct
 import numpy as np
 
 from .errors import ValidationError
-from .profiles import GaussianMixture, GaussianPairTerm, Profile, VelocityGrid
 
 MAGIC = b"VPLB"
 VERSION = 1
@@ -64,18 +63,6 @@ def _closure_header(closure):
     }
 
 
-def _closure_from_header(head, dim):
-    if head is None:
-        return None
-    if head.get("name") != "gaussian_mixture":
-        return None
-    terms = [
-        GaussianPairTerm(t["weight"], t["v0"], t["w1"], tuple(t["wt"]))
-        for t in head["terms"]
-    ]
-    return GaussianMixture(dim, terms)
-
-
 def save_profile(path, profile):
     header = {
         "kind": "profile",
@@ -86,15 +73,6 @@ def save_profile(path, profile):
         "closure": _closure_header(profile.closure),
     }
     _write_blob(path, header, [("values", profile.values)])
-
-
-def load_profile(path):
-    header, payloads = _read_blob(path)
-    if header.get("kind") != "profile":
-        raise ValidationError(f"{path}: container does not hold a profile")
-    grid = VelocityGrid(header["dim"], header["vmax"], header["n"])
-    closure = _closure_from_header(header.get("closure"), grid.dim)
-    return Profile(grid, payloads["values"], closure, dict(header.get("meta", {})))
 
 
 def save_wave(path, wave):
@@ -115,14 +93,6 @@ def load_wave_header(path):
     if header.get("kind") != "bgk_wave":
         raise ValidationError(f"{path}: container does not hold a wave")
     return header, payloads
-
-
-def profile_to_csv(path, profile):
-    axes = profile.grid.axes()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cols = [m.ravel() for m in mesh] + [profile.values.ravel()]
-    names = [f"v{i + 1}" for i in range(profile.grid.dim)] + ["f"]
-    write_csv(path, names, cols)
 
 
 def wave_to_csv(path, wave):

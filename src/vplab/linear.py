@@ -234,8 +234,7 @@ class FieldHistory:
     """Per-mode field series plus the weighted space-time decay norm.
 
     One representative of each +-k pair is stored; the conjugate partner
-    (real initial data) is implied, so reconstructions are real and norms
-    carry a pair factor of two.
+    (real initial data) is implied, so norms carry a pair factor of two.
     """
 
     modes: dict = field(default_factory=dict)  # kvec tuple -> ModeSeries
@@ -246,19 +245,6 @@ class FieldHistory:
             raise ValidationError(
                 f"mode {series.kvec} conflicts with stored representative {minus}")
         self.modes[series.kvec] = series
-
-    def reconstruct(self, x_points, t_index):
-        """Real vector field E(x, t_j) at the given x points (rows)."""
-        x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
-        dim = x_points.shape[1]
-        out = np.zeros((x_points.shape[0], dim), dtype=complex)
-        for kvec, series in self.modes.items():
-            k = np.asarray(kvec, dtype=float)
-            e = k / np.linalg.norm(k)
-            phase = np.exp(1j * (x_points @ k))
-            contrib = series.values[t_index] * phase
-            out += (contrib + np.conj(contrib))[:, None] * e[None, :]
-        return out
 
     def decay_norm(self, s_x, s_v):
         """|| t^{s_v} E ||_{L^2_t H_x^{3/2+s_x+s_v}} from the mode series."""

@@ -18,12 +18,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.special import dawsn
 
-from .errors import (
-    DegenerateProfileError,
-    QuadratureConvergenceError,
-    UnresolvableBumpError,
-    ValidationError,
-)
+from .errors import QuadratureConvergenceError, ValidationError
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -42,20 +37,6 @@ def smooth_step(t):
     a = np.exp(-1.0 / tm)
     b = np.exp(-1.0 / (1.0 - tm))
     out[mid] = a / (a + b)
-    return out
-
-
-def cutoff_sigma(x):
-    """Even cut-off: 1 on |x| <= 1, 0 on |x| >= 2, smooth monotone between."""
-    return smooth_step(2.0 - np.abs(np.asarray(x, dtype=float)))
-
-
-def mollifier_kernel(r):
-    """Unnormalised compactly supported bump exp(-1/(1-r^2)) on r < 1."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
     return out
 
 
@@ -398,17 +379,6 @@ class Profile:
     def mass_grid(self):
         return self.grid.integrate(self.values)
 
-    def is_even_v1(self):
-        flipped = _flip_v1(self.values)
-        return float(np.max(np.abs(self.values - flipped))) <= 1e-15 * max(
-            1.0, float(np.max(np.abs(self.values)))
-        )
-
-
-def _flip_v1(values):
-    """Reflection v1 -> -v1 using the periodic index map i -> (n-i) mod n."""
-    return np.roll(values[::-1, ...], 1, axis=0)
-
 
 def make_builtin(name, grid, **params):
     """Construct a built-in unit-mass profile with analytic closure.
@@ -459,65 +429,6 @@ def make_builtin(name, grid, **params):
         )
     prof.meta["truncated_mass"] = max(0.0, 1.0 - prof.mass_grid)
     return prof
-
-
-def mollify(p, delta1):
-    """Convolve with the scaled compact bump; discrete mass is preserved exactly."""
-    if delta1 <= 0:
-        raise ValidationError("delta1 must be positive")
-    if delta1 < 2.0 * p.grid.h:
-        raise UnresolvableBumpError(
-            f"delta1={delta1:.3g} below grid resolution h={p.grid.h:.3g}"
-        )
-    ax = p.grid.axis()
-    r2 = None
-    for _ in range(p.grid.dim):
-        g2 = ax ** 2
-        r2 = g2 if r2 is None else np.add.outer(r2, g2)
-    kernel = mollifier_kernel(np.sqrt(r2) / delta1)
-    ksum = kernel.sum()
-    if ksum <= 0:
-        raise UnresolvableBumpError("mollifier kernel vanishes on the grid")
-    kernel = kernel / ksum
-    # circular convolution; the kernel is centred at v=0 which is index vmax/h
-    shift = int(round(p.grid.vmax / p.grid.h))
-    kernel = np.roll(kernel, -shift, axis=tuple(range(p.grid.dim)))
-    out = sfft.ifftn(sfft.fftn(p.values) * sfft.fftn(kernel)).real
-    out = np.maximum(out, 0.0)
-    meta = dict(p.meta)
-    meta.update(provenance="mollified", delta1=float(delta1))
-    return Profile(p.grid, out, None, meta)
-
-
-def symmetrize(p, delta2):
-    """Blend in the even-in-v1 part on |v1| <= 2*delta2; even exactly on |v1| <= delta2."""
-    if delta2 <= 0:
-        raise ValidationError("delta2 must be positive")
-    meta = dict(p.meta)
-    meta.update(provenance="symmetrized", delta2=float(delta2))
-    if p.is_even_v1():
-        return Profile(p.grid, p.values.copy(), p.closure, meta)
-    v1 = p.grid.axis()
-    sig = cutoff_sigma(v1 / delta2)
-    odd = 0.5 * (p.values - _flip_v1(p.values))
-    shape = (p.grid.n,) + (1,) * (p.grid.dim - 1)
-    out = p.values - odd * sig.reshape(shape)
-    out = np.maximum(out, 0.0)
-    return Profile(p.grid, out, None, meta)
-
-
-def taper_tail(p, radius):
-    """Cut the profile off outside |v| >= 2*radius and renormalise.
-
-    The cut-off radius is a free parameter; callers choose it so the removed
-    mass is negligible for their tolerance.
-    """
-    mesh = p.grid.mesh()
-    r = np.sqrt(sum(m ** 2 for m in mesh))
-    out = p.values * cutoff_sigma(r / radius)
-    meta = dict(p.meta)
-    meta.update(provenance="tapered", tail_radius=float(radius))
-    return Profile.from_values(p.grid, out, meta=meta, normalize=True, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +585,8 @@ def project_field(values, grid, e):
     d = grid.dim
     cell_t = grid.h ** (d - 1)
     if d == 1:
-        return values if e[0] > 0 else _flip_v1(values)
+        # v1 -> -v1 via the periodic index map i -> (n-i) mod n
+        return values if e[0] > 0 else np.roll(values[::-1, ...], 1, axis=0)
     coords = grid.axis()
     if d == 2:
         theta = math.atan2(e[1], e[0])
@@ -689,34 +601,8 @@ def project_field(values, grid, e):
 
 
 # ---------------------------------------------------------------------------
-# moments and the singular v1-integral
+# the singular v1-integral
 # ---------------------------------------------------------------------------
-
-def moments(p):
-    """(mass, momentum vector, kinetic energy) with Richardson error estimates."""
-    mesh = p.grid.mesh()
-    cell = p.grid.cell
-
-    def all_three(values, mesh, cell, step):
-        sl = (slice(None, None, step),) * p.grid.dim
-        v = values[sl]
-        m = [g[sl] for g in mesh]
-        c = cell * step ** p.grid.dim
-        mass = float(np.sum(v) * c)
-        mom = np.array([float(np.sum(g * v) * c) for g in m])
-        kin = float(np.sum(sum(g ** 2 for g in m) * v) * c)
-        return mass, mom, kin
-
-    fine = all_three(p.values, mesh, cell, 1)
-    coarse = all_three(p.values, mesh, cell, 2)
-    err = (
-        abs(fine[0] - coarse[0]),
-        np.abs(fine[1] - coarse[1]),
-        abs(fine[2] - coarse[2]),
-    )
-    return {"mass": fine[0], "momentum": fine[1], "kinetic": fine[2],
-            "error": {"mass": err[0], "momentum": err[1], "kinetic": err[2]}}
-
 
 def dv1_over_v1_integral(p, check=True):
     """Integral of d_v1 f / v1 over velocity space (finite for even-near-0 profiles).

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from vplab.profiles import VelocityGrid, make_builtin
+from vplab.profiles import VelocityGrid, make_builtin, smooth_step
 
 # one hypothesis profile for every property test: timings on shared
 # machines vary, so no per-example deadline; a failure prints its blob
 settings.register_profile("vplab", deadline=None, print_blob=True)
 settings.load_profile("vplab")
+
+
+def cutoff_sigma(x):
+    """Even cut-off: 1 on |x| <= 1, 0 on |x| >= 2, smooth monotone between."""
+    return smooth_step(2.0 - np.abs(np.asarray(x, dtype=float)))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Every settable default in the package is on a reviewed list.
+"""Every settable default and every definition in the package is reviewed.
 
 A keyword default that no caller varies is a configuration nobody runs.
 This test reads ``src/vplab/*.py`` with ``ast`` (it imports none of them)
@@ -6,12 +6,21 @@ and collects ``module.qualname:param`` for every defaulted parameter and
 every ``*args``/``**kwargs``; the set must equal ``KNOBS``.  A change that
 adds a knob adds it here, where review sees it; one that removes a knob
 removes it here.
+
+Likewise a definition that only tests read is code the pipeline never
+runs.  Every module-level function or class and every non-dunder method
+must be read by name somewhere in ``src/``, ``demos/`` or ``perfbench/``,
+or be on the reviewed ``ORACLES`` list.  The converse also holds: every
+name a module reads must be bound somewhere in it, so deleting a
+definition cannot leave a reader behind that fails only when reached.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vplab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "vplab"
 
 KNOBS = {
     "bgk.select_case:check",
@@ -99,3 +108,88 @@ def test_knobs_are_the_reviewed_list():
              for knob in _knobs(ast.parse(path.read_text(), filename=path.name), [])}
     assert sorted(found - KNOBS) == [], "new knobs: add them to KNOBS"
     assert sorted(KNOBS - found) == [], "removed knobs: drop them from KNOBS"
+
+
+# Definitions kept although only tests read them by name.
+ORACLES = {
+    # criterion 9: the obstruction to invariant structures above the threshold
+    "bgk.obstruction_diagnostic",
+    "bgk.obstruction_fixed_point",
+    "bgk.obstruction_1d_contrast",
+    # independent oracles the tests compare the pipeline against
+    "bgk.hprime0_centered",
+    "profiles.Mixture1D.pv_exact",
+    "sim.reverse_velocity",
+    # the validated constructor of grid data, through which the tests drive
+    # every closure-free path
+    "profiles.Profile.from_values",
+    # rebound by dotted name in perfbench/spans.py (pinned by test_bench_api)
+    "sim.SimState.moments",
+    "sim.SimState.current",
+}
+
+
+def _definitions(tree):
+    """(qualname, node) of every module-level def/class and non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for meth in node.body:
+                if (isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (meth.name.startswith("__") and meth.name.endswith("__"))):
+                    yield f"{node.name}.{meth.name}", meth
+
+
+def _reads(tree):
+    """(name, line) of every loaded ``ast.Name`` and ``ast.Attribute``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def test_every_definition_has_a_reader():
+    trees = {path: ast.parse(path.read_text(), filename=path.name)
+             for top in ("src", "demos", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))}
+    reads = {}
+    for path, tree in trees.items():
+        for name, line in _reads(tree):
+            reads.setdefault(name, []).append((path, line))
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, node in _definitions(trees[path]):
+            # a read inside the definition itself (recursion) does not count
+            if not any(p != path or not node.lineno <= line <= node.end_lineno
+                       for p, line in reads.get(node.name, ())):
+                unread.add(f"{path.stem}.{qualname}")
+    assert sorted(unread - ORACLES) == [], "only tests read these: delete them"
+    assert sorted(ORACLES - unread) == [], "read in the package now: drop from ORACLES"
+
+
+def _bound(tree):
+    """Every name a module binds anywhere: defs, parameters, targets, imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield (node.asname or node.name).split(".")[0]
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            yield node.name
+
+
+def test_every_read_name_is_bound():
+    known = set(dir(builtins)) | {"__file__"}
+    unbound = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        bound = known | set(_bound(tree))
+        unbound |= {f"{path.stem}.{node.id}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id not in bound}
+    assert sorted(unbound) == [], "read but never bound: a NameError when reached"

@@ -146,6 +146,21 @@ amplitude = 1e-3
         code = main(["--config", str(path), "--out", str(tmp_path / "o2")])
         assert code == 2
 
+    def test_linear_decay_defaults_exit0(self, tmp_path):
+        # the default t_end must cover the weighted integral of the default
+        # k = 0.5 mode, so a stable profile runs on defaults alone
+        text = """
+command = linear-decay
+profile.name = maxwellian
+grid.dim = 1
+grid.n = 512
+"""
+        path = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "decay.json").read_text())
+        assert np.isfinite(report["norm"]) and report["norm"] > 0
+
     def test_rerun_bit_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, PENROSE_STABLE)
         outs = []

@@ -11,23 +11,17 @@ from vplab.profiles import VelocityGrid, make_builtin
 def test_profile_roundtrip(tmp_path, maxwellian2):
     path = tmp_path / "m.vplb"
     container.save_profile(path, maxwellian2)
-    back = container.load_profile(path)
-    assert np.array_equal(back.values, maxwellian2.values)
-    assert back.grid == maxwellian2.grid
-    assert back.meta["name"] == "maxwellian"
-    # closure survives as the named mixture
-    assert back.closure is not None
-    assert abs(back.closure.mass() - 1.0) < 1e-14
-
-
-def test_profile_csv(tmp_path, maxwellian1):
-    path = tmp_path / "m.csv"
-    container.profile_to_csv(path, maxwellian1)
-    header = path.read_text().splitlines()[0]
-    assert header == "v1,f"
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (maxwellian1.grid.n, 2)
-    assert np.allclose(rows[:, 1], maxwellian1.values)
+    header, payloads = container._read_blob(path)
+    assert np.array_equal(payloads["values"], maxwellian2.values)
+    assert header["kind"] == "profile"
+    grid = maxwellian2.grid
+    assert (header["dim"], header["n"], header["vmax"]) == (grid.dim, grid.n, grid.vmax)
+    assert header["meta"] == maxwellian2.meta
+    # closure survives as the named mixture of its terms
+    assert header["closure"]["name"] == "gaussian_mixture"
+    assert header["closure"]["terms"] == [
+        {"weight": t.weight, "v0": t.v0, "w1": t.w1, "wt": list(t.wt)}
+        for t in maxwellian2.closure.terms]
 
 
 def test_wave_roundtrip(tmp_path, maxwellian2):
@@ -52,7 +46,7 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.vplb"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValidationError):
-        container.load_profile(path)
+        container.load_wave_header(path)
 
 
 def test_json_writer_handles_numpy(tmp_path):

@@ -245,14 +245,6 @@ class TestReductionConsistency:
         s1 = efield_mode(0.7, fp1, d1, t_end=25.0, kvec=(0.7,))
         assert np.max(np.abs(s2.values - s1.values)) < 1e-10
 
-    def test_reconstruction_real(self, maxwell_mode):
-        hist = FieldHistory()
-        hist.add(maxwell_mode)
-        x = np.array([[0.3], [1.1], [2.9]])
-        for ti in (0, 5, 20):
-            field = hist.reconstruct(x, ti)
-            assert np.max(np.abs(field.imag)) < 1e-12
-
     def test_conjugate_pair_rejected(self, maxwell_mode):
         hist = FieldHistory()
         hist.add(maxwell_mode)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import cutoff_sigma
 from vplab.errors import BoundaryDecayError, ValidationError
 from vplab.norms import (
     NormSpec,
@@ -183,8 +184,6 @@ class TestEquivalence:
             assert 1.0 / 12.0 < rep["ratio_split"] < 12.0
 
     def test_compact_support_bracket(self, grid2):
-        from vplab.profiles import cutoff_sigma
-
         mesh = grid2.mesh()
         r = np.sqrt(mesh[0] ** 2 + mesh[1] ** 2)
         f = np.exp(-r ** 2 * 8) * cutoff_sigma(2 * r)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import cutoff_sigma
 from vplab.errors import DegenerateProfileError, ValidationError
 from vplab.penrose import (
     PV_SUP,
@@ -17,7 +18,6 @@ from vplab.profiles import (
     Profile,
     ProjectedProfile,
     VelocityGrid,
-    cutoff_sigma,
     make_builtin,
     project,
 )

@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from vplab.errors import QuadratureConvergenceError, UnresolvableBumpError, ValidationError
+from conftest import cutoff_sigma
+from vplab.errors import QuadratureConvergenceError, ValidationError
 from vplab.profiles import (
     Profile,
     VelocityGrid,
-    cutoff_sigma,
     dv1_over_v1_integral,
     make_builtin,
-    mollify,
-    moments,
     project,
     smooth_step,
-    symmetrize,
-    taper_tail,
 )
 
 SQRT2PI = np.sqrt(2 * np.pi)
@@ -76,10 +72,10 @@ class TestBuiltins:
         v = maxwellian2.grid.mesh()
         expect = np.exp(-(v[0] ** 2 + v[1] ** 2) / 2) / (2 * np.pi)
         assert np.allclose(maxwellian2.values, expect, atol=1e-15)
-        m = moments(maxwellian2)
-        assert abs(m["mass"] - 1.0) < 1e-12
-        assert np.allclose(m["momentum"], 0.0, atol=1e-13)
-        assert abs(m["kinetic"] - 2.0) < 1e-10
+        integrate = maxwellian2.grid.integrate
+        assert abs(integrate(maxwellian2.values) - 1.0) < 1e-12
+        assert np.allclose([integrate(g * maxwellian2.values) for g in v], 0.0, atol=1e-13)
+        assert abs(integrate((v[0] ** 2 + v[1] ** 2) * maxwellian2.values) - 2.0) < 1e-10
 
     def test_double_bump_pv_positive(self, double_bump2):
         # the offset pair must carry a positive PV integral; checked against
@@ -103,78 +99,6 @@ class TestBuiltins:
             make_builtin("double_bump", VelocityGrid(2, 8.0, 256), v0=3.0)
 
 
-class TestMollify:
-    def test_mass_and_positivity(self, maxwellian1):
-        out = mollify(maxwellian1, 0.2)
-        assert abs(out.mass_grid - maxwellian1.mass_grid) < 1e-10
-        assert out.values.min() >= 0.0
-
-    def test_l1_distance_decreases(self, grid1):
-        ax = grid1.axis()
-        target = Profile.from_values(
-            grid1, np.exp(-((ax - 1.0) ** 2)) / np.sqrt(np.pi))
-        dists = []
-        for d1 in (0.8, 0.4, 0.2, 0.1):
-            out = mollify(target, d1)
-            dists.append(np.sum(np.abs(out.values - target.values)) * grid1.h)
-        assert all(np.diff(dists) < 0)
-        assert dists[-1] < 0.05
-
-    def test_unresolvable_rejected(self, maxwellian1):
-        with pytest.raises(UnresolvableBumpError):
-            mollify(maxwellian1, 0.5 * maxwellian1.grid.h)
-
-
-@pytest.fixture(scope="module")
-def shifted(grid1):
-    ax = grid1.axis()
-    return Profile.from_values(grid1, np.exp(-((ax - 1.0) ** 2) / 2) / SQRT2PI)
-
-
-class TestSymmetrize:
-
-    def test_even_exactly_on_window(self, shifted, grid1):
-        out = symmetrize(shifted, 0.5)
-        flip = np.roll(out.values[::-1], 1)
-        window = np.abs(grid1.axis()) <= 0.5
-        assert np.max(np.abs(out.values - flip)[window]) == 0.0
-
-    def test_mass_preserved(self, shifted):
-        out = symmetrize(shifted, 0.5)
-        assert abs(out.mass_grid - shifted.mass_grid) < 1e-13
-
-    def test_untouched_outside(self, shifted, grid1):
-        out = symmetrize(shifted, 0.5)
-        outside = np.abs(grid1.axis()) > 1.0 + 1e-9
-        assert np.max(np.abs(out.values - shifted.values)[outside]) == 0.0
-
-    def test_already_even_identity(self, maxwellian1):
-        out = symmetrize(maxwellian1, 0.3)
-        assert np.array_equal(out.values, maxwellian1.values)
-
-    def test_zero_odd_derivative_at_origin(self):
-        # even on [-delta2, delta2] forces a vanishing v1-derivative at 0;
-        # measured by the centred stencil inside the resolved window
-        g = VelocityGrid(2, 8.0, 512)
-        mesh = g.mesh()
-        vals = np.exp(-((mesh[0] - 1.0) ** 2 + mesh[1] ** 2) / 2) / (2 * np.pi)
-        out = symmetrize(Profile.from_values(g, vals, normalize=True), 0.1)
-        izero = int(round(g.vmax / g.h))
-        fd = (out.values[izero + 1, :] - out.values[izero - 1, :]) / (2 * g.h)
-        assert np.max(np.abs(fd)) == 0.0
-
-    def test_wsp_distance_vanishes(self, shifted, grid1):
-        from vplab.norms import fractional_wsp_norm
-
-        dists = []
-        for d2 in (0.8, 0.4, 0.2, 0.1):
-            out = symmetrize(shifted, d2)
-            dists.append(fractional_wsp_norm(
-                out.values - shifted.values, grid1, 1.0, 2.0))
-        assert all(np.diff(dists) < 0)
-        assert dists[-1] < 0.5 * dists[0]
-
-
 class TestProject:
     def test_maxwellian_marginal(self, maxwellian2):
         pp = project(maxwellian2, (1.0, 0.0))
@@ -195,6 +119,16 @@ class TestProject:
         expect = (np.exp(-((ax - 3.0) ** 2) / 2)
                   + np.exp(-((ax + 3.0) ** 2) / 2)) / (2 * SQRT2PI)
         assert np.max(np.abs(pp.values - expect)) < 1e-13
+
+    def test_d1_reflection(self, grid1):
+        # a closure-free 1D profile projected on -e1 is the v1 -> -v1 mirror
+        v = grid1.axis()
+        p = Profile.from_values(grid1, np.exp(-(v - 1.0) ** 2 / 2) / SQRT2PI)
+        plus, minus = project(p, (1.0,)), project(p, (-1.0,))
+        assert np.array_equal(minus.values, np.roll(plus.values[::-1], 1))
+        # index 0 is the periodic seam -vmax ~ +vmax, which maps to itself
+        expect = np.exp(-(minus.alphas + 1.0) ** 2 / 2) / SQRT2PI
+        assert np.max(np.abs(minus.values[1:] - expect[1:])) < 1e-14
 
     def test_non_unit_rejected(self, maxwellian2):
         with pytest.raises(ValidationError):
@@ -263,10 +197,3 @@ class TestSingularIntegral:
         for gamma, delta in ((0.1, 0.7), (0.02, 1.3), (1e-6, 1.0)):
             mp = build_modified(maxwellian2, gamma, delta, 1, v0=3.0)
             assert abs(mp.mass() - 1.0) < 1e-14
-
-
-class TestTaperTail:
-    def test_mass_renormalised(self, maxwellian1):
-        out = taper_tail(maxwellian1, 3.0)
-        assert abs(out.mass_grid - 1.0) < 1e-12
-        assert out.meta["tail_radius"] == 3.0
