@@ -162,9 +162,9 @@ _C_OK, _RHO = 9.0, 2.0
 def _unit_kernel(a):
     """Tables of K for the unit-weight, unit-width pair term with offset a.
 
-    Returns the Chebyshev antiderivatives P, Q of K and c K(c) on
-    [-_C_OK, _C_OK], and the scaled Taylor coefficients of
-    K(_RHO chat) = sum k_hat_m chat^m.
+    Returns the Chebyshev antiderivatives P, Q of K and of the series
+    product c K(c) on [-_C_OK, _C_OK] (K is sampled once), and the scaled
+    Taylor coefficients of K(_RHO chat) = sum k_hat_m chat^m.
     """
     n_cheb, n_taylor = 256, 56
     t = GaussianPairTerm(1.0, a, 1.0, ())
@@ -177,8 +177,7 @@ def _unit_kernel(a):
         return 2.0 * np.trapezoid(t.even_dval(y.ravel()).reshape(y.shape), u, axis=1)
 
     kc = cheb.interpolate(kfun, n_cheb, domain=[-_C_OK, _C_OK])
-    qc = cheb.interpolate(lambda c: np.atleast_1d(c) * kfun(c),
-                          n_cheb + 1, domain=[-_C_OK, _C_OK])
+    qc = kc * cheb.identity(domain=[-_C_OK, _C_OK])
 
     # Taylor coefficients of K at 0 by a Cauchy-integral FFT; K is entire,
     # so this gives relative accuracy at arbitrarily small shifts where the
@@ -211,9 +210,8 @@ class BifurcationH:
     def __init__(self, mp):
         self.mp = mp
         # per term: the unit tables P, Q, the weight, width^2, the Taylor
-        # radius, the scaled Taylor vectors of h and V and their exponents; the
-        # ratio is rounded to 14 digits so that float ratios like (3 lam)/lam
-        # share one table
+        # radius and the scaled Taylor vectors of h and V; the ratio is rounded
+        # to 14 digits so that float ratios like (3 lam)/lam share one table
         self._terms = []
         for t in mp.mixture.terms:
             P, Q, k_unit = _unit_kernel(float(f"{t.v0 / t.w1:.14g}"))
@@ -221,7 +219,7 @@ class BifurcationH:
             k_hat = (t.weight / w2) * k_unit
             mm = np.arange(len(k_hat))
             self._terms.append((P, Q, t.weight, w2, w2 * _RHO, k_hat / (mm + 1),
-                                k_hat / (2.0 * (mm + 1) * (mm + 2)), mm + 1))
+                                k_hat / (2.0 * (mm + 1) * (mm + 2))))
         self.c_admissible = _C_OK * min(t.w1 ** 2 for t in mp.mixture.terms)
 
     def hprime0(self):
@@ -244,12 +242,13 @@ class BifurcationH:
         """
         out = np.zeros_like(b)
         c = 2.0 * b
-        for P, Q, weight, w2, rho, k_h, k_v, expo in self._terms:
+        for P, Q, weight, w2, rho, k_h, k_v in self._terms:
             inner = np.abs(c) <= 0.45 * rho
             outer = ~inner
             if np.any(inner):
                 ch = c[inner] / rho
-                powers = ch[:, None] ** expo
+                # chat^1 .. chat^56 as a running product, one multiply per entry
+                powers = np.cumprod(np.broadcast_to(ch[:, None], (len(ch), len(k_h))), axis=1)
                 if mode == "h":
                     out[inner] -= rho * (powers @ k_h)
                 else:

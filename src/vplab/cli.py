@@ -167,7 +167,9 @@ def run(config, outdir, threads=1, verbose=False):
                 k: v for k, v in wave.provenance.items()
                 if k != "bisection_widths"},
                 "poisson_residual": resid,
-                "relative_poisson_residual": wave.relative_poisson_residual()})
+                "relative_poisson_residual": wave.relative_poisson_residual(),
+                "max_abs_efield": float(np.max(np.abs(wave.efield))),
+                "feature_width": wave.mp.bump_width})
         if verbose:
             print(f"distance bound {rep.total:.4g}; residual {resid:.2e}")
         return 0

@@ -48,16 +48,17 @@ def gagliardo_pow(vals, h, order, p, axis=0):
     without wrap-around, and over the other axes.  For p = 2 the offset sums
     S(m) = sum_{i>=m} v_i^2 + sum_{i<n-m} v_i^2 - 2 sum_i v_i v_{i+m} are
     correlations (v with v, v^2 with ones) read from one inverse FFT of
-    zero-padded spectra, O(n log n); the first _GAG_BAND are summed directly.
+    zero-padded spectra, O(n log n); the first _GAG_BAND are dot products d @ d.
     """
     v = np.moveaxis(np.asarray(vals, dtype=float), axis, 0)
     n = v.shape[0]
-    v = v.reshape(n, -1)
+    v = np.ascontiguousarray(v.reshape(n, -1))
     offsets = np.arange(1, n)
     sums = np.empty(n - 1)
     band = n - 1 if p != 2.0 else min(n - 1, _GAG_BAND)
     for m in range(1, band + 1):
-        sums[m - 1] = np.sum(np.abs(v[m:] - v[:-m]) ** p)
+        d = (v[m:] - v[:-m]).ravel()
+        sums[m - 1] = d @ d if p == 2.0 else np.sum(np.abs(d) ** p)
     if band < n - 1:
         # differences are shift-invariant: centring keeps the mean out of S
         v = v - v.mean(axis=0)

@@ -15,6 +15,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ class NormSpec:
 
 def check_boundary_decay(values, grid):
     scale = max(1.0, float(np.max(np.abs(values))))
-    res = grid.boundary_residual(np.abs(values))
+    res = grid.boundary_residual(values)
     if res > 1e-12 * scale:
         raise BoundaryDecayError(res, 1e-12 * scale)
 
@@ -64,11 +65,8 @@ def check_boundary_decay(values, grid):
 def _symbol(grid, s, half=False):
     """(1 + |xi|^2)^(s/2) on the fftn grid, or on the rfftn half spectrum."""
     xi2 = grid.freqs() ** 2
-    out = None
-    for ax in range(grid.dim):
-        q = xi2[:grid.n // 2 + 1] if half and ax == grid.dim - 1 else xi2
-        out = q if out is None else np.add.outer(out, q)
-    return (1.0 + out) ** (s / 2.0)
+    axes = [xi2] * (grid.dim - 1) + [xi2[:grid.n // 2 + 1] if half else xi2]
+    return (1.0 + functools.reduce(np.add.outer, axes)) ** (s / 2.0)
 
 
 def weighted_hsb_norm(values, grid, s, b):
@@ -79,12 +77,12 @@ def weighted_hsb_norm(values, grid, s, b):
     check_boundary_decay(values, grid)
     if np.iscomplexobj(values):
         smoothed = sfft.ifftn(sfft.fftn(values) * _symbol(grid, s))
+        sq = smoothed.real ** 2 + smoothed.imag ** 2
     else:
-        smoothed = sfft.irfftn(sfft.rfftn(values) * _symbol(grid, s, half=True),
-                               s=values.shape)
-    mesh = grid.mesh()
-    w = (1.0 + sum(m ** 2 for m in mesh)) ** b
-    return math.sqrt(float(np.sum(np.abs(w * smoothed) ** 2)) * grid.cell)
+        sq = sfft.irfftn(sfft.rfftn(values) * _symbol(grid, s, half=True),
+                         s=values.shape) ** 2
+    w2 = (1.0 + functools.reduce(np.add.outer, [grid.axis() ** 2] * grid.dim)) ** (2.0 * b)
+    return math.sqrt(float(np.sum(w2 * sq)) * grid.cell)
 
 
 def mixed_norm(h, x_periods, vgrid, s_x, s_v, b):

@@ -219,7 +219,7 @@ def per_call_accumulate(mp, b, mode):
         outer = ~inner
         if np.any(inner):
             ch = c[inner] / rho
-            powers = ch[:, None] ** np.arange(1, len(k_hat) + 1)[None, :]
+            powers = np.cumprod(np.broadcast_to(ch[:, None], (len(ch), len(k_hat))), axis=1)
             mm = np.arange(len(k_hat))
             if mode == "h":
                 out[inner] -= rho * (powers @ (k_hat / (mm + 1)))
@@ -274,6 +274,23 @@ class TestKernelTables:
         # h'(0) = -2 K(0) from the table, against the closed form
         assert h.hprime0() == pytest.approx(-mix.pv_d_integral(), rel=1e-12)
         assert hprime0_centered(h, 1e-9 * c_ok) == pytest.approx(h.hprime0(), rel=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(a=st.sampled_from((0.0, 3.0)), log_lam=st.floats(-6.0, 0.0),
+           inner=st.floats(-1.0, 1.0), outer=st.floats(-1.0, 1.0))
+    def test_h_and_v_match_per_term_build(self, a, log_lam, inner, outer):
+        # one beta in the term's Taylor disc and one in its Chebyshev zone,
+        # against the direct build (with ** powers) of that term
+        lam = 10.0 ** log_lam
+        term = GaussianPairTerm(0.7, a * lam, lam, ())
+        mix = GaussianMixture(1, [term])
+        h = BifurcationH(SimpleNamespace(mixture=mix, pv_d_integral=mix.pv_d_integral))
+        disc = 0.45 * _RHO * lam ** 2  # the Taylor zone |c| <= 0.45 rho
+        c = np.array([disc * inner,
+                      np.copysign(disc + (0.88 * h.c_admissible - disc) * abs(outer), outer)])
+        h_ref, V_ref, _ = per_term_h(term, 0.5 * c)
+        assert np.all(np.abs(h(0.5 * c) - h_ref) <= 1e-12 * np.abs(h_ref))
+        assert np.all(np.abs(h.potential(0.5 * c) - V_ref) <= 1e-12 * np.abs(V_ref))
 
     def test_new_delta_builds_no_table(self, maxwellian2):
         _unit_kernel.cache_clear()

@@ -129,6 +129,9 @@ r = 1e-3
         assert manifest["poisson_residual"] <= 1e-7
         assert manifest["relative_poisson_residual"] <= 1e-6
         assert manifest["tolerances"]["period_tol_rel"] == bgk.PERIOD_TOL_REL
+        # the field's size and the narrowest feature show a roundoff-scale wave
+        for key in ("max_abs_efield", "feature_width"):
+            assert np.isfinite(manifest[key])
 
     def test_linear_decay_unstable_exit2(self, tmp_path):
         text = """

@@ -63,6 +63,19 @@ class TestGagliardo:
         ours = gagliardo_pow(vals, h, order, p, axis)
         assert abs(ours - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_wide_transposed_field(self, axis, p):
+        # 48 x 320 as the transpose of a C-ordered array: the axis-0 rows are
+        # strided, and 320 columns are far more than the property draws
+        rng = np.random.default_rng(7)
+        base = _field("walk", 320, 48, rng) + _field("bump", 320, 48, rng)
+        vals = base.T
+        assert not vals.flags.c_contiguous
+        exact = gagliardo_double_sum(vals, 0.05, 0.6, p, axis)
+        ours = gagliardo_pow(vals, 0.05, 0.6, p, axis)
+        assert abs(ours - exact) <= 1e-12 * exact
+
     def test_constant_and_single_point(self):
         assert gagliardo_pow(np.full(300, 2.5), 0.1, 0.5, 2.0) == 0.0
         assert gagliardo_pow(np.array([1.0]), 0.1, 0.5, 2.0) == 0.0

@@ -56,6 +56,34 @@ class TestWeightedHsb:
         with pytest.raises(BoundaryDecayError):
             weighted_hsb_norm(bad, grid1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("side", [0, -1])
+    def test_negative_boundary_shell_refused(self, maxwellian2, grid2, side):
+        # a shell that is only negative: the guard reads |values|, not values
+        bad = maxwellian2.values.copy()
+        bad[:, side] = -1e-6
+        with pytest.raises(BoundaryDecayError):
+            weighted_hsb_norm(bad, grid2, 1.0, 0.5)
+        with pytest.raises(BoundaryDecayError):
+            weighted_hsb_norm(bad.astype(complex), grid2, 1.0, 0.5)
+
+    @pytest.mark.parametrize("dim, cplx", [(2, False), (1, True)])
+    def test_matches_mesh_weight_formula(self, dim, cplx, rng):
+        # sqrt(sum |(1+|v|^2)^b (1-Lap)^(s/2) f|^2 cell) with the mesh weight
+        # and a full complex FFT
+        grid = VelocityGrid(dim, 8.0, 128 if dim == 2 else 512)
+        mesh = grid.mesh()
+        field = np.exp(-sum(m ** 2 for m in mesh) / 2) * (1 + 0.4 * np.sin(2.0 * mesh[0]))
+        if cplx:
+            field = field * np.exp(1j * rng.uniform(0.5, 2.0) * mesh[0])
+        xi2 = sum(k ** 2 for k in np.meshgrid(*[grid.freqs()] * dim, indexing="ij"))
+        for s, b in ((0.0, 0.7), (1.3, 0.4), (2.0, 1.0)):
+            smoothed = np.fft.ifftn(np.fft.fftn(field) * (1.0 + xi2) ** (s / 2))
+            if not cplx:
+                smoothed = smoothed.real
+            w = (1.0 + sum(m ** 2 for m in mesh)) ** b
+            ref = np.sqrt(np.sum(np.abs(w * smoothed) ** 2) * grid.cell)
+            assert abs(weighted_hsb_norm(field, grid, s, b) - ref) <= 1e-13 * ref
+
     def test_monotone_in_s_and_b(self, maxwellian2, grid2):
         ss = np.linspace(0.0, 2.0, 5)
         bs = np.linspace(0.0, 1.0, 5)
