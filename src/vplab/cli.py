@@ -236,6 +236,8 @@ def run(config, outdir, threads=1, verbose=False):
             "identity_residual": report.identity_residual,
             "perturbation_norm": report.perturbation_norm,
             "clipped_mass": snap.clipped_mass,
+            "ranks": report.log.ranks,
+            "refactors": report.log.refactors,
         })
         _write_manifest(outdir, config, {
             "mass_tol_per_step": 1e-10, "energy_rel_tol": 1e-6})

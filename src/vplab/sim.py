@@ -8,14 +8,16 @@ staggered midpoints the fused loop naturally visits.
 
 The field acts along x1 and the x-shift reads v1 only, so v2 is a passive
 label: f = sum_j A_j(x, v1) B_j(v2) keeps B and its rank r exactly under every
-step.  ``run`` factors the state once (SVD over v2 above 1e-15 sigma_1; 1D-1V
-is A = f, B = [[1]]), advances A (Nx, Nv1, r) alone, takes moments through
-W = B (1, v2, v2^2) and forms the dense A B only at outputs.  A nonzero clip
-at an output is projected onto B, which is kept while the clipped state
-lies in its span to the SVD's own threshold (||f - A B||_F <= 1e-15
-sigma_1(A)), as roundoff clips of a state positive in v2 do; a larger
-residual re-factors the state, and the clip at the final output needs
-neither.  ``step`` and ``SimState`` use A = f, B = I.
+step.  ``run`` factors the state once (SVD over v2 above 1e-15 sigma_1 of a
+blocked tall-skinny QR; 1D-1V is A = f, B = [[1]]), advances A (Nx, Nv1, r)
+alone and takes moments through W = B (1, v2, v2^2).  Outputs stay factored:
+a ``Snapshot`` holds A and B, its clipped mass is summed from A B over row
+blocks, and its dense state max(A B, 0) is built only when ``.f`` is read.
+A nonzero clip at an output is projected onto B, which is kept while the
+clipped state lies in its span to the SVD's own threshold (||f - A B||_F
+<= 1e-15 sigma_1(A)), as roundoff clips of a state positive in v2 do; a
+larger residual re-factors the state, and the clip at the final output
+needs neither.  ``step`` and ``SimState`` use A = f, B = I.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from .penrose import critical_pv, margin_ok
 from .profiles import VelocityGrid, project
 
 FFT_WORKERS = 1
+# rows of the (Nx Nv1, Nv2) state per block in the dense passes: a block of
+# 64 v2 columns is 512 KiB, so it stays in cache while it is read
+_ROWS = 1024
 
 
 def set_fft_workers(n):
@@ -128,21 +133,27 @@ def _factor(f, grid, b=None):
 
     A given basis b is kept, with A = f b^T, when f lies in its span up to
     the truncation threshold ||f - A b||_F <= 1e-15 sigma_1(A); otherwise
-    (or without b) the basis comes from svd(qr(f)), keeping the singular
-    values above 1e-15 sigma_1.
+    (or without b) the basis comes from the SVD of the R factor of f,
+    keeping the singular values above 1e-15 sigma_1.  R is a tall-skinny QR:
+    the QR of the stacked R factors of the row blocks.  The QR and the span
+    residual read f in blocks of ``_ROWS`` rows; neither builds a dense
+    temporary.
     """
     x = f.reshape(grid.Nx * grid.vaxes[0].n, -1)
     shape, table = (grid.Nx, grid.vaxes[0].n, -1), _transverse_table(grid)
     if x.shape[1] == 1:
-        return x.reshape(shape), np.ones((1, 1)), table
+        return x.reshape(shape), np.ones((1, 1)) if b is None else b, table
+    starts = range(0, len(x), _ROWS)
     if b is not None:
         a = x @ b.T
         sigma1 = math.sqrt(float(np.linalg.eigvalsh(a.T @ a)[-1]))
-        resid = a @ b
-        resid -= x
-        if np.linalg.norm(resid) <= 1e-15 * sigma1:
+        resid = sum(float(np.sum((a[j:j + _ROWS] @ b - x[j:j + _ROWS]) ** 2))
+                    for j in starts)
+        if math.sqrt(resid) <= 1e-15 * sigma1:
             return a.reshape(shape), b, b @ table
-    _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"))
+    r = np.linalg.qr(np.concatenate([np.linalg.qr(x[j:j + _ROWS], mode="r")
+                                     for j in starts]), mode="r")
+    _, s, vt = np.linalg.svd(r)
     b = vt[:max(1, int(np.count_nonzero(s > 1e-15 * s[0])))]
     return (x @ b.T).reshape(shape), b, b @ table
 
@@ -212,14 +223,15 @@ def _advect_v(a, grid, efield, tau):
     return sfft.irfft(ahat, n=n, axis=1, workers=FFT_WORKERS)
 
 
-def _clip(state):
-    """Zero the negative part of state.f in place; returns the mass it adds."""
-    clipped = -float(np.minimum(state.f, 0.0).sum()) * state.grid.dx * state.grid.cell_v
-    state.clipped_mass += clipped
+def _clip(rows, b, grid):
+    """Mass that zeroing the negative part of f = rows b adds, summed over
+    blocks of ``_ROWS`` rows; ValidationError above 1e-8."""
+    neg = sum(float(np.minimum(rows[j:j + _ROWS] @ b, 0.0).sum())
+              for j in range(0, len(rows), _ROWS))
+    clipped = -neg * grid.dx * grid.cell_v
     if clipped > 1e-8:
         raise ValidationError(
             f"clipped mass {clipped:.2e} since the last output: resolution too low")
-    np.maximum(state.f, 0.0, out=state.f)
     return clipped
 
 
@@ -230,10 +242,10 @@ def step(state, force_zero_field=False):
     half = _x_phase(g, 0.5 * g.dt)
     a = _advect_x(state.f.reshape(g.Nx, g.vaxes[0].n, -1), g, half)
     e = np.zeros(g.Nx) if force_zero_field else SimState(g, a).efield()
-    a = _advect_x(_advect_v(a, g, e, g.dt), g, half)
-    new = SimState(g, a.reshape(g.shape), state.time + g.dt, state.clipped_mass)
-    _clip(new)
-    return new
+    f = _advect_x(_advect_v(a, g, e, g.dt), g, half).reshape(g.shape)
+    clipped = _clip(f.reshape(-1, 1), np.ones((1, 1)), g)
+    np.maximum(f, 0.0, out=f)
+    return SimState(g, f, state.time + g.dt, state.clipped_mass + clipped)
 
 
 def reverse_velocity(state):
@@ -243,8 +255,27 @@ def reverse_velocity(state):
 
 
 @dataclass
+class Snapshot:
+    """An output of ``run`` kept as its transverse factors A (Nx, Nv1, r)
+    and B (r, Nv2).  ``f`` builds the clipped dense state max(A B, 0) on
+    every read; nothing keeps it, so a stored snapshot costs A and B only."""
+
+    grid: PhaseGrid
+    a: np.ndarray
+    b: np.ndarray
+    time: float
+    clipped_mass: float
+
+    @property
+    def f(self):
+        f = (self.a @ self.b).reshape(self.grid.shape)
+        return np.maximum(f, 0.0, out=f)
+
+
+@dataclass
 class RunLog:
-    """Per-step midpoint diagnostics plus materialised output snapshots."""
+    """Per-step midpoint diagnostics plus factored output snapshots, the
+    transverse rank of each output and the fresh SVDs after the first."""
 
     t_mid: list = field(default_factory=list)
     mass: list = field(default_factory=list)
@@ -255,6 +286,8 @@ class RunLog:
     je: list = field(default_factory=list)
     energy: list = field(default_factory=list)
     snapshots: dict = field(default_factory=dict)
+    ranks: list = field(default_factory=list)
+    refactors: int = 0
 
     def arrays(self):
         return {k: np.asarray(getattr(self, k))
@@ -272,18 +305,24 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
     """Fused production loop on the transverse factors; returns (final state, RunLog).
 
     Midpoint diagnostics (mass, momenta, energy, field norms, the current-
-    field pairing) are recorded every ``diagnostics_every`` steps; dense
-    states are materialised every ``output_every`` steps (default
-    n_steps // 64) and at the last step.
+    field pairing) are recorded every ``diagnostics_every`` steps; outputs
+    are taken every ``output_every`` steps (default n_steps // 64) and at
+    the last step.  Each output is a factored ``Snapshot``: its dense state
+    is built only when read, and the final state is the last one's.
+    Raises ValidationError when n_steps < 1.
     """
     g = state.grid
+    if n_steps < 1:
+        raise ValidationError(
+            f"n_steps = {n_steps}: no step of dt = {g.dt:g} is taken "
+            f"(a t_end below dt/2 = {0.5 * g.dt:g} rounds to zero steps)")
     log = RunLog()
     out_every = output_every or max(1, n_steps // 64)
     half, full = _x_phase(g, 0.5 * g.dt), _x_phase(g, g.dt)
 
     a, b, w = _factor(state.f, g)
     a = _advect_x(a, g, half)
-    snap = state
+    clipped_mass = state.clipped_mass
     for i in range(n_steps):
         rho, j1, mass, mom, kin = _moments(a, w, g)
         e = poisson_solve(rho, g.T1)[1]
@@ -304,16 +343,20 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
         last = i == n_steps - 1
         if last or (i + 1) % out_every == 0:
             a = _advect_x(a, g, half)
-            snap = SimState(g, (a @ b).reshape(g.shape), state.time + (i + 1) * g.dt,
-                            snap.clipped_mass)
-            if _clip(snap) and not last:
-                a, b, w = _factor(snap.f, g, b)
+            clipped = _clip(a.reshape(-1, a.shape[2]), b, g)
+            clipped_mass += clipped
+            snap = Snapshot(g, a, b, state.time + (i + 1) * g.dt, clipped_mass)
             log.snapshots[round(snap.time, 12)] = snap
+            log.ranks.append(b.shape[0])
+            if clipped and not last:
+                a, kept, w = _factor(snap.f, g, b)
+                log.refactors += kept is not b
+                b = kept
             if not last:
                 a = _advect_x(a, g, half)
         else:
             a = _advect_x(a, g, full)
-    return SimState(g, snap.f.copy(), snap.time, snap.clipped_mass), log
+    return SimState(g, snap.f, snap.time, snap.clipped_mass), log
 
 
 def sample_profile(profile, grid):
@@ -336,13 +379,16 @@ def perturb_cosine(state, amplitude, mode=1, velocity_shape=None):
 
 
 def comoving_compare(state, reference_f, c):
-    """max |f(t, x + c t) - f_ref| after a spectral frame shift."""
+    """max |f(t, x + c t) - f_ref| after a spectral frame shift, taken over
+    blocks of ``_ROWS`` rows."""
     g = state.grid
-    if c == 0.0:
-        return float(np.max(np.abs(state.f - reference_f)))
-    shifted = _advect_x(state.f.reshape(g.Nx, g.vaxes[0].n, -1), g,
-                        np.exp(1j * g.kx * (c * state.time))[:, None, None])
-    return float(np.max(np.abs(shifted.reshape(g.shape) - reference_f)))
+    f = state.f
+    if c != 0.0:
+        f = _advect_x(f.reshape(g.Nx, g.vaxes[0].n, -1), g,
+                      np.exp(1j * g.kx * (c * state.time))[:, None, None])
+    f, ref = f.reshape(-1, g.shape[-1]), reference_f.reshape(-1, g.shape[-1])
+    return max(float(np.max(np.abs(f[j:j + _ROWS] - ref[j:j + _ROWS])))
+               for j in range(0, len(f), _ROWS))
 
 
 @dataclass
@@ -395,7 +441,7 @@ def run_bgk_steadiness(wave, grid, t_end, output_every_t=0.5, diagnostics_every=
     drift_e = math.sqrt(float(np.sum((e_end - e0) ** 2)) * grid.dx)
     model = grid.dt ** 2 * t_end * max(float(np.max(np.abs(e0))), 1e-13) * \
         grid.vaxes[0].vmax
-    worst = max(drifts) if drifts else 0.0
+    worst = max(drifts)
     return SteadinessReport(worst, drift_e, model, worst > 10 * model, resolved,
                             np.asarray(times), np.asarray(drifts), log)
 

@@ -217,6 +217,29 @@ b = 0.3
         assert (out / "diagnostics.csv").exists()
         assert (out / "final_state.vplb").exists()
 
+    @pytest.mark.parametrize("t_end,code", [(0.5, 0), (0.02, 1)])
+    def test_simulate_summary_and_zero_steps(self, tmp_path, capsys, t_end, code):
+        # a t_end below dt/2 takes no step: exit 1 with the step count,
+        # not a traceback; a run writes the rank at its one output
+        text = f"""
+command = simulate
+profile.name = maxwellian
+grid.dim = 1
+grid.n = 64
+grid.vmax = 9.0
+T1 = 12.566370614359172
+Nx = 16
+dt = 0.05
+t_end = {t_end}
+"""
+        out = tmp_path / "o6"
+        assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == code
+        if code:
+            assert "n_steps = 0" in capsys.readouterr().err
+        else:
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["ranks"] == [1] and summary["refactors"] == 0
+
     def test_module_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path, PENROSE_STABLE)
         proc = subprocess.run(

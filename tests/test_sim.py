@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from vplab.profiles import VelocityGrid, make_builtin
 from vplab.sim import (
     PhaseGrid,
     SimState,
+    Snapshot,
     _advect_v,
+    _clip,
     _factor,
     _moments,
     _transverse_table,
@@ -359,6 +363,128 @@ class TestFactoredRun:
         fin, log = run(st, 5, output_every=5)
         assert 0 < fin.clipped_mass and fin.f.min() >= 0
         assert len(log.snapshots) == 1 and len(svds) == 1
+
+
+class TestFactoredOutputs:
+    """Outputs stay factored: clip mass, span check and comparisons read
+    the state in row blocks, and ``Snapshot.f`` builds the dense state."""
+
+    @settings(max_examples=40)
+    @given(nx=hst.sampled_from((4, 8, 32)), nv1=hst.sampled_from((64, 128)),
+           nv2=hst.sampled_from((8, 16, 64)), rank=hst.integers(1, 4),
+           block=hst.sampled_from((sim._ROWS, 1000, 100)), tail=hst.integers(1, 64),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_factor_singular_values(self, nx, nv1, nv2, rank, block, tail, seed):
+        # 256 to 4096 rows in blocks of 1024, 1000 or 100: fewer rows than
+        # one block, exactly one block, and a short last block (48 rows
+        # under 64 columns for 2048 rows in blocks of 1000); from rank 2 on,
+        # the last component lives on the last ``tail`` rows only
+        rng = np.random.default_rng(seed)
+        g = PhaseGrid(T1, nx, (VelocityGrid(1, 8.0, nv1), VelocityGrid(1, 8.0, nv2)), 0.01)
+        u = rng.standard_normal((nx * nv1, rank)) * 10.0 ** rng.uniform(-3, 0, rank)
+        if rank > 1:
+            u[:-tail, -1] = 0.0
+        x = u @ rng.standard_normal((rank, nv2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_ROWS", block)
+            a, b, _ = _factor(x.reshape(g.shape), g)
+        want = np.linalg.svd(x, compute_uv=False)
+        got = np.linalg.svd(a.reshape(len(x), -1), compute_uv=False)
+        r = len(got)
+        assert b.shape == (r, nv2) and np.allclose(b @ b.T, np.eye(r), atol=1e-14)
+        assert np.all(np.abs(got - want[:r]) <= 1e-13 * want[0])
+        assert np.all(want[r:] <= 1e-13 * want[0])
+
+    @pytest.mark.parametrize("nx,rank,block", [(4, 1, 1024), (8, 3, 1024), (32, 2, 1000)])
+    def test_clip_mass_matches_dense(self, rng, nx, rank, block, monkeypatch):
+        g = PhaseGrid(T1, nx, (VelocityGrid(1, 8.0, 128), VelocityGrid(1, 8.0, 16)), 0.01)
+        rows = 1e-12 * rng.standard_normal((nx * 128, rank))
+        b = rng.standard_normal((rank, 16))
+        f = rows @ b
+        monkeypatch.setattr(sim, "_ROWS", block)
+        got = _clip(rows, b, g) / (g.dx * g.cell_v)
+        assert got > 0
+        assert abs(got + np.minimum(f, 0.0).sum()) <= 1e-14 * np.abs(f).sum()
+
+    @pytest.mark.parametrize("c", [0.0, 0.37])
+    @pytest.mark.parametrize("block", [1024, 1000])
+    def test_comoving_max_is_exact(self, rng, c, block, monkeypatch):
+        # the largest difference sits in the last row, in a full or a
+        # short (48-row) last block
+        g = _grid2v()
+        st = _lobe_datum(g)
+        st.time = 1.3
+        ref = st.f + 1e-3 * rng.standard_normal(g.shape)
+        ref[-1, -1] += 1.0
+        monkeypatch.setattr(sim, "_ROWS", block)
+        f = st.f
+        if c != 0.0:
+            from scipy import fft as sfft
+
+            fhat = sfft.rfft(f, axis=0) * np.exp(1j * g.kx * (c * st.time))[:, None, None]
+            f = sfft.irfft(fhat, n=g.Nx, axis=0)
+        assert comoving_compare(st, ref, c) == float(np.max(np.abs(f - ref)))
+
+    def test_snapshot_builds_the_clipped_product(self, rng):
+        g = _grid2v()
+        a = rng.standard_normal((g.Nx, g.vaxes[0].n, 2))
+        b = rng.standard_normal((2, g.vaxes[1].n))
+        snap = Snapshot(g, a, b, 0.5, 0.0)
+        assert np.array_equal(snap.f, np.maximum(a @ b, 0.0))
+        assert snap.f is not snap.f  # built on each read, never kept
+
+    def test_log_records_rank_and_refactors(self):
+        # the lobe's first clip grows the rank-2 basis (one fresh SVD); the
+        # second lies in the grown span, the third is the final output
+        fin, log = run(_lobe_datum(_grid2v()), 15, output_every=5)
+        assert len(log.ranks) == 3 and log.ranks[0] == 2 < log.ranks[1] == log.ranks[2]
+        assert log.refactors == 1
+        assert [s.b.shape[0] for _, s in sorted(log.snapshots.items())] == log.ranks
+
+
+@pytest.fixture(scope="module")
+def case3_wave():
+    from tests.test_bgk import tuned_case3_profile
+    from vplab.bgk import match_period
+
+    p, _ = tuned_case3_profile()
+    return match_period(p, 2 * np.pi, 0.0, 1e-3, case=3)[1]
+
+
+def test_steadiness_memory_stays_factored(case3_wave):
+    # the rank-1 wave on 64 x 128 x 32, four outputs: the snapshots hold
+    # their factors, so neither the peak nor what the report keeps grows
+    # with the number of outputs
+    g = PhaseGrid(2 * np.pi, 64, (VelocityGrid(1, 8.0, 128), VelocityGrid(1, 8.0, 32)), 0.01)
+    dense = 8 * np.prod(g.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = run_bgk_steadiness(case3_wave, g, t_end=0.4, output_every_t=0.1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.log.snapshots) == 4
+    assert rep.log.ranks == [1] * 4 and rep.log.refactors == 0
+    assert (peak - base) / dense < 5.0
+    assert (held - base) / dense < 0.5
+
+
+class TestZeroSteps:
+    """A run that rounds to no step is refused, not reported as steady."""
+
+    def test_run(self, grid1v, maxprofile):
+        with pytest.raises(ValidationError, match=r"n_steps = 0: .*dt = 0\.05"):
+            run(sample_profile(maxprofile, grid1v), 0)
+
+    def test_steadiness(self, case3_wave):
+        g = PhaseGrid(2 * np.pi, 64, (VelocityGrid(1, 8.0, 128), VelocityGrid(1, 8.0, 32)), 0.01)
+        with pytest.raises(ValidationError, match="n_steps = 0"):
+            run_bgk_steadiness(case3_wave, g, t_end=0.004)
+
+    def test_decay(self, grid1v, maxprofile):
+        with pytest.raises(ValidationError, match="n_steps = 0"):
+            run_decay_experiment(maxprofile, grid1v, 1e-3, 0.0, 1.6, 0.3, t_end=0.02)
 
 
 class TestSteadiness:
