@@ -29,7 +29,7 @@ from scipy import fft as sfft
 
 from .errors import PenroseUnstableError, RefinementCapError, ValidationError
 from .penrose import critical_pv, margin_ok
-from .profiles import _sinc_cauchy, smooth_step
+from .profiles import _BLOCK, _sinc_cauchy, smooth_step
 
 # nodes of the ray-tail and taper-wedge quadratures
 _GL96 = np.polynomial.legendre.leggauss(96)
@@ -105,15 +105,17 @@ def _cauchy_quad(samples, alphas, z_batch):
     The trapezoid form treats the samples as a discrete measure, which is
     what the contour-rotated ray tails need: the Cauchy transform of the
     sinc interpolant is entire and grows like e^{pi |Im z|/h} below the
-    axis, so ``_sinc_cauchy`` serves the real axis only.
+    axis, so ``_sinc_cauchy`` serves the real axis only.  The trapezoid
+    weights go into the samples once; each block of about ``_BLOCK``
+    kernel entries is one reciprocal pass and one matrix product.
     """
     z = np.asarray(z_batch).ravel()
+    weighted = samples * np.convolve(np.diff(alphas), [0.5, 0.5])
     out = np.empty(len(z), dtype=complex)
-    chunk = max(1, 2_000_000 // len(alphas))
-    for i0 in range(0, len(z), chunk):
-        zc = z[i0:i0 + chunk]
-        out[i0:i0 + chunk] = np.trapezoid(
-            samples[None, :] / (alphas[None, :] - zc[:, None]), alphas, axis=1)
+    rows = max(1, _BLOCK // len(alphas))
+    for i0 in range(0, len(z), rows):
+        d = alphas[None, :] - z[i0:i0 + rows, None]
+        out[i0:i0 + rows] = np.reciprocal(d, out=d) @ weighted
     return out.reshape(np.shape(z_batch))
 
 
@@ -334,6 +336,7 @@ def find_damping_root(fp, kmag):
 
     The phase-velocity root z maps to a field mode ~ e^{-i |k| z t}, so the
     damping rate is |k| |Im z| and the oscillation frequency |k| |Re z|.
+    Raises ValidationError when 60 Newton steps miss |k^2 - F| < 1e-12.
     """
     k2 = kmag ** 2
     res = np.linspace(0.2, 8.0, 80)
@@ -348,6 +351,11 @@ def find_damping_root(fp, kmag):
         z = z + f / ((f_minus - f_plus) / (2 * dz))
         if z.imag >= 0:
             z = complex(z.real, -abs(z.imag) - 1e-3)
+    else:
+        resid = abs(k2 - continued_dispersion(fp, z))
+        raise ValidationError(
+            f"no damping root: Newton ends at z = {z:.6g} with "
+            f"|k^2 - F(z)| = {resid:.3e} after 60 steps")
     rate = kmag * abs(z.imag)
     freq = kmag * abs(z.real)
     return z, rate, freq

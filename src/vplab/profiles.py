@@ -464,6 +464,9 @@ def _spectral_derivative(values, axis_pts):
     return sfft.ifft(1j * xi * sfft.fft(values)).real
 
 
+_BLOCK = 1 << 16  # kernel entries per Cauchy-transform block: 1 MiB of complex128
+
+
 def _sinc_cauchy(samples, alphas, ys):
     """Boundary value int s(alpha)/(alpha - y - i0) dalpha = PV + i pi s(y).
 
@@ -474,8 +477,8 @@ def _sinc_cauchy(samples, alphas, ys):
     (Weideman, Math. Comp. 64, 1995) and Im K = pi sinc(t) the interpolant
     itself.  sin^2(pi (u - j)/2) is sin^2 or cos^2 of pi u/2 and
     sin(pi (u - j)) is +-sin(pi u) by the parity of j, so the sines are
-    taken once per y, and each row chunk of about 2M kernel entries is one
-    real matrix product over the real and imaginary columns split by
+    taken once per y, and each row block of about ``_BLOCK`` kernel entries
+    is one real matrix product over the real and imaginary columns split by
     parity.  An exact node adds i pi s_j.  Returns complex.
     """
     samples = np.asarray(samples, dtype=complex)
@@ -489,7 +492,7 @@ def _sinc_cauchy(samples, alphas, ys):
     sin1 = np.sin(math.pi * r)[:, None]
     pv = np.empty((len(u), 2))
     sinc = np.empty((len(u), 2))  # pi s(y)
-    rows = max(1, 2_000_000 // len(alphas))
+    rows = max(1, _BLOCK // len(alphas))
     for i0 in range(0, len(u), rows):
         d = u[i0:i0 + rows, None] - j[None, :]
         d[d == 0.0] = np.inf  # the node term is added below

@@ -477,7 +477,13 @@ def run_decay_experiment(profile, grid, amplitude, s_x, s_v, b, t_end, mode=1):
     Reports the weighted space-time integral at T_end/2 and T_end,
     the late-time field fraction, and the worst residual of the power
     identity d/dt ||E||^2 = 2 int j E dx over the midpoint series.
+    Raises ValidationError when t_end / dt rounds to fewer than 5 steps.
     """
+    n_steps = int(round(t_end / grid.dt))
+    if n_steps < 5:
+        raise ValidationError(
+            f"n_steps = {n_steps}: t_end = {t_end:g} at dt = {grid.dt:g} gives "
+            "fewer than the 5 midpoints the power-identity residual needs")
     if not check_axis_stability(profile, grid.T1):
         raise PenroseUnstableError("profile fails the Penrose condition; "
                                    "decay experiment refused")
@@ -486,7 +492,6 @@ def run_decay_experiment(profile, grid, amplitude, s_x, s_v, b, t_end, mode=1):
     state = perturb_cosine(state, amplitude, mode=mode, velocity_shape=profile.values)
     pert_norm = mixed_norm(state.f - f_hom, (grid.T1,), grid.vgrid, s_x, s_v, b)
 
-    n_steps = int(round(t_end / grid.dt))
     final, log = run(state, n_steps, output_every=max(1, n_steps),
                      s_sobolev=1.5 + s_x)
     t = np.asarray(log.t_mid)

@@ -240,6 +240,23 @@ t_end = {t_end}
             summary = json.loads((out / "summary.json").read_text())
             assert summary["ranks"] == [1] and summary["refactors"] == 0
 
+    @pytest.mark.parametrize("t_end", [0.05, 0.1, 0.15, 0.2])
+    def test_simulate_too_few_steps_exit1(self, tmp_path, capsys, t_end):
+        text = f"""
+command = simulate
+profile.name = maxwellian
+grid.dim = 1
+grid.n = 64
+grid.vmax = 9.0
+T1 = 12.566370614359172
+Nx = 16
+dt = 0.05
+t_end = {t_end}
+"""
+        out = tmp_path / "o7"
+        assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        assert f"n_steps = {round(t_end / 0.05)}: t_end = {t_end:g}" in capsys.readouterr().err
+
     def test_module_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path, PENROSE_STABLE)
         proc = subprocess.run(

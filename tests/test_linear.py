@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vplab import linear
 from vplab.errors import PenroseUnstableError, ValidationError
 from vplab.linear import (
     Datum1D,
     FieldHistory,
+    _cauchy_quad,
     continued_dispersion,
     dispersion,
     efield_mode,
@@ -15,6 +19,7 @@ from vplab.linear import (
     initial_transform,
 )
 from vplab.profiles import (
+    _BLOCK,
     Mixture1D,
     ProjectedProfile,
     VelocityGrid,
@@ -216,6 +221,65 @@ class TestContinuation:
             ours = continued_dispersion(fp_maxwellian, zi)
             assert isinstance(ours, complex)
             assert abs(bi - ours) < 1e-14
+
+    def test_newton_failure_refused(self, fp_maxwellian, monkeypatch):
+        # k^2 - F = z - 5i has its one root above the axis: Newton lands on
+        # it, is reflected below, and never meets the tolerance
+        monkeypatch.setattr(linear, "continued_dispersion",
+                            lambda fp, z: 0.25 - (np.asarray(z, dtype=complex) - 5j))
+        with pytest.raises(ValidationError, match=r"z = .*\|k\^2 - F\(z\)\| = .* 60 steps"):
+            find_damping_root(fp_maxwellian, 0.5)
+
+
+class TestCauchyBlocks:
+    """Both Cauchy transforms work through blocks of ``_BLOCK`` kernel entries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from((64, 512, 1000)), seed=st.integers(0, 2 ** 32 - 1),
+           complex_samples=st.booleans(), side=st.sampled_from((-1.0, 1.0)),
+           count=st.sampled_from(("one", "below", "equal", "ragged")))
+    def test_against_trapezoid_oracle(self, n, seed, complex_samples, side, count):
+        rng = np.random.default_rng(seed)
+        alphas = np.linspace(-8.0, 8.0, n)
+        samples = rng.standard_normal(n)
+        if complex_samples:
+            samples = samples + 1j * rng.standard_normal(n)
+        rows = _BLOCK // n
+        m = {"one": 1, "below": rows - 1, "equal": rows, "ragged": 2 * rows + 3}[count]
+        z = rng.uniform(-10.0, 10.0, m) + 1j * side * rng.uniform(0.05, 3.0, m)
+        kernel = 1.0 / (alphas[None, :] - z[:, None])
+        oracle = np.trapezoid(samples[None, :] * kernel, alphas, axis=1)
+        scale = np.trapezoid(np.abs(samples[None, :] * kernel), alphas, axis=1)
+        assert np.all(np.abs(_cauchy_quad(samples, alphas, z) - oracle) <= 1e-13 * scale)
+
+    def test_sinc_cauchy_pieces_match_whole(self, fp_maxwellian):
+        # nine blocks of ys, split at points that are not block edges,
+        # with exact nodes among them
+        a = fp_maxwellian.alphas
+        ys = np.sort(np.concatenate([np.linspace(-9.0, 9.0, 1001), a[::4]]))
+        assert len(ys) > 6 * (_BLOCK // len(a))
+        whole = _sinc_cauchy(fp_maxwellian.derivative, a, ys)
+        pieces = np.concatenate([_sinc_cauchy(fp_maxwellian.derivative, a, part)
+                                 for part in np.array_split(ys, 7)])
+        assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(np.abs(whole))
+
+    def test_transient_memory(self, fp_maxwellian):
+        # a full-width kernel would take 92 MiB in the root scan and 18 MiB
+        # in the field mode; each call runs once untraced first, so the
+        # lazy SciPy imports of a first call are not counted
+        datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.values.copy())
+        peaks = []
+        for call in (lambda: find_damping_root(fp_maxwellian, 0.5),
+                     lambda: efield_mode(0.5, fp_maxwellian, datum, t_end=45.0)):
+            call()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / 2 ** 20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 8.0 and peaks[1] < 4.0
 
 
 class TestReductionConsistency:

@@ -486,6 +486,13 @@ class TestZeroSteps:
         with pytest.raises(ValidationError, match="n_steps = 0"):
             run_decay_experiment(maxprofile, grid1v, 1e-3, 0.0, 1.6, 0.3, t_end=0.02)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_decay_too_few_steps(self, grid1v, maxprofile, n):
+        # the power-identity residual drops two midpoints at each end
+        with pytest.raises(ValidationError,
+                           match=rf"n_steps = {n}: t_end = {0.05 * n:g} at dt = 0\.05"):
+            run_decay_experiment(maxprofile, grid1v, 1e-3, 0.0, 1.6, 0.3, t_end=0.05 * n)
+
 
 class TestSteadiness:
     def test_homogeneous_zero_drift(self, maxprofile):
