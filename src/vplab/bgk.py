@@ -29,12 +29,7 @@ from .errors import (
     RegularityError,
     ValidationError,
 )
-from .profiles import (
-    GaussianMixture,
-    GaussianPairTerm,
-    Profile,
-    dv1_over_v1_integral,
-)
+from .profiles import GaussianMixture, GaussianPairTerm, Profile
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 # relative tolerance of the matched period |T - T1| <= PERIOD_TOL_REL T1
@@ -54,10 +49,10 @@ class CaseSelection:
     omega1_sq: float
 
 
-def select_case(f1, T1, check=True):
+def select_case(f1, T1):
     """Branch on the sign of D = int d_v1 f1 / v1 dv - (2 pi / T1)^2."""
     om2 = (2.0 * math.pi / T1) ** 2
-    d_int = dv1_over_v1_integral(f1, check=check)
+    d_int = f1.closure.pv_d_integral()
     diag = d_int - om2
     if abs(diag) <= 1e-9 * om2:
         case = 3
@@ -106,13 +101,8 @@ def build_modified(f1, gamma, delta, case, v0=3.0):
 
     Cases 1 and 2 add the narrow feature (gamma/delta) F1(v1/(gamma delta))
     F2(v2) and renormalise by 1 + C0 gamma^2; case 3 rescales v1 by delta.
-    Grid-only base profiles reject features below the grid resolution.
+    The closure carries features far below the grid resolution exactly.
     """
-    if f1.closure is None:
-        raise ValidationError(
-            "build_modified needs a closure-backed base profile; construct "
-            "one with make_builtin or fit the base first"
-        )
     if case == 3:
         if delta <= 0:
             raise ValidationError("case-3 scale must be positive")
@@ -518,7 +508,7 @@ def galilean_boost(wave, c):
 def _seed_delta(f1, T1, gamma, case, v0):
     """Root of the analytic small-r period condition D(delta) = (2 pi/T1)^2."""
     om2 = (2.0 * math.pi / T1) ** 2
-    d1 = dv1_over_v1_integral(f1, check=False)
+    d1 = f1.closure.pv_d_integral()
     if case == 3:
         if d1 <= 0:
             raise ValidationError("case 3 requires a positive base PV integral")
@@ -578,7 +568,7 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None, c=0.0)
     below POISSON_RESIDUAL_TOL.
     """
     if case is None:
-        case = select_case(f1, T1, check=False).case
+        case = select_case(f1, T1).case
 
     cache = {}
 
@@ -804,11 +794,6 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
     """
     from .closeness import closeness_report, modified_profile_distance
 
-    if f0.closure is None:
-        raise ValidationError(
-            "build_wave needs a profile with an analytic closure; "
-            "grid profiles are not accepted"
-        )
     sel = select_case(f0, T1)
     case = sel.case
     om1 = 2.0 * math.pi / T1

@@ -22,7 +22,7 @@ from . import container
 from .errors import PenroseUnstableError, ValidationError, VplabError
 from .norms import NormSpec, fractional_wsp_norm, norm_report, weighted_hsb_norm
 from .penrose import MARGIN_TOL, DualLattice, penrose_check
-from .profiles import Profile, VelocityGrid, make_builtin
+from .profiles import VelocityGrid, make_builtin
 from . import linear as linear_mod
 from . import sim as sim_mod
 from .bgk import PERIOD_TOL_REL, POISSON_RESIDUAL_TOL, build_wave
@@ -86,7 +86,10 @@ class ExperimentConfig:
             if default is None:
                 raise ValidationError(f"missing config key {key!r}")
             return default
-        return cast(self.values[key])
+        try:
+            return cast(self.values[key])
+        except ValueError as exc:
+            raise ValidationError(f"config key {key!r} = {self.values[key]!r}: {exc}") from None
 
     def hash(self):
         canon = self.command + "\n" + "\n".join(
@@ -135,7 +138,7 @@ def run(config, outdir, threads=1, verbose=False):
 
     if config.command == "penrose":
         profile = _profile_from(config)
-        periods = tuple(float(p) for p in config.get("periods").split(","))
+        periods = config.get("periods", cast=lambda t: tuple(map(float, t.split(","))))
         report = penrose_check(profile, DualLattice(periods),
                                config.get("s", 1.6, float),
                                config.get("b", 0.3, float), threads=threads)
@@ -225,10 +228,9 @@ def run(config, outdir, threads=1, verbose=False):
                                  "e_hs", "je", "energy")])
         last = sorted(report.log.snapshots)[-1]
         snap = report.log.snapshots[last]
-        final_profile = Profile(profile.grid, snap.f.mean(axis=0), None,
-                                {"provenance": "simulation-final-xmean"})
         container.save_profile(os.path.join(outdir, "final_state.vplb"),
-                               final_profile)
+                               profile.grid, snap.f.mean(axis=0),
+                               {"provenance": "simulation-final-xmean"})
         container.write_json(os.path.join(outdir, "summary.json"), {
             "final_over_max": report.final_over_max,
             "weighted_integral": report.weighted_integral_full,

@@ -2,9 +2,8 @@
 
 Layout: magic ``VPLB``, format version, header length, UTF-8 JSON header,
 then the raw float64 payload in row-major order.  The header carries grid
-metadata, provenance tags and (for closure-backed objects) the closure
-name and parameters as strings/numbers, so files are readable without
-this package.
+metadata and provenance tags as strings/numbers, so files are readable
+without this package.
 """
 
 from __future__ import annotations
@@ -51,28 +50,10 @@ def _read_blob(path):
     return header, payloads
 
 
-def _closure_header(closure):
-    if closure is None:
-        return None
-    return {
-        "name": "gaussian_mixture",
-        "terms": [
-            {"weight": t.weight, "v0": t.v0, "w1": t.w1, "wt": list(t.wt)}
-            for t in closure.terms
-        ],
-    }
-
-
-def save_profile(path, profile):
-    header = {
-        "kind": "profile",
-        "dim": profile.grid.dim,
-        "n": profile.grid.n,
-        "vmax": profile.grid.vmax,
-        "meta": profile.meta,
-        "closure": _closure_header(profile.closure),
-    }
-    _write_blob(path, header, [("values", profile.values)])
+def save_profile(path, grid, values, meta):
+    """Velocity-space samples ``values`` on ``grid``, with the ``meta`` tags."""
+    header = {"kind": "profile", "dim": grid.dim, "n": grid.n, "vmax": grid.vmax, "meta": meta}
+    _write_blob(path, header, [("values", values)])
 
 
 def save_wave(path, wave):

@@ -192,10 +192,8 @@ def certifies(p, bound):
     A Gaussian component of weight w and width s has PV
     w (2x D(x) - 1)/s^2 <= max(PV_SUP w, -w)/s^2 at every point, and any
     projection of a closure term is at least as wide as the term's
-    smallest width.  A grid-only profile has no such proof.
+    smallest width.
     """
-    if p.closure is None:
-        return False
     proof = sum(max(PV_SUP * t.weight, -t.weight) / min((t.w1,) + t.wt) ** 2
                 for t in p.closure.terms)
     return bound >= proof
@@ -207,8 +205,8 @@ def truncation_bound(p, s, b, return_details=False):
     B = 2 * max |PV| over 64 probes in each of 20 seeded random directions
     (one ``_sinc_cauchy`` call per direction); the factor 2 is the safety
     inflation.  The maximum is sampled, so B is certified only when
-    ``certifies(p, B)`` holds: a closure-backed profile whose proven PV
-    bound B covers.  The details carry ``pv_max`` and that verdict as
+    ``certifies(p, B)`` holds: B covers the PV bound that the profile's
+    closure proves.  The details carry ``pv_max`` and that verdict as
     ``certified``.  s > 3/2 and b > (d-1)/4 are the weighted H^{s,b}
     regularity under which the PV is bounded by the profile's norm.
     """

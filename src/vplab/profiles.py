@@ -1,12 +1,12 @@
 """Homogeneous velocity-space profiles in d = 1, 2, 3.
 
 Profiles are nonnegative unit-mass distributions f(v) on a uniform tensor
-grid, optionally backed by an analytic closure (a Gaussian mixture whose
-components are even pairs in v1).  The closure keeps projections, moments
-and the even continuation in the energy variable exact; everything also
-works from grid samples alone.  Sampled 1D data have one interpolant, the
-sinc interpolant, and one boundary value, ``_sinc_cauchy``: its Cauchy
-integral PV + i pi s(y) along the real axis.
+grid, each carrying its analytic closure (a Gaussian mixture whose
+components are even pairs in v1).  The closure keeps projections, the
+singular v1-integral and the even continuation in the energy variable
+exact; ``project_field`` projects sampled fields.  Sampled 1D data have one
+interpolant, the sinc interpolant, and one boundary value, ``_sinc_cauchy``:
+its Cauchy integral PV + i pi s(y) along the real axis.
 """
 
 from __future__ import annotations
@@ -344,11 +344,11 @@ class GaussianMixture:
 
 @dataclass
 class Profile:
-    """Velocity distribution on a grid, optionally with analytic closure."""
+    """Velocity distribution on a grid with its analytic closure."""
 
     grid: VelocityGrid
     values: np.ndarray
-    closure: GaussianMixture | None = None
+    closure: GaussianMixture
     meta: dict = field(default_factory=dict)
 
     @classmethod
@@ -356,28 +356,17 @@ class Profile:
         vals = closure.values_on(grid)
         return cls(grid, vals, closure, dict(meta or {}))
 
-    @classmethod
-    def from_values(cls, grid, values, meta=None, normalize=False, validate=True):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValidationError("values shape does not match grid")
-        if validate:
-            floor = -1e-12 * max(float(np.max(values)), 1e-300)
-            if float(np.min(values)) < floor:
-                raise ValidationError("profile values must be nonnegative")
-            values = np.maximum(values, 0.0)
-        m = grid.integrate(values)
-        if normalize:
-            if m <= 1e-300:
-                raise ValidationError("zero-mass input cannot be normalised")
-            values = values / m
-        elif validate and abs(m - 1.0) > 1e-8:
-            raise ValidationError(f"profile mass {m:.3e} deviates from 1")
-        return cls(grid, values, None, dict(meta or {}))
-
     @property
     def mass_grid(self):
         return self.grid.integrate(self.values)
+
+
+def _width(params):
+    """The ``width`` entry of a builtin's parameters (default 1), finite and positive."""
+    w = float(params.get("width", 1.0))
+    if not (math.isfinite(w) and w > 0.0):
+        raise ValidationError(f"profile width must be finite and positive, got {w}")
+    return w
 
 
 def make_builtin(name, grid, **params):
@@ -398,25 +387,24 @@ def make_builtin(name, grid, **params):
         v0 = float(params.get("v0", 0.0))
         if v0 <= 0:
             raise ValidationError("double_bump requires v0 > 0")
-        w = float(params.get("width", 1.0))
-        clo = GaussianMixture(grid.dim, [GaussianPairTerm(1.0, v0, w, trans)])
+        clo = GaussianMixture(grid.dim, [GaussianPairTerm(1.0, v0, _width(params), trans)])
     elif name == "product":
         factors = params["factors"]
         if len(factors) != grid.dim:
             raise ValidationError("product needs one factor per axis")
         kind0, p0 = factors[0]
         if kind0 == "gaussian":
-            v0, w1 = 0.0, float(p0.get("width", 1.0))
+            v0 = 0.0
         elif kind0 == "double_bump":
-            v0, w1 = float(p0["v0"]), float(p0.get("width", 1.0))
+            v0 = float(p0["v0"])
         else:
             raise ValidationError(f"unknown factor kind {kind0!r}")
         wt = []
         for kind, p in factors[1:]:
             if kind != "gaussian":
                 raise ValidationError("transverse factors must be gaussian")
-            wt.append(float(p.get("width", 1.0)))
-        clo = GaussianMixture(grid.dim, [GaussianPairTerm(1.0, v0, w1, tuple(wt))])
+            wt.append(_width(p))
+        clo = GaussianMixture(grid.dim, [GaussianPairTerm(1.0, v0, _width(p0), tuple(wt))])
     else:
         raise ValidationError(f"unknown builtin {name!r}")
 
@@ -457,11 +445,6 @@ class ProjectedProfile:
         a = np.asarray(a, dtype=float)
         out = _sinc_cauchy(self.derivative, self.alphas, a.ravel()).imag / math.pi
         return out.reshape(a.shape)
-
-
-def _spectral_derivative(values, axis_pts):
-    xi = 2.0 * np.pi * sfft.fftfreq(len(axis_pts), d=axis_pts[1] - axis_pts[0])
-    return sfft.ifft(1j * xi * sfft.fft(values)).real
 
 
 _BLOCK = 1 << 16  # kernel entries per Cauchy-transform block: 1 MiB of complex128
@@ -546,8 +529,8 @@ def rotate_plane(values, coords, theta, ax_a=0, ax_b=1):
 def project(p, e):
     """Marginal of the profile along unit vector e, with its derivative.
 
-    Oblique directions use spectral shear rotations of the sampled field;
-    closure-backed profiles get the exact projected mixture attached.
+    The values and derivative are the exact projected mixture of the
+    closure, sampled on the profile's axis.
     """
     e = np.asarray(e, dtype=float).reshape(-1)
     if e.size != p.grid.dim:
@@ -556,16 +539,9 @@ def project(p, e):
         raise ValidationError("direction must be a unit vector (within 1e-12)")
 
     alphas = p.grid.axis()
-    closure1d = p.closure.project_unit(e) if p.closure is not None else None
-
-    if closure1d is not None:
-        vals = closure1d.val(alphas)
-        deriv = closure1d.dval(alphas)
-    else:
-        vals = _project_values(p, e)
-        deriv = _spectral_derivative(vals, alphas)
-
-    pp = ProjectedProfile(e, alphas, vals, deriv, closure1d, p.mass_grid)
+    closure1d = p.closure.project_unit(e)
+    vals = closure1d.val(alphas)
+    pp = ProjectedProfile(e, alphas, vals, closure1d.dval(alphas), closure1d, p.mass_grid)
     m = float(np.sum(vals) * pp.h)
     if abs(m - pp.parent_mass) > 1e-8 * max(1.0, abs(pp.parent_mass)):
         raise QuadratureConvergenceError(
@@ -574,15 +550,11 @@ def project(p, e):
     return pp
 
 
-def _project_values(p, e):
-    return project_field(p.values, p.grid, e)
-
-
 def project_field(values, grid, e):
     """Marginal of an arbitrary sampled field along a unit direction.
 
-    Same spectral shear-rotation machinery as profile projection, without
-    any mass or positivity requirements (used for per-mode initial data).
+    Spectral shear rotations of the samples, without any mass or
+    positivity requirements (used for per-mode initial data).
     """
     e = np.asarray(e, dtype=float)
     d = grid.dim
@@ -601,43 +573,3 @@ def project_field(values, grid, e):
     theta = math.atan2(e[2], math.hypot(e[0], e[1]))
     rot = rotate_plane(rot, coords, theta, 0, 2)
     return rot.sum(axis=(1, 2)) * cell_t
-
-
-# ---------------------------------------------------------------------------
-# the singular v1-integral
-# ---------------------------------------------------------------------------
-
-def dv1_over_v1_integral(p, check=True):
-    """Integral of d_v1 f / v1 over velocity space (finite for even-near-0 profiles).
-
-    Closure-backed profiles use the exact Dawson-function value; grid
-    profiles use spectral differentiation with the singular row replaced by
-    the second derivative, plus an optional refinement-stability check.
-    """
-    if p.closure is not None:
-        return p.closure.pv_d_integral()
-
-    def quad(values, grid):
-        ax = grid.axis()
-        xi = grid.freqs()
-        shape = (grid.n,) + (1,) * (grid.dim - 1)
-        fhat = sfft.fft(values, axis=0)
-        df = sfft.ifft(1j * xi.reshape(shape) * fhat, axis=0).real
-        izero = int(round(grid.vmax / grid.h))
-        integrand = np.empty_like(df)
-        nz = np.ones(grid.n, dtype=bool)
-        nz[izero] = False
-        integrand[nz, ...] = df[nz, ...] / ax[nz].reshape((-1,) + (1,) * (grid.dim - 1))
-        d2 = sfft.ifft(-(xi.reshape(shape) ** 2) * fhat, axis=0).real
-        integrand[izero, ...] = d2[izero, ...]
-        return float(np.sum(integrand) * grid.cell)
-
-    full = quad(p.values, p.grid)
-    if check:
-        sub = quad(p.values[(slice(None, None, 2),) * p.grid.dim], p.grid.coarsened())
-        denom = max(abs(full), 1e-12)
-        if abs(full - sub) / denom > 1e-3:
-            raise QuadratureConvergenceError(
-                f"d_v1 f / v1 integral unstable under refinement: {full} vs {sub}"
-            )
-    return full

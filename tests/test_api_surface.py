@@ -23,7 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vplab"
 
 KNOBS = {
-    "bgk.select_case:check",
     "bgk.build_modified:v0",
     "bgk.hprime0_centered:scale",
     "bgk.BgkWave.f_eval:*trans",
@@ -60,13 +59,9 @@ KNOBS = {
     "penrose.penrose_check:threads",
     "profiles.GaussianPairTerm.transverse_val:*axes",
     "profiles.Profile.from_closure:meta",
-    "profiles.Profile.from_values:meta",
-    "profiles.Profile.from_values:normalize",
-    "profiles.Profile.from_values:validate",
     "profiles.make_builtin:**params",
     "profiles.rotate_plane:ax_a",
     "profiles.rotate_plane:ax_b",
-    "profiles.dv1_over_v1_integral:check",
     "sim._factor:b",
     "sim.step:force_zero_field",
     "sim.run:output_every",
@@ -120,9 +115,6 @@ ORACLES = {
     "bgk.hprime0_centered",
     "profiles.Mixture1D.pv_exact",
     "sim.reverse_velocity",
-    # the validated constructor of grid data, through which the tests drive
-    # every closure-free path
-    "profiles.Profile.from_values",
     # rebound by dotted name in perfbench/spans.py (pinned by test_bench_api)
     "sim.SimState.moments",
     "sim.SimState.current",

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from vplab import bgk
+from vplab import bgk, container
 from vplab.cli import ExperimentConfig, main, run
 from vplab.errors import ValidationError
 
@@ -72,6 +72,25 @@ class TestConfig:
         # no experiment draws from a global generator, so there is no seed
         path = write_config(tmp_path, PENROSE_STABLE + "seed = 1\n")
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("key,value", [("grid.n", "abc"), ("periods", "6.28,x")])
+    def test_uncastable_value_exit1(self, tmp_path, capsys, key, value):
+        # a value that will not cast is a configuration error, not a traceback
+        text = "".join(line + "\n" for line in PENROSE_STABLE.splitlines()
+                       if not line.startswith(key)) + f"{key} = {value}\n"
+        path = write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert repr(key) in err and repr(value) in err
+
+    @pytest.mark.parametrize("width", ["-1", "0", "nan"])
+    def test_nonpositive_width_exit1(self, tmp_path, capsys, width):
+        path = write_config(tmp_path, PENROSE_UNSTABLE + f"profile.width = {width}\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"width must be finite and positive, got {float(width)}" in err
 
     def test_missing_command(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -215,7 +234,13 @@ b = 0.3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["identity_residual"] < 1e-5
         assert (out / "diagnostics.csv").exists()
-        assert (out / "final_state.vplb").exists()
+        header, payloads = container._read_blob(out / "final_state.vplb")
+        assert header["kind"] == "profile"
+        assert (header["dim"], header["n"], header["vmax"]) == (1, 256, 8.0)
+        assert header["meta"]["provenance"] == "simulation-final-xmean"
+        final = payloads["values"]
+        assert final.shape == (256,)
+        assert np.all(np.isfinite(final)) and np.all(final >= 0.0)
 
     @pytest.mark.parametrize("t_end,code", [(0.5, 0), (0.02, 1)])
     def test_simulate_summary_and_zero_steps(self, tmp_path, capsys, t_end, code):

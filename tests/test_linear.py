@@ -21,10 +21,8 @@ from vplab.linear import (
 from vplab.profiles import (
     _BLOCK,
     Mixture1D,
-    ProjectedProfile,
     VelocityGrid,
     _sinc_cauchy,
-    _spectral_derivative,
     make_builtin,
     project,
 )
@@ -177,21 +175,6 @@ class TestSincPv:
             + c2 * initial_transform(Datum1D(AXIS, v), y)
         scale = (1.0 + abs(c1) + abs(c2)) * (_pv_scale(m1) + _pv_scale(m2))
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
-
-    @settings(max_examples=30)
-    @given(m=mixtures())
-    def test_grid_only_dispersion_matches_closure(self, m):
-        vals = m.val(AXIS)
-        closure = ProjectedProfile(np.array([1.0]), AXIS, vals, m.dval(AXIS), m, m.mass())
-        grid = ProjectedProfile(np.array([1.0]), AXIS, vals,
-                                _spectral_derivative(vals, AXIS), None, m.mass())
-        y = np.linspace(-10.0, 10.0, 201)
-        fc = dispersion(closure, y, 1.0, check_stability=False)
-        fg = dispersion(grid, y, 1.0, check_stability=False)
-        # both paths read the sinc interpolant of derivative samples: exact
-        # ones on one path, spectral ones on the other
-        assert np.max(np.abs(fg.real - fc.real)) < 1e-10
-        assert np.max(np.abs(fg.imag - fc.imag)) < 1e-12
 
 
 class TestContinuation:

@@ -97,10 +97,7 @@ class TestCriticalPoints:
         # no critical points inside a strictly monotone sub-interval
         ax = grid1.axis()
         vals = 1.0 / (1.0 + np.exp(-ax)) * np.exp(-ax ** 2 / 50)
-        from vplab.profiles import _spectral_derivative
-
-        fp = ProjectedProfile(np.array([1.0]), ax, vals,
-                              _spectral_derivative(vals, ax), None, 1.0)
+        fp = ProjectedProfile(np.array([1.0]), ax, vals, np.gradient(vals, ax), None, 1.0)
         crit = critical_points(fp)
         inner = [c for c in crit
                  if not isinstance(c, PlateauInterval) and abs(c) < 1.5]
@@ -115,8 +112,6 @@ class TestCriticalPoints:
             critical_points(fp)
 
     def test_plateau_reported(self, grid1):
-        from vplab.profiles import _spectral_derivative
-
         ax = grid1.axis()
         vals = cutoff_sigma(ax / 1.5)
         # second-order differences are exactly zero on the flat top, which
@@ -154,10 +149,11 @@ class TestPvIntegral:
         g = VelocityGrid(2, 12.0, 512)
         m12 = make_builtin("maxwellian", g)
         db = double_bump2
-        mix = Profile.from_values(g, 0.4 * m12.values + 0.6 * db.values)
+        mix = Profile.from_closure(
+            g, m12.closure.reweighted(0.4).plus(db.closure.reweighted(0.6)))
         pm = project(mix, (1.0, 0.0))
-        pa = project(Profile.from_values(g, m12.values.copy()), (1.0, 0.0))
-        pb = project(Profile.from_values(g, db.values.copy()), (1.0, 0.0))
+        pa = project(m12, (1.0, 0.0))
+        pb = project(db, (1.0, 0.0))
         lhs = pv_integral(pm, 0.5)
         rhs = 0.4 * pv_integral(pa, 0.5) + 0.6 * pv_integral(pb, 0.5)
         assert abs(lhs - rhs) < 1e-8
@@ -211,8 +207,6 @@ class TestTruncationBound:
         # unit weight and unit widths: the proven PV bound is PV_SUP itself
         assert certifies(maxwellian2, PV_SUP)
         assert not certifies(maxwellian2, 0.99 * PV_SUP)
-        grid_only = Profile.from_values(maxwellian2.grid, maxwellian2.values.copy())
-        assert not certifies(grid_only, 1e6)
 
     def test_pv_sup_bounds_the_dawson_form(self):
         from scipy.special import dawsn
@@ -278,9 +272,3 @@ class TestPenroseCheck:
         assert js["stable"] is True
         assert js["certified_beyond_B"] is True
         assert {"k", "k2", "direction", "S", "pv", "margin"} <= set(js["entries"][0])
-
-    def test_grid_only_profile_not_certified(self, maxwellian2):
-        grid_only = Profile.from_values(maxwellian2.grid, maxwellian2.values.copy())
-        rep = penrose_check(grid_only, DualLattice((2 * np.pi, 2 * np.pi)), 1.6, 0.3)
-        assert rep.stable
-        assert rep.to_json()["certified_beyond_B"] is False

@@ -580,13 +580,11 @@ class TestComoving:
 def test_clipped_mass_resolution_error():
     # a velocity feature far below the grid scale rings negative under the
     # spectral advection; the per-step clipping budget flags it loudly
-    from vplab.profiles import Profile
-
     vg = VelocityGrid(1, 6.0, 32)
     vals = np.exp(-((vg.axis() / 0.25) ** 2))
-    p = Profile.from_values(vg, vals, normalize=True)
+    vals = vals / vg.integrate(vals)
     g = PhaseGrid(2 * np.pi, 16, vg, 0.1)
-    st = perturb_cosine(sample_profile(p, g), 0.9)
+    st = perturb_cosine(SimState(g, np.broadcast_to(vals, g.shape).copy()), 0.9)
     with pytest.raises(ValidationError, match="resolution"):
         cur = st
         for _ in range(50):
