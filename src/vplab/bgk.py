@@ -155,11 +155,15 @@ def _unit_kernel(a):
     Returns the Chebyshev antiderivatives P, Q of K and of the series
     product c K(c) on [-_C_OK, _C_OK] (K is sampled once), and the scaled
     Taylor coefficients of K(_RHO chat) = sum k_hat_m chat^m.
+
+    K(c) = 2 int_0^inf A'(u^2 - c) du takes a 129-node trapezoid rule on
+    [0, a + 10]: on an even, entire integrand with Gaussian decay it
+    converges geometrically (65 nodes give the 2049-node K to roundoff).
     """
     n_cheb, n_taylor = 256, 56
     t = GaussianPairTerm(1.0, a, 1.0, ())
     cheb = np.polynomial.chebyshev.Chebyshev
-    u = np.linspace(0.0, a + 10.0, 2049)
+    u = np.linspace(0.0, a + 10.0, 129)
 
     def kfun(c):
         c = np.atleast_1d(c)
@@ -291,22 +295,36 @@ class OrbitSolution:
     h: BifurcationH = field(repr=False)
 
     def sample(self, n):
-        """Uniform samples of beta over one period, maximum at x = 0."""
-        from scipy.integrate import solve_ivp
+        """Uniform samples of beta over one period, maximum at x = 0.
 
-        scale = max(abs(self.beta_plus), abs(self.beta_minus))
-
-        def rhs(x, yv):
-            return [yv[1], self.h(yv[0])]
-
-        xs = np.linspace(0.0, self.period, n, endpoint=False)
-        sol = solve_ivp(
-            rhs, (0.0, self.period), [self.beta_plus, 0.0], t_eval=xs,
-            method="DOP853", rtol=1e-13, atol=1e-16 * scale, max_step=self.period / 16,
-        )
-        if not sol.success:
-            raise AmplitudeTooLargeError("orbit integration failed: " + sol.message)
-        return xs, sol.y[0]
+        With beta = mid - rho cos phi (phi = theta + pi/2 of ``periodic_orbit``),
+        dx/dphi = 1/sqrt(2 G) is smooth and even about both turning points.
+        Its cosine series, on nodes pi/(2m) away from the turning points where
+        E - V cancels, integrates exactly to x(phi); Newton steps invert x at
+        the uniform points of the descending half, and beta(T - x) = beta(x)
+        gives the rest.  The samples span the series' own period 2 pi a_0.
+        """
+        bp, bm = self.beta_plus, self.beta_minus
+        mid, rho = 0.5 * (bp + bm), 0.5 * (bp - bm)
+        m = 64  # cosine modes: 32 already converge on every orbit the tests sample
+        phi = (np.arange(m) + 0.5) * (math.pi / m)
+        g = (self.energy - self.h.potential(mid - rho * np.cos(phi))) / (rho * np.sin(phi)) ** 2
+        a = sfft.dct(1.0 / np.sqrt(2.0 * g), type=2) / m
+        a[0] *= 0.5
+        k, half = np.arange(1, m), math.pi * a[0]
+        # distance from the maximum along the descending half, and its phi
+        xs = np.arange(n // 2 + 1) * (2.0 * half / n)
+        phi = math.pi * (1.0 - xs / half)
+        for _ in range(32):
+            kp = np.multiply.outer(phi, k)
+            step = (half - xs - a[0] * phi - np.sin(kp) @ (a[1:] / k)) \
+                / (a[0] + np.cos(kp) @ a[1:])
+            phi = np.clip(phi + step, 0.0, math.pi)
+            if np.max(np.abs(step)) <= 1e-15:
+                break
+        beta = mid - rho * np.cos(phi)
+        return np.linspace(0.0, self.period, n, endpoint=False), \
+            np.concatenate([beta, beta[1:(n + 1) // 2][::-1]])
 
 
 def periodic_orbit(h, r):
@@ -460,6 +478,21 @@ class BgkWave:
     def sample_phase_space(self, x, v1, *trans_axes):
         """Tensor-grid samples f[x, v1, w...] for the nonlinear solver."""
         return self.f_eval(*np.ix_(x, v1, *trans_axes))
+
+    def sample_factors(self, x, v1, v2):
+        """``sample_phase_space(x, v1, v2)`` as factors A (x, v1, r) and B (r, v2)
+        with orthonormal rows (v2 None: f[x, v1] and B = [[1]]).  Terms of one
+        transverse width share a Gaussian row G; the QR G^T = Q R over the r
+        widths gives B = Q^T and A = A_G R^T without building f."""
+        y = (np.asarray(v1, dtype=float) - self.c)[None, :] ** 2 \
+            - 2.0 * self.beta_at(np.asarray(x, dtype=float))[:, None]
+        groups = {}
+        for t in self.mp.mixture.terms:
+            w = None if v2 is None else t.wt[0]
+            groups[w] = groups.get(w, 0.0) + t.weight * t.even_val(y.ravel()).reshape(y.shape)
+        q, r = np.linalg.qr(np.stack([np.ones(1) if w is None else np.exp(-v2 ** 2 / (2 * w ** 2))
+                                      / (w * SQRT2PI) for w in groups], axis=1))
+        return np.stack(list(groups.values()), axis=2) @ r.T, q.T
 
     def _beta2(self):
         n = len(self.beta)

@@ -369,6 +369,14 @@ def _width(params):
     return w
 
 
+def _v0(value):
+    """A double bump's offset ``v0`` as a float, refused unless finite."""
+    v0 = float(value)
+    if not math.isfinite(v0):
+        raise ValidationError(f"double_bump v0 must be finite, got {v0}")
+    return v0
+
+
 def make_builtin(name, grid, **params):
     """Construct a built-in unit-mass profile with analytic closure.
 
@@ -384,7 +392,7 @@ def make_builtin(name, grid, **params):
     if name == "maxwellian":
         clo = GaussianMixture(grid.dim, [GaussianPairTerm(1.0, 0.0, 1.0, trans)])
     elif name == "double_bump":
-        v0 = float(params.get("v0", 0.0))
+        v0 = _v0(params.get("v0", 0.0))
         if v0 <= 0:
             raise ValidationError("double_bump requires v0 > 0")
         clo = GaussianMixture(grid.dim, [GaussianPairTerm(1.0, v0, _width(params), trans)])
@@ -396,7 +404,7 @@ def make_builtin(name, grid, **params):
         if kind0 == "gaussian":
             v0 = 0.0
         elif kind0 == "double_bump":
-            v0 = float(p0["v0"])
+            v0 = _v0(p0["v0"])
         else:
             raise ValidationError(f"unknown factor kind {kind0!r}")
         wt = []

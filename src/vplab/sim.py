@@ -8,16 +8,16 @@ staggered midpoints the fused loop naturally visits.
 
 The field acts along x1 and the x-shift reads v1 only, so v2 is a passive
 label: f = sum_j A_j(x, v1) B_j(v2) keeps B and its rank r exactly under every
-step.  ``run`` factors the state once (SVD over v2 above 1e-15 sigma_1 of a
-blocked tall-skinny QR; 1D-1V is A = f, B = [[1]]), advances A (Nx, Nv1, r)
-alone and takes moments through W = B (1, v2, v2^2).  Outputs stay factored:
-a ``Snapshot`` holds A and B, its clipped mass is summed from A B over row
-blocks, and its dense state max(A B, 0) is built only when ``.f`` is read.
-A nonzero clip at an output is projected onto B, which is kept while the
-clipped state lies in its span to the SVD's own threshold (||f - A B||_F
-<= 1e-15 sigma_1(A)), as roundoff clips of a state positive in v2 do; a
-larger residual re-factors the state, and the clip at the final output
-needs neither.  ``step`` and ``SimState`` use A = f, B = I.
+step.  ``run`` advances A (Nx, Nv1, r) alone, from a factored ``Snapshot`` or
+a dense state factored once (SVD over v2 above 1e-15 sigma_1 of a blocked
+tall-skinny QR; 1D-1V is A = f, B = [[1]]), and takes moments through
+W = B (1, v2, v2^2).  Its outputs are ``Snapshot``s too.  At each output one
+pass over row blocks of A B gives the negative part n that the clip removes,
+its mass, the clipped state's projection A + n B^T onto B and the span
+residual ||n (I - B^T B)||_F.  B is kept while that residual is within the
+SVD's own threshold 1e-15 sigma_1(A), as roundoff clips of a state positive
+in v2 are; a larger one re-factors the clipped state, and the clip at the
+final output needs neither.  ``step`` and ``SimState`` use A = f, B = I.
 """
 
 from __future__ import annotations
@@ -127,32 +127,21 @@ def _transverse_table(grid):
     return np.stack([np.ones_like(v2), v2, v2 ** 2], axis=1)
 
 
-def _factor(f, grid, b=None):
+def _factor(f, grid):
     """Transverse factors of a dense state: A (Nx, Nv1, r), B (r, Nv2) with
     orthonormal rows, and the weights W = B (1, v2, v2^2).
 
-    A given basis b is kept, with A = f b^T, when f lies in its span up to
-    the truncation threshold ||f - A b||_F <= 1e-15 sigma_1(A); otherwise
-    (or without b) the basis comes from the SVD of the R factor of f,
-    keeping the singular values above 1e-15 sigma_1.  R is a tall-skinny QR:
-    the QR of the stacked R factors of the row blocks.  The QR and the span
-    residual read f in blocks of ``_ROWS`` rows; neither builds a dense
-    temporary.
+    B comes from the SVD of the R factor of f, keeping the singular values
+    above 1e-15 sigma_1.  R is a tall-skinny QR: the QR of the stacked R
+    factors of the row blocks of ``_ROWS`` rows, so no dense temporary is
+    built.
     """
     x = f.reshape(grid.Nx * grid.vaxes[0].n, -1)
     shape, table = (grid.Nx, grid.vaxes[0].n, -1), _transverse_table(grid)
     if x.shape[1] == 1:
-        return x.reshape(shape), np.ones((1, 1)) if b is None else b, table
-    starts = range(0, len(x), _ROWS)
-    if b is not None:
-        a = x @ b.T
-        sigma1 = math.sqrt(float(np.linalg.eigvalsh(a.T @ a)[-1]))
-        resid = sum(float(np.sum((a[j:j + _ROWS] @ b - x[j:j + _ROWS]) ** 2))
-                    for j in starts)
-        if math.sqrt(resid) <= 1e-15 * sigma1:
-            return a.reshape(shape), b, b @ table
+        return x.reshape(shape), np.ones((1, 1)), table
     r = np.linalg.qr(np.concatenate([np.linalg.qr(x[j:j + _ROWS], mode="r")
-                                     for j in starts]), mode="r")
+                                     for j in range(0, len(x), _ROWS)]), mode="r")
     _, s, vt = np.linalg.svd(r)
     b = vt[:max(1, int(np.count_nonzero(s > 1e-15 * s[0])))]
     return (x @ b.T).reshape(shape), b, b @ table
@@ -223,16 +212,37 @@ def _advect_v(a, grid, efield, tau):
     return sfft.irfft(ahat, n=n, axis=1, workers=FFT_WORKERS)
 
 
+def _blocks(rows, b):
+    """(j, rows[j:j + _ROWS] @ b) over the row blocks, each product into one
+    reused buffer, so a block is overwritten by the next (``np.dot``:
+    ``matmul`` into ``out`` is 3x slower at rank 1)."""
+    buf = np.empty((min(_ROWS, len(rows)), b.shape[1]))
+    for j in range(0, len(rows), _ROWS):
+        yield j, np.dot(rows[j:j + _ROWS], b, out=buf[:min(_ROWS, len(rows) - j)])
+
+
 def _clip(rows, b, grid):
-    """Mass that zeroing the negative part of f = rows b adds, summed over
-    blocks of ``_ROWS`` rows; ValidationError above 1e-8."""
-    neg = sum(float(np.minimum(rows[j:j + _ROWS] @ b, 0.0).sum())
-              for j in range(0, len(rows), _ROWS))
+    """One pass over the row blocks of an output f = rows b: the mass that
+    zeroing its negative part n adds (ValidationError above 1e-8), the rows
+    + n b^T of the clipped state's projection onto b, and the squared span
+    residual ||n (I - b^T b)||_F^2 = ||n||^2 - ||n b^T||^2 (orthonormal b)."""
+    neg, resid, kept = 0.0, 0.0, rows
+    for j, x in _blocks(rows, b):
+        np.minimum(x, 0.0, out=x)  # -n
+        block = float(x.sum())
+        if block == 0.0:
+            continue
+        neg += block
+        p = x @ b.T
+        if kept is rows:
+            kept = rows.copy()
+        kept[j:j + _ROWS] -= p
+        resid += float(np.vdot(x, x) - np.vdot(p, p))
     clipped = -neg * grid.dx * grid.cell_v
     if clipped > 1e-8:
         raise ValidationError(
             f"clipped mass {clipped:.2e} since the last output: resolution too low")
-    return clipped
+    return clipped, kept, max(resid, 0.0)
 
 
 def step(state, force_zero_field=False):
@@ -243,7 +253,7 @@ def step(state, force_zero_field=False):
     a = _advect_x(state.f.reshape(g.Nx, g.vaxes[0].n, -1), g, half)
     e = np.zeros(g.Nx) if force_zero_field else SimState(g, a).efield()
     f = _advect_x(_advect_v(a, g, e, g.dt), g, half).reshape(g.shape)
-    clipped = _clip(f.reshape(-1, 1), np.ones((1, 1)), g)
+    clipped = _clip(f.reshape(-1, 1), np.ones((1, 1)), g)[0]
     np.maximum(f, 0.0, out=f)
     return SimState(g, f, state.time + g.dt, state.clipped_mass + clipped)
 
@@ -254,22 +264,24 @@ def reverse_velocity(state):
     return SimState(state.grid, f, state.time, state.clipped_mass)
 
 
-@dataclass
-class Snapshot:
-    """An output of ``run`` kept as its transverse factors A (Nx, Nv1, r)
-    and B (r, Nv2).  ``f`` builds the clipped dense state max(A B, 0) on
-    every read; nothing keeps it, so a stored snapshot costs A and B only."""
+class Snapshot(SimState):
+    """A state held as its transverse factors A (Nx, Nv1, r) and B (r, Nv2),
+    as ``run`` takes and returns it.  Density, field and moments are those
+    of A B, from the factors (the output's roundoff clip aside); ``f`` builds
+    the clipped dense state max(A B, 0) on every read and nothing keeps it,
+    so a snapshot costs A and B only."""
 
-    grid: PhaseGrid
-    a: np.ndarray
-    b: np.ndarray
-    time: float
-    clipped_mass: float
+    def __init__(self, grid, a, b, time, clipped_mass):
+        self.grid, self.a, self.b = grid, a, b
+        self.time, self.clipped_mass = time, clipped_mass
 
     @property
     def f(self):
-        f = (self.a @ self.b).reshape(self.grid.shape)
+        f = (self.a.reshape(-1, self.b.shape[0]) @ self.b).reshape(self.grid.shape)
         return np.maximum(f, 0.0, out=f)
+
+    def _moments(self):
+        return _moments(self.a, self.b @ _transverse_table(self.grid), self.grid)
 
 
 @dataclass
@@ -302,14 +314,13 @@ def _e_sobolev_sq(efield, T1, s):
 
 
 def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
-    """Fused production loop on the transverse factors; returns (final state, RunLog).
+    """Fused production loop on the transverse factors; returns (last output, RunLog).
 
-    Midpoint diagnostics (mass, momenta, energy, field norms, the current-
-    field pairing) are recorded every ``diagnostics_every`` steps; outputs
-    are taken every ``output_every`` steps (default n_steps // 64) and at
-    the last step.  Each output is a factored ``Snapshot``: its dense state
-    is built only when read, and the final state is the last one's.
-    Raises ValidationError when n_steps < 1.
+    A ``Snapshot`` is advanced from its factors, any other state is factored
+    once.  Midpoint diagnostics (mass, momenta, energy, field norms, the
+    current-field pairing) are recorded every ``diagnostics_every`` steps;
+    outputs, each a ``Snapshot``, every ``output_every`` steps (default
+    n_steps // 64) and at the last step.  Raises ValidationError when n_steps < 1.
     """
     g = state.grid
     if n_steps < 1:
@@ -320,7 +331,10 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
     out_every = output_every or max(1, n_steps // 64)
     half, full = _x_phase(g, 0.5 * g.dt), _x_phase(g, g.dt)
 
-    a, b, w = _factor(state.f, g)
+    if isinstance(state, Snapshot):
+        a, b, w = state.a, state.b, state.b @ _transverse_table(g)
+    else:
+        a, b, w = _factor(state.f, g)
     a = _advect_x(a, g, half)
     clipped_mass = state.clipped_mass
     for i in range(n_steps):
@@ -343,20 +357,23 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
         last = i == n_steps - 1
         if last or (i + 1) % out_every == 0:
             a = _advect_x(a, g, half)
-            clipped = _clip(a.reshape(-1, a.shape[2]), b, g)
+            clipped, kept, resid = _clip(a.reshape(-1, a.shape[2]), b, g)
             clipped_mass += clipped
             snap = Snapshot(g, a, b, state.time + (i + 1) * g.dt, clipped_mass)
             log.snapshots[round(snap.time, 12)] = snap
             log.ranks.append(b.shape[0])
             if clipped and not last:
-                a, kept, w = _factor(snap.f, g, b)
-                log.refactors += kept is not b
-                b = kept
+                sigma1 = math.sqrt(float(np.linalg.eigvalsh(kept.T @ kept)[-1]))
+                if math.sqrt(resid) <= 1e-15 * sigma1:
+                    a = kept.reshape(a.shape)
+                else:
+                    a, b, w = _factor(snap.f, g)
+                    log.refactors += 1
             if not last:
                 a = _advect_x(a, g, half)
         else:
             a = _advect_x(a, g, full)
-    return SimState(g, snap.f, snap.time, snap.clipped_mass), log
+    return snap, log
 
 
 def sample_profile(profile, grid):
@@ -378,17 +395,21 @@ def perturb_cosine(state, amplitude, mode=1, velocity_shape=None):
     return state
 
 
-def comoving_compare(state, reference_f, c):
-    """max |f(t, x + c t) - f_ref| after a spectral frame shift, taken over
-    blocks of ``_ROWS`` rows."""
-    g = state.grid
-    f = state.f
+def comoving_compare(state, reference, c):
+    """max |f(t, x + c t) - f_ref| of a ``Snapshot`` f = max(A B, 0) against
+    a factored reference f_ref = A_ref B_ref, clipped and compared in place
+    over the row blocks; the spectral frame shift acts on A alone."""
+    g, a = state.grid, state.a
     if c != 0.0:
-        f = _advect_x(f.reshape(g.Nx, g.vaxes[0].n, -1), g,
-                      np.exp(1j * g.kx * (c * state.time))[:, None, None])
-    f, ref = f.reshape(-1, g.shape[-1]), reference_f.reshape(-1, g.shape[-1])
-    return max(float(np.max(np.abs(f[j:j + _ROWS] - ref[j:j + _ROWS])))
-               for j in range(0, len(f), _ROWS))
+        a = _advect_x(a, g, np.exp(1j * g.kx * (c * state.time))[:, None, None])
+    worst = 0.0
+    for (_, x), (_, y) in zip(_blocks(a.reshape(-1, a.shape[2]), state.b),
+                              _blocks(reference.a.reshape(-1, reference.a.shape[2]),
+                                      reference.b)):
+        np.maximum(x, 0.0, out=x)
+        x -= y
+        worst = max(worst, float(x.max()), -float(x.min()))
+    return worst
 
 
 @dataclass
@@ -426,8 +447,8 @@ def run_bgk_steadiness(wave, grid, t_end, output_every_t=0.5, diagnostics_every=
                 f"wave feature width {width:.3g} below the grid resolution "
                 f"{grid.vaxes[0].h:.3g}; the sampled state would misrepresent it")
         resolved = False
-    f0 = wave.sample_phase_space(grid.x, *(ax.axis() for ax in grid.vaxes))
-    state = SimState(grid, f0)
+    v2 = grid.vaxes[1].axis() if len(grid.vaxes) == 2 else None
+    state = Snapshot(grid, *wave.sample_factors(grid.x, grid.vaxes[0].axis(), v2), 0.0, 0.0)
     e0 = state.efield()
     n_steps = int(round(t_end / grid.dt))
     out_every = max(1, int(round(output_every_t / grid.dt)))
@@ -435,7 +456,7 @@ def run_bgk_steadiness(wave, grid, t_end, output_every_t=0.5, diagnostics_every=
                      diagnostics_every=diagnostics_every)
     drifts, times = [], []
     for t_snap, snap in sorted(log.snapshots.items()):
-        drifts.append(comoving_compare(snap, f0, wave.c))
+        drifts.append(comoving_compare(snap, state, wave.c))
         times.append(t_snap)
     e_end = final.efield()
     drift_e = math.sqrt(float(np.sum((e_end - e0) ** 2)) * grid.dx)

@@ -62,7 +62,6 @@ KNOBS = {
     "profiles.make_builtin:**params",
     "profiles.rotate_plane:ax_a",
     "profiles.rotate_plane:ax_b",
-    "sim._factor:b",
     "sim.step:force_zero_field",
     "sim.run:output_every",
     "sim.run:s_sobolev",

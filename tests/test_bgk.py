@@ -309,6 +309,39 @@ class TestKernelTables:
         assert _unit_kernel.cache_info().misses == misses
 
 
+def dense_unit_kernel(a, n_u=2049):
+    """Oracle: the unit-kernel tables from a 2049-node u-rule, the rule
+    ``_unit_kernel`` used before its geometric convergence was measured."""
+    n_cheb, n_taylor = 256, 56
+    t = GaussianPairTerm(1.0, a, 1.0, ())
+    cheb = np.polynomial.chebyshev.Chebyshev
+    u = np.linspace(0.0, a + 10.0, n_u)
+
+    def kfun(c):
+        y = u[None, :] ** 2 - np.atleast_1d(c)[:, None]
+        return 2.0 * np.trapezoid(t.even_dval(y.ravel()).reshape(y.shape), u, axis=1)
+
+    kc = cheb.interpolate(kfun, n_cheb, domain=[-9.0, 9.0])
+    qc = kc * cheb.identity(domain=[-9.0, 9.0])
+    m = 2 * n_taylor
+    circ = _RHO * np.exp(2j * np.pi * np.arange(m) / m)
+    y = u[None, :] ** 2 - circ[:, None]
+    kvals = 2.0 * np.trapezoid(t.even_dval_complex(y.ravel()).reshape(y.shape), u, axis=1)
+    return kc.integ(lbnd=0.0), qc.integ(lbnd=0.0), (np.fft.fft(kvals) / m)[:n_taylor].real
+
+
+@settings(max_examples=12)
+@given(a=st.floats(0.0, 6.0))
+def test_unit_kernel_matches_dense_rule(a):
+    # the 129-node rule against the 2049-node one: P and Q across the
+    # table's shift range, and the Taylor coefficients, to 1e-14 of their max
+    probe = np.linspace(-9.0, 9.0, 361)
+    for got, want in zip(_unit_kernel(a), dense_unit_kernel(a)):
+        if callable(want):
+            got, want = got(probe), want(probe)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestPeriodicOrbit:
     def test_harmonic_period_any_amplitude(self):
         for om in (0.5, 2.0):
@@ -346,6 +379,52 @@ class TestPeriodicOrbit:
         h = make_h(mp)
         with pytest.raises(AmplitudeTooLargeError):
             periodic_orbit(h, 1.0)
+
+
+def dop853_sample(orb, n):
+    """Oracle: uniform samples of one period of beta'' = h(beta) from the
+    maximum, by DOP853 at rtol 1e-13 (the sampler ``OrbitSolution.sample``
+    replaced)."""
+    from scipy.integrate import solve_ivp
+
+    scale = max(abs(orb.beta_plus), abs(orb.beta_minus))
+    xs = np.linspace(0.0, orb.period, n, endpoint=False)
+    sol = solve_ivp(lambda x, yv: [yv[1], orb.h(yv[0])], (0.0, orb.period),
+                    [orb.beta_plus, 0.0], t_eval=xs, method="DOP853", rtol=1e-13,
+                    atol=1e-16 * scale, max_step=orb.period / 16)
+    assert sol.success
+    return xs, sol.y[0]
+
+
+class TestOrbitSample:
+    @staticmethod
+    def check_against_dop853(wave):
+        orb = periodic_orbit(wave.h, wave.amplitude)
+        xs, beta = orb.sample(1024)
+        xs_ref, beta_ref = dop853_sample(orb, 1024)
+        assert np.array_equal(xs, xs_ref)
+        scale = np.max(np.abs(beta_ref))
+        # the maximum at x = 0 and the minimum at half the period
+        assert abs(beta[0] - orb.beta_plus) <= 1e-15 * scale
+        assert abs(beta[512] - orb.beta_minus) <= 1e-15 * scale
+        assert np.max(np.abs(beta - beta_ref)) <= 1e-11 * scale
+
+    def test_case3_steady_wave(self):
+        p, _ = tuned_case3_profile()
+        self.check_against_dop853(match_period(p, 2 * np.pi, 0.0, 1e-3, case=3)[1])
+
+    def test_budget_wave(self, maxwellian2):
+        wave, _ = build_wave(maxwellian2, 2 * np.pi, eps=1e-1)
+        self.check_against_dop853(wave)
+
+    @pytest.mark.parametrize("n", [7, 8, 1000])
+    def test_uneven_counts_close_the_period(self, n):
+        # the mirrored half meets itself for odd and even counts alike
+        orb = periodic_orbit(PendulumH(), 2.0)
+        _, beta = orb.sample(n)
+        _, beta_ref = dop853_sample(orb, n)
+        assert len(beta) == n
+        assert np.max(np.abs(beta - beta_ref)) <= 1e-11 * np.max(np.abs(beta_ref))
 
 
 class TestMatchPeriod:

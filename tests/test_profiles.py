@@ -102,6 +102,17 @@ class TestBuiltins:
         with pytest.raises(ValidationError, match=f"width must be finite and positive, got {shown}"):
             make_builtin(name, VelocityGrid(2, 16.0, 64), **params)
 
+    @pytest.mark.parametrize("v0, shown", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                           (-float("inf"), "-inf")])
+    @pytest.mark.parametrize("name", ["double_bump", "product"])
+    def test_nonfinite_v0_rejected(self, name, v0, shown):
+        # nan once gave an all-NaN profile and inf a zero-mass one: both
+        # compare false against v0 <= 0 and the tail check
+        params = ({"v0": v0} if name == "double_bump" else
+                  {"factors": [("double_bump", {"v0": v0}), ("gaussian", {})]})
+        with pytest.raises(ValidationError, match=f"v0 must be finite, got {shown}"):
+            make_builtin(name, VelocityGrid(2, 16.0, 64), **params)
+
     def test_tail_requirement(self):
         # double bump at v0=3 on vmax=8 violates the 1e-14 tail rule
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from vplab.sim import (
 )
 
 T1 = 4 * np.pi
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -343,18 +345,12 @@ class TestFactoredRun:
         # a fresh SVD with a larger rank; the second clip lies in the grown
         # span, which is kept, and the third, final one needs no factor
         st = _lobe_datum(_grid2v())
-        ranks, factor = [], sim._factor
-
-        def recorded(*args):
-            out = factor(*args)
-            ranks.append(out[1].shape[0])
-            return out
-
-        monkeypatch.setattr(sim, "_factor", recorded)
         svds = count_svds(monkeypatch)
-        fin, _ = run(st, 15, output_every=5)
+        fin, log = run(st, 15, output_every=5)
         assert fin.clipped_mass > 0
+        ranks = log.ranks
         assert len(ranks) == 3 and ranks[0] == 2 and ranks[1] > 2 and ranks[2] == ranks[1]
+        assert log.refactors == 1
         assert len(svds) == 2
 
     def test_clip_at_the_final_output_makes_no_svd(self, monkeypatch):
@@ -402,9 +398,25 @@ class TestFactoredOutputs:
         b = rng.standard_normal((rank, 16))
         f = rows @ b
         monkeypatch.setattr(sim, "_ROWS", block)
-        got = _clip(rows, b, g) / (g.dx * g.cell_v)
+        got = _clip(rows, b, g)[0] / (g.dx * g.cell_v)
         assert got > 0
         assert abs(got + np.minimum(f, 0.0).sum()) <= 1e-14 * np.abs(f).sum()
+
+    @pytest.mark.parametrize("nx,rank,block", [(4, 1, 1024), (8, 3, 1024), (32, 2, 1000)])
+    def test_clip_projection_matches_dense(self, rng, nx, rank, block, monkeypatch):
+        # the kept rows and the span residual from the negative part alone,
+        # against the projection of the dense clipped state onto orthonormal b
+        g = PhaseGrid(T1, nx, (VelocityGrid(1, 8.0, 128), VelocityGrid(1, 8.0, 16)), 0.01)
+        rows = 1e-12 * rng.standard_normal((nx * 128, rank))
+        b = np.linalg.qr(rng.standard_normal((16, rank)))[0].T
+        clipped = np.maximum(rows @ b, 0.0)
+        monkeypatch.setattr(sim, "_ROWS", block)
+        _, kept, resid = _clip(rows, b, g)
+        want = clipped @ b.T
+        assert np.max(np.abs(kept - want)) <= 1e-14 * np.max(np.abs(want))
+        want_resid = np.sum((clipped - want @ b) ** 2)
+        assert abs(resid - want_resid) <= 1e-13 * np.sum(clipped ** 2)
+        assert want_resid > 1e-3 * np.sum(clipped ** 2)  # the clip leaves the span
 
     @pytest.mark.parametrize("c", [0.0, 0.37])
     @pytest.mark.parametrize("block", [1024, 1000])
@@ -412,18 +424,19 @@ class TestFactoredOutputs:
         # the largest difference sits in the last row, in a full or a
         # short (48-row) last block
         g = _grid2v()
-        st = _lobe_datum(g)
-        st.time = 1.3
-        ref = st.f + 1e-3 * rng.standard_normal(g.shape)
+        f = _lobe_datum(g).f
+        ref = f + 1e-3 * rng.standard_normal(g.shape)
         ref[-1, -1] += 1.0
+        snap, ref = (Snapshot(g, *_factor(x, g)[:2], 1.3, 0.0) for x in (f, ref))
         monkeypatch.setattr(sim, "_ROWS", block)
-        f = st.f
+        a = snap.a
         if c != 0.0:
             from scipy import fft as sfft
 
-            fhat = sfft.rfft(f, axis=0) * np.exp(1j * g.kx * (c * st.time))[:, None, None]
-            f = sfft.irfft(fhat, n=g.Nx, axis=0)
-        assert comoving_compare(st, ref, c) == float(np.max(np.abs(f - ref)))
+            ahat = sfft.rfft(a, axis=0) * np.exp(1j * g.kx * (c * snap.time))[:, None, None]
+            a = sfft.irfft(ahat, n=g.Nx, axis=0)
+        want = float(np.max(np.abs(np.maximum(a @ snap.b, 0.0) - ref.a @ ref.b)))
+        assert comoving_compare(snap, ref, c) == want
 
     def test_snapshot_builds_the_clipped_product(self, rng):
         g = _grid2v()
@@ -468,6 +481,90 @@ def test_steadiness_memory_stays_factored(case3_wave):
     assert rep.log.ranks == [1] * 4 and rep.log.refactors == 0
     assert (peak - base) / dense < 5.0
     assert (held - base) / dense < 0.5
+
+
+def test_steadiness_peak_below_one_dense_state(case3_wave):
+    # the wave is sampled, evolved, clipped and compared as factors: the
+    # whole run never holds a dense (Nx, Nv1, Nv2) state
+    g = PhaseGrid(2 * np.pi, 64, (VelocityGrid(1, 8.0, 128), VelocityGrid(1, 8.0, 32)), 0.01)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_bgk_steadiness(case3_wave, g, t_end=0.4, output_every_t=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 8 * np.prod(g.shape)
+
+
+def test_steadiness_factors_no_dense_state(case3_wave, monkeypatch):
+    # no SVD at all, and the one QR is of the wave's (Nv2, 1) Gaussian row
+    g = PhaseGrid(2 * np.pi, 64, (VelocityGrid(1, 8.0, 128), VelocityGrid(1, 8.0, 32)), 0.01)
+    svds, qrs, qr = count_svds(monkeypatch), [], np.linalg.qr
+
+    def counted(x, *args, **kwargs):
+        qrs.append(np.shape(x))
+        return qr(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    rep = run_bgk_steadiness(case3_wave, g, t_end=0.4, output_every_t=0.1)
+    assert rep.log.ranks == [1] * 4
+    assert svds == [] and qrs == [(32, 1)]
+
+
+def dense_comoving_compare(snap, reference_f, c):
+    """Oracle: max |f(t, x + c t) - f_ref| with the dense clipped state
+    shifted spectrally in x (the comparison the factored one replaced)."""
+    from scipy import fft as sfft
+
+    g, f = snap.grid, snap.f
+    if c != 0.0:
+        fhat = sfft.rfft(f, axis=0) * np.exp(1j * g.kx * (c * snap.time))[:, None, None]
+        f = sfft.irfft(fhat, n=g.Nx, axis=0)
+    return float(np.max(np.abs(f - reference_f)))
+
+
+@pytest.mark.parametrize("boost", [0.0, 0.5])
+def test_factored_drift_matches_dense(case3_wave, boost):
+    from vplab.bgk import galilean_boost
+
+    wave = galilean_boost(case3_wave, boost) if boost else case3_wave
+    g = PhaseGrid(2 * np.pi, 64, (VelocityGrid(1, 8.0, 128), VelocityGrid(1, 8.0, 32)), 0.01)
+    f0 = wave.sample_phase_space(g.x, *(ax.axis() for ax in g.vaxes))
+    rep = run_bgk_steadiness(wave, g, t_end=0.4, output_every_t=0.1)
+    want = [dense_comoving_compare(snap, f0, wave.c)
+            for _, snap in sorted(rep.log.snapshots.items())]
+    assert min(want) > 1e-10 * f0.max()  # a drift well above roundoff
+    assert np.max(np.abs(rep.drift_series - want)) <= 1e-15 * f0.max()
+    assert rep.drift_f_max == max(rep.drift_series)
+
+
+def test_steadiness_imports_no_ode_solver():
+    # the orbit sampler is a quadrature: matching and evolving a wave must
+    # not import scipy.integrate (0.03-0.05 s on a cold start)
+    import subprocess
+    import sys
+
+    script = """
+import sys
+import numpy as np
+from scipy.optimize import brentq
+from vplab.bgk import match_period
+from vplab.profiles import GaussianPairTerm, VelocityGrid, make_builtin
+from vplab.sim import PhaseGrid, run_bgk_steadiness
+
+v0 = brentq(lambda v: GaussianPairTerm(1.0, v, 0.45, ()).pv_d_integral() - 1.0, 0.9, 1.9,
+           xtol=1e-13)
+p = make_builtin("product", VelocityGrid(2, 8.0, 256), factors=[
+    ("double_bump", {"v0": v0, "width": 0.45}), ("gaussian", {"width": 1.0})])
+_, wave = match_period(p, 2 * np.pi, 0.0, 1e-3, case=3)
+g = PhaseGrid(2 * np.pi, 64, (VelocityGrid(1, 8.0, 128), VelocityGrid(1, 8.0, 32)), 0.01)
+run_bgk_steadiness(wave, g, t_end=0.05, output_every_t=0.05)
+print("scipy.integrate" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
 
 
 class TestZeroSteps:
@@ -568,13 +665,14 @@ class TestFftWorkers:
 class TestComoving:
     def test_shift_identity(self, grid1v, maxprofile):
         st = perturb_cosine(sample_profile(maxprofile, grid1v), 0.05)
-        assert comoving_compare(st, st.f, 0.0) == 0.0
-        st.time = 1.7
+        snap = Snapshot(grid1v, *_factor(st.f, grid1v)[:2], 0.0, 0.0)
+        assert comoving_compare(snap, snap, 0.0) == 0.0
+        snap.time = 1.7
         # shifting by c t and comparing against the shifted reference is
         # consistent with an explicit roll for commensurate shifts
         c = T1 / (64 * 1.7) * 8
-        ref = np.roll(st.f, -8, axis=0)
-        assert comoving_compare(st, ref, c) < 1e-12
+        ref = Snapshot(grid1v, np.roll(snap.a, -8, axis=0), snap.b, 0.0, 0.0)
+        assert comoving_compare(snap, ref, c) < 1e-12
 
 
 def test_clipped_mass_resolution_error():
