@@ -244,9 +244,9 @@ class BifurcationH:
                 # chat^1 .. chat^56 as a running product, one multiply per entry
                 powers = np.cumprod(np.broadcast_to(ch[:, None], (len(ch), len(k_h))), axis=1)
                 if mode == "h":
-                    out[inner] -= rho * (powers @ k_h)
+                    out[inner] -= rho * np.vecdot(powers, k_h)
                 else:
-                    out[inner] += rho ** 2 * ((powers * ch[:, None]) @ k_v)
+                    out[inner] += rho ** 2 * np.vecdot(powers * ch[:, None], k_v)
             if np.any(outer):
                 co = c[outer]
                 pc = weight * P(co / w2)
@@ -283,6 +283,9 @@ def hprime0_centered(h, scale=1e-6):
 # ---------------------------------------------------------------------------
 # periodic orbits of beta'' = h(beta)
 # ---------------------------------------------------------------------------
+
+# the 128-node Gauss-Legendre rule of the period quadrature, on (-pi/2, pi/2)
+_THETA, _THETA_W = (a * (math.pi / 2.0) for a in np.polynomial.legendre.leggauss(128))
 
 @dataclass
 class OrbitSolution:
@@ -345,15 +348,10 @@ def periodic_orbit(h, r):
         raise ValidationError(f"h'(0) = {hp0:.3e} is not negative: no center at 0")
     om = math.sqrt(-hp0)
     V = h.potential
-
-    theta, th_w = np.polynomial.legendre.leggauss(128)
-    theta = theta * (math.pi / 2.0)
-    th_w = th_w * (math.pi / 2.0)
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    th_w, sin_t, cos_t = _THETA_W, np.sin(_THETA), np.cos(_THETA)
 
     def orbit_at(energy):
-        bp = _turning_point(V, h, om, energy, +1)
-        bm = _turning_point(V, h, om, energy, -1)
+        bp, bm = _turning_points(h, om, energy)
         mid, rho = 0.5 * (bp + bm), 0.5 * (bp - bm)
         b_theta = mid + rho * sin_t
         G = (energy - V(b_theta)) / (rho * cos_t) ** 2
@@ -397,30 +395,74 @@ def periodic_orbit(h, r):
     raise AmplitudeTooLargeError(f"H^2 amplitude {r} not reached in iteration budget")
 
 
-def _turning_point(V, h, om, energy, sign):
-    """Root of V = E on one side of 0, with center-basin monotonicity checks."""
-    from scipy.optimize import brentq
+def _brent(xpre, xcur, fpre, fcur):
+    """brentq's iteration (xtol 1e-300, rtol 1e-15) on a bracket of V - E, as a
+    generator so that callers batch several roots: it yields (point, converged)
+    and is sent V - E at each new point; once converged it yields the root."""
+    xblk = fblk = spre = scur = 0.0
+    while True:
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-300 + 1e-15 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            while True:
+                yield xcur, True
+        stry = math.inf  # bisect unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = yield xcur, False
 
-    b = sign * math.sqrt(2.0 * energy) / om
 
-    def Vm(x):
-        return float(V(x)) - energy
+def _turning_points(h, om, energy):
+    """Roots beta_+ > 0 > beta_- of V(beta) = E, with center-basin monotonicity checks.
 
+    From the harmonic guess +-sqrt(2E)/om a side grows by 1.5 until V exceeds
+    E; ``_brent`` solves both brackets (0, beta) with one potential call per
+    step for the pair.  Each entry of a batched V has the one-point bits, so
+    the roots are brentq's to the bit, which the period quadrature needs: one
+    ulp of a turning point moves the matched delta by about 1e-13.
+    """
+    sign = np.array([1.0, -1.0])
+    b = sign * (math.sqrt(2.0 * energy) / om)
     for _ in range(200):
-        if Vm(b) > 0:
-            root = brentq(Vm, min(0.0, b), max(0.0, b), xtol=1e-300, rtol=1e-15)
-            probes = np.linspace(0.1 * root, root, 24)
-            if np.any(h(probes) * np.sign(root) > 0):
-                raise AmplitudeTooLargeError(
-                    "potential loses convexity before the turning point"
-                )
-            return root
-        if np.any(h(np.linspace(0.1 * b, b, 24)) * sign > 0):
-            raise AmplitudeTooLargeError(
-                "potential loses convexity before the turning point"
-            )
-        b *= 1.5
-    raise AmplitudeTooLargeError("no turning point found: orbit escapes")
+        g = h.potential(b) - energy
+        low = g <= 0.0
+        if not low.any():
+            break
+        if np.any(h(np.linspace(0.1 * b[low], b[low], 24)) * sign[low] > 0):
+            raise AmplitudeTooLargeError("potential loses convexity before the turning point")
+        b = np.where(low, 1.5 * b, b)
+    else:
+        raise AmplitudeTooLargeError("no turning point found: orbit escapes")
+    runs = [_brent(0.0, float(b[0]), -energy, float(g[0])),
+            _brent(float(b[1]), 0.0, float(g[1]), -energy)]
+    state = [next(run) for run in runs]
+    for _ in range(100):
+        root = np.array([x for x, _ in state])
+        if all(done for _, done in state):
+            break
+        state = [run.send(float(f)) for run, f in zip(runs, h.potential(root) - energy)]
+    else:
+        raise AmplitudeTooLargeError("turning points not converged in 100 Brent steps")
+    if np.any(h(np.linspace(0.1 * root, root, 24)) * sign > 0):
+        raise AmplitudeTooLargeError("potential loses convexity before the turning point")
+    return float(root[0]), float(root[1])
 
 
 # ---------------------------------------------------------------------------
@@ -821,12 +863,16 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
     practical grid, which the analytic closure carries exactly.  With
     explicit ``gamma``/``r`` the construction is direct.  A budget at
     s >= 1 + 1/p on the gamma path (cases 1-2) raises RegularityError
-    before any search.
+    before any search.  A travel speed c != 0 is refused: the boost moves
+    the wave off f0(v) to f0(v - c), which the certificate does not see.
 
     Returns (wave, ClosenessReport).
     """
     from .closeness import closeness_report, modified_profile_distance
 
+    if c != 0.0:
+        raise ValidationError(f"travel speed c = {c:g} != 0: the boosted wave sits near "
+                              "f0(v - c), and the distance certificate is to f0 at rest")
     sel = select_case(f0, T1)
     case = sel.case
     om1 = 2.0 * math.pi / T1
@@ -835,7 +881,7 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
     if eps is None:
         if r is None:
             raise ValidationError("give either eps or an explicit amplitude r")
-        delta, wave = match_period(f0, T1, gamma or 0.0, r, case=case, c=c)
+        delta, wave = match_period(f0, T1, gamma or 0.0, r, case=case)
         return wave, closeness_report(wave, s=s, p=p)
 
     target_mod, target_wave = 0.45 * eps, 0.2 * eps
@@ -844,7 +890,7 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
         r_cap = 0.02 * kappa_r
         r_try = r_cap
         for _ in range(6):
-            delta, wave = match_period(f0, T1, 0.0, r_try, case=3, c=c)
+            delta, wave = match_period(f0, T1, 0.0, r_try, case=3)
             rep = closeness_report(wave, s=s, p=p)
             if rep.total < eps:
                 return wave, rep
@@ -893,7 +939,7 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
         else:
             beta_cap = 0.25 * lam ** 2
         r_try = min(beta_cap * kappa_r, 0.02 * kappa_r) if r is None else r
-        delta, wave = match_period(f0, T1, g, r_try, case=case, v0=v0, c=c)
+        delta, wave = match_period(f0, T1, g, r_try, case=case, v0=v0)
         rep = closeness_report(wave, s=s, p=p)
         if rep.total < eps:
             return wave, rep

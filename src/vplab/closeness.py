@@ -10,8 +10,10 @@ evaluated on its own adapted grid.  ``wsp_pow_separable`` is the one
 W^{s,p} assembly: a tensor product of ``Axis1D`` factors of any rank, each
 axis periodic (spectral derivative) or decaying (fourth-order stencil).
 The coupled wave field here and ``norms.fractional_wsp_norm`` on a gridded
-field are single calls to it.  Pieces combine by the triangle inequality,
-so the reported total is a certified upper bound.
+field are single calls to it.  For p = 2 each axis Gagliardo seminorm is
+one spectral quadratic form (``gagliardo_pow``): the discrete, no-wrap
+version of the Fourier-multiplier identity for W^{s,2}.  Pieces combine by
+the triangle inequality, so the reported total is a certified upper bound.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from .errors import ValidationError
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
+_GL1 = np.polynomial.legendre.leggauss(1)
 _GL8 = np.polynomial.legendre.leggauss(8)
-
-# offsets of the p = 2 Gagliardo sums taken directly, free of cancellation
-_GAG_BAND = 32
 
 
 # ---------------------------------------------------------------------------
@@ -41,35 +41,47 @@ def lp_pow(vals, h, p):
     return float(np.sum(np.abs(vals) ** p)) * h
 
 
+def _offset_symbol(w, size):
+    """K_k = 4 sum_m w_m sin^2(pi k m/size), k <= size/2, to full relative accuracy.
+
+    2 (sum w - Re W_k) cancels at small k, where K_k = 4 sin^2(pi k/size)
+    sum_j c_|j| cos(2 pi k j/size) with Fejer weights c_j = sum_{m>j} w_m (m - j)
+    >= 0 does not; each k takes the form with the smaller roundoff scale."""
+    s2 = np.sin(np.pi * np.arange(size // 2 + 1) / size) ** 2
+    direct = 2.0 * (w.sum() - sfft.rfft(np.concatenate(([0.0], w)), n=size).real)
+    c = np.cumsum(np.cumsum(w[::-1]))[::-1]
+    fejer = 4.0 * s2 * (2.0 * sfft.rfft(c, n=size).real - c[0])
+    return np.where(4.0 * s2 * c.sum() < w.sum(), fejer, direct)
+
+
 def gagliardo_pow(vals, h, order, p, axis=0):
     """p-th power of the axis Gagliardo seminorm of fractional order in (0,1).
 
     Sums |v(i + m) - v(i)|^p / (m h)^(1 + order p) over every offset m >= 1,
-    without wrap-around, and over the other axes.  For p = 2 the offset sums
-    S(m) = sum_{i>=m} v_i^2 + sum_{i<n-m} v_i^2 - 2 sum_i v_i v_{i+m} are
-    correlations (v with v, v^2 with ones) read from one inverse FFT of
-    zero-padded spectra, O(n log n); the first _GAG_BAND are dot products d @ d.
+    without wrap-around, and over the other axes.  For p = 2 it is one
+    spectral quadratic form, one FFT per axis: a column centred and
+    zero-padded to N >= 2n - 1 has circular offset sums (1/N) sum_k |U_k|^2
+    4 sin^2(pi k m/N) = S(m) + T(m), the no-wrap sums plus the pairs with the
+    padding T(m) = sum_{j<m} v_j^2 + sum_{i>=n-m} v_i^2, so sum_m w_m S(m) =
+    (1/N) sum_k |U_k|^2 K_k - sum_m w_m T(m) with K of ``_offset_symbol``.
     """
-    v = np.moveaxis(np.asarray(vals, dtype=float), axis, 0)
-    n = v.shape[0]
-    v = np.ascontiguousarray(v.reshape(n, -1))
-    offsets = np.arange(1, n)
-    sums = np.empty(n - 1)
-    band = n - 1 if p != 2.0 else min(n - 1, _GAG_BAND)
-    for m in range(1, band + 1):
-        d = (v[m:] - v[:-m]).ravel()
-        sums[m - 1] = d @ d if p == 2.0 else np.sum(np.abs(d) ** p)
-    if band < n - 1:
-        # differences are shift-invariant: centring keeps the mean out of S
-        v = v - v.mean(axis=0)
-        size = sfft.next_fast_len(2 * n - 1, real=True)
-        spec = sfft.rfft(v, n=size, axis=0)
-        squares = sfft.rfft(np.sum(v * v, axis=1), n=size)
-        ones = sfft.rfft(np.ones(n), n=size)
-        corr = sfft.irfft(2.0 * (squares.conj() * ones).real
-                          - 2.0 * np.sum(spec.real ** 2 + spec.imag ** 2, axis=1), n=size)
-        sums[band:] = np.maximum(corr[band + 1:n], 0.0)
-    return 2.0 * h * h * float(sums @ (offsets * h) ** -(1.0 + order * p))
+    v = np.asarray(vals, dtype=float)
+    n = v.shape[axis]
+    w = (np.arange(1, n) * h) ** -(1.0 + order * p)
+    if p != 2.0 or n < 2:
+        v = np.ascontiguousarray(np.moveaxis(v, axis, 0).reshape(n, -1))
+        sums = [np.sum(np.abs((v[m:] - v[:-m]).ravel()) ** p) for m in range(1, n)]
+        return 2.0 * h * h * float(np.asarray(sums, dtype=float) @ w)
+    # differences are shift-invariant: centring keeps the mean out of T(m)
+    v = v - v.mean(axis=axis, keepdims=True)
+    others = tuple(a for a in range(v.ndim) if a != axis)
+    size = sfft.next_fast_len(2 * n - 1, real=True)
+    spec = sfft.rfft(v, n=size, axis=axis)
+    power = np.sum(spec.real ** 2 + spec.imag ** 2, axis=others)
+    power[1:(size + 1) // 2] *= 2.0  # k and size - k
+    sq = np.sum(v * v, axis=others)
+    ends = np.cumsum(sq)[:-1] + np.cumsum(sq[::-1])[:-1]
+    return 2.0 * h * h * (float(power @ _offset_symbol(w, size)) / size - float(w @ ends))
 
 
 def fd_derivative(vals, h, axis=0):
@@ -262,24 +274,25 @@ def wave_profile_distance(wave, s=1.2, p=2.0):
     triangle inequality.
     """
     n_x, n_v = 192, 1024
-    gl_x, gl_w = _GL8
-    sn = 0.5 * (gl_x + 1.0)
-    sw = 0.5 * gl_w
     xs = np.linspace(0.0, wave.T1, n_x, endpoint=False)
     hx = wave.T1 / n_x
     beta = wave.beta_at(xs)
+    b_max = float(np.max(np.abs(beta)))
+    margin = math.sqrt(2.0 * b_max) * 1.5
     l1 = mom = wsp = 0.0
     for t in wave.mp.mixture.terms:
         reach = t.v0 + 12.0 * t.w1
-        margin = math.sqrt(2.0 * float(np.max(np.abs(beta)))) * 1.5
         v = np.linspace(-(reach + margin), reach + margin, n_v)
         hv = v[1] - v[0]
         y0 = v[None, :] ** 2
-        # D = -2 beta int_0^1 A'(y0 - 2 beta s) ds     (Gauss-Legendre in s)
+        # D = -2 beta int_0^1 A'(y0 - 2 beta s) ds     (Gauss-Legendre in s);
+        # A' varies by eps = 2 max|beta| / w1^2 over s, so at eps <= 1e-8 the
+        # one-node rule's error is below roundoff
+        gl_x, gl_w = _GL8 if 2.0 * b_max / t.w1 ** 2 > 1e-8 else _GL1
         acc = np.zeros((n_x, n_v))
-        for a, w8 in zip(sn, sw):
+        for a, wq in zip(0.5 * (gl_x + 1.0), 0.5 * gl_w):
             y = y0 - (2.0 * a) * beta[:, None]
-            acc += w8 * t.even_dval(y.ravel()).reshape(y.shape)
+            acc += wq * t.even_dval(y.ravel()).reshape(y.shape)
         D = -2.0 * t.weight * beta[:, None] * acc
         trans = [_gauss_axis(w) for w in t.wt]
         cell = hx * hv

@@ -43,3 +43,20 @@ def double_bump2():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture(scope="session")
+def budget_wave(maxwellian2):
+    """The eps = 1e-1 wave of the bgk_budget benchmark and its report."""
+    from vplab.bgk import build_wave
+
+    return build_wave(maxwellian2, 2 * np.pi, eps=1e-1)
+
+
+@pytest.fixture(scope="session")
+def steady_wave():
+    """The case-3 wave of the bgk_steady_2v benchmark (r = 1e-3)."""
+    from tests.test_bgk import tuned_case3_profile
+    from vplab.bgk import match_period
+
+    return match_period(tuned_case3_profile()[0], 2 * np.pi, 0.0, 1e-3, case=3)[1]

@@ -207,7 +207,8 @@ def per_term_h(term, beta, n_v1=2048, n_cheb=256, n_taylor=56):
 
 def per_call_accumulate(mp, b, mode):
     """Oracle: ``BifurcationH._accumulate`` with each term's scaled Taylor
-    vectors rebuilt from the unit table on every call."""
+    vectors rebuilt from the unit table on every call.  The series are
+    contracted row by row (``np.vecdot``), as the package does."""
     out = np.zeros_like(b)
     c = 2.0 * b
     for t in mp.mixture.terms:
@@ -222,10 +223,10 @@ def per_call_accumulate(mp, b, mode):
             powers = np.cumprod(np.broadcast_to(ch[:, None], (len(ch), len(k_hat))), axis=1)
             mm = np.arange(len(k_hat))
             if mode == "h":
-                out[inner] -= rho * (powers @ (k_hat / (mm + 1)))
+                out[inner] -= rho * np.vecdot(powers, k_hat / (mm + 1))
             else:
-                out[inner] += rho ** 2 * ((powers * ch[:, None]) @ (
-                    k_hat / (2.0 * (mm + 1) * (mm + 2))))
+                out[inner] += rho ** 2 * np.vecdot(powers * ch[:, None],
+                                                   k_hat / (2.0 * (mm + 1) * (mm + 2)))
         if np.any(outer):
             co = c[outer]
             pc = weight * P(co / w2)
@@ -254,6 +255,18 @@ class TestKernelTables:
             for b in beta[::7]:
                 assert np.array_equal(h._accumulate(np.array([b]), mode),
                                       per_call_accumulate(mp, np.array([b]), mode))
+    @pytest.mark.parametrize("case", [1, 3])
+    def test_rows_are_one_point_bits(self, maxwellian2, case):
+        # each entry of a batched h or V is the bits of the one-point call,
+        # whatever the batch: the turning points solve two roots per call
+        h = make_h(build_modified(maxwellian2, 0.1, 0.5, case, v0=3.0))
+        rng = np.random.default_rng(case)
+        beta = 0.5 * h.c_admissible * rng.uniform(-0.99, 0.99, 64) * 10.0 ** rng.uniform(-14, 0, 64)
+        for f in (h, h.potential):
+            single = np.array([f(float(b)) for b in beta])
+            assert np.array_equal(f(beta), single)
+            assert np.array_equal(f(beta[:2]), single[:2])
+
     @pytest.mark.parametrize("a", [0.0, 3.0])
     @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.3, 1.0])
     def test_scaled_table_matches_per_term_build(self, a, lam):
@@ -425,6 +438,82 @@ class TestOrbitSample:
         _, beta_ref = dop853_sample(orb, n)
         assert len(beta) == n
         assert np.max(np.abs(beta - beta_ref)) <= 1e-11 * np.max(np.abs(beta_ref))
+
+
+def brentq_turning_point(h, om, energy, sign):
+    """Oracle: one turning point by scipy's brentq, the scalar search that
+    ``_turning_points`` replaced (growth by 1.5 from the harmonic guess)."""
+    from scipy.optimize import brentq
+
+    b = sign * math.sqrt(2.0 * energy) / om
+    while float(h.potential(b)) <= energy:
+        b *= 1.5
+    return brentq(lambda x: float(h.potential(x)) - energy, min(0.0, b), max(0.0, b),
+                  xtol=1e-300, rtol=1e-15)
+
+
+def brentq_turning_points(h, om, energy):
+    return tuple(brentq_turning_point(h, om, energy, sign) for sign in (1.0, -1.0))
+
+
+class TestTurningPoints:
+    @pytest.mark.parametrize("which", ["budget", "steady"])
+    def test_secant_energies_match_brentq(self, which, budget_wave, steady_wave, monkeypatch):
+        # every energy the amplitude secant visits on the two benchmark waves
+        wave = budget_wave[0] if which == "budget" else steady_wave
+        seen = []
+        solve = bgk_mod._turning_points
+
+        def spy(h, om, energy):
+            seen.append((om, energy))
+            return solve(h, om, energy)
+
+        monkeypatch.setattr(bgk_mod, "_turning_points", spy)
+        periodic_orbit(wave.h, wave.amplitude)
+        assert len(seen) >= 3
+        for om, energy in seen:
+            for root, ref in zip(solve(wave.h, om, energy),
+                                 brentq_turning_points(wave.h, om, energy)):
+                assert abs(root - ref) <= 2 * np.spacing(abs(ref))
+
+    def test_matched_delta_equals_brentq_build(self, maxwellian2, budget_wave, monkeypatch):
+        pv = budget_wave[0].provenance
+        runs = [(maxwellian2, pv["gamma"], pv["r"], 1), (tuned_case3_profile()[0], 0.0, 1e-3, 3)]
+        ours = [match_period(f, 2 * np.pi, g, r, case=c)[0] for f, g, r, c in runs]
+        monkeypatch.setattr(bgk_mod, "_turning_points", brentq_turning_points)
+        for delta, (f, g, r, c) in zip(ours, runs):
+            ref = match_period(f, 2 * np.pi, g, r, case=c)[0]
+            assert abs(delta - ref) <= 1e-15 * ref
+
+    def test_convexity_loss_refused(self, maxwellian2):
+        # past the centre basin of a case-1 wave the potential turns over
+        h = make_h(build_modified(maxwellian2, 0.05, 1.0, 1, v0=3.0))
+        om = math.sqrt(-h.hprime0())
+        assert bgk_mod._turning_points(h, om, 1e-7)[0] > 0
+        with pytest.raises(AmplitudeTooLargeError, match="loses convexity"):
+            bgk_mod._turning_points(h, om, 1e-5)
+
+
+def test_budget_build_imports_no_root_finder():
+    # the turning points are solved in the package: building the budget wave
+    # must not import scipy.optimize (about 0.3 s on a cold start)
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import sys
+import numpy as np
+from vplab.bgk import build_wave
+from vplab.profiles import VelocityGrid, make_builtin
+
+build_wave(make_builtin("maxwellian", VelocityGrid(2, 8.0, 256)), 2 * np.pi, eps=1e-1)
+print("scipy.optimize" in sys.modules)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestMatchPeriod:
@@ -611,6 +700,14 @@ class TestBuildWave:
     def test_explicit_parameters(self, maxwellian2):
         wave, rep = build_wave(maxwellian2, 2 * np.pi, gamma=0.1, r=1e-3)
         assert wave.amplitude == pytest.approx(1e-3, rel=1e-10)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_travel_speed_refused(self, maxwellian2, c):
+        # the boost moves the wave off f0 (direct L1 distance 1.365 at c = 2)
+        # while the certificate still reads 0.0454: refused on both paths
+        for kw in ({"eps": 1e-1}, {"gamma": 0.1, "r": 1e-3}):
+            with pytest.raises(ValidationError, match=f"c = {c:g}"):
+                build_wave(maxwellian2, 2 * np.pi, c=c, **kw)
 
     @pytest.mark.parametrize("p, s", [(2.0, 1.5), (2.0, 1.6), (1.5, 1.7)])
     def test_regularity_refused_up_front(self, maxwellian2, monkeypatch, p, s):

@@ -130,6 +130,23 @@ r = 1.0
         assert code == 1
         assert "admissible range" in capsys.readouterr().err
 
+    def test_bgk_build_travel_speed_exit1(self, tmp_path, capsys):
+        text = """
+command = bgk-build
+profile.name = maxwellian
+grid.dim = 2
+grid.n = 128
+grid.vmax = 8.0
+T1 = 6.283185307179586
+c = 0.5
+gamma = 0.1
+r = 1e-3
+"""
+        path = write_config(tmp_path, text)
+        code = main(["--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "travel speed c = 0.5" in capsys.readouterr().err
+
     def test_bgk_build_manifest_residuals(self, tmp_path):
         text = """
 command = bgk-build

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
 
+from vplab import closeness
 from vplab.closeness import (
-    _GAG_BAND,
     Axis1D,
     fd_derivative,
     gagliardo_pow,
     lp_pow,
+    wave_profile_distance,
     wsp_norm_coupled,
     wsp_pow_separable,
 )
 from vplab.errors import ValidationError
+from vplab.bgk import build_modified
 from vplab.norms import fractional_wsp_norm
-from vplab.profiles import VelocityGrid
+from vplab.profiles import VelocityGrid, make_builtin
 
 
 def gagliardo_double_sum(vals, h, order, p, axis):
@@ -48,7 +50,7 @@ def _field(kind, n, cols, rng):
 
 class TestGagliardo:
     @settings(max_examples=80)
-    @given(n=st.one_of(st.integers(2, _GAG_BAND + 2), st.integers(2, 600)),
+    @given(n=st.one_of(st.integers(2, 34), st.integers(2, 600)),
            cols=st.integers(0, 5), axis=st.sampled_from((0, 1)),
            kind=st.sampled_from(("noise", "walk", "bump", "near_constant")),
            order=st.floats(0.05, 0.95), p=st.sampled_from((2.0, 1.5)),
@@ -79,6 +81,121 @@ class TestGagliardo:
     def test_constant_and_single_point(self):
         assert gagliardo_pow(np.full(300, 2.5), 0.1, 0.5, 2.0) == 0.0
         assert gagliardo_pow(np.array([1.0]), 0.1, 0.5, 2.0) == 0.0
+
+
+    @settings(max_examples=80)
+    @given(n=st.integers(2, 400), cols=st.integers(1, 3),
+           kind=st.sampled_from(("offset_cosine", "ramp", "offset_near_constant")),
+           order=st.floats(0.05, 0.95), h=st.floats(1e-3, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_ends_that_do_not_vanish(self, n, cols, kind, order, h, seed):
+        # the padded spectral form must remove the boundary pairs T(m) that
+        # the zero padding adds: fields whose centred ends stay large
+        rng = np.random.default_rng(seed)
+        i = np.arange(n)[:, None]
+        level = rng.uniform(-3.0, 3.0, cols)
+        # a periodic axis sampled without its endpoint, like the coupled field's x
+        wave = np.cos(2 * np.pi * rng.integers(1, 4, cols) * i / n + rng.uniform(0, 2 * np.pi, cols))
+        if kind == "offset_cosine":
+            vals = level + wave
+        elif kind == "ramp":
+            vals = level + rng.uniform(-2.0, 2.0, cols) * i / n
+        else:
+            vals = level + 1e-9 * (wave + i / n)
+        exact = gagliardo_double_sum(vals, h, order, 2.0, 0)
+        assert abs(gagliardo_pow(vals, h, order, 2.0) - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("order", [0.8, 0.95])
+def test_smooth_ramp_needs_the_small_angle_symbol(order):
+    # a ramp's power sits at the smallest k, where 2 (sum w - Re W_k) cancels
+    # (7e-12 at order 0.95 with that form alone)
+    vals = 0.5 + np.arange(1000) / 1000.0
+    exact = gagliardo_double_sum(vals, 0.01, order, 2.0, 0)
+    assert abs(gagliardo_pow(vals, 0.01, order, 2.0) - exact) <= 1e-12 * exact
+
+
+def band_correlation_gagliardo(vals, h, order, axis=0):
+    """Oracle: the p = 2 routine the spectral form replaced.  The first 32
+    offset sums are dot products d @ d; the others are correlations (v with
+    v, v^2 with ones) read from one inverse FFT of zero-padded spectra."""
+    v = np.moveaxis(np.asarray(vals, dtype=float), axis, 0)
+    n = v.shape[0]
+    v = np.ascontiguousarray(v.reshape(n, -1))
+    offsets = np.arange(1, n)
+    sums = np.empty(n - 1)
+    band = min(n - 1, 32)
+    for m in range(1, band + 1):
+        d = (v[m:] - v[:-m]).ravel()
+        sums[m - 1] = d @ d
+    if band < n - 1:
+        v = v - v.mean(axis=0)
+        size = sfft.next_fast_len(2 * n - 1, real=True)
+        spec = sfft.rfft(v, n=size, axis=0)
+        squares = sfft.rfft(np.sum(v * v, axis=1), n=size)
+        ones = sfft.rfft(np.ones(n), n=size)
+        corr = sfft.irfft(2.0 * (squares.conj() * ones).real
+                          - 2.0 * np.sum(spec.real ** 2 + spec.imag ** 2, axis=1), n=size)
+        sums[band:] = np.maximum(corr[band + 1:n], 0.0)
+    return 2.0 * h * h * float(sums @ (offsets * h) ** -(2.0 * order + 1.0))
+
+
+def _pipeline_fields():
+    """The fields the budget pipeline hands to the p = 2 seminorm: the adapted
+    pair axes (n = 4096), a case-3 scaled difference (8192), the benchmark's
+    narrow factor (8193) and a coupled wave field (192 x 1024), each with
+    its derivative, since s = 1.2 takes Gagliardo rows of the gradient."""
+    m2 = make_builtin("maxwellian", VelocityGrid(2, 8.0, 256))
+    mp = build_modified(m2, 1.6e-7, 1.06, 1, v0=3.0)
+    out = []
+    for term in mp.mixture.terms:
+        ax, v = closeness._pair_axis(term)
+        h = v[1] - v[0]
+        out += [(ax.vals, h, 0), (fd_derivative(ax.vals, h), h, 0)]
+    t0 = m2.closure.terms[0]
+    t1 = m2.closure.scaled_v1(0.93).terms[0]
+    v = np.linspace(-12.0, 12.0, 8192)
+    diff = t1.pair_1d(v) - t0.pair_1d(v)
+    out += [(diff, v[1] - v[0], 0), (fd_derivative(diff, v[1] - v[0]), v[1] - v[0], 0)]
+    v = np.linspace(-4.0, 4.0, 8193)
+    narrow = np.exp(-(v / 0.125) ** 2 / 2) * np.exp(-v ** 2 / 0.5)
+    out += [(narrow, v[1] - v[0], 0), (fd_derivative(narrow, v[1] - v[0]), v[1] - v[0], 0)]
+    x = np.linspace(0.0, 2 * np.pi, 192, endpoint=False)
+    v = np.linspace(-14.0, 14.0, 1024)
+    beta = 1e-3 * (np.cos(x) + 0.2 * np.cos(2 * x) + 0.3)
+    field = Axis1D(-2.0 * beta[:, None] * t0.even_dval(v ** 2)[None, :],
+                   (x[1] - x[0], v[1] - v[0]), periodic=(True, False))
+    for f in [field] + field.grad():
+        out += [(f.vals, f.h[0], 0), (f.vals, f.h[1], 1)]
+    return out
+
+
+@pytest.mark.parametrize("order", [0.2, 0.6])
+def test_spectral_form_matches_band_correlation(order):
+    for vals, h, axis in _pipeline_fields():
+        old = band_correlation_gagliardo(vals, h, order, axis)
+        assert abs(gagliardo_pow(vals, h, order, 2.0, axis) - old) <= 1e-12 * old, (vals.shape, axis)
+
+
+class TestMeanValueNodes:
+    """``wave_profile_distance`` takes one mean-value node on a term whose
+    eps = 2 max|beta| / w1^2 is at most 1e-8, and eight otherwise."""
+
+    def test_roundoff_wave_equals_eight_nodes(self, budget_wave, monkeypatch):
+        wave = budget_wave[0]
+        ours = wave_profile_distance(wave)
+        monkeypatch.setattr(closeness, "_GL1", closeness._GL8)
+        eight = wave_profile_distance(wave)
+        for key in ("l1", "second_moment", "wsp"):
+            assert abs(getattr(ours, key) - getattr(eight, key)) <= 1e-14 * getattr(eight, key)
+        # the Maxwellian term (eps 2e-15) did take the one-node rule
+        monkeypatch.setattr(closeness, "_GL1", (np.array([np.nan]), np.array([np.nan])))
+        assert math.isnan(wave_profile_distance(wave).total)
+
+    def test_steady_wave_keeps_eight_nodes(self, steady_wave, monkeypatch):
+        ours = wave_profile_distance(steady_wave)
+        monkeypatch.setattr(closeness, "_GL1", (np.array([np.nan]), np.array([np.nan])))
+        assert wave_profile_distance(steady_wave).total == ours.total
 
 
 # ---------------------------------------------------------------------------
