@@ -7,12 +7,15 @@ the mode direction.  The field mode is the oscillatory integral
 
 evaluated by tapered FFT on a compact window plus exact contour-rotated
 tails (the boundary data decay only like 1/y, which no taper can absorb);
-grid refinement covers the t-resolution.  The boundary values F(y+i0),
-G(y+i0) = PV + i pi s(y) each come whole from the package's one boundary
-value, ``profiles._sinc_cauchy``: exact for the sinc interpolant s of the
+grid refinement covers the t-resolution.  F comes in closed form from the
+projection's closure, ``Mixture1D.cauchy`` (the Faddeeva form of the
+plasma dispersion function), on the axis and along the rotated rays alike.
+The sampled datum G takes the package's one boundary value of sampled
+data, ``profiles._sinc_cauchy``: exact for the sinc interpolant s of the
 samples, a sum against the kernel (e^{i pi t} - 1)/t whose real part is
-the Hilbert transform of sinc (Weideman, Math. Comp. 64, 1995).  The
-stability refusal in ``dispersion`` reads the same Penrose margin as
+the Hilbert transform of sinc (Weideman, Math. Comp. 64, 1995); along the
+rays it takes the trapezoid Cauchy sum ``_cauchy_quad``.  The stability
+refusal in ``dispersion`` reads the same Penrose margin as
 ``penrose.penrose_check``.  The damping-rate oracle finds the
 lower-half-plane root of |k|^2 - F by analytic continuation (residue term
 added below the axis); it is validation plumbing, independent of the FFT
@@ -53,13 +56,13 @@ class Datum1D:
 def dispersion(fp, ygrid, k2_min, check_stability=True):
     """Complex boundary values F(y+i0) on the grid, for a profile stable at |k|^2 = k2_min.
 
-    F = PV + i pi f'(y) is the sinc Cauchy boundary value of the derivative
-    samples.  Stability refusal: the boundary minimum c0 of |k2_min - F|^2 / k2_min
+    F = PV + i pi f'(y) is the closed-form boundary value of the projection's
+    closure.  Stability refusal: the boundary minimum c0 of |k2_min - F|^2 / k2_min
     alone cannot see roots off the real axis, so the check also evaluates the
     stability margin |k|^2 - max PV over the critical points of the
     projection and raises PenroseUnstableError when either fails.
     """
-    F = _sinc_cauchy(fp.derivative, fp.alphas, np.asarray(ygrid, dtype=float))
+    F = fp.closure1d.cauchy(np.asarray(ygrid, dtype=float))
     if check_stability:
         c0 = float(np.min(np.abs(k2_min - F) ** 2) / k2_min)
         margin = k2_min - max(critical_pv(fp)[1], default=-math.inf)
@@ -102,8 +105,8 @@ def _taper(y, y_max):
 def _cauchy_quad(samples, alphas, z_batch):
     """int samples(alpha)/(alpha - z) dalpha for complex z off the real axis.
 
-    The trapezoid form treats the samples as a discrete measure, which is
-    what the contour-rotated ray tails need: the Cauchy transform of the
+    The trapezoid form treats the datum samples as a discrete measure, which
+    is what the contour-rotated ray tails need: the Cauchy transform of the
     sinc interpolant is entire and grows like e^{pi |Im z|/h} below the
     axis, so ``_sinc_cauchy`` serves the real axis only.  The trapezoid
     weights go into the samples once; each block of about ``_BLOCK``
@@ -132,14 +135,8 @@ def _ray_tail(kmag, y0, t, fp, datum):
     wphi = 0.25 * math.pi * w
     s = y0 * np.tan(phi)
     ds = y0 / np.cos(phi) ** 2 * wphi
-    zp = y0 - 1j * s
-    zm = -y0 - 1j * s
-    Hp = np.empty(len(s), dtype=complex)
-    Hm = np.empty(len(s), dtype=complex)
-    for z, H in ((zp, Hp), (zm, Hm)):
-        G = _cauchy_quad(datum.values, datum.alphas, z)
-        F = _cauchy_quad(fp.derivative, fp.alphas, z)
-        H[:] = G / (kmag ** 2 - F)
+    Hp, Hm = (_cauchy_quad(datum.values, datum.alphas, z) / (kmag ** 2 - fp.closure1d.cauchy(z))
+              for z in (y0 - 1j * s, -y0 - 1j * s))
     # int_{y0}^{inf} = -i int_0^inf H(y0 - i s) e^{-i k (y0 - i s) t} ds, and
     # the left tail mirrors with the opposite sign; pairing keeps the
     # s-integral absolutely convergent down to t = 0
@@ -161,8 +158,10 @@ def efield_mode(kmag, fp, datum, t_end, kvec=None):
     narrower core, to WINDOW_TOL) then verifies quadrature convergence and
     doubles the grid up to three times; RefinementCapError if the cap is hit.
     """
-    if kmag <= 0:
-        raise ValidationError("mode wavenumber must be positive")
+    if not (math.isfinite(kmag) and kmag > 0):
+        raise ValidationError(f"mode wavenumber must be finite and positive, got {kmag}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValidationError(f"t_end must be finite and nonnegative, got {t_end}")
     support = float(fp.alphas[-1])
     # rays must stay beyond the projected support and beyond every
     # dispersion root (phase velocities scale like 1/k)
@@ -319,13 +318,12 @@ def fit_damped_mode(t, values, t_lo, t_hi):
 # ---------------------------------------------------------------------------
 
 def continued_dispersion(fp, z):
-    """F continued to Im z < 0 (scalar or array z): Cauchy quadrature plus residue."""
-    if fp.closure1d is None:
-        raise ValidationError("continuation oracle needs an analytic projection")
+    """F continued to Im z < 0 (scalar or array z): the closed-form Cauchy
+    transform plus the residue 2 pi i f'(z) below the axis."""
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag == 0):
         raise ValidationError("use the boundary-value path on the real axis")
-    base = _cauchy_quad(fp.derivative, fp.alphas, z)
+    base = fp.closure1d.cauchy(z)
     below = z.imag < 0
     base[below] += 2j * math.pi * fp.closure1d.dval(z[below])
     return complex(base) if base.ndim == 0 else base

@@ -3,10 +3,10 @@
 For every dual-lattice wave vector k below the truncation bound B, the
 margin |k|^2 - max over critical points a' of PV int f_e'(alpha)/(alpha - a')
 dalpha decides stability (Penrose, Phys. Fluids 3, 1960).  Every PV here is
-the real part of ``profiles._sinc_cauchy``, the exact boundary value of the
-sinc interpolant of the projected derivative samples.  ``critical_pv`` and
-``margin_ok`` are the one margin that ``penrose_check``,
-``linear.dispersion`` and ``sim.check_axis_stability`` read.  Directions sharing a line share one
+the real part of ``Mixture1D.cauchy``, the closed Faddeeva form of the
+projection's Cauchy transform.  ``critical_pv`` and ``margin_ok`` are the
+one margin that ``penrose_check``, ``linear.dispersion`` and
+``sim.check_axis_stability`` read.  Directions sharing a line share one
 projection.  B is sampled; it is certified only where ``certifies`` proves
 it from the profile's analytic closure.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateProfileError, ValidationError
-from .profiles import _sinc_cauchy, project
+from .profiles import project
 
 MARGIN_TOL = 1e-8
 # sup over x of 2x D(x) - 1, D the Dawson function: 0.2847494 at x = 1.502
@@ -34,8 +34,8 @@ class DualLattice:
     periods: tuple
 
     def __post_init__(self):
-        if not self.periods or any(T <= 0 for T in self.periods):
-            raise ValidationError("periods must be positive")
+        if not self.periods or not all(math.isfinite(T) and T > 0 for T in self.periods):
+            raise ValidationError(f"periods must be finite and positive, got {self.periods}")
 
     @property
     def dim(self):
@@ -62,105 +62,55 @@ class DualLattice:
 
 
 def pv_integral(fp, a_prime):
-    """Principal-value integral of f'_e(alpha)/(alpha - a'), one ``_sinc_cauchy`` call."""
+    """Principal-value integral of f'_e(alpha)/(alpha - a'), the closed form's real part."""
     a_prime = float(a_prime)
     lo, hi = fp.alphas[0], fp.alphas[-1]
     if not (lo <= a_prime <= hi):
         raise ValidationError(
             f"a'={a_prime} outside the projected grid range [{lo}, {hi}]"
         )
-    return float(_sinc_cauchy(fp.derivative, fp.alphas, [a_prime]).real[0])
-
-
-@dataclass(frozen=True)
-class PlateauInterval:
-    lo: float
-    hi: float
-
-    @property
-    def midpoint(self):
-        return 0.5 * (self.lo + self.hi)
-
-    def probes(self):
-        return (self.lo, self.midpoint, self.hi)
+    return float(fp.closure1d.cauchy(a_prime).real)
 
 
 def critical_points(fp):
     """Critical points of the projected profile, bisection-refined.
 
-    Flat stretches of the derivative where the profile itself is significant
-    are reported as PlateauInterval; its probes are both edges and the midpoint.
-    The negligible tails (profile below 1e-12 of its peak) carry no critical
-    points.
+    Sign changes of the closure's f_e' on the grid bracket each point.  A
+    nonzero Gaussian mixture has only isolated critical points; the
+    negligible tails (profile below 1e-12 of its peak) carry none.
     """
     from scipy.optimize import brentq
 
-    d = fp.derivative
-    scale = float(np.max(np.abs(d)))
-    if scale < 1e-14:
-        raise DegenerateProfileError("projected derivative vanishes identically")
+    d = fp.closure1d.dval(fp.alphas)
+    if float(np.max(np.abs(d))) < 1e-14:
+        raise DegenerateProfileError("projected f_e' vanishes identically")
     significant = fp.values > 1e-12 * float(np.max(fp.values))
-    flat = (np.abs(d) <= 1e-12 * scale) & significant
 
     points = []
-    runs = _runs(flat, min_len=3)
-    plateau_mask = np.zeros(len(d), dtype=bool)
-    for i0, i1 in runs:
-        plateau_mask[i0:i1] = True
-        points.append(PlateauInterval(float(fp.alphas[i0]), float(fp.alphas[i1 - 1])))
-
     sgn = np.sign(d)
     for i in range(len(d) - 1):
-        if plateau_mask[i] or plateau_mask[i + 1]:
-            continue
         if not (significant[i] or significant[i + 1]):
             continue
         if sgn[i] == 0.0:
             points.append(float(fp.alphas[i]))
-            continue
-        if sgn[i] * sgn[i + 1] < 0:
+        elif sgn[i] * sgn[i + 1] < 0:
             root = brentq(
-                lambda a: float(fp.dval(a)), fp.alphas[i], fp.alphas[i + 1],
+                lambda a: float(fp.closure1d.dval(a)), fp.alphas[i], fp.alphas[i + 1],
                 xtol=1e-14,
             )
             points.append(float(root))
-
-    return sorted(points, key=lambda c: c.midpoint if isinstance(c, PlateauInterval) else c)
+    return points
 
 
 def critical_pv(fp):
-    """Critical set of the projection and the PV at each of its points.
-
-    A plateau takes the largest PV over its edges and midpoint, because the
-    PV varies along a flat stretch and the margin must hold on all of it.
-    Every probe goes through one ``_sinc_cauchy`` call.
-    """
+    """Critical set of the projection and the PV at each of its points."""
     crit = critical_points(fp)
-    probes = [c.probes() if isinstance(c, PlateauInterval) else (c,) * 3 for c in crit]
-    pv = _sinc_cauchy(fp.derivative, fp.alphas, np.ravel(probes)).real
-    return crit, [float(v) for v in pv.reshape(-1, 3).max(axis=1)]
+    return crit, [float(v) for v in fp.closure1d.cauchy(crit).real]
 
 
 def margin_ok(margin, k2):
     """The stability predicate: margin > MARGIN_TOL * (1 + |k|^2)."""
     return margin > MARGIN_TOL * (1.0 + k2)
-
-
-def _runs(mask, min_len):
-    out = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j < n and mask[j]:
-                j += 1
-            if j - i >= min_len:
-                out.append((i, j))
-            i = j
-        else:
-            i += 1
-    return out
 
 
 def _direction_key(e):
@@ -203,7 +153,7 @@ def truncation_bound(p, s, b, return_details=False):
     """Cut-off B beyond which every |k|^2 is taken to have a positive margin.
 
     B = 2 * max |PV| over 64 probes in each of 20 seeded random directions
-    (one ``_sinc_cauchy`` call per direction); the factor 2 is the safety
+    (one ``Mixture1D.cauchy`` call per direction); the factor 2 is the safety
     inflation.  The maximum is sampled, so B is certified only when
     ``certifies(p, B)`` holds: B covers the PV bound that the profile's
     closure proves.  The details carry ``pv_max`` and that verdict as
@@ -218,7 +168,7 @@ def truncation_bound(p, s, b, return_details=False):
     for e in _random_directions(p.grid.dim, 20, 7):
         fp = project(p, e)
         probes = fp.alphas[:: max(1, len(fp.alphas) // 64)]
-        pv = _sinc_cauchy(fp.derivative, fp.alphas, probes).real
+        pv = fp.closure1d.cauchy(probes).real
         pv_max = max(pv_max, float(np.max(np.abs(pv))))
     bound = 2.0 * pv_max
     if return_details:
@@ -236,13 +186,8 @@ class PenroseEntry:
     margin: float
 
     def to_json(self):
-        crit = [
-            {"interval": [c.lo, c.hi], "midpoint": c.midpoint}
-            if isinstance(c, PlateauInterval) else c
-            for c in self.critical_set
-        ]
         return {"k": list(self.k), "k2": self.k2, "direction": list(self.direction),
-                "S": crit, "pv": self.pv_values, "margin": self.margin}
+                "S": self.critical_set, "pv": self.pv_values, "margin": self.margin}
 
 
 @dataclass

@@ -4,9 +4,12 @@ Profiles are nonnegative unit-mass distributions f(v) on a uniform tensor
 grid, each carrying its analytic closure (a Gaussian mixture whose
 components are even pairs in v1).  The closure keeps projections, the
 singular v1-integral and the even continuation in the energy variable
-exact; ``project_field`` projects sampled fields.  Sampled 1D data have one
-interpolant, the sinc interpolant, and one boundary value, ``_sinc_cauchy``:
-its Cauchy integral PV + i pi s(y) along the real axis.
+exact, and ``Mixture1D.cauchy`` gives the Cauchy transform of a projection's
+f_e', the dispersion function F and its PV, in closed form through the
+Faddeeva function.  ``project_field`` projects sampled fields.  Sampled
+1D data (the per-mode datum) have one interpolant, the sinc interpolant, and
+one boundary value, ``_sinc_cauchy``: its Cauchy integral PV + i pi s(y)
+along the real axis.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.special import dawsn
+from scipy.special import dawsn, wofz
 
 from .errors import QuadratureConvergenceError, ValidationError
 
@@ -267,16 +270,24 @@ class Mixture1D:
     def mass(self):
         return sum(w for w, _, _ in self.comps)
 
-    def pv_exact(self, ap):
-        """Closed-form PV integral of dval/(alpha - ap) via the Dawson function.
+    def cauchy(self, z):
+        """int dval(alpha)/(alpha - z) dalpha = -sum (w/s^2)(1 + zeta Z(zeta)).
 
-        The test oracle for ``_sinc_cauchy``; the pipeline does not read it.
+        zeta = (z - mu)/(sqrt(2) s) and Z is the plasma dispersion function
+        (Fried & Conte, 1961).  On and above the real axis Z = i sqrt(pi)
+        wofz(zeta), so a real z gives the boundary value PV + i pi dval(z);
+        below it Z = -i sqrt(pi) wofz(-zeta), the Cauchy integral itself.
+        Both are i sqrt(pi) wofz of the argument folded into the upper
+        half-plane, so wofz never sees the sheet where it overflows.
+        Returns complex, shaped like z.
         """
-        total = 0.0
+        z = np.asarray(z, dtype=complex)
+        sheet = np.where(z.imag < 0.0, -1.0, 1.0)
+        out = np.zeros(z.shape, dtype=complex)
         for w, mu, s in self.comps:
-            yh = (ap - mu) / s
-            total += w * (math.sqrt(2.0) * yh * float(dawsn(yh / math.sqrt(2.0))) - 1.0) / s ** 2
-        return total
+            zeta = sheet * (z - mu) / (math.sqrt(2.0) * s)
+            out -= (w / s ** 2) * (1.0 + 1j * math.sqrt(math.pi) * zeta * wofz(zeta))
+        return out
 
 
 class GaussianMixture:
@@ -433,26 +444,17 @@ def make_builtin(name, grid, **params):
 
 @dataclass
 class ProjectedProfile:
-    """Marginal f_e(alpha) of a profile along a unit direction."""
+    """Marginal f_e(alpha) of a profile along a unit direction, with its closure."""
 
     direction: np.ndarray
     alphas: np.ndarray
     values: np.ndarray
-    derivative: np.ndarray
-    closure1d: Mixture1D | None
+    closure1d: Mixture1D
     parent_mass: float
 
     @property
     def h(self):
         return float(self.alphas[1] - self.alphas[0])
-
-    def dval(self, a):
-        """f_e'(a): the closure, or the sinc interpolant of the derivative samples."""
-        if self.closure1d is not None:
-            return self.closure1d.dval(a)
-        a = np.asarray(a, dtype=float)
-        out = _sinc_cauchy(self.derivative, self.alphas, a.ravel()).imag / math.pi
-        return out.reshape(a.shape)
 
 
 _BLOCK = 1 << 16  # kernel entries per Cauchy-transform block: 1 MiB of complex128
@@ -535,21 +537,23 @@ def rotate_plane(values, coords, theta, ax_a=0, ax_b=1):
 
 
 def project(p, e):
-    """Marginal of the profile along unit vector e, with its derivative.
+    """Marginal of the profile along unit vector e.
 
-    The values and derivative are the exact projected mixture of the
-    closure, sampled on the profile's axis.
+    The values are the exact projected mixture of the closure, sampled on
+    the profile's axis; the mixture itself rides along as ``closure1d``.
     """
     e = np.asarray(e, dtype=float).reshape(-1)
     if e.size != p.grid.dim:
         raise ValidationError("direction dimension mismatch")
+    if not np.all(np.isfinite(e)):
+        raise ValidationError(f"direction must be finite, got {tuple(e.tolist())}")
     if abs(np.linalg.norm(e) - 1.0) > 1e-12:
         raise ValidationError("direction must be a unit vector (within 1e-12)")
 
     alphas = p.grid.axis()
     closure1d = p.closure.project_unit(e)
     vals = closure1d.val(alphas)
-    pp = ProjectedProfile(e, alphas, vals, closure1d.dval(alphas), closure1d, p.mass_grid)
+    pp = ProjectedProfile(e, alphas, vals, closure1d, p.mass_grid)
     m = float(np.sum(vals) * pp.h)
     if abs(m - pp.parent_mass) > 1e-8 * max(1.0, abs(pp.parent_mass)):
         raise QuadratureConvergenceError(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.special import dawsn
 
 from vplab.profiles import VelocityGrid, make_builtin, smooth_step
 
@@ -60,3 +61,17 @@ def steady_wave():
     from vplab.bgk import match_period
 
     return match_period(tuned_case3_profile()[0], 2 * np.pi, 0.0, 1e-3, case=3)[1]
+
+
+def pv_exact(m, ap):
+    """Dawson oracle: PV int m'(alpha)/(alpha - ap) dalpha of a 1D mixture m.
+
+    Each Gaussian component of weight w, centre mu and width s contributes
+    w (sqrt(2) y D(y/sqrt(2)) - 1)/s^2 with y = (ap - mu)/s and D the
+    Dawson function.
+    """
+    total = 0.0
+    for w, mu, s in m.comps:
+        y = (ap - mu) / s
+        total += w * (np.sqrt(2.0) * y * dawsn(y / np.sqrt(2.0)) - 1.0) / s ** 2
+    return float(total)

@@ -112,7 +112,6 @@ ORACLES = {
     "bgk.obstruction_1d_contrast",
     # independent oracles the tests compare the pipeline against
     "bgk.hprime0_centered",
-    "profiles.Mixture1D.pv_exact",
     "sim.reverse_velocity",
     # rebound by dotted name in perfbench/spans.py (pinned by test_bench_api)
     "sim.SimState.moments",

@@ -92,6 +92,34 @@ class TestConfig:
         assert err.startswith("error:")
         assert f"width must be finite and positive, got {float(width)}" in err
 
+    @pytest.mark.parametrize("periods, shown", [("nan,6.28", "nan"), ("inf,6.28", "inf")])
+    def test_non_finite_periods_exit1(self, tmp_path, capsys, periods, shown):
+        # nan once raised a ValueError traceback and inf a ZeroDivisionError
+        text = PENROSE_STABLE.replace("periods = 6.283185307179586,6.283185307179586",
+                                      f"periods = {periods}")
+        path = write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"periods must be finite and positive, got ({shown}, 6.28)" in err
+
+    @pytest.mark.parametrize("key, value", [("kmag", "nan"), ("kmag", "inf"),
+                                            ("t_end", "nan"), ("t_end", "inf")])
+    def test_non_finite_linear_decay_exit1(self, tmp_path, capsys, key, value):
+        # kmag = nan (inf) once raised a ValueError (OverflowError) traceback
+        text = f"""
+command = linear-decay
+profile.name = maxwellian
+grid.dim = 1
+grid.n = 512
+{key} = {value}
+"""
+        path = write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "must be finite" in err and f"got {value}" in err
+
     def test_missing_command(self, tmp_path):
         with pytest.raises(ValidationError):
             ExperimentConfig.parse(write_config(tmp_path, "s = 1.6\n"))

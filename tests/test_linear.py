@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import wofz
 
+from conftest import pv_exact
 from vplab import linear
 from vplab.errors import PenroseUnstableError, ValidationError
 from vplab.linear import (
@@ -21,6 +23,7 @@ from vplab.linear import (
 from vplab.profiles import (
     _BLOCK,
     Mixture1D,
+    ProjectedProfile,
     VelocityGrid,
     _sinc_cauchy,
     make_builtin,
@@ -30,6 +33,23 @@ from vplab.profiles import (
 # Landau root of the unit Maxwellian at k = 0.5, from the closed-form
 # dispersion function (Faddeeva representation); frozen reference
 LANDAU_Z_K05 = 2.8313237772090734 - 0.3067189338192098j
+
+
+def _faddeeva_dispersion(z):
+    """Continued F of the unit Maxwellian: -(1 + zeta Z(zeta)), zeta = z/sqrt 2."""
+    zeta = np.asarray(z) / np.sqrt(2.0)
+    return -(1.0 + zeta * 1j * np.sqrt(np.pi) * wofz(zeta))
+
+
+def _faddeeva_root(kmag):
+    """Root of k^2 + 1 + zeta Z(zeta) = 0 by Newton with Z' = -2 (1 + zeta Z)."""
+    z = complex(np.sqrt(1.0 + 3.0 * kmag ** 2) / kmag, -0.01)
+    for _ in range(30):
+        zeta = z / np.sqrt(2.0)
+        Z = 1j * np.sqrt(np.pi) * wofz(zeta)
+        z -= (kmag ** 2 + 1.0 + zeta * Z) / ((Z - 2.0 * zeta * (1.0 + zeta * Z)) / np.sqrt(2.0))
+    assert abs(kmag ** 2 - _faddeeva_dispersion(z)) < 1e-15
+    return z
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +74,7 @@ class TestDispersion:
         y = np.linspace(-5, 5, 101)
         F = dispersion(fp_maxwellian, y, 0.25)
         assert np.max(np.abs(F.imag
-                             - np.pi * fp_maxwellian.dval(y))) < 1e-14
+                             - np.pi * fp_maxwellian.closure1d.dval(y))) < 1e-14
 
     def test_large_y_decay(self, fp_maxwellian):
         vals = []
@@ -74,14 +94,6 @@ class TestDispersion:
             dispersion(fp, np.linspace(-10, 10, 401), k2)
 
 
-    def test_plateau_edge_decides(self):
-        # the midpoint PV 0.0115 is below |k|^2 = 0.03, the edge PV 0.0584
-        # above it: a midpoint-only margin would pass this profile
-        from tests.test_penrose import flat_dip
-
-        with pytest.raises(PenroseUnstableError):
-            dispersion(flat_dip(), np.linspace(-10, 10, 401), 0.03)
-
 
 class TestInitialTransform:
     def test_zero(self, fp_maxwellian):
@@ -92,7 +104,8 @@ class TestInitialTransform:
 
     def test_derivative_datum_matches_dispersion(self, fp_maxwellian):
         y = np.linspace(-5, 5, 81)
-        datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.derivative.copy())
+        datum = Datum1D(fp_maxwellian.alphas,
+                        fp_maxwellian.closure1d.dval(fp_maxwellian.alphas))
         g = initial_transform(datum, y)
         f = dispersion(fp_maxwellian, y, 0.25)
         assert np.max(np.abs(g - f)) < 1e-7
@@ -150,17 +163,41 @@ def _pv_scale(m):
     return sum(w / s ** 2 for w, _, s in m.comps)
 
 
+def _continuation_oracle(m, z):
+    """Trapezoid Cauchy sum of m' on AXIS plus the residue 2 pi i m'(z) below
+    the axis; its error e^{-2 pi |Im z|/h} is roundoff only from |Im z| = 0.3."""
+    out = _cauchy_quad(m.dval(AXIS), AXIS, z)
+    below = z.imag < 0
+    out[below] += 2j * np.pi * m.dval(z[below])
+    return out
+
+
 class TestSincPv:
     @settings(max_examples=60)
     @given(m=mixtures(), node=st.integers(0, len(AXIS) - 2),
            y_off=st.floats(-8.0, 8.0), y_far=st.floats(8.0, 100.0),
            side=st.sampled_from((-1.0, 1.0)))
     def test_against_dawson_closed_form(self, m, node, y_off, y_far, side):
-        # at a node, at a half-node, off the grid and beyond the sampled range
+        # Mixture1D.cauchy on the real axis against the Dawson form and the
+        # sinc boundary value of the sampled m', at a node, at a half-node,
+        # off the grid and beyond the sampled range
         ys = np.array([AXIS[node], AXIS[node] + 0.5 * H, y_off, side * y_far])
-        exact = np.array([m.pv_exact(y) for y in ys]) + 1j * np.pi * m.dval(ys)
-        ours = _sinc_cauchy(m.dval(AXIS), AXIS, ys)
-        assert np.max(np.abs(ours - exact)) < 1e-12 * _pv_scale(m)
+        ours = m.cauchy(ys)
+        dawson = np.array([pv_exact(m, y) for y in ys]) + 1j * np.pi * m.dval(ys)
+        sinc = _sinc_cauchy(m.dval(AXIS), AXIS, ys)
+        assert np.max(np.abs(ours - dawson)) < 1e-12 * _pv_scale(m)
+        assert np.max(np.abs(ours - sinc)) < 1e-12 * _pv_scale(m)
+
+    @settings(max_examples=60)
+    @given(m=mixtures(), y0=st.floats(9.6, 40.0))
+    def test_below_axis_against_cauchy_quad(self, m, y0):
+        # the lower-half-plane branch on the rotated rays of the field mode,
+        # where the trapezoid sum of the sampled m' is exact to roundoff
+        x, _ = linear._GL96
+        s = y0 * np.tan(0.25 * np.pi * (x + 1.0))
+        for z in (y0 - 1j * s, -y0 - 1j * s):
+            quad = _cauchy_quad(m.dval(AXIS), AXIS, z)
+            assert np.max(np.abs(m.cauchy(z) - quad)) < 1e-12 * _pv_scale(m)
 
     @settings(max_examples=30)
     @given(m1=mixtures(), m2=mixtures(),
@@ -180,15 +217,38 @@ class TestSincPv:
 class TestContinuation:
     def test_against_faddeeva_closed_form(self, fp_maxwellian):
         # for the unit Gaussian the continuation has the closed Faddeeva
-        # form -(1 + zeta Z(zeta)); the quadrature-plus-residue route must
+        # form -(1 + zeta Z(zeta)); the Cauchy-plus-residue route must
         # reproduce it at root-scale depths
-        from scipy.special import wofz
-
         for z in (1.3 - 0.4j, 2.83 - 0.31j, 0.5 - 1.0j):
-            zeta = z / np.sqrt(2.0)
-            exact = -(1.0 + zeta * 1j * np.sqrt(np.pi) * wofz(zeta))
             ours = continued_dispersion(fp_maxwellian, z)
-            assert abs(ours - exact) < 1e-6
+            assert abs(ours - _faddeeva_dispersion(z)) < 1e-6
+
+    @pytest.mark.parametrize("grid", [VelocityGrid(1, 8.0, 512), VelocityGrid(2, 8.0, 256)])
+    def test_near_axis_against_faddeeva(self, grid):
+        # |Im z| = 0.05, where a trapezoid sum on these grids is off by 1e-4
+        fp = project(make_builtin("maxwellian", grid), (1.0,) + (0.0,) * (grid.dim - 1))
+        z = np.linspace(-6.0, 6.0, 49) + 0.3 * H
+        for zs in (z - 0.05j, z + 0.05j):
+            ours = continued_dispersion(fp, zs)
+            assert np.max(np.abs(ours - _faddeeva_dispersion(zs))) < 1e-12
+
+    @pytest.mark.parametrize("kmag", [0.25, 0.3])
+    def test_small_k_damping_root(self, fp_maxwellian, kmag):
+        # weakly damped roots sit close to the axis: Im z = -0.0087 at k = 0.25
+        _, rate, freq = find_damping_root(fp_maxwellian, kmag)
+        exact = _faddeeva_root(kmag)
+        assert abs(rate - kmag * abs(exact.imag)) < 1e-10 * kmag * abs(exact.imag)
+        assert abs(freq - kmag * abs(exact.real)) < 1e-10 * kmag * abs(exact.real)
+
+    @settings(max_examples=40)
+    @given(m=mixtures(), re=st.floats(-6.0, 6.0), depth=st.floats(0.3, 1.5),
+           side=st.sampled_from((-1.0, 1.0)))
+    def test_against_quadrature_oracle(self, m, re, depth, side):
+        z = np.array([complex(re, side * depth)])
+        fp = ProjectedProfile(np.array([1.0]), AXIS, m.val(AXIS), m, m.mass())
+        oracle = _continuation_oracle(m, z)
+        scale = _pv_scale(m) + float(np.max(np.abs(oracle)))
+        assert np.max(np.abs(continued_dispersion(fp, z) - oracle)) < 1e-12 * scale
 
     def test_real_axis_rejected(self, fp_maxwellian):
         with pytest.raises(ValidationError):
@@ -241,8 +301,9 @@ class TestCauchyBlocks:
         a = fp_maxwellian.alphas
         ys = np.sort(np.concatenate([np.linspace(-9.0, 9.0, 1001), a[::4]]))
         assert len(ys) > 6 * (_BLOCK // len(a))
-        whole = _sinc_cauchy(fp_maxwellian.derivative, a, ys)
-        pieces = np.concatenate([_sinc_cauchy(fp_maxwellian.derivative, a, part)
+        d = fp_maxwellian.closure1d.dval(a)
+        whole = _sinc_cauchy(d, a, ys)
+        pieces = np.concatenate([_sinc_cauchy(d, a, part)
                                  for part in np.array_split(ys, 7)])
         assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(np.abs(whole))
 
@@ -383,3 +444,18 @@ def test_zero_wavenumber_rejected(fp_maxwellian):
     datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.values.copy())
     with pytest.raises(ValidationError):
         efield_mode(0.0, fp_maxwellian, datum, t_end=1.0)
+
+
+@pytest.mark.parametrize("kmag, t_end, match", [
+    (float("nan"), 10.0, "wavenumber must be finite and positive, got nan"),
+    (float("inf"), 10.0, "wavenumber must be finite and positive, got inf"),
+    (0.5, float("nan"), "t_end must be finite and nonnegative, got nan"),
+    (0.5, float("inf"), "t_end must be finite and nonnegative, got inf"),
+    (0.5, -1.0, "t_end must be finite and nonnegative, got -1.0"),
+])
+def test_non_finite_mode_rejected(fp_maxwellian, kmag, t_end, match):
+    # nan once slipped past kmag <= 0 into a ValueError from int(nan), inf
+    # into an OverflowError, and a negative t_end into an empty series
+    datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.values.copy())
+    with pytest.raises(ValidationError, match=match):
+        efield_mode(kmag, fp_maxwellian, datum, t_end=t_end)

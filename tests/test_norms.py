@@ -247,7 +247,7 @@ class TestHardy:
             g = VelocityGrid(2, 8.0, n)
             m = make_builtin("maxwellian", g)
             fp = project(m, (1.0, 0.0))
-            u = fp.derivative
+            u = fp.closure1d.dval(fp.alphas)
             quot = hardy_quotient(u, fp.alphas, 0.0)
             denom = weighted_hsb_norm(m.values, g, 1.6, 0.3)
             vals.append(quot / denom)

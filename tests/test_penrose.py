@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import cutoff_sigma
+from conftest import pv_exact
 from vplab.errors import DegenerateProfileError, ValidationError
 from vplab.penrose import (
     PV_SUP,
     DualLattice,
-    PlateauInterval,
     certifies,
     critical_points,
     critical_pv,
@@ -15,6 +14,7 @@ from vplab.penrose import (
     truncation_bound,
 )
 from vplab.profiles import (
+    Mixture1D,
     Profile,
     ProjectedProfile,
     VelocityGrid,
@@ -23,18 +23,10 @@ from vplab.profiles import (
 )
 
 
-def flat_dip():
-    """Unit-mass profile with a flat-bottomed central dip on |alpha| <= 1.5.
-
-    np.gradient leaves the derivative exactly zero on the flat stretches.
-    The PV along the dip runs from 0.0115 at its midpoint to 0.0584 at its
-    edges.
-    """
-    g = VelocityGrid(1, 12.0, 1024)
-    ax = g.axis()
-    vals = cutoff_sigma(ax / 4.0) - 0.5 * cutoff_sigma(ax / 1.5)
-    vals = vals / (np.sum(vals) * g.h)
-    return ProjectedProfile(np.array([1.0]), ax, vals, np.gradient(vals, ax), None, 1.0)
+def closure_only(m, grid):
+    """The projection of a bare 1D mixture on the grid's axis."""
+    ax = grid.axis()
+    return ProjectedProfile(np.array([1.0]), ax, m.val(ax), m, m.mass())
 
 
 def pv_excision_oracle(fp, a_prime):
@@ -46,7 +38,7 @@ def pv_excision_oracle(fp, a_prime):
         total = 0.0
         for a0, a1 in ((lo, a_prime - eps), (a_prime + eps, hi)):
             a = np.linspace(a0, a1, 160001)
-            total += np.trapezoid(fp.dval(a) / (a - a_prime), a)
+            total += np.trapezoid(fp.closure1d.dval(a) / (a - a_prime), a)
         return total
 
     v0, v1, v2 = one_sided(0.08), one_sided(0.04), one_sided(0.02)
@@ -68,6 +60,9 @@ class TestDualLattice:
     def test_validation(self):
         with pytest.raises(ValidationError):
             DualLattice((1.0, -2.0))
+        for period in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match=f"finite and positive, got .*{period}"):
+                DualLattice((period, 2 * np.pi))
 
 
 class TestCriticalPoints:
@@ -94,32 +89,15 @@ class TestCriticalPoints:
         assert abs(crit[0] + 3.0) < 1e-6 and abs(crit[2] - 3.0) < 1e-6
 
     def test_monotone_stretch_empty(self, grid1):
-        # no critical points inside a strictly monotone sub-interval
-        ax = grid1.axis()
-        vals = 1.0 / (1.0 + np.exp(-ax)) * np.exp(-ax ** 2 / 50)
-        fp = ProjectedProfile(np.array([1.0]), ax, vals, np.gradient(vals, ax), None, 1.0)
-        crit = critical_points(fp)
-        inner = [c for c in crit
-                 if not isinstance(c, PlateauInterval) and abs(c) < 1.5]
-        assert inner == []
+        # a single Gaussian at 3 is strictly monotone on |alpha| < 1.5
+        crit = critical_points(closure_only(Mixture1D(((1.0, 3.0, 1.0),)), grid1))
+        assert [c for c in crit if abs(c) < 1.5] == []
+        assert crit == pytest.approx([3.0], abs=1e-12)
 
     def test_degenerate_rejected(self, grid1):
-        ax = grid1.axis()
-        ones = np.exp(-ax ** 2)
-        fp = ProjectedProfile(np.array([1.0]), ax, ones, np.zeros_like(ax),
-                              None, 1.0)
+        fp = closure_only(Mixture1D(((0.0, 0.0, 1.0),)), grid1)
         with pytest.raises(DegenerateProfileError):
             critical_points(fp)
-
-    def test_plateau_reported(self, grid1):
-        ax = grid1.axis()
-        vals = cutoff_sigma(ax / 1.5)
-        # second-order differences are exactly zero on the flat top, which
-        # is what a genuinely resolved plateau looks like
-        deriv = np.gradient(vals, ax)
-        fp = ProjectedProfile(np.array([1.0]), ax, vals, deriv, None, 1.0)
-        crit = critical_points(fp)
-        assert any(isinstance(c, PlateauInterval) for c in crit)
 
 
 class TestPvIntegral:
@@ -136,12 +114,10 @@ class TestPvIntegral:
     def test_dawson_closed_form(self, double_bump2):
         fp = project(double_bump2, (1.0, 0.0))
         for ap in (0.0, 1.1, 2.9, -4.0):
-            assert abs(pv_integral(fp, ap) - fp.closure1d.pv_exact(ap)) < 1e-8
+            assert abs(pv_integral(fp, ap) - pv_exact(fp.closure1d, ap)) < 1e-8
 
     def test_zero_derivative_gives_zero(self, grid1):
-        ax = grid1.axis()
-        fp = ProjectedProfile(np.array([1.0]), ax, np.exp(-ax ** 2),
-                              np.zeros_like(ax), None, 1.0)
+        fp = closure_only(Mixture1D(((0.0, 0.0, 1.0),)), grid1)
         assert pv_integral(fp, 0.3) == 0.0
 
     def test_linearity(self, maxwellian2, double_bump2):
@@ -170,16 +146,6 @@ class TestPvIntegral:
 
 
 class TestCriticalPv:
-    def test_plateau_takes_its_edge_value(self):
-        fp = flat_dip()
-        crit, pvs = critical_pv(fp)
-        i = next(i for i, c in enumerate(crit)
-                 if isinstance(c, PlateauInterval) and c.lo < 0.0 < c.hi)
-        edges = [pv_integral(fp, a) for a in (crit[i].lo, crit[i].hi)]
-        assert pv_integral(fp, crit[i].midpoint) < 0.02
-        assert abs(pvs[i] - max(edges)) < 1e-14
-        assert abs(pvs[i] - 0.0584) < 1e-4
-
     def test_points_match_pv_integral(self, double_bump2):
         fp = project(double_bump2, (1.0, 0.0))
         crit, pvs = critical_pv(fp)

@@ -154,6 +154,13 @@ class TestProject:
         with pytest.raises(ValidationError):
             project(maxwellian2, (1.0, 0.5))
 
+    @pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (float("inf"), "inf")])
+    def test_non_finite_direction_rejected(self, maxwellian2, bad, shown):
+        # a NaN direction once passed the unit-norm check (the comparison is
+        # false) and returned an all-NaN projection
+        with pytest.raises(ValidationError, match=rf"direction must be finite, got \({shown}, 0.0\)"):
+            project(maxwellian2, (bad, 0.0))
+
     def test_linearity(self):
         grid2 = VelocityGrid(2, 10.0, 256)
         a = make_builtin("maxwellian", grid2)
