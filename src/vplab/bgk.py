@@ -275,7 +275,7 @@ def make_h(mp):
     return BifurcationH(mp)
 
 
-def hprime0_centered(h, scale=1e-6):
+def hprime0_centered(h, scale):
     """Centered-difference h'(0) at a step matched to the feature scale."""
     return (h(scale) - h(-scale)) / (2.0 * scale)
 
@@ -735,32 +735,21 @@ class ObstructionCertificate:
     elliptic_residual: float
 
 
-def _g_of_beta(mu, beta):
-    """g(beta) = 1 - 2 pi int_0^inf mu(u - beta) du for radial energy profiles.
+# the 32-node Gauss-Legendre rule of g on s = |v| / sqrt(2) in [0, 9]: energies to 81
+_S, _S_W = np.polynomial.legendre.leggauss(32)
+_S, _S_W = 4.5 * (_S + 1.0), 4.5 * _S_W
 
-    Large batches are served from a spline over the batch's beta-range, so
-    the u-quadrature runs once per call rather than once per point.
+
+def _g_of_beta(mu, beta, d):
+    """g_d(beta) = 1 - int mu(|v|^2/2 - beta) dv over R^d, for radial energy profiles.
+
+    With s^2 = |v|^2/2 this is 1 - |S^{d-1}| 2^{d/2} int_0^9 s^{d-1} mu(s^2 - beta) ds,
+    on the one fixed Gauss-Legendre rule ``_S`` for every batch and every d.
     """
-    from scipy.integrate import simpson
-
     beta = np.asarray(beta, dtype=float)
-    u = np.linspace(0.0, 80.0, 16001)
-
-    def direct(b_flat):
-        vals = mu(u[None, :] - b_flat[:, None])
-        return 1.0 - 2.0 * np.pi * simpson(vals, x=u, axis=1)
-
-    flat = beta.ravel()
-    if flat.size <= 512:
-        return direct(flat).reshape(beta.shape)
-    lo, hi = float(flat.min()), float(flat.max())
-    if hi - lo < 1e-13:
-        return np.full(beta.shape, direct(np.array([lo]))[0])
-    from scipy.interpolate import make_interp_spline
-
-    nodes = np.linspace(lo, hi, 257)
-    spline = make_interp_spline(nodes, direct(nodes), k=3)
-    return spline(flat).reshape(beta.shape)
+    sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    weights = sphere * 2.0 ** (d / 2.0) * _S ** (d - 1) * _S_W
+    return 1.0 - mu(_S ** 2 - beta[..., None]) @ weights
 
 
 def obstruction_diagnostic(mu, beta_candidate, periods):
@@ -770,7 +759,8 @@ def obstruction_diagnostic(mu, beta_candidate, periods):
     range, and compares both sides of the gradient identity
     int |grad beta_x1|^2 = int g'(beta) |beta_x1|^2 <= 0.  A nonconstant
     candidate therefore cannot satisfy the field equation; the residual of
-    -Lap beta = g(beta) is reported.
+    -Lap beta = g(beta) is reported, with g from ``_g_of_beta`` at d = 2
+    (the 32-node Gauss-Legendre rule in s = |v| / sqrt(2)).
     """
     beta = np.asarray(beta_candidate, dtype=float)
     if beta.ndim != 2:
@@ -795,21 +785,21 @@ def obstruction_diagnostic(mu, beta_candidate, periods):
     cell = (periods[0] / nx) * (periods[1] / ny)
     lhs = float(np.sum(bxx ** 2 + bxy ** 2) * cell)
     rhs = float(np.sum(gprime * bx ** 2) * cell)
-    resid = float(np.max(np.abs(-lap - _g_of_beta(mu, beta))))
+    resid = float(np.max(np.abs(-lap - _g_of_beta(mu, beta, 2))))
 
     cert = "only_trivial_solutions" if gp_max <= 0.0 else None
     return ObstructionCertificate(gp_max, cert, lhs, rhs, resid)
 
 
-def obstruction_fixed_point(mu, periods, shape, beta0=None):
+def obstruction_fixed_point(mu, periods, beta0):
     """Solve -Lap beta = g(beta) on the 2-torus by a contracting split iteration.
 
     With g' <= 0 the map beta -> (m - Lap)^(-1)(m beta + g(beta)) contracts
-    for m above |g'|; the unique solution is the constant root of g.
+    for m above |g'|; the unique solution is the constant root of g.  The
+    grid is beta0's, and g is ``_g_of_beta`` at d = 2.
     """
-    nx, ny = shape
-    rng_beta = beta0 if beta0 is not None else np.zeros(shape)
-    beta = np.asarray(rng_beta, dtype=float).copy()
+    beta = np.array(beta0, dtype=float)
+    nx, ny = beta.shape
     kx = 2.0 * np.pi * sfft.fftfreq(nx, d=periods[0] / nx)
     ky = 2.0 * np.pi * sfft.fftfreq(ny, d=periods[1] / ny)
     k2 = kx[:, None] ** 2 + ky[None, :] ** 2
@@ -818,7 +808,7 @@ def obstruction_fixed_point(mu, periods, shape, beta0=None):
         # map contracting without crushing the convergence rate
         probes = np.linspace(np.min(beta) - 0.5, np.max(beta) + 0.5, 64)
         m = 2.0 * np.pi * float(np.max(mu(-probes))) + 1.0
-        rhs = m * beta + _g_of_beta(mu, beta)
+        rhs = m * beta + _g_of_beta(mu, beta, 2)
         new = sfft.ifft2(sfft.fft2(rhs) / (m + k2)).real
         if float(np.max(np.abs(new - beta))) < 1e-13:
             beta = new
@@ -833,14 +823,13 @@ def obstruction_fixed_point(mu, periods, shape, beta0=None):
 
 
 def obstruction_1d_contrast(mu, beta_range):
-    """1D analogue where g' has no sign certificate; reports observed signs."""
+    """1D analogue where g' has no sign certificate; reports observed signs.
+
+    g' is the central difference of ``_g_of_beta`` at d = 1, on the same rule.
+    """
     betas = np.linspace(beta_range[0], beta_range[1], 512)
-    v = np.linspace(-40.0, 40.0, 4001)
-    # g(beta) = 1 - int mu(v^2/2 - beta) dv; differentiate under the integral
     eps = 1e-6 * max(1.0, beta_range[1] - beta_range[0])
-    g_hi = 1.0 - np.trapezoid(mu(v[None, :] ** 2 / 2 - (betas[:, None] + eps)), v, axis=1)
-    g_lo = 1.0 - np.trapezoid(mu(v[None, :] ** 2 / 2 - (betas[:, None] - eps)), v, axis=1)
-    gprime = (g_hi - g_lo) / (2 * eps)
+    gprime = (_g_of_beta(mu, betas + eps, 1) - _g_of_beta(mu, betas - eps, 1)) / (2 * eps)
     return {
         "gprime": gprime,
         "betas": betas,
@@ -865,11 +854,17 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
     s >= 1 + 1/p on the gamma path (cases 1-2) raises RegularityError
     before any search.  A travel speed c != 0 is refused: the boost moves
     the wave off f0(v) to f0(v - c), which the certificate does not see.
+    A non-finite T1, eps, gamma or r, and T1 <= 0, are refused before any work.
 
     Returns (wave, ClosenessReport).
     """
     from .closeness import closeness_report, modified_profile_distance
 
+    if not (math.isfinite(T1) and T1 > 0):
+        raise ValidationError(f"period T1 must be finite and positive, got {T1}")
+    for name, val in (("eps", eps), ("gamma", gamma), ("r", r)):
+        if val is not None and not math.isfinite(val):
+            raise ValidationError(f"{name} must be finite, got {val}")
     if c != 0.0:
         raise ValidationError(f"travel speed c = {c:g} != 0: the boosted wave sits near "
                               "f0(v - c), and the distance certificate is to f0 at rest")

@@ -19,7 +19,7 @@ the triangle inequality, so the reported total is a certified upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -213,9 +213,9 @@ class ClosenessReport:
     l1: float
     second_moment: float
     wsp: float
-    pieces: dict = field(default_factory=dict)
-    s: float = 1.2
-    p: float = 2.0
+    pieces: dict
+    s: float
+    p: float
     conservative: bool = True
 
     @property
@@ -230,7 +230,7 @@ class ClosenessReport:
         }
 
 
-def modified_profile_distance(mp, s=1.2, p=2.0):
+def modified_profile_distance(mp, s, p):
     """Distance of the modified profile to its base, all three norms.
 
     Cases 1-2: triangle over the added feature and the renormalisation
@@ -265,7 +265,7 @@ def modified_profile_distance(mp, s=1.2, p=2.0):
     return ClosenessReport(l1, mom, wsp, {"kind": "scaling"}, s, p)
 
 
-def wave_profile_distance(wave, s=1.2, p=2.0):
+def wave_profile_distance(wave, s, p):
     """Distance of the wave to its modified profile over one period.
 
     Each mixture term contributes the cancellation-free field
@@ -303,7 +303,7 @@ def wave_profile_distance(wave, s=1.2, p=2.0):
     return ClosenessReport(l1, mom, wsp, {"kind": "wave-vs-profile"}, s, p)
 
 
-def closeness_report(wave, s=1.2, p=2.0):
+def closeness_report(wave, s, p):
     """Total certified distance wave -> base homogeneous state (triangle sum)."""
     d_mod = modified_profile_distance(wave.mp, s, p)
     d_wave = wave_profile_distance(wave, s, p)

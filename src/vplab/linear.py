@@ -53,7 +53,7 @@ class Datum1D:
         return complex(np.trapezoid(self.values, self.alphas))
 
 
-def dispersion(fp, ygrid, k2_min, check_stability=True):
+def dispersion(fp, ygrid, k2_min):
     """Complex boundary values F(y+i0) on the grid, for a profile stable at |k|^2 = k2_min.
 
     F = PV + i pi f'(y) is the closed-form boundary value of the projection's
@@ -63,13 +63,12 @@ def dispersion(fp, ygrid, k2_min, check_stability=True):
     projection and raises PenroseUnstableError when either fails.
     """
     F = fp.closure1d.cauchy(np.asarray(ygrid, dtype=float))
-    if check_stability:
-        c0 = float(np.min(np.abs(k2_min - F) ** 2) / k2_min)
-        margin = k2_min - max(critical_pv(fp)[1], default=-math.inf)
-        if c0 <= 1e-14 or not margin_ok(margin, k2_min):
-            raise PenroseUnstableError(
-                f"margin {margin:.3e}, c0 {c0:.3e}: profile not "
-                f"Penrose-stable at |k|^2 = {k2_min}")
+    c0 = float(np.min(np.abs(k2_min - F) ** 2) / k2_min)
+    margin = k2_min - max(critical_pv(fp)[1], default=-math.inf)
+    if c0 <= 1e-14 or not margin_ok(margin, k2_min):
+        raise PenroseUnstableError(
+            f"margin {margin:.3e}, c0 {c0:.3e}: profile not "
+            f"Penrose-stable at |k|^2 = {k2_min}")
     return F
 
 
@@ -223,7 +222,7 @@ def _wedge_correction(kmag, ym, t, fp, datum):
     for a, b in ((lo, ym), (-ym, -lo)):
         ys = 0.5 * (a + b) + 0.5 * (b - a) * x
         ws = 0.5 * (b - a) * w
-        F = dispersion(fp, ys, kmag ** 2, check_stability=False)
+        F = fp.closure1d.cauchy(ys)
         G = initial_transform(datum, ys)
         Hs = (G / (kmag ** 2 - F)) * (1.0 - _taper(ys, ym)) * ws
         out += np.exp(-1j * kmag * np.outer(t, ys)) @ Hs
@@ -249,6 +248,9 @@ class FieldHistory:
 
     def decay_norm(self, s_x, s_v):
         """|| t^{s_v} E ||_{L^2_t H_x^{3/2+s_x+s_v}} from the mode series."""
+        for name, val in (("s_x", s_x), ("s_v", s_v)):
+            if not math.isfinite(val):
+                raise ValidationError(f"{name} must be finite, got {val}")
         total = 0.0
         suggestions = []
         for kvec, series in self.modes.items():

@@ -44,6 +44,9 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown norm kind {self.kind!r}")
+        for name in ("s", "s_x", "s_v", "b", "p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "mixed_HsxHsvb" and not self.b > (self.dim - 1) / 4.0:
             raise ValidationError("mixed norm requires b > (d-1)/4")
         if self.kind == "fractional_Wsp":
@@ -71,6 +74,8 @@ def _symbol(grid, s, half=False):
 
 def weighted_hsb_norm(values, grid, s, b):
     """Velocity-weighted fractional Sobolev norm of a (possibly complex) field."""
+    if not (math.isfinite(s) and math.isfinite(b)):
+        raise ValidationError(f"order s and weight b must be finite, got s = {s}, b = {b}")
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValidationError("field shape does not match grid")

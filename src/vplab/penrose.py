@@ -62,13 +62,10 @@ class DualLattice:
 
 
 def pv_integral(fp, a_prime):
-    """Principal-value integral of f'_e(alpha)/(alpha - a'), the closed form's real part."""
+    """PV integral of f'_e(alpha)/(alpha - a') at any finite a', the closed form's real part."""
     a_prime = float(a_prime)
-    lo, hi = fp.alphas[0], fp.alphas[-1]
-    if not (lo <= a_prime <= hi):
-        raise ValidationError(
-            f"a'={a_prime} outside the projected grid range [{lo}, {hi}]"
-        )
+    if not math.isfinite(a_prime):
+        raise ValidationError(f"a' must be finite, got {a_prime}")
     return float(fp.closure1d.cauchy(a_prime).real)
 
 
@@ -149,15 +146,14 @@ def certifies(p, bound):
     return bound >= proof
 
 
-def truncation_bound(p, s, b, return_details=False):
+def truncation_bound(p, s, b):
     """Cut-off B beyond which every |k|^2 is taken to have a positive margin.
 
     B = 2 * max |PV| over 64 probes in each of 20 seeded random directions
     (one ``Mixture1D.cauchy`` call per direction); the factor 2 is the safety
     inflation.  The maximum is sampled, so B is certified only when
     ``certifies(p, B)`` holds: B covers the PV bound that the profile's
-    closure proves.  The details carry ``pv_max`` and that verdict as
-    ``certified``.  s > 3/2 and b > (d-1)/4 are the weighted H^{s,b}
+    closure proves.  s > 3/2 and b > (d-1)/4 are the weighted H^{s,b}
     regularity under which the PV is bounded by the profile's norm.
     """
     if not s > 1.5:
@@ -170,10 +166,7 @@ def truncation_bound(p, s, b, return_details=False):
         probes = fp.alphas[:: max(1, len(fp.alphas) // 64)]
         pv = fp.closure1d.cauchy(probes).real
         pv_max = max(pv_max, float(np.max(np.abs(pv))))
-    bound = 2.0 * pv_max
-    if return_details:
-        return bound, {"pv_max": pv_max, "certified": certifies(p, bound)}
-    return bound
+    return 2.0 * pv_max
 
 
 @dataclass
@@ -212,7 +205,7 @@ def penrose_check(p, lattice, s, b, threads=None):
     """Evaluate the stability margin for every lattice vector below the bound."""
     if lattice.dim != p.grid.dim:
         raise ValidationError("lattice dimension must match the profile")
-    bound, details = truncation_bound(p, s, b, return_details=True)
+    bound = truncation_bound(p, s, b)
     members = lattice.members_within(bound)
 
     by_dir = {}
@@ -241,4 +234,4 @@ def penrose_check(p, lattice, s, b, threads=None):
             entries.append(PenroseEntry(k, k2, key, crit, pvs, margin))
             stable = stable and margin_ok(margin, k2)
     entries.sort(key=lambda e: (e.k2, e.k))
-    return PenroseReport(stable, bound, details["pv_max"], details["certified"], entries)
+    return PenroseReport(stable, bound, 0.5 * bound, certifies(p, bound), entries)

@@ -63,8 +63,8 @@ class VelocityGrid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValidationError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.vmax <= 0:
-            raise ValidationError("vmax must be positive")
+        if not (math.isfinite(self.vmax) and self.vmax > 0):
+            raise ValidationError(f"vmax must be finite and positive, got {self.vmax}")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise ValidationError(f"n must be a power of two >= 4, got {self.n}")
 
@@ -430,7 +430,7 @@ def make_builtin(name, grid, **params):
     prof = Profile.from_closure(grid, clo, meta={"provenance": "raw", "name": name,
                                                  "params": dict(params)})
     tail = grid.boundary_residual(prof.values)
-    if tail >= 1e-14:
+    if not tail < 1e-14:
         raise ValidationError(
             f"builtin tail {tail:.2e} not below 1e-14 at vmax; enlarge the grid"
         )
@@ -513,7 +513,7 @@ def _shear(values, ax_moving, ax_fixed, s, coords):
     return sfft.ifft(fhat * phase, axis=ax_moving).real
 
 
-def rotate_plane(values, coords, theta, ax_a=0, ax_b=1):
+def rotate_plane(values, coords, theta, ax_a, ax_b):
     """Rotate samples in the (ax_a, ax_b) plane by angle theta via three shears.
 
     Returns g with g(v) = f(R_theta v); accurate for fields decaying below

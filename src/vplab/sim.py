@@ -70,8 +70,9 @@ class PhaseGrid:
             raise ValidationError("Nx must be a power of two")
         if len(self.vaxes) not in (1, 2):
             raise ValidationError("solver supports 1D-1V and 1D-2V")
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        for name, val in (("T1", self.T1), ("dt", self.dt)):
+            if not (math.isfinite(val) and val > 0):
+                raise ValidationError(f"{name} must be finite and positive, got {val}")
         if self.dt * self.vaxes[0].vmax > self.T1 / 4.0 + 1e-12:
             raise ValidationError(
                 f"dt*vmax = {self.dt * self.vaxes[0].vmax:.3g} violates the "
@@ -385,13 +386,11 @@ def sample_profile(profile, grid):
     return SimState(grid, f)
 
 
-def perturb_cosine(state, amplitude, mode=1, velocity_shape=None):
-    """Single-mode perturbation: additive a cos(k x) shape(v) when a velocity
-    shape is given, multiplicative (1 + a cos(k x)) f otherwise."""
+def perturb_cosine(state, amplitude, mode=1):
+    """Single-mode multiplicative perturbation (1 + a cos(k x)) f."""
     g = state.grid
     cosx = np.cos(2.0 * np.pi * mode * g.x / g.T1).reshape((-1,) + (1,) * len(g.vaxes))
-    shape = state.f if velocity_shape is None else velocity_shape
-    state.f = state.f + amplitude * cosx * shape
+    state.f = state.f + amplitude * cosx * state.f
     return state
 
 
@@ -498,8 +497,12 @@ def run_decay_experiment(profile, grid, amplitude, s_x, s_v, b, t_end, mode=1):
     Reports the weighted space-time integral at T_end/2 and T_end,
     the late-time field fraction, and the worst residual of the power
     identity d/dt ||E||^2 = 2 int j E dx over the midpoint series.
-    Raises ValidationError when t_end / dt rounds to fewer than 5 steps.
+    Raises ValidationError when t_end / dt rounds to fewer than 5 steps,
+    and on a non-finite t_end or amplitude.
     """
+    for name, val in (("t_end", t_end), ("amplitude", amplitude)):
+        if not math.isfinite(val):
+            raise ValidationError(f"{name} must be finite, got {val}")
     n_steps = int(round(t_end / grid.dt))
     if n_steps < 5:
         raise ValidationError(
@@ -510,7 +513,7 @@ def run_decay_experiment(profile, grid, amplitude, s_x, s_v, b, t_end, mode=1):
                                    "decay experiment refused")
     state = sample_profile(profile, grid)
     f_hom = state.f.copy()
-    state = perturb_cosine(state, amplitude, mode=mode, velocity_shape=profile.values)
+    state = perturb_cosine(state, amplitude, mode=mode)
     pert_norm = mixed_norm(state.f - f_hom, (grid.T1,), grid.vgrid, s_x, s_v, b)
 
     final, log = run(state, n_steps, output_every=max(1, n_steps),

@@ -289,8 +289,7 @@ def test_criterion_9_obstruction(rng):
                     and cert.gprime_max < 0.0
                     and cert.grad_identity_rhs <= 0.0)
     beta0 = 0.3 * rng.standard_normal((nx, nx))
-    _, grad_norm = obstruction_fixed_point(lambda e: np.exp(-e), periods,
-                                           (nx, nx), beta0)
+    _, grad_norm = obstruction_fixed_point(lambda e: np.exp(-e), periods, beta0)
     fp_ok = grad_norm < 1e-8
     ok = cert_ok and fp_ok
     verdict(9, ok, f"g'(beta) < 0 certified for 10 candidates; fixed point "

@@ -24,14 +24,12 @@ SRC = ROOT / "src" / "vplab"
 
 KNOBS = {
     "bgk.build_modified:v0",
-    "bgk.hprime0_centered:scale",
     "bgk.BgkWave.f_eval:*trans",
     "bgk.BgkWave.sample_phase_space:*trans_axes",
     "bgk.match_period:case",
     "bgk.match_period:v0",
     "bgk.match_period:delta_bracket",
     "bgk.match_period:c",
-    "bgk.obstruction_fixed_point:beta0",
     "bgk.build_wave:c",
     "bgk.build_wave:eps",
     "bgk.build_wave:s",
@@ -46,28 +44,17 @@ KNOBS = {
     "cli.main:argv",
     "closeness.gagliardo_pow:axis",
     "closeness.fd_derivative:axis",
-    "closeness.modified_profile_distance:s",
-    "closeness.modified_profile_distance:p",
-    "closeness.wave_profile_distance:s",
-    "closeness.wave_profile_distance:p",
-    "closeness.closeness_report:s",
-    "closeness.closeness_report:p",
-    "linear.dispersion:check_stability",
     "linear.efield_mode:kvec",
     "norms._symbol:half",
-    "penrose.truncation_bound:return_details",
     "penrose.penrose_check:threads",
     "profiles.GaussianPairTerm.transverse_val:*axes",
     "profiles.Profile.from_closure:meta",
     "profiles.make_builtin:**params",
-    "profiles.rotate_plane:ax_a",
-    "profiles.rotate_plane:ax_b",
     "sim.step:force_zero_field",
     "sim.run:output_every",
     "sim.run:s_sobolev",
     "sim.run:diagnostics_every",
     "sim.perturb_cosine:mode",
-    "sim.perturb_cosine:velocity_shape",
     "sim.run_bgk_steadiness:output_every_t",
     "sim.run_bgk_steadiness:diagnostics_every",
     "sim.run_decay_experiment:mode",

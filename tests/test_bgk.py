@@ -494,13 +494,21 @@ class TestTurningPoints:
             bgk_mod._turning_points(h, om, 1e-5)
 
 
-def test_budget_build_imports_no_root_finder():
-    # the turning points are solved in the package: building the budget wave
-    # must not import scipy.optimize (about 0.3 s on a cold start)
+def _fresh_stdout(script):
+    """Standard output of ``script`` run in a fresh interpreter on the package."""
     import os
     import subprocess
     import sys
 
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    return out.stdout.strip()
+
+
+def test_budget_build_imports_no_root_finder():
+    # the turning points are solved in the package: building the budget wave
+    # must not import scipy.optimize (about 0.3 s on a cold start)
     script = """
 import sys
 import numpy as np
@@ -510,10 +518,26 @@ from vplab.profiles import VelocityGrid, make_builtin
 build_wave(make_builtin("maxwellian", VelocityGrid(2, 8.0, 256)), 2 * np.pi, eps=1e-1)
 print("scipy.optimize" in sys.modules)
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert _fresh_stdout(script) == "False"
+
+
+def test_obstruction_imports_no_quadrature_or_spline():
+    # g(beta) is one fixed Gauss-Legendre rule: the three obstruction oracles
+    # need neither scipy.integrate nor scipy.interpolate
+    script = """
+import sys
+import numpy as np
+from vplab.bgk import obstruction_1d_contrast, obstruction_diagnostic, obstruction_fixed_point
+
+periods = (2 * np.pi, 2 * np.pi)
+x = np.linspace(0.0, periods[0], 32, endpoint=False)
+beta = 0.3 * np.cos(x[:, None]) * np.sin(2 * x[None, :])
+obstruction_diagnostic(lambda e: np.exp(-e), beta, periods)
+obstruction_fixed_point(lambda e: np.exp(-e), periods, beta)
+obstruction_1d_contrast(lambda e: np.exp(-e), (-3.0, 3.0))
+print(sorted(m for m in ("scipy.integrate", "scipy.interpolate") if m in sys.modules))
+"""
+    assert _fresh_stdout(script) == "[]"
 
 
 class TestMatchPeriod:
@@ -561,7 +585,7 @@ class TestMatchPeriod:
         dists = []
         for r in (1e-3, 1e-4, 1e-5):
             _, wave = match_period(maxwellian2, 2 * np.pi, gamma=0.1, r=r)
-            dists.append(wave_profile_distance(wave).total)
+            dists.append(wave_profile_distance(wave, 1.2, 2.0).total)
         assert all(np.diff(dists) < 0)
         assert dists[-1] < 2e-2 * dists[0]
 
@@ -709,6 +733,23 @@ class TestBuildWave:
             with pytest.raises(ValidationError, match=f"c = {c:g}"):
                 build_wave(maxwellian2, 2 * np.pi, c=c, **kw)
 
+    @pytest.mark.parametrize("t1, kw, shown", [
+        (-1.0, {"eps": 0.1}, "period T1 must be finite and positive, got -1.0"),
+        (float("nan"), {"eps": 0.1}, "period T1 must be finite and positive, got nan"),
+        (2 * np.pi, {"eps": float("nan")}, "eps must be finite, got nan"),
+        (2 * np.pi, {"gamma": float("inf"), "r": 1e-3}, "gamma must be finite, got inf"),
+        (2 * np.pi, {"r": float("nan")}, "r must be finite, got nan"),
+    ])
+    def test_bad_scalars_refused_before_work(self, maxwellian2, monkeypatch, t1, kw, shown):
+        # T1 = -1 once raised a math domain error, eps = nan searched for 3 s
+        # and r = nan reported the bracket [nan, nan]
+        def no_work(*args):
+            raise AssertionError("construction started")
+
+        monkeypatch.setattr(bgk_mod, "select_case", no_work)
+        with pytest.raises(ValidationError, match=shown):
+            build_wave(maxwellian2, t1, **kw)
+
     @pytest.mark.parametrize("p, s", [(2.0, 1.5), (2.0, 1.6), (1.5, 1.7)])
     def test_regularity_refused_up_front(self, maxwellian2, monkeypatch, p, s):
         import vplab.closeness
@@ -726,6 +767,18 @@ class TestBuildWave:
 
 
 class TestObstruction:
+    @settings(max_examples=25)
+    @given(d=st.sampled_from((1, 2)), n=st.integers(513, 4096),
+           lo=st.floats(-10.0, 10.0), width=st.floats(0.0, 10.0))
+    def test_g_against_exponential_closed_form(self, d, n, lo, width):
+        # mu = e^{-e}: g_d(beta) = 1 - (2 pi)^{d/2} e^beta, on batches above
+        # 512 points, where a 257-node spline once replaced the quadrature
+        beta = np.linspace(lo, lo + width, n).reshape(-1, 1 + (n % 2 == 0))
+        want = 1.0 - (2.0 * np.pi) ** (d / 2.0) * np.exp(beta)
+        got = bgk_mod._g_of_beta(lambda e: np.exp(-e), beta, d)
+        assert got.shape == beta.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
     def test_exponential_mu_certificate(self, rng):
         periods = (2 * np.pi, 2 * np.pi)
         nx = 64
@@ -750,8 +803,7 @@ class TestObstruction:
     def test_fixed_point_lands_on_constant(self, rng):
         periods = (2 * np.pi, 2 * np.pi)
         beta0 = 0.2 * rng.standard_normal((32, 32))
-        beta, grad = obstruction_fixed_point(lambda e: np.exp(-e), periods,
-                                             (32, 32), beta0)
+        beta, grad = obstruction_fixed_point(lambda e: np.exp(-e), periods, beta0)
         assert grad < 1e-8
         assert abs(np.mean(beta) + np.log(2 * np.pi)) < 1e-6
 

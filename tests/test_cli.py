@@ -104,9 +104,11 @@ class TestConfig:
         assert f"periods must be finite and positive, got ({shown}, 6.28)" in err
 
     @pytest.mark.parametrize("key, value", [("kmag", "nan"), ("kmag", "inf"),
-                                            ("t_end", "nan"), ("t_end", "inf")])
+                                            ("t_end", "nan"), ("t_end", "inf"),
+                                            ("s_v", "nan")])
     def test_non_finite_linear_decay_exit1(self, tmp_path, capsys, key, value):
-        # kmag = nan (inf) once raised a ValueError (OverflowError) traceback
+        # kmag = nan (inf) once raised a ValueError (OverflowError) traceback,
+        # and s_v = nan wrote norm NaN with exit 0
         text = f"""
 command = linear-decay
 profile.name = maxwellian
@@ -119,6 +121,67 @@ grid.n = 512
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "must be finite" in err and f"got {value}" in err
+
+    @pytest.mark.parametrize("vmax", ["nan", "inf"])
+    def test_non_finite_vmax_exit1(self, tmp_path, capsys, vmax):
+        # once exit 0 with stable: true, B: 0.0 and no entries
+        text = (PENROSE_STABLE.replace("grid.dim = 2", "grid.dim = 1")
+                .replace("grid.vmax = 8.0", f"grid.vmax = {vmax}")
+                .replace("periods = 6.283185307179586,6.283185307179586", "periods = 6.28"))
+        path = write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"vmax must be finite and positive, got {vmax}" in err
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("dt", "nan", "dt must be finite and positive, got nan"),
+        ("t_end", "nan", "t_end must be finite, got nan"),
+        ("t_end", "inf", "t_end must be finite, got inf"),
+        ("T1", "nan", "T1 must be finite and positive, got nan"),
+        ("T1", "-5", "T1 must be finite and positive, got -5.0"),
+        ("amplitude", "nan", "amplitude must be finite, got nan"),
+    ])
+    def test_bad_simulate_scalar_exit1(self, tmp_path, capsys, key, value, shown):
+        # once tracebacks (dt, t_end), a Penrose refusal (T1 = nan), the
+        # splitting guard's name (T1 = -5) and an all-NaN summary (amplitude)
+        values = {"T1": "12.566370614359172", "dt": "0.05", "t_end": "0.5",
+                  "amplitude": "1e-3", key: value}
+        text = ("command = simulate\nprofile.name = maxwellian\ngrid.dim = 1\n"
+                "grid.n = 64\ngrid.vmax = 9.0\nNx = 16\n"
+                + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        path = write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert shown in err
+
+    @pytest.mark.parametrize("lines, shown", [
+        ("T1 = -1\neps = 0.1", "period T1 must be finite and positive, got -1.0"),
+        ("eps = nan", "eps must be finite, got nan"),
+        ("r = nan", "r must be finite, got nan"),
+        ("gamma = inf\nr = 1e-3", "gamma must be finite, got inf"),
+    ])
+    def test_bad_bgk_build_scalar_exit1(self, tmp_path, capsys, lines, shown):
+        # once a math domain error (T1 = -1), a 3 s search (eps = nan) and
+        # the bracket [nan, nan] (r = nan, gamma = inf)
+        text = ("command = bgk-build\nprofile.name = maxwellian\ngrid.dim = 2\n"
+                f"grid.n = 128\ngrid.vmax = 8.0\n{lines}\n")
+        path = write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert shown in err
+
+    @pytest.mark.parametrize("key", ["s", "b"])
+    def test_nan_norm_order_exit1(self, tmp_path, capsys, key):
+        # once value NaN with exit 0
+        text = f"command = norms\nprofile.name = maxwellian\ngrid.dim = 1\n{key} = nan\n"
+        path = write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"{key} must be finite, got nan" in err
 
     def test_missing_command(self, tmp_path):
         with pytest.raises(ValidationError):

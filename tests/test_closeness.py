@@ -183,19 +183,19 @@ class TestMeanValueNodes:
 
     def test_roundoff_wave_equals_eight_nodes(self, budget_wave, monkeypatch):
         wave = budget_wave[0]
-        ours = wave_profile_distance(wave)
+        ours = wave_profile_distance(wave, 1.2, 2.0)
         monkeypatch.setattr(closeness, "_GL1", closeness._GL8)
-        eight = wave_profile_distance(wave)
+        eight = wave_profile_distance(wave, 1.2, 2.0)
         for key in ("l1", "second_moment", "wsp"):
             assert abs(getattr(ours, key) - getattr(eight, key)) <= 1e-14 * getattr(eight, key)
         # the Maxwellian term (eps 2e-15) did take the one-node rule
         monkeypatch.setattr(closeness, "_GL1", (np.array([np.nan]), np.array([np.nan])))
-        assert math.isnan(wave_profile_distance(wave).total)
+        assert math.isnan(wave_profile_distance(wave, 1.2, 2.0).total)
 
     def test_steady_wave_keeps_eight_nodes(self, steady_wave, monkeypatch):
-        ours = wave_profile_distance(steady_wave)
+        ours = wave_profile_distance(steady_wave, 1.2, 2.0)
         monkeypatch.setattr(closeness, "_GL1", (np.array([np.nan]), np.array([np.nan])))
-        assert wave_profile_distance(steady_wave).total == ours.total
+        assert wave_profile_distance(steady_wave, 1.2, 2.0).total == ours.total
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,7 @@ class TestDispersion:
     def test_large_y_decay(self, fp_maxwellian):
         vals = []
         for y0 in (10.0, 20.0, 40.0):
-            F = dispersion(fp_maxwellian, np.array([-y0, y0]), 0.25,
-                           check_stability=False)
+            F = dispersion(fp_maxwellian, np.array([-y0, y0]), 0.25)
             vals.append(float(np.max(np.abs(F))))
         assert vals[0] < 1e-1 and all(np.diff(vals) < 0)
         assert vals[-1] < 1e-3
@@ -407,6 +406,16 @@ class TestDecayNorm:
                              kvec=(0.5,)))
         with pytest.raises(ValidationError):
             hist.decay_norm(0.0, 1.6)
+
+    @pytest.mark.parametrize("s_x, s_v, shown", [
+        (float("nan"), 1.6, "s_x must be finite, got nan"),
+        (0.0, float("nan"), "s_v must be finite, got nan"),
+        (0.0, float("inf"), "s_v must be finite, got inf"),
+    ])
+    def test_non_finite_order_rejected(self, s_x, s_v, shown):
+        # s_v = nan once gave norm NaN with exit 0 from linear-decay
+        with pytest.raises(ValidationError, match=shown):
+            FieldHistory().decay_norm(s_x, s_v)
 
     def test_per_mode_decay_bound_stable(self):
         # || t^{s_v} E_k ||^2 <= C |k|^{-3-2 s_v} || datum ||^2 with one

@@ -34,10 +34,24 @@ class TestNormSpec:
         with pytest.raises(ValidationError):
             NormSpec("bogus")
 
+    @pytest.mark.parametrize("name", ["s", "s_x", "s_v", "b", "p"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, bad):
+        # a nan order once gave value NaN with exit 0 from the norms command
+        with pytest.raises(ValidationError, match=f"{name} must be finite, got {bad}"):
+            NormSpec("weighted_Hsb", dim=2, **{name: bad})
+
 
 class TestWeightedHsb:
     def test_zero(self, grid2):
         assert weighted_hsb_norm(np.zeros(grid2.shape), grid2, 1.0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("s, b", [(float("nan"), 0.3), (1.0, float("nan")),
+                                      (float("inf"), 0.3)])
+    def test_non_finite_order_rejected(self, maxwellian2, grid2, s, b):
+        with pytest.raises(ValidationError,
+                           match=f"order s and weight b must be finite, got s = {s}, b = {b}"):
+            weighted_hsb_norm(maxwellian2.values, grid2, s, b)
 
     def test_gaussian_l2(self, maxwellian2, grid2):
         # closed form: ||(2 pi)^{-1} e^{-|v|^2/2}||_L2 = 1/(2 sqrt(pi))

@@ -139,10 +139,17 @@ class TestPvIntegral:
         for ap in (0.5, 1.5, 3.0):
             assert abs(pv_integral(fp, ap) - pv_integral(fp, -ap)) < 1e-8
 
-    def test_outside_range_rejected(self, maxwellian2):
+    def test_beyond_grid_range_against_dawson(self, maxwellian2):
+        # the closed form holds at every real point, past the projected grid too
         fp = project(maxwellian2, (1.0, 0.0))
-        with pytest.raises(ValidationError):
-            pv_integral(fp, 9.5)
+        assert fp.alphas[-1] < 9.5
+        for ap in (9.5, -9.5, 20.0, -20.0):
+            assert abs(pv_integral(fp, ap) - pv_exact(fp.closure1d, ap)) < 1e-8
+
+    def test_non_finite_rejected(self, maxwellian2):
+        fp = project(maxwellian2, (1.0, 0.0))
+        with pytest.raises(ValidationError, match="a' must be finite, got nan"):
+            pv_integral(fp, float("nan"))
 
 
 class TestCriticalPv:
@@ -167,9 +174,10 @@ class TestTruncationBound:
         assert abs(b2 - 2.0 * b1) < 1e-8 * b1
 
     def test_certified_only_by_the_proof_bound(self, maxwellian2):
-        bound, details = truncation_bound(maxwellian2, 1.6, 0.3, return_details=True)
-        assert bound == 2.0 * details["pv_max"]
-        assert details["certified"] and certifies(maxwellian2, bound)
+        bound = truncation_bound(maxwellian2, 1.6, 0.3)
+        rep = penrose_check(maxwellian2, DualLattice((2 * np.pi, 2 * np.pi)), 1.6, 0.3)
+        assert rep.bound == bound == 2.0 * rep.pv_max
+        assert rep.certified and certifies(maxwellian2, bound)
         # unit weight and unit widths: the proven PV bound is PV_SUP itself
         assert certifies(maxwellian2, PV_SUP)
         assert not certifies(maxwellian2, 0.99 * PV_SUP)

@@ -46,6 +46,12 @@ class TestGridQuadrature:
             VelocityGrid(1, 8.0, 100)  # not a power of two
         with pytest.raises(ValidationError):
             VelocityGrid(1, -1.0, 64)
+        # nan once passed the sign check and gave a NaN profile whose tail
+        # check compared false too: penrose reported stable with no entries
+        for vmax in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError,
+                               match=f"vmax must be finite and positive, got {vmax}"):
+                VelocityGrid(2, vmax, 64)
 
 
 class TestCutoffs:
@@ -117,6 +123,11 @@ class TestBuiltins:
         # double bump at v0=3 on vmax=8 violates the 1e-14 tail rule
         with pytest.raises(ValidationError):
             make_builtin("double_bump", VelocityGrid(2, 8.0, 256), v0=3.0)
+
+    def test_nan_tail_refused(self, monkeypatch):
+        monkeypatch.setattr(VelocityGrid, "boundary_residual", lambda self, vals: float("nan"))
+        with pytest.raises(ValidationError, match="builtin tail nan not below 1e-14"):
+            make_builtin("maxwellian", VelocityGrid(1, 8.0, 64))
 
 
 class TestProject:

@@ -128,7 +128,7 @@ class TestStep:
 def landau_log():
     g = PhaseGrid(T1, 128, VelocityGrid(1, 8.0, 512), 0.02)
     p = make_builtin("maxwellian", VelocityGrid(1, 8.0, 512))
-    st = perturb_cosine(sample_profile(p, g), 1e-3, velocity_shape=p.values)
+    st = perturb_cosine(sample_profile(p, g), 1e-3)
     return run(st, 1500, output_every=300)
 
 
@@ -614,6 +614,30 @@ class TestSteadiness:
         rep_rest = run_bgk_steadiness(wave, g, t_end=2.0)
         rep_boost = run_bgk_steadiness(boosted, g, t_end=2.0)
         assert rep_boost.drift_f_max < 5.0 * max(rep_rest.drift_f_max, 1e-12)
+
+
+class TestNonFiniteScalars:
+    """Each bad scalar is refused by name: nan once slipped past every
+    comparison, and a negative T1 was blamed on the splitting guard."""
+
+    @pytest.mark.parametrize("t1, dt, shown", [
+        (float("nan"), 0.05, "T1 must be finite and positive, got nan"),
+        (float("inf"), 0.05, "T1 must be finite and positive, got inf"),
+        (-5.0, 0.05, "T1 must be finite and positive, got -5.0"),
+        (T1, float("nan"), "dt must be finite and positive, got nan"),
+        (T1, 0.0, "dt must be finite and positive, got 0.0"),
+    ])
+    def test_phase_grid(self, t1, dt, shown):
+        with pytest.raises(ValidationError, match=shown):
+            PhaseGrid(t1, 64, VelocityGrid(1, 8.0, 64), dt)
+
+    @pytest.mark.parametrize("key", ["t_end", "amplitude"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_decay_experiment(self, grid1v, maxprofile, key, bad):
+        kw = {"amplitude": 1e-3, "t_end": 1.0, key: bad}
+        with pytest.raises(ValidationError, match=f"{key} must be finite, got {bad}"):
+            run_decay_experiment(maxprofile, grid1v, kw["amplitude"], 0.0, 1.6, 0.3,
+                                 t_end=kw["t_end"])
 
 
 class TestDecayExperiment:
