@@ -11,7 +11,6 @@ closes the distribution through the particle energy invariant.
 import numpy as np
 
 from vplab.bgk import build_modified, build_wave, make_h, periodic_orbit, select_case
-from vplab.closeness import closeness_report
 from vplab.container import wave_to_csv
 from vplab.profiles import VelocityGrid, make_builtin
 

@@ -168,7 +168,7 @@ def _unit_kernel(a):
     def kfun(c):
         c = np.atleast_1d(c)
         y = u[None, :] ** 2 - c[:, None]
-        return 2.0 * np.trapezoid(t.even_dval(y.ravel()).reshape(y.shape), u, axis=1)
+        return 2.0 * np.trapezoid(t.even_dval(y), u, axis=1)
 
     kc = cheb.interpolate(kfun, n_cheb, domain=[-_C_OK, _C_OK])
     qc = kc * cheb.identity(domain=[-_C_OK, _C_OK])
@@ -179,7 +179,7 @@ def _unit_kernel(a):
     m = 2 * n_taylor
     circ = _RHO * np.exp(2j * np.pi * np.arange(m) / m)
     y = u[None, :] ** 2 - circ[:, None]
-    kvals = 2.0 * np.trapezoid(t.even_dval_complex(y.ravel()).reshape(y.shape), u, axis=1)
+    kvals = 2.0 * np.trapezoid(t.even_dval(y), u, axis=1)
     k_hat = (np.fft.fft(kvals) / m)[:n_taylor].real
     k_hat.flags.writeable = False  # shared by every caller of the cache
     return kc.integ(lbnd=0.0), qc.integ(lbnd=0.0), k_hat
@@ -502,38 +502,31 @@ class BgkWave:
         phases = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), self._k))
         return (phases * self._coef).real.sum(axis=-1)
 
-    def f_eval(self, x, v1, *trans):
-        """Distribution at t = 0 on broadcastable coordinate arrays."""
-        b = self.beta_at(np.asarray(x, dtype=float))
-        u = np.asarray(v1, dtype=float) - self.c
-        y = u ** 2 - 2.0 * b
-        out = None
-        for t in self.mp.mixture.terms:
-            a = t.weight * t.even_val(np.asarray(y, dtype=float).ravel()).reshape(np.shape(y))
-            tv = 1.0
-            for w, pts in zip(t.wt, trans):
-                tv = tv * np.exp(-np.asarray(pts) ** 2 / (2 * w ** 2)) / (w * SQRT2PI)
-            term = a * tv
-            out = term if out is None else out + term
-        return out
+    def _energy(self, x, v1):
+        """y = (v1 - c)^2 - 2 beta(x) on the (x, v1) tensor grid."""
+        return (np.asarray(v1, dtype=float) - self.c)[None, :] ** 2 \
+            - 2.0 * self.beta_at(np.asarray(x, dtype=float))[:, None]
 
     def sample_phase_space(self, x, v1, *trans_axes):
-        """Tensor-grid samples f[x, v1, w...] for the nonlinear solver."""
-        return self.f_eval(*np.ix_(x, v1, *trans_axes))
+        """Tensor-grid samples f[x, v1, w...] of the distribution at t = 0."""
+        y = self._energy(x, v1)
+        out = 0.0
+        for t in self.mp.mixture.terms:
+            out = out + np.multiply.outer(t.weight * t.even_val(y), t.transverse_val(*trans_axes))
+        return out
 
     def sample_factors(self, x, v1, v2):
         """``sample_phase_space(x, v1, v2)`` as factors A (x, v1, r) and B (r, v2)
         with orthonormal rows (v2 None: f[x, v1] and B = [[1]]).  Terms of one
         transverse width share a Gaussian row G; the QR G^T = Q R over the r
         widths gives B = Q^T and A = A_G R^T without building f."""
-        y = (np.asarray(v1, dtype=float) - self.c)[None, :] ** 2 \
-            - 2.0 * self.beta_at(np.asarray(x, dtype=float))[:, None]
-        groups = {}
+        y = self._energy(x, v1)
+        trans = () if v2 is None else (v2,)
+        groups, rows = {}, {}
         for t in self.mp.mixture.terms:
-            w = None if v2 is None else t.wt[0]
-            groups[w] = groups.get(w, 0.0) + t.weight * t.even_val(y.ravel()).reshape(y.shape)
-        q, r = np.linalg.qr(np.stack([np.ones(1) if w is None else np.exp(-v2 ** 2 / (2 * w ** 2))
-                                      / (w * SQRT2PI) for w in groups], axis=1))
+            groups[t.wt] = groups.get(t.wt, 0.0) + t.weight * t.even_val(y)
+            rows[t.wt] = np.atleast_1d(t.transverse_val(*trans))
+        q, r = np.linalg.qr(np.stack(list(rows.values()), axis=1))
         return np.stack(list(groups.values()), axis=2) @ r.T, q.T
 
     def _beta2(self):
@@ -629,7 +622,7 @@ def _false_position(fun, lo, hi, f_lo, f_hi, tol):
     return None, brackets
 
 
-def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None, c=0.0):
+def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None):
     """Illinois false position on the modification scale until the orbit
     period equals T1 to PERIOD_TOL_REL.
 
@@ -717,8 +710,6 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None, c=0.0)
     if resid > POISSON_RESIDUAL_TOL:
         raise ValidationError(
             f"reduced field equation residual {resid:.2e} exceeds {POISSON_RESIDUAL_TOL:g}")
-    if c != 0.0:
-        wave = galilean_boost(wave, c)
     return mid, wave
 
 
@@ -854,7 +845,7 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
     s >= 1 + 1/p on the gamma path (cases 1-2) raises RegularityError
     before any search.  A travel speed c != 0 is refused: the boost moves
     the wave off f0(v) to f0(v - c), which the certificate does not see.
-    A non-finite T1, eps, gamma or r, and T1 <= 0, are refused before any work.
+    A non-finite or non-positive T1, eps, gamma or r is refused before any work.
 
     Returns (wave, ClosenessReport).
     """
@@ -865,6 +856,8 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
     for name, val in (("eps", eps), ("gamma", gamma), ("r", r)):
         if val is not None and not math.isfinite(val):
             raise ValidationError(f"{name} must be finite, got {val}")
+        if val is not None and val <= 0.0:
+            raise ValidationError(f"{name} must be positive, got {val}")
     if c != 0.0:
         raise ValidationError(f"travel speed c = {c:g} != 0: the boosted wave sits near "
                               "f0(v - c), and the distance certificate is to f0 at rest")

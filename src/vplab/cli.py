@@ -153,14 +153,9 @@ def run(config, outdir, threads=1, verbose=False):
     if config.command == "bgk-build":
         profile = _profile_from(config)
         t1 = config.get("T1", 6.283185307179586, float)
-        eps = config.get("eps", -1.0, float)
-        gamma = config.get("gamma", -1.0, float)
-        r = config.get("r", -1.0, float)
-        wave, rep = build_wave(
-            profile, t1, c=config.get("c", 0.0, float),
-            eps=None if eps <= 0 else eps,
-            gamma=None if gamma <= 0 else gamma,
-            r=None if r <= 0 else r)
+        given = {k: config.get(k, cast=float) for k in ("eps", "gamma", "r")
+                 if k in config.values}
+        wave, rep = build_wave(profile, t1, c=config.get("c", 0.0, float), **given)
         container.save_wave(os.path.join(outdir, "wave.vplb"), wave)
         container.wave_to_csv(os.path.join(outdir, "wave.csv"), wave)
         resid = wave.poisson_residual()

@@ -292,7 +292,7 @@ def wave_profile_distance(wave, s, p):
         acc = np.zeros((n_x, n_v))
         for a, wq in zip(0.5 * (gl_x + 1.0), 0.5 * gl_w):
             y = y0 - (2.0 * a) * beta[:, None]
-            acc += wq * t.even_dval(y.ravel()).reshape(y.shape)
+            acc += wq * t.even_dval(y)
         D = -2.0 * t.weight * beta[:, None] * acc
         trans = [_gauss_axis(w) for w in t.wt]
         cell = hx * hv

@@ -117,31 +117,6 @@ class VelocityGrid:
 # analytic closures: mixtures of even Gaussian pairs
 # ---------------------------------------------------------------------------
 
-def _coshc(t):
-    """cosh(sqrt(t)) continued through t=0: cos(sqrt(-t)) for t < 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0.0
-    out[pos] = np.cosh(np.sqrt(t[pos]))
-    out[~pos] = np.cos(np.sqrt(-t[~pos]))
-    return out
-
-
-def _coshc_prime(t):
-    """d/dt cosh(sqrt(t)), continued; equals 1/2 at t = 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    small = np.abs(t) < 1e-12
-    out[small] = 0.5 + t[small] / 12.0
-    pos = (~small) & (t > 0)
-    st = np.sqrt(t[pos])
-    out[pos] = np.sinh(st) / (2.0 * st)
-    neg = (~small) & (t < 0)
-    sn = np.sqrt(-t[neg])
-    out[neg] = np.sin(sn) / (2.0 * sn)
-    return out
-
-
 @dataclass(frozen=True)
 class GaussianPairTerm:
     """Even pair [N(v0,w1) + N(-v0,w1)]/2 in v1 times centred Gaussians transversely.
@@ -162,61 +137,53 @@ class GaussianPairTerm:
                     + np.exp(-((v1 + self.v0) ** 2) / (2 * self.w1 ** 2)))
 
     def even_val(self, y):
-        """Pair density as a function of y = v1^2, continued to y < 0."""
+        """Pair density as a function of y = v1^2: pair_1d(sqrt(y)), with the
+        imaginary root i sqrt(-y) continuing it to y < 0 (real there)."""
         y = np.asarray(y, dtype=float)
-        out = np.empty_like(y)
-        pos = y >= 0.0
-        if np.any(pos):
-            out[pos] = self.pair_1d(np.sqrt(y[pos]))
-        if np.any(~pos):
-            yn = y[~pos]
-            c = 1.0 / (self.w1 * SQRT2PI)
-            t = yn * self.v0 ** 2 / self.w1 ** 4
-            out[~pos] = c * np.exp(-(yn + self.v0 ** 2) / (2 * self.w1 ** 2)) * _coshc(t)
+        out = self.pair_1d(np.sqrt(np.abs(y)))
+        neg = y < 0.0
+        if np.any(neg):
+            out[neg] = self.pair_1d(1j * np.sqrt(-y[neg])).real
         return out
 
-    def even_dval_complex(self, y):
-        """d/dy of even_val for complex y (entire continuation form).
-
-        Used by Cauchy-integral Taylor extraction; callers keep |y| within a
-        few w1^2 so the exponential factor stays tame.
-        """
-        y = np.asarray(y, dtype=complex)
-        c = 1.0 / (self.w1 * SQRT2PI)
-        z = np.sqrt(y * self.v0 ** 2 / self.w1 ** 4)
-        cosh_z = np.cosh(z)
-        # sinh(z)/(2z) with the removable point handled by series
-        small = np.abs(z) < 1e-8
-        ratio = np.empty_like(z)
-        ratio[~small] = np.sinh(z[~small]) / (2.0 * z[~small])
-        ratio[small] = 0.5 + z[small] ** 2 / 12.0
-        e = np.exp(-(y + self.v0 ** 2) / (2 * self.w1 ** 2))
-        return c * e * (-cosh_z / (2 * self.w1 ** 2)
-                        + (self.v0 ** 2 / self.w1 ** 4) * ratio)
-
     def even_dval(self, y):
-        """d/dy of even_val; the continued form is used near y = 0."""
-        y = np.asarray(y, dtype=float)
+        """A'(y) = d/dy even_val for real or complex y; real y stays real.
+
+        Where |y| >= w1^2/4 (for real y: y >= w1^2/4) it is the branch form
+        pair_1d'(s)/(2 s), s = sqrt(y): two Gaussians and no cosh, so it
+        cannot overflow however large |y| is, and being even in s it is the
+        same function on either root.  Elsewhere, where the branch form
+        would divide by s near 0, it is the entire form
+
+            e^{-(y + v0^2)/(2 w1^2)} [v0^2 sinh(z)/(2 z w1^4) - cosh(z)/(2 w1^2)]
+            / (w1 sqrt(2 pi)),   z = sqrt(y) v0 / w1^2,
+
+        in complex arithmetic; there |Re z| <= v0/(2 w1), so cosh stays tame.
+        """
+        cplx = np.iscomplexobj(y)
+        y = np.asarray(y, dtype=complex if cplx else float)
         out = np.empty_like(y)
-        y_sw = 0.25 * self.w1 ** 2
-        direct = y >= y_sw
-        if np.any(direct):
-            yd = y[direct]
-            s = np.sqrt(yd)
+        branch = (np.abs(y) if cplx else y) >= 0.25 * self.w1 ** 2
+        if np.any(branch):
+            s = np.sqrt(y[branch])
             c = 1.0 / (2.0 * self.w1 * SQRT2PI)
             w2 = 2.0 * self.w1 ** 2
-            out[direct] = c * (
+            out[branch] = c * (
                 np.exp(-((s - self.v0) ** 2) / w2) * (-(s - self.v0) / (w2 * s))
                 + np.exp(-((s + self.v0) ** 2) / w2) * (-(s + self.v0) / (w2 * s))
             )
-        rest = ~direct
+        rest = ~branch
         if np.any(rest):
-            yr = y[rest]
+            yr = y[rest].astype(complex)
+            z = np.sqrt(yr) * (self.v0 / self.w1 ** 2)
+            # sinh(z)/(2z) with the removable point at z = 0 by its series
+            ratio = 0.5 + z ** 2 / 12.0
+            big = np.abs(z) >= 1e-8
+            ratio[big] = np.sinh(z[big]) / (2.0 * z[big])
             c = 1.0 / (self.w1 * SQRT2PI)
-            t = yr * self.v0 ** 2 / self.w1 ** 4
-            e = np.exp(-(yr + self.v0 ** 2) / (2 * self.w1 ** 2))
-            out[rest] = c * e * (-_coshc(t) / (2 * self.w1 ** 2)
-                                 + (self.v0 ** 2 / self.w1 ** 4) * _coshc_prime(t))
+            val = c * np.exp(-(yr + self.v0 ** 2) / (2 * self.w1 ** 2)) * (
+                -np.cosh(z) / (2 * self.w1 ** 2) + (self.v0 ** 2 / self.w1 ** 4) * ratio)
+            out[rest] = val if cplx else val.real
         return out
 
     def transverse_val(self, *axes):

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.special import dawsn
 
 from vplab.profiles import VelocityGrid, make_builtin, smooth_step
+
+SQRT2PI = math.sqrt(2.0 * math.pi)
 
 # one hypothesis profile for every property test: timings on shared
 # machines vary, so no per-example deadline; a failure prints its blob
@@ -61,6 +65,84 @@ def steady_wave():
     from vplab.bgk import match_period
 
     return match_period(tuned_case3_profile()[0], 2 * np.pi, 0.0, 1e-3, case=3)[1]
+
+
+def _coshc(t):
+    """cosh(sqrt(t)) continued through t=0: cos(sqrt(-t)) for t < 0."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0.0
+    out[pos] = np.cosh(np.sqrt(t[pos]))
+    out[~pos] = np.cos(np.sqrt(-t[~pos]))
+    return out
+
+
+def _coshc_prime(t):
+    """d/dt cosh(sqrt(t)), continued; equals 1/2 at t = 0."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    small = np.abs(t) < 1e-12
+    out[small] = 0.5 + t[small] / 12.0
+    pos = (~small) & (t > 0)
+    st = np.sqrt(t[pos])
+    out[pos] = np.sinh(st) / (2.0 * st)
+    neg = (~small) & (t < 0)
+    sn = np.sqrt(-t[neg])
+    out[neg] = np.sin(sn) / (2.0 * sn)
+    return out
+
+
+def continued_val(term, y):
+    """Oracle: the pair term's density A(y) at y = v1^2, with y < 0 in the
+    real continued form e^{-(y + v0^2)/(2 w1^2)} cos(sqrt(-y) v0/w1^2)."""
+    y = np.asarray(y, dtype=float)
+    out = np.empty_like(y)
+    pos = y >= 0.0
+    out[pos] = term.pair_1d(np.sqrt(y[pos]))
+    yn = y[~pos]
+    c = 1.0 / (term.w1 * SQRT2PI)
+    t = yn * term.v0 ** 2 / term.w1 ** 4
+    out[~pos] = c * np.exp(-(yn + term.v0 ** 2) / (2 * term.w1 ** 2)) * _coshc(t)
+    return out
+
+
+def continued_dval(term, y):
+    """Oracle: A'(y) in the continued forms, cosh(sqrt(y) v0/w1^2) included.
+
+    Complex y takes the entire form everywhere (finite while |y| v0^2/w1^4
+    keeps cosh below overflow, e.g. a = v0/w1 <= 20 on the unit-kernel
+    Taylor circle); real y the two-Gaussian form for y >= w1^2/4 and the
+    entire form, through cosh/cos, below.
+    """
+    if np.iscomplexobj(y):
+        y = np.asarray(y, dtype=complex)
+        c = 1.0 / (term.w1 * SQRT2PI)
+        z = np.sqrt(y * term.v0 ** 2 / term.w1 ** 4)
+        cosh_z = np.cosh(z)
+        small = np.abs(z) < 1e-8
+        ratio = np.empty_like(z)
+        ratio[~small] = np.sinh(z[~small]) / (2.0 * z[~small])
+        ratio[small] = 0.5 + z[small] ** 2 / 12.0
+        e = np.exp(-(y + term.v0 ** 2) / (2 * term.w1 ** 2))
+        return c * e * (-cosh_z / (2 * term.w1 ** 2)
+                        + (term.v0 ** 2 / term.w1 ** 4) * ratio)
+    y = np.asarray(y, dtype=float)
+    out = np.empty_like(y)
+    direct = y >= 0.25 * term.w1 ** 2
+    s = np.sqrt(y[direct])
+    c = 1.0 / (2.0 * term.w1 * SQRT2PI)
+    w2 = 2.0 * term.w1 ** 2
+    out[direct] = c * (
+        np.exp(-((s - term.v0) ** 2) / w2) * (-(s - term.v0) / (w2 * s))
+        + np.exp(-((s + term.v0) ** 2) / w2) * (-(s + term.v0) / (w2 * s))
+    )
+    yr = y[~direct]
+    c = 1.0 / (term.w1 * SQRT2PI)
+    t = yr * term.v0 ** 2 / term.w1 ** 4
+    e = np.exp(-(yr + term.v0 ** 2) / (2 * term.w1 ** 2))
+    out[~direct] = c * e * (-_coshc(t) / (2 * term.w1 ** 2)
+                            + (term.v0 ** 2 / term.w1 ** 4) * _coshc_prime(t))
+    return out
 
 
 def pv_exact(m, ap):

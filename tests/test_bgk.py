@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ellipk
 
 import vplab.bgk as bgk_mod
+from conftest import continued_dval
 from vplab.bgk import (
     _RHO,
     BifurcationH,
@@ -181,7 +182,7 @@ def per_term_h(term, beta, n_v1=2048, n_cheb=256, n_taylor=56):
     def kfun(c):
         c = np.atleast_1d(c)
         y = u[None, :] ** 2 - c[:, None]
-        ap = term.weight * term.even_dval(y.ravel()).reshape(y.shape)
+        ap = term.weight * continued_dval(term, y)
         return 2.0 * np.trapezoid(ap, u, axis=1)
 
     P = cheb.interpolate(kfun, n_cheb, domain=[-c_ok, c_ok]).integ(lbnd=0.0)
@@ -191,7 +192,7 @@ def per_term_h(term, beta, n_v1=2048, n_cheb=256, n_taylor=56):
     m = 2 * n_taylor
     circ = rho * np.exp(2j * np.pi * np.arange(m) / m)
     y = u[None, :] ** 2 - circ[:, None]
-    ap = term.weight * term.even_dval_complex(y.ravel()).reshape(y.shape)
+    ap = term.weight * continued_dval(term, y)
     k_hat = (np.fft.fft(2.0 * np.trapezoid(ap, u, axis=1)) / m)[:n_taylor].real
 
     c = 2.0 * np.asarray(beta, dtype=float)
@@ -332,14 +333,14 @@ def dense_unit_kernel(a, n_u=2049):
 
     def kfun(c):
         y = u[None, :] ** 2 - np.atleast_1d(c)[:, None]
-        return 2.0 * np.trapezoid(t.even_dval(y.ravel()).reshape(y.shape), u, axis=1)
+        return 2.0 * np.trapezoid(continued_dval(t, y), u, axis=1)
 
     kc = cheb.interpolate(kfun, n_cheb, domain=[-9.0, 9.0])
     qc = kc * cheb.identity(domain=[-9.0, 9.0])
     m = 2 * n_taylor
     circ = _RHO * np.exp(2j * np.pi * np.arange(m) / m)
     y = u[None, :] ** 2 - circ[:, None]
-    kvals = 2.0 * np.trapezoid(t.even_dval_complex(y.ravel()).reshape(y.shape), u, axis=1)
+    kvals = 2.0 * np.trapezoid(continued_dval(t, y), u, axis=1)
     return kc.integ(lbnd=0.0), qc.integ(lbnd=0.0), (np.fft.fft(kvals) / m)[:n_taylor].real
 
 
@@ -353,6 +354,23 @@ def test_unit_kernel_matches_dense_rule(a):
         if callable(want):
             got, want = got(probe), want(probe)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("a", [25.0, 30.0, 60.0])
+def test_unit_kernel_zones_agree_at_large_offset(a):
+    # from a = 23 on, cosh(sqrt(y) a) overflowed on the Taylor circle and the
+    # coefficients were NaN; the Taylor and Chebyshev forms of h and V agree
+    # at the zone edge |c| = 0.45 rho and inside the disc
+    P, Q, k_hat = _unit_kernel(a)
+    c = np.array([-0.45 * _RHO, -0.3, 0.3, 0.45 * _RHO])
+    ch = c / _RHO
+    powers = ch[:, None] ** np.arange(1, len(k_hat) + 1)
+    mm = np.arange(len(k_hat))
+    h_taylor = -_RHO * (powers @ (k_hat / (mm + 1)))
+    v_taylor = _RHO ** 2 * ((powers * ch[:, None]) @ (k_hat / (2.0 * (mm + 1) * (mm + 2))))
+    h_cheb, v_cheb = -P(c), 0.5 * c * P(c) - 0.5 * Q(c)
+    assert np.all(np.abs(h_taylor - h_cheb) <= 1e-12 * np.abs(h_cheb))
+    assert np.all(np.abs(v_taylor - v_cheb) <= 1e-12 * np.abs(v_cheb))
 
 
 class TestPeriodicOrbit:
@@ -657,8 +675,8 @@ class TestGalileanBoost:
         back = galilean_boost(galilean_boost(wave, 0.7), -0.7)
         x = np.linspace(0, 2 * np.pi, 17)
         v1 = np.linspace(-3, 3, 13)
-        a = wave.f_eval(x[:, None], v1[None, :], 0.0)
-        b = back.f_eval(x[:, None], v1[None, :], 0.0)
+        a = wave.sample_phase_space(x, v1, [0.0])[..., 0]
+        b = back.sample_phase_space(x, v1, [0.0])[..., 0]
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_travelling_residual(self, maxwellian2):
@@ -673,7 +691,7 @@ class TestGalileanBoost:
         x = 2 * np.pi / nx * np.arange(nx)
         vmax = 10.0
         v1 = -vmax + 2 * vmax / nv * np.arange(nv)
-        f = boosted.f_eval(x[:, None], v1[None, :], 0.0)
+        f = boosted.sample_phase_space(x, v1, [0.0])[..., 0]
         kx = 2 * np.pi * sfft.fftfreq(nx, d=x[1] - x[0])
         dfdx = sfft.ifft(1j * kx[:, None] * sfft.fft(f, axis=0), axis=0).real
         eta = 2 * np.pi * sfft.fftfreq(nv, d=v1[1] - v1[0])
@@ -739,10 +757,14 @@ class TestBuildWave:
         (2 * np.pi, {"eps": float("nan")}, "eps must be finite, got nan"),
         (2 * np.pi, {"gamma": float("inf"), "r": 1e-3}, "gamma must be finite, got inf"),
         (2 * np.pi, {"r": float("nan")}, "r must be finite, got nan"),
+        (2 * np.pi, {"eps": -0.1}, "eps must be positive, got -0.1"),
+        (2 * np.pi, {"eps": 0.5, "gamma": -3.0}, "gamma must be positive, got -3.0"),
+        (2 * np.pi, {"gamma": 0.1, "r": 0.0}, "r must be positive, got 0.0"),
     ])
     def test_bad_scalars_refused_before_work(self, maxwellian2, monkeypatch, t1, kw, shown):
-        # T1 = -1 once raised a math domain error, eps = nan searched for 3 s
-        # and r = nan reported the bracket [nan, nan]
+        # T1 = -1 once raised a math domain error, eps = nan searched for 3 s,
+        # r = nan reported the bracket [nan, nan] and gamma = -3 beside a
+        # budget was dropped without a word
         def no_work(*args):
             raise AssertionError("construction started")
 

@@ -161,10 +161,14 @@ grid.n = 512
         ("eps = nan", "eps must be finite, got nan"),
         ("r = nan", "r must be finite, got nan"),
         ("gamma = inf\nr = 1e-3", "gamma must be finite, got inf"),
+        ("eps = -0.1", "eps must be positive, got -0.1"),
+        ("eps = 0.5\ngamma = -3", "gamma must be positive, got -3.0"),
+        ("r = 0", "r must be positive, got 0.0"),
     ])
     def test_bad_bgk_build_scalar_exit1(self, tmp_path, capsys, lines, shown):
-        # once a math domain error (T1 = -1), a 3 s search (eps = nan) and
-        # the bracket [nan, nan] (r = nan, gamma = inf)
+        # once a math domain error (T1 = -1), a 3 s search (eps = nan), the
+        # bracket [nan, nan] (r = nan, gamma = inf), "give either eps or an
+        # explicit amplitude r" (eps = -0.1) and exit 0 without gamma = -3
         text = ("command = bgk-build\nprofile.name = maxwellian\ngrid.dim = 2\n"
                 f"grid.n = 128\ngrid.vmax = 8.0\n{lines}\n")
         path = write_config(tmp_path, text)
@@ -237,6 +241,25 @@ r = 1e-3
         code = main(["--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "travel speed c = 0.5" in capsys.readouterr().err
+
+    def test_bgk_build_large_offset_double_bump_exit0(self, tmp_path):
+        # offset ratio v0/width = 25: cosh(sqrt(y) v0/w^2) once overflowed on
+        # the Taylor circle of the unit kernel, and the NaN coefficients
+        # surfaced as "turning points not converged in 100 Brent steps"
+        text = """
+command = bgk-build
+profile.name = double_bump
+profile.v0 = 3
+profile.width = 0.12
+grid.dim = 1
+grid.n = 512
+eps = 0.1
+"""
+        cfg = ExperimentConfig.parse(write_config(tmp_path, text))
+        out = tmp_path / "out"
+        assert run(cfg, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["closeness"]["total"] < 0.1
 
     def test_bgk_build_manifest_residuals(self, tmp_path):
         text = """

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cutoff_sigma
+from conftest import continued_dval, continued_val, cutoff_sigma
+from vplab.bgk import _RHO
 from vplab.errors import ValidationError
 from vplab.profiles import (
+    GaussianPairTerm,
     VelocityGrid,
     make_builtin,
     project,
@@ -128,6 +132,30 @@ class TestBuiltins:
         monkeypatch.setattr(VelocityGrid, "boundary_residual", lambda self, vals: float("nan"))
         with pytest.raises(ValidationError, match="builtin tail nan not below 1e-14"):
             make_builtin("maxwellian", VelocityGrid(1, 8.0, 64))
+
+
+class TestEvenContinuation:
+    @settings(max_examples=30)
+    @given(a=st.floats(0.0, 20.0), log_w=st.floats(-6.0, 0.5))
+    def test_matches_continued_forms(self, a, log_w):
+        # A(y) and A'(y) against the cosh/cos continued forms they replace:
+        # real y from -9 w1^2 across the switch at w1^2/4 to (v0 + 12 w1)^2,
+        # then the unit-width pair at the points y = u^2 - rho e^{i theta} of
+        # the Taylor circle of bgk._unit_kernel (the cosh form is finite
+        # there for a <= 20)
+        w1 = 10.0 ** log_w
+        term = GaussianPairTerm(1.0, a * w1, w1, ())
+        y = w1 ** 2 * np.concatenate([np.linspace(-9.0, (a + 12.0) ** 2, 2001),
+                                      0.25 + np.linspace(-1e-3, 1e-3, 21)])
+        for new, old in ((term.even_val(y), continued_val(term, y)),
+                         (term.even_dval(y), continued_dval(term, y))):
+            assert new.dtype == np.float64
+            assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+        unit = GaussianPairTerm(1.0, a, 1.0, ())
+        u = np.linspace(0.0, a + 10.0, 129)
+        y = u[None, :] ** 2 - _RHO * np.exp(2j * np.pi * np.arange(112) / 112)[:, None]
+        new, old = unit.even_dval(y), continued_dval(unit, y)
+        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
 
 
 class TestProject:
