@@ -286,33 +286,49 @@ def hprime0_centered(h, scale):
 
 # the 128-node Gauss-Legendre rule of the period quadrature, on (-pi/2, pi/2)
 _THETA, _THETA_W = (a * (math.pi / 2.0) for a in np.polynomial.legendre.leggauss(128))
+# the 6-node Gauss-Legendre rule of a segment mean, on (0, 1) with unit total weight
+_SEG, _SEG_W = np.polynomial.legendre.leggauss(6)
+_SEG, _SEG_W = 0.5 * (_SEG + 1.0), 0.5 * _SEG_W
+
+
+def _orbit_g(h, bp, bm, sin_t):
+    """G = (E - V(beta)) / (rho cos theta)^2 at beta = mid + rho sin theta, without E.
+
+    On the half nearer a turning point b (bp for sin theta >= 0, else bm),
+    E - V(beta) = V(b) - V(beta) is rho (1 -+ sin theta) times the mean of -+h
+    over [beta, b], and (1 -+ sin theta) / cos^2 theta = 1 / (1 +- sin theta):
+    G = <-+h> / (rho (1 +- sin theta)).  Neither E nor a 0/0 enters, and the
+    turning points enter only smoothly.
+    """
+    rho, s = 0.5 * (bp - bm), np.abs(sin_t)
+    toward = np.where(sin_t >= 0, 1.0, -1.0)
+    nodes = np.where(sin_t >= 0, bp, bm)[:, None] - (toward * rho * (1.0 - s))[:, None] * _SEG
+    return -toward * (h(nodes) @ _SEG_W) / (rho * (1.0 + s))
+
 
 @dataclass
 class OrbitSolution:
     period: float
-    energy: float
     beta_plus: float
     beta_minus: float
     r: float
-    omega0: float
     h: BifurcationH = field(repr=False)
 
     def sample(self, n):
         """Uniform samples of beta over one period, maximum at x = 0.
 
         With beta = mid - rho cos phi (phi = theta + pi/2 of ``periodic_orbit``),
-        dx/dphi = 1/sqrt(2 G) is smooth and even about both turning points.
-        Its cosine series, on nodes pi/(2m) away from the turning points where
-        E - V cancels, integrates exactly to x(phi); Newton steps invert x at
-        the uniform points of the descending half, and beta(T - x) = beta(x)
-        gives the rest.  The samples span the series' own period 2 pi a_0.
+        dx/dphi = 1/sqrt(2 G) is smooth and even about both turning points, and
+        G comes from ``_orbit_g``.  Its cosine series integrates exactly to
+        x(phi); Newton steps invert x at the uniform points of the descending
+        half, and beta(T - x) = beta(x) gives the rest.  The samples span the
+        series' own period 2 pi a_0.
         """
         bp, bm = self.beta_plus, self.beta_minus
         mid, rho = 0.5 * (bp + bm), 0.5 * (bp - bm)
         m = 64  # cosine modes: 32 already converge on every orbit the tests sample
         phi = (np.arange(m) + 0.5) * (math.pi / m)
-        g = (self.energy - self.h.potential(mid - rho * np.cos(phi))) / (rho * np.sin(phi)) ** 2
-        a = sfft.dct(1.0 / np.sqrt(2.0 * g), type=2) / m
+        a = sfft.dct(1.0 / np.sqrt(2.0 * _orbit_g(self.h, bp, bm, -np.cos(phi))), type=2) / m
         a[0] *= 0.5
         k, half = np.arange(1, m), math.pi * a[0]
         # distance from the maximum along the descending half, and its phi
@@ -330,139 +346,98 @@ class OrbitSolution:
             np.concatenate([beta, beta[1:(n + 1) // 2][::-1]])
 
 
+def _orbit_at(h, bp):
+    """The orbit of beta'' = h(beta) through the turning point bp > 0.
+
+    beta_- < 0 solves V(beta_-) = V(bp) by Illinois false position to 1e-15 V(bp),
+    on the bracket found by growing the harmonic guess -bp by 1.5 until V
+    exceeds V(bp).  A potential that loses convexity on either side before
+    its turning point raises AmplitudeTooLargeError.
+    """
+    def check_convex(b):
+        if np.any(h(np.linspace(0.1 * b, b, 24)) * math.copysign(1.0, b) > 0):
+            raise AmplitudeTooLargeError("potential loses convexity before the turning point")
+
+    check_convex(bp)
+    energy = float(h.potential(bp))
+    inner, f_inner, b = 0.0, -energy, -bp
+    for _ in range(200):
+        f_b = float(h.potential(b)) - energy
+        if f_b > 0:
+            break
+        check_convex(b)
+        inner, f_inner, b = b, f_b, 1.5 * b
+    else:
+        raise AmplitudeTooLargeError("no turning point found: orbit escapes")
+    bm, brackets = _false_position(lambda x: float(h.potential(x)) - energy, b, inner,
+                                   f_b, f_inner, 1e-15 * energy)
+    if bm is None:
+        # V's own rounding can exceed the tolerance: a bracket closed to one ulp is the root
+        bm, end = brackets[-1]
+        if np.nextafter(bm, end) != end:
+            raise AmplitudeTooLargeError("turning point not converged in 300 steps")
+    check_convex(bm)
+
+    th_w, sin_t, cos_t = _THETA_W, np.sin(_THETA), np.cos(_THETA)
+    G = _orbit_g(h, bp, bm, sin_t)
+    if np.any(G <= 0):
+        raise AmplitudeTooLargeError("potential not convex inside the orbit")
+    mid, rho = 0.5 * (bp + bm), 0.5 * (bp - bm)
+    b_theta = mid + rho * sin_t
+    invsq = 1.0 / np.sqrt(G)
+    period = math.sqrt(2.0) * float(th_w @ invsq)
+    int_b2 = math.sqrt(2.0) * float(th_w @ (b_theta ** 2 * invsq))
+    int_db2 = 2.0 * math.sqrt(2.0) * rho ** 2 * float(th_w @ (cos_t ** 2 * np.sqrt(G)))
+    int_d2b2 = math.sqrt(2.0) * float(th_w @ (h(b_theta) ** 2 * invsq))
+    return OrbitSolution(period, bp, bm, math.sqrt(int_b2 + int_db2 + int_d2b2), h)
+
+
 def periodic_orbit(h, r):
     """Periodic solution of beta'' = h(beta) with H^2 amplitude r over one period.
 
-    The energy level is selected by a secant iteration; the period and the
-    norm integrals use the turning-point-regularised quadrature
+    The orbit is labelled by its upper turning point beta_+ (``_orbit_at``),
+    which a secant iteration on log beta_+ against log r selects; the period
+    and the norm integrals use the turning-point-regularised quadrature
 
         T = sqrt(2) * int dtheta / sqrt(G),  G = (E - V) / (rho cos theta)^2,
 
-    which is smooth through the turning points.  h supplies h(beta),
-    h.hprime0() and h.potential(beta) = -int_0^beta h.  Leaving the center
-    basin (V losing convexity before the turning point) raises
+    with G from ``_orbit_g``, smooth through the turning points.  h supplies
+    h(beta), h.hprime0() and h.potential(beta) = -int_0^beta h.  Leaving the
+    center basin (V losing convexity before the turning point) raises
     AmplitudeTooLargeError.
     """
     hp0 = h.hprime0()
     if not hp0 < 0:
         raise ValidationError(f"h'(0) = {hp0:.3e} is not negative: no center at 0")
     om = math.sqrt(-hp0)
-    V = h.potential
-    th_w, sin_t, cos_t = _THETA_W, np.sin(_THETA), np.cos(_THETA)
 
-    def orbit_at(energy):
-        bp, bm = _turning_points(h, om, energy)
-        mid, rho = 0.5 * (bp + bm), 0.5 * (bp - bm)
-        b_theta = mid + rho * sin_t
-        G = (energy - V(b_theta)) / (rho * cos_t) ** 2
-        if np.any(G <= 0):
-            raise AmplitudeTooLargeError("potential not convex inside the orbit")
-        invsq = 1.0 / np.sqrt(G)
-        T = math.sqrt(2.0) * float(th_w @ invsq)
-        int_b2 = math.sqrt(2.0) * float(th_w @ (b_theta ** 2 * invsq))
-        int_db2 = 2.0 * math.sqrt(2.0) * rho ** 2 * float(th_w @ (cos_t ** 2 * np.sqrt(G)))
-        hb = h(b_theta)
-        int_d2b2 = math.sqrt(2.0) * float(th_w @ (hb ** 2 * invsq))
-        r_h2 = math.sqrt(int_b2 + int_db2 + int_d2b2)
-        return T, r_h2, bp, bm
-
-    # secant on log energy against log r; transient overshoots past the
-    # basin edge are backtracked toward the last valid energy
-    e0 = 0.5 * (om * r / math.sqrt((1 + om ** 2 + om ** 4) * math.pi / om)) ** 2
-    e_prev, e_cur = e0, e0 * 1.05
-    T_p, r_p, *_ = orbit_at(e_prev)
+    # secant on log beta_+ against log r from the harmonic amplitude; transient
+    # overshoots past the basin edge are backtracked toward the last valid label
+    b_prev = r / math.sqrt((1 + om ** 2 + om ** 4) * math.pi / om)
+    b_cur = 1.025 * b_prev
+    r_p = _orbit_at(h, b_prev).r
     for _ in range(80):
         try:
-            T_c, r_c, bp, bm = orbit_at(e_cur)
+            orb = _orbit_at(h, b_cur)
         except AmplitudeTooLargeError:
             for _back in range(12):
-                e_cur = math.sqrt(e_cur * e_prev)
+                b_cur = math.sqrt(b_cur * b_prev)
                 try:
-                    T_c, r_c, bp, bm = orbit_at(e_cur)
+                    orb = _orbit_at(h, b_cur)
                     break
                 except AmplitudeTooLargeError:
                     continue
             else:
                 raise
-        if abs(r_c - r) <= 1e-12 * r:
-            return OrbitSolution(T_c, e_cur, bp, bm, r_c, om, h)
-        d = math.log(r_c) - math.log(r_p)
+        if abs(orb.r - r) <= 1e-12 * r:
+            return orb
+        d = math.log(orb.r) - math.log(r_p)
         if d == 0:
             raise AmplitudeTooLargeError("amplitude iteration stalled")
-        step = (math.log(r) - math.log(r_c)) * (math.log(e_cur) - math.log(e_prev)) / d
-        e_prev, r_p = e_cur, r_c
-        e_cur = math.exp(math.log(e_cur) + float(np.clip(step, -2.0, 2.0)))
+        step = (math.log(r) - math.log(orb.r)) * (math.log(b_cur) - math.log(b_prev)) / d
+        b_prev, r_p = b_cur, orb.r
+        b_cur = math.exp(math.log(b_cur) + float(np.clip(step, -1.0, 1.0)))
     raise AmplitudeTooLargeError(f"H^2 amplitude {r} not reached in iteration budget")
-
-
-def _brent(xpre, xcur, fpre, fcur):
-    """brentq's iteration (xtol 1e-300, rtol 1e-15) on a bracket of V - E, as a
-    generator so that callers batch several roots: it yields (point, converged)
-    and is sent V - E at each new point; once converged it yields the root."""
-    xblk = fblk = spre = scur = 0.0
-    while True:
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (1e-300 + 1e-15 * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            while True:
-                yield xcur, True
-        stry = math.inf  # bisect unless an interpolation step is short enough
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = yield xcur, False
-
-
-def _turning_points(h, om, energy):
-    """Roots beta_+ > 0 > beta_- of V(beta) = E, with center-basin monotonicity checks.
-
-    From the harmonic guess +-sqrt(2E)/om a side grows by 1.5 until V exceeds
-    E; ``_brent`` solves both brackets (0, beta) with one potential call per
-    step for the pair.  Each entry of a batched V has the one-point bits, so
-    the roots are brentq's to the bit, which the period quadrature needs: one
-    ulp of a turning point moves the matched delta by about 1e-13.
-    """
-    sign = np.array([1.0, -1.0])
-    b = sign * (math.sqrt(2.0 * energy) / om)
-    for _ in range(200):
-        g = h.potential(b) - energy
-        low = g <= 0.0
-        if not low.any():
-            break
-        if np.any(h(np.linspace(0.1 * b[low], b[low], 24)) * sign[low] > 0):
-            raise AmplitudeTooLargeError("potential loses convexity before the turning point")
-        b = np.where(low, 1.5 * b, b)
-    else:
-        raise AmplitudeTooLargeError("no turning point found: orbit escapes")
-    runs = [_brent(0.0, float(b[0]), -energy, float(g[0])),
-            _brent(float(b[1]), 0.0, float(g[1]), -energy)]
-    state = [next(run) for run in runs]
-    for _ in range(100):
-        root = np.array([x for x, _ in state])
-        if all(done for _, done in state):
-            break
-        state = [run.send(float(f)) for run, f in zip(runs, h.potential(root) - energy)]
-    else:
-        raise AmplitudeTooLargeError("turning points not converged in 100 Brent steps")
-    if np.any(h(np.linspace(0.1 * root, root, 24)) * sign > 0):
-        raise AmplitudeTooLargeError("potential loses convexity before the turning point")
-    return float(root[0]), float(root[1])
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +573,8 @@ def _false_position(fun, lo, hi, f_lo, f_hi, tol):
     always keeps its sign change, and the residual of an end kept twice in
     a row is halved (Dowell & Jarratt, BIT 11 (1971) 168), which makes the
     convergence superlinear.  Returns (x, brackets): the first point with
-    |fun(x)| <= tol, or None after 300 steps, and the bracket (lo, hi)
-    before each step.
+    |fun(x)| <= tol, or None after 300 steps or once no float is left inside
+    the bracket, and the bracket (lo, hi) before each step.
     """
     brackets = [(lo, hi)]
     kept = 0  # the end the previous step kept: -1 lo, +1 hi
@@ -619,6 +594,8 @@ def _false_position(fun, lo, hi, f_lo, f_hi, tol):
                 f_hi *= 0.5
             kept = 1
         brackets.append((lo, hi))
+        if np.nextafter(lo, hi) == hi:
+            break
     return None, brackets
 
 
@@ -845,7 +822,8 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
     s >= 1 + 1/p on the gamma path (cases 1-2) raises RegularityError
     before any search.  A travel speed c != 0 is refused: the boost moves
     the wave off f0(v) to f0(v - c), which the certificate does not see.
-    A non-finite or non-positive T1, eps, gamma or r is refused before any work.
+    A non-finite or non-positive T1, eps, gamma or r, and eps together with
+    gamma or r, are refused before any work.
 
     Returns (wave, ClosenessReport).
     """
@@ -858,6 +836,10 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
             raise ValidationError(f"{name} must be finite, got {val}")
         if val is not None and val <= 0.0:
             raise ValidationError(f"{name} must be positive, got {val}")
+    for name, val in (("gamma", gamma), ("r", r)):
+        if eps is not None and val is not None:
+            raise ValidationError(f"eps = {eps:g} and {name} = {val:g} given together: "
+                                  "the budget chooses gamma and r itself")
     if c != 0.0:
         raise ValidationError(f"travel speed c = {c:g} != 0: the boosted wave sits near "
                               "f0(v - c), and the distance certificate is to f0 at rest")

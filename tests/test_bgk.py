@@ -387,6 +387,21 @@ class TestPeriodicOrbit:
             exact = 4.0 * ellipk(np.sin(orb.beta_plus / 2.0) ** 2)
             assert abs(orb.period - exact) < 1e-10
 
+    @settings(max_examples=60)
+    @given(om=st.floats(0.1, 10.0), r=st.floats(1e-12, 1.0))
+    def test_harmonic_period_exact(self, om, r):
+        # G is the segment mean of -h: exact for linear h at any amplitude
+        # (the E - V(beta) form lost up to 1.6e-12 at its end nodes)
+        period = periodic_orbit(HarmonicH(om), r).period
+        assert abs(period - 2 * np.pi / om) <= 1e-14 * (2 * np.pi / om)
+
+    @settings(max_examples=30)
+    @given(r=st.floats(1e-3, 5.0))
+    def test_pendulum_period_exact(self, r):
+        orb = periodic_orbit(PendulumH(), r)
+        exact = 4.0 * ellipk(np.sin(orb.beta_plus / 2.0) ** 2)
+        assert abs(orb.period - exact) <= 1e-14 * exact
+
     def test_pendulum_period_monotone_toward_separatrix(self):
         rs = (0.5, 2.0, 4.0, 6.0)
         periods = [periodic_orbit(PendulumH(), r).period for r in rs]
@@ -458,58 +473,73 @@ class TestOrbitSample:
         assert np.max(np.abs(beta - beta_ref)) <= 1e-11 * np.max(np.abs(beta_ref))
 
 
-def brentq_turning_point(h, om, energy, sign):
-    """Oracle: one turning point by scipy's brentq, the scalar search that
-    ``_turning_points`` replaced (growth by 1.5 from the harmonic guess)."""
+def shifted_lower_root(monkeypatch, shift):
+    """Move beta_- by ``shift`` ulp or, with shift None, replace it by scipy's
+    brentq on the same bracket.  beta_- is the one negative root that
+    ``_false_position`` returns; the modification scale delta is positive."""
     from scipy.optimize import brentq
 
-    b = sign * math.sqrt(2.0 * energy) / om
-    while float(h.potential(b)) <= energy:
-        b *= 1.5
-    return brentq(lambda x: float(h.potential(x)) - energy, min(0.0, b), max(0.0, b),
-                  xtol=1e-300, rtol=1e-15)
+    solve = bgk_mod._false_position
+
+    def patched(fun, lo, hi, f_lo, f_hi, tol):
+        if max(lo, hi) > 0:
+            return solve(fun, lo, hi, f_lo, f_hi, tol)
+        if shift is None:
+            return brentq(fun, min(lo, hi), max(lo, hi), xtol=1e-300, rtol=1e-15), []
+        x, brackets = solve(fun, lo, hi, f_lo, f_hi, tol)
+        return x + shift * np.spacing(x), brackets
+
+    monkeypatch.setattr(bgk_mod, "_false_position", patched)
 
 
-def brentq_turning_points(h, om, energy):
-    return tuple(brentq_turning_point(h, om, energy, sign) for sign in (1.0, -1.0))
+def matched_deltas(maxwellian2, budget_wave):
+    """delta of the budget wave's (gamma, r) match and of the case-3 match."""
+    pv = budget_wave[0].provenance
+    runs = [(maxwellian2, pv["gamma"], pv["r"], 1), (tuned_case3_profile()[0], 0.0, 1e-3, 3)]
+    return [match_period(f, 2 * np.pi, g, r, case=c)[0] for f, g, r, c in runs]
 
 
 class TestTurningPoints:
-    @pytest.mark.parametrize("which", ["budget", "steady"])
-    def test_secant_energies_match_brentq(self, which, budget_wave, steady_wave, monkeypatch):
-        # every energy the amplitude secant visits on the two benchmark waves
-        wave = budget_wave[0] if which == "budget" else steady_wave
-        seen = []
-        solve = bgk_mod._turning_points
-
-        def spy(h, om, energy):
-            seen.append((om, energy))
-            return solve(h, om, energy)
-
-        monkeypatch.setattr(bgk_mod, "_turning_points", spy)
-        periodic_orbit(wave.h, wave.amplitude)
-        assert len(seen) >= 3
-        for om, energy in seen:
-            for root, ref in zip(solve(wave.h, om, energy),
-                                 brentq_turning_points(wave.h, om, energy)):
-                assert abs(root - ref) <= 2 * np.spacing(abs(ref))
-
     def test_matched_delta_equals_brentq_build(self, maxwellian2, budget_wave, monkeypatch):
-        pv = budget_wave[0].provenance
-        runs = [(maxwellian2, pv["gamma"], pv["r"], 1), (tuned_case3_profile()[0], 0.0, 1e-3, 3)]
-        ours = [match_period(f, 2 * np.pi, g, r, case=c)[0] for f, g, r, c in runs]
-        monkeypatch.setattr(bgk_mod, "_turning_points", brentq_turning_points)
-        for delta, (f, g, r, c) in zip(ours, runs):
-            ref = match_period(f, 2 * np.pi, g, r, case=c)[0]
+        ours = matched_deltas(maxwellian2, budget_wave)
+        shifted_lower_root(monkeypatch, None)
+        for delta, ref in zip(ours, matched_deltas(maxwellian2, budget_wave)):
             assert abs(delta - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("shift", [-3, 3])
+    def test_root_ulps_do_not_move_delta_or_certificate(self, maxwellian2, budget_wave,
+                                                         monkeypatch, shift):
+        # G once read E - V(beta), which cancels at the end nodes: 3 ulp of
+        # beta_- moved delta and the certificate by up to 1.9e-12
+        ours = matched_deltas(maxwellian2, budget_wave)
+        shifted_lower_root(monkeypatch, shift)
+        for delta, ref in zip(matched_deltas(maxwellian2, budget_wave), ours):
+            assert abs(delta - ref) <= 1e-15 * ref
+        total = build_wave(maxwellian2, 2 * np.pi, eps=1e-1)[1].total
+        assert abs(total - budget_wave[1].total) <= 1e-15 * budget_wave[1].total
 
     def test_convexity_loss_refused(self, maxwellian2):
         # past the centre basin of a case-1 wave the potential turns over
         h = make_h(build_modified(maxwellian2, 0.05, 1.0, 1, v0=3.0))
-        om = math.sqrt(-h.hprime0())
-        assert bgk_mod._turning_points(h, om, 1e-7)[0] > 0
+        assert bgk_mod._orbit_at(h, 4e-4).beta_minus < 0
         with pytest.raises(AmplitudeTooLargeError, match="loses convexity"):
-            bgk_mod._turning_points(h, om, 1e-5)
+            bgk_mod._orbit_at(h, 6e-3)
+
+    def test_rounding_above_tolerance_closes_on_root(self, maxwellian2, monkeypatch):
+        # at beta_+ = 4e-3 the rounding of V near beta_- (1.5e-15 E) exceeds the
+        # 1e-15 E tolerance: the bracket closes to one ulp and its end is taken
+        h = make_h(build_modified(maxwellian2, 0.05, 1.0, 1, v0=3.0))
+        solve, seen = bgk_mod._false_position, []
+
+        def spy(*args):
+            seen.append(solve(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(bgk_mod, "_false_position", spy)
+        orb = bgk_mod._orbit_at(h, 4e-3)
+        assert seen[-1][0] is None and orb.beta_minus == seen[-1][1][-1][0]
+        energy = h.potential(4e-3)
+        assert abs(h.potential(orb.beta_minus) - energy) <= 4e-15 * energy
 
 
 def _fresh_stdout(script):
@@ -662,6 +692,15 @@ class TestFalsePosition:
         x, brackets = _false_position(lambda x: x, -1.0, 2.0, -1.0, 2.0, -1.0)
         assert x is None and len(brackets) == 301
 
+    def test_closed_bracket_returns_none_early(self):
+        # a jump at 1/3 never meets the tolerance: the search stops once the
+        # bracket holds no float, with the jump between its ends
+        x, brackets = _false_position(lambda x: 1.0 if x > 1 / 3 else -1.0, 0.0, 1.0,
+                                      -1.0, 1.0, 0.5)
+        lo, hi = brackets[-1]
+        assert x is None and len(brackets) < 301
+        assert np.nextafter(lo, hi) == hi and min(lo, hi) <= 1 / 3 < max(lo, hi)
+
 
 class TestGalileanBoost:
     def test_zero_boost_identity(self, maxwellian2):
@@ -760,11 +799,13 @@ class TestBuildWave:
         (2 * np.pi, {"eps": -0.1}, "eps must be positive, got -0.1"),
         (2 * np.pi, {"eps": 0.5, "gamma": -3.0}, "gamma must be positive, got -3.0"),
         (2 * np.pi, {"gamma": 0.1, "r": 0.0}, "r must be positive, got 0.0"),
+        (2 * np.pi, {"eps": 0.5, "gamma": 0.05}, "eps = 0.5 and gamma = 0.05 given together"),
+        (2 * np.pi, {"eps": 0.5, "r": 1e-3}, "eps = 0.5 and r = 0.001 given together"),
     ])
     def test_bad_scalars_refused_before_work(self, maxwellian2, monkeypatch, t1, kw, shown):
         # T1 = -1 once raised a math domain error, eps = nan searched for 3 s,
-        # r = nan reported the bracket [nan, nan] and gamma = -3 beside a
-        # budget was dropped without a word
+        # r = nan reported the bracket [nan, nan], and gamma = -3 or 0.05
+        # beside a budget was dropped without a word
         def no_work(*args):
             raise AssertionError("construction started")
 

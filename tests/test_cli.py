@@ -164,11 +164,12 @@ grid.n = 512
         ("eps = -0.1", "eps must be positive, got -0.1"),
         ("eps = 0.5\ngamma = -3", "gamma must be positive, got -3.0"),
         ("r = 0", "r must be positive, got 0.0"),
+        ("eps = 0.5\ngamma = 0.05", "eps = 0.5 and gamma = 0.05 given together"),
     ])
     def test_bad_bgk_build_scalar_exit1(self, tmp_path, capsys, lines, shown):
         # once a math domain error (T1 = -1), a 3 s search (eps = nan), the
         # bracket [nan, nan] (r = nan, gamma = inf), "give either eps or an
-        # explicit amplitude r" (eps = -0.1) and exit 0 without gamma = -3
+        # explicit amplitude r" (eps = -0.1) and exit 0 without gamma = -3 or 0.05
         text = ("command = bgk-build\nprofile.name = maxwellian\ngrid.dim = 2\n"
                 f"grid.n = 128\ngrid.vmax = 8.0\n{lines}\n")
         path = write_config(tmp_path, text)
