@@ -29,9 +29,8 @@ from .errors import (
     RegularityError,
     ValidationError,
 )
-from .profiles import GaussianMixture, GaussianPairTerm, Profile
+from .profiles import SQRT2PI, GaussianMixture, GaussianPairTerm, Profile
 
-SQRT2PI = math.sqrt(2.0 * math.pi)
 # relative tolerance of the matched period |T - T1| <= PERIOD_TOL_REL T1
 PERIOD_TOL_REL = 1e-9
 # ceiling on the reduced field equation residual max |beta'' - h(beta)|
@@ -96,6 +95,12 @@ class ModifiedProfile:
         return self.gamma * self.delta
 
 
+def _bump_c0(dim):
+    """Bump mass per gamma^2, C0: int F1 = 2 w1 sqrt(2pi) per pair with w1 = lam,
+    against unit-width transverse gaussians (int F2 = sqrt(2pi) each)."""
+    return 2.0 * SQRT2PI * SQRT2PI ** (dim - 1)
+
+
 def build_modified(f1, gamma, delta, case, v0=3.0):
     """Modified homogeneous profile for the bifurcation.
 
@@ -128,9 +133,7 @@ def build_modified(f1, gamma, delta, case, v0=3.0):
         raise ValidationError(f"unknown case {case}")
 
     dim = f1.grid.dim
-    # unnormalised F1 x F2 mass: int F1 = 2 w1 sqrt(2pi) per pair with w1=lam,
-    # against unit-width transverse gaussians (int F2 = sqrt(2pi) each)
-    c0 = 2.0 * SQRT2PI * SQRT2PI ** (dim - 1)
+    c0 = _bump_c0(dim)
     bump_mass = gamma ** 2 * c0
     bump = GaussianMixture(dim, [
         GaussianPairTerm(bump_mass, lam * bump_v0, lam, (1.0,) * (dim - 1))
@@ -556,8 +559,7 @@ def _seed_delta(f1, T1, gamma, case, v0):
         if d1 <= 0:
             raise ValidationError("case 3 requires a positive base PV integral")
         return math.sqrt(d1 / om2)
-    dim = f1.grid.dim
-    c0 = 2.0 * SQRT2PI * SQRT2PI ** (dim - 1)
+    c0 = _bump_c0(f1.grid.dim)
     dunit = GaussianPairTerm(1.0, v0 if case == 1 else 0.0, 1.0, ()).pv_d_integral()
     denom = (1.0 + c0 * gamma ** 2) * om2 - d1
     val = c0 * dunit / denom
@@ -599,7 +601,7 @@ def _false_position(fun, lo, hi, f_lo, f_hi, tol):
     return None, brackets
 
 
-def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None):
+def match_period(f1, T1, gamma, r, case=None, v0=3.0):
     """Illinois false position on the modification scale until the orbit
     period equals T1 to PERIOD_TOL_REL.
 
@@ -627,11 +629,8 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0, delta_bracket=None):
                 cache.pop(next(iter(cache)))
         return cache[delta]
 
-    if delta_bracket is None:
-        d_star = _seed_delta(f1, T1, gamma, case, v0)
-        lo, hi = 0.8 * d_star, 1.25 * d_star
-    else:
-        lo, hi = delta_bracket
+    d_star = _seed_delta(f1, T1, gamma, case, v0)
+    lo, hi = 0.8 * d_star, 1.25 * d_star
 
     refusals = []
 

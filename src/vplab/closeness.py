@@ -25,8 +25,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import ValidationError
-
-SQRT2PI = math.sqrt(2.0 * math.pi)
+from .profiles import SQRT2PI
 
 _GL1 = np.polynomial.legendre.leggauss(1)
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -216,7 +215,6 @@ class ClosenessReport:
     pieces: dict
     s: float
     p: float
-    conservative: bool = True
 
     @property
     def total(self):
@@ -226,7 +224,7 @@ class ClosenessReport:
         return {
             "l1": self.l1, "second_moment": self.second_moment, "wsp": self.wsp,
             "total": self.total, "s": self.s, "p": self.p,
-            "upper_bound": self.conservative, "pieces": self.pieces,
+            "upper_bound": True, "pieces": self.pieces,
         }
 
 

@@ -8,16 +8,16 @@ staggered midpoints the fused loop naturally visits.
 
 The field acts along x1 and the x-shift reads v1 only, so v2 is a passive
 label: f = sum_j A_j(x, v1) B_j(v2) keeps B and its rank r exactly under every
-step.  ``run`` advances A (Nx, Nv1, r) alone, from a factored ``Snapshot`` or
-a dense state factored once (SVD over v2 above 1e-15 sigma_1 of a blocked
-tall-skinny QR; 1D-1V is A = f, B = [[1]]), and takes moments through
-W = B (1, v2, v2^2).  Its outputs are ``Snapshot``s too.  At each output one
-pass over row blocks of A B gives the negative part n that the clip removes,
-its mass, the clipped state's projection A + n B^T onto B and the span
-residual ||n (I - B^T B)||_F.  B is kept while that residual is within the
-SVD's own threshold 1e-15 sigma_1(A), as roundoff clips of a state positive
-in v2 are; a larger one re-factors the clipped state, and the clip at the
-final output needs neither.  ``step`` and ``SimState`` use A = f, B = I.
+step.  A ``SimState`` holds A (Nx, Nv1, r) and B (r, Nv2); a dense state is
+A = f, B = I (B = [[1]] in 1D-1V).  Moments are taken through W = B (1, v2,
+v2^2).  ``run`` compresses the factors once (SVD over v2 above 1e-15 sigma_1
+of a blocked tall-skinny QR of A) and advances A alone.  At each output (and
+after each ``step``) one pass over row blocks of A B gives the negative part
+n that the clip removes, its mass, the clipped state's projection A + n B^T
+onto B and the span residual ||n (I - B^T B)||_F.  B is kept while that
+residual is within the SVD's own threshold 1e-15 sigma_1(A), as roundoff
+clips of a state positive in v2 are; a larger one re-factors the clipped
+state, and the clip at the final output needs neither.
 """
 
 from __future__ import annotations
@@ -128,24 +128,22 @@ def _transverse_table(grid):
     return np.stack([np.ones_like(v2), v2, v2 ** 2], axis=1)
 
 
-def _factor(f, grid):
-    """Transverse factors of a dense state: A (Nx, Nv1, r), B (r, Nv2) with
-    orthonormal rows, and the weights W = B (1, v2, v2^2).
-
-    B comes from the SVD of the R factor of f, keeping the singular values
-    above 1e-15 sigma_1.  R is a tall-skinny QR: the QR of the stacked R
-    factors of the row blocks of ``_ROWS`` rows, so no dense temporary is
-    built.
-    """
-    x = f.reshape(grid.Nx * grid.vaxes[0].n, -1)
-    shape, table = (grid.Nx, grid.vaxes[0].n, -1), _transverse_table(grid)
-    if x.shape[1] == 1:
-        return x.reshape(shape), np.ones((1, 1)), table
-    r = np.linalg.qr(np.concatenate([np.linalg.qr(x[j:j + _ROWS], mode="r")
-                                     for j in range(0, len(x), _ROWS)]), mode="r")
-    _, s, vt = np.linalg.svd(r)
-    b = vt[:max(1, int(np.count_nonzero(s > 1e-15 * s[0])))]
-    return (x @ b.T).reshape(shape), b, b @ table
+def _factor(a, b, grid):
+    """Compressed factors of A B (B with orthonormal rows): A (Nx, Nv1, r),
+    B (r, Nv2) and W = B (1, v2, v2^2).  The new rows are V^T B, V from the
+    SVD of the R factor of A above 1e-15 sigma_1; a state whose rank would
+    not drop (rank 1 at once) is returned as it is, so compressing twice
+    changes no bit.  R is a tall-skinny QR: the QR of the stacked R factors
+    of the row blocks of ``_ROWS`` rows, so no dense temporary is built."""
+    if b.shape[0] > 1:
+        x = a.reshape(-1, b.shape[0])
+        r = np.linalg.qr(np.concatenate([np.linalg.qr(x[j:j + _ROWS], mode="r")
+                                         for j in range(0, len(x), _ROWS)]), mode="r")
+        _, s, vt = np.linalg.svd(r)
+        v = vt[:max(1, int(np.count_nonzero(s > 1e-15 * s[0])))]
+        if len(v) < len(b):
+            a, b = (x @ v.T).reshape(a.shape[:2] + (-1,)), v @ b
+    return a, b, b @ _transverse_table(grid)
 
 
 def _moments(a, w, grid):
@@ -164,14 +162,31 @@ def _moments(a, w, grid):
 
 @dataclass
 class SimState:
+    """A phase-space state held as its transverse factors A (Nx, Nv1, r) and
+    B (r, Nv2), with its time and the mass its clips have added.  Density,
+    field and moments are those of A B, from the factors; ``f`` builds the
+    clipped dense state max(A B, 0) on every read and nothing keeps it, so a
+    state costs A and B only."""
+
     grid: PhaseGrid
-    f: np.ndarray
-    time: float = 0.0
-    clipped_mass: float = 0.0
+    a: np.ndarray
+    b: np.ndarray
+    time: float
+    clipped_mass: float
+
+    @classmethod
+    def dense(cls, grid, f):
+        """The dense state f at time 0: A = f, B = I."""
+        a = f.reshape(grid.Nx, grid.vaxes[0].n, -1)
+        return cls(grid, a, np.eye(a.shape[2]), 0.0, 0.0)
+
+    @property
+    def f(self):
+        f = (self.a.reshape(-1, self.b.shape[0]) @ self.b).reshape(self.grid.shape)
+        return np.maximum(f, 0.0, out=f)
 
     def _moments(self):
-        g = self.grid
-        return _moments(self.f.reshape(g.Nx, g.vaxes[0].n, -1), _transverse_table(g), g)
+        return _moments(self.a, self.b @ _transverse_table(self.grid), self.grid)
 
     def density(self):
         return self._moments()[0]
@@ -247,42 +262,23 @@ def _clip(rows, b, grid):
 
 
 def step(state, force_zero_field=False):
-    """One Strang step on the dense state: x half, Poisson, v kick, x half
-    (the unfused reference for ``run``)."""
-    g = state.grid
+    """One Strang step (x half, Poisson, v kick, x half): the unfused reference
+    for ``run``, clipped by its output pass, which keeps max(A, 0) at B = I and
+    the clip's projection onto any other B (where ``run`` may re-factor)."""
+    g, b = state.grid, state.b
     half = _x_phase(g, 0.5 * g.dt)
-    a = _advect_x(state.f.reshape(g.Nx, g.vaxes[0].n, -1), g, half)
-    e = np.zeros(g.Nx) if force_zero_field else SimState(g, a).efield()
-    f = _advect_x(_advect_v(a, g, e, g.dt), g, half).reshape(g.shape)
-    clipped = _clip(f.reshape(-1, 1), np.ones((1, 1)), g)[0]
-    np.maximum(f, 0.0, out=f)
-    return SimState(g, f, state.time + g.dt, state.clipped_mass + clipped)
+    a = _advect_x(state.a, g, half)
+    e = np.zeros(g.Nx) if force_zero_field else SimState(g, a, b, 0.0, 0.0).efield()
+    a = _advect_x(_advect_v(a, g, e, g.dt), g, half)
+    clipped, kept, _ = _clip(a.reshape(-1, b.shape[0]), b, g)
+    return SimState(g, kept.reshape(a.shape), b, state.time + g.dt,
+                    state.clipped_mass + clipped)
 
 
 def reverse_velocity(state):
-    """Conjugation v -> -v (time-reversal test companion)."""
-    f = np.roll(state.f[:, ::-1], 1, axis=1)
-    return SimState(state.grid, f, state.time, state.clipped_mass)
-
-
-class Snapshot(SimState):
-    """A state held as its transverse factors A (Nx, Nv1, r) and B (r, Nv2),
-    as ``run`` takes and returns it.  Density, field and moments are those
-    of A B, from the factors (the output's roundoff clip aside); ``f`` builds
-    the clipped dense state max(A B, 0) on every read and nothing keeps it,
-    so a snapshot costs A and B only."""
-
-    def __init__(self, grid, a, b, time, clipped_mass):
-        self.grid, self.a, self.b = grid, a, b
-        self.time, self.clipped_mass = time, clipped_mass
-
-    @property
-    def f(self):
-        f = (self.a.reshape(-1, self.b.shape[0]) @ self.b).reshape(self.grid.shape)
-        return np.maximum(f, 0.0, out=f)
-
-    def _moments(self):
-        return _moments(self.a, self.b @ _transverse_table(self.grid), self.grid)
+    """Conjugation v1 -> -v1 (time-reversal test companion)."""
+    a = np.roll(state.a[:, ::-1], 1, axis=1)
+    return SimState(state.grid, a, state.b, state.time, state.clipped_mass)
 
 
 @dataclass
@@ -317,25 +313,25 @@ def _e_sobolev_sq(efield, T1, s):
 def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
     """Fused production loop on the transverse factors; returns (last output, RunLog).
 
-    A ``Snapshot`` is advanced from its factors, any other state is factored
-    once.  Midpoint diagnostics (mass, momenta, energy, field norms, the
-    current-field pairing) are recorded every ``diagnostics_every`` steps;
-    outputs, each a ``Snapshot``, every ``output_every`` steps (default
-    n_steps // 64) and at the last step.  Raises ValidationError when n_steps < 1.
+    The state's factors are compressed once (``_factor``).  Midpoint
+    diagnostics (mass, momenta, energy, field norms, the current-field
+    pairing) are recorded every ``diagnostics_every`` steps; outputs, each a
+    ``SimState``, every ``output_every`` steps (default n_steps // 64) and at
+    the last step.  Raises ValidationError when n_steps < 1 or
+    diagnostics_every < 1.
     """
     g = state.grid
     if n_steps < 1:
         raise ValidationError(
             f"n_steps = {n_steps}: no step of dt = {g.dt:g} is taken "
             f"(a t_end below dt/2 = {0.5 * g.dt:g} rounds to zero steps)")
+    if not diagnostics_every >= 1:
+        raise ValidationError(f"diagnostics_every must be at least 1, got {diagnostics_every}")
     log = RunLog()
     out_every = output_every or max(1, n_steps // 64)
     half, full = _x_phase(g, 0.5 * g.dt), _x_phase(g, g.dt)
 
-    if isinstance(state, Snapshot):
-        a, b, w = state.a, state.b, state.b @ _transverse_table(g)
-    else:
-        a, b, w = _factor(state.f, g)
+    a, b, w = _factor(state.a, state.b, g)
     a = _advect_x(a, g, half)
     clipped_mass = state.clipped_mass
     for i in range(n_steps):
@@ -360,7 +356,7 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
             a = _advect_x(a, g, half)
             clipped, kept, resid = _clip(a.reshape(-1, a.shape[2]), b, g)
             clipped_mass += clipped
-            snap = Snapshot(g, a, b, state.time + (i + 1) * g.dt, clipped_mass)
+            snap = SimState(g, a, b, state.time + (i + 1) * g.dt, clipped_mass)
             log.snapshots[round(snap.time, 12)] = snap
             log.ranks.append(b.shape[0])
             if clipped and not last:
@@ -368,7 +364,8 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
                 if math.sqrt(resid) <= 1e-15 * sigma1:
                     a = kept.reshape(a.shape)
                 else:
-                    a, b, w = _factor(snap.f, g)
+                    dense = SimState.dense(g, snap.f)
+                    a, b, w = _factor(dense.a, dense.b, g)
                     log.refactors += 1
             if not last:
                 a = _advect_x(a, g, half)
@@ -382,20 +379,19 @@ def sample_profile(profile, grid):
     vals = profile.values
     if grid.vgrid is None or vals.shape != grid.vgrid.shape:
         raise ValidationError("profile grid does not match the phase grid")
-    f = np.broadcast_to(vals[None, ...], grid.shape).copy()
-    return SimState(grid, f)
+    return SimState.dense(grid, np.broadcast_to(vals[None, ...], grid.shape).copy())
 
 
 def perturb_cosine(state, amplitude, mode=1):
     """Single-mode multiplicative perturbation (1 + a cos(k x)) f."""
     g = state.grid
-    cosx = np.cos(2.0 * np.pi * mode * g.x / g.T1).reshape((-1,) + (1,) * len(g.vaxes))
-    state.f = state.f + amplitude * cosx * state.f
-    return state
+    cosx = np.cos(2.0 * np.pi * mode * g.x / g.T1)[:, None, None]
+    a = state.a + amplitude * cosx * state.a
+    return SimState(g, a, state.b, state.time, state.clipped_mass)
 
 
 def comoving_compare(state, reference, c):
-    """max |f(t, x + c t) - f_ref| of a ``Snapshot`` f = max(A B, 0) against
+    """max |f(t, x + c t) - f_ref| of a state f = max(A B, 0) against
     a factored reference f_ref = A_ref B_ref, clipped and compared in place
     over the row blocks; the spectral frame shift acts on A alone."""
     g, a = state.grid, state.a
@@ -431,7 +427,12 @@ def run_bgk_steadiness(wave, grid, t_end, output_every_t=0.5, diagnostics_every=
     model dt^2 T_end max|E| vmax.  ``resolved`` is false when a sub-grid,
     sub-roundoff feature was let through: the sampled state is then the
     homogeneous background, and the drift says nothing about the wave.
+    Raises ValidationError on a non-finite or non-positive t_end or
+    output_every_t, before the wave is sampled.
     """
+    for name, val in (("t_end", t_end), ("output_every_t", output_every_t)):
+        if not (math.isfinite(val) and val > 0):
+            raise ValidationError(f"{name} must be finite and positive, got {val}")
     resolved = True
     width = wave.mp.bump_width
     if width is not None and width < 2.0 * grid.vaxes[0].h:
@@ -447,7 +448,7 @@ def run_bgk_steadiness(wave, grid, t_end, output_every_t=0.5, diagnostics_every=
                 f"{grid.vaxes[0].h:.3g}; the sampled state would misrepresent it")
         resolved = False
     v2 = grid.vaxes[1].axis() if len(grid.vaxes) == 2 else None
-    state = Snapshot(grid, *wave.sample_factors(grid.x, grid.vaxes[0].axis(), v2), 0.0, 0.0)
+    state = SimState(grid, *wave.sample_factors(grid.x, grid.vaxes[0].axis(), v2), 0.0, 0.0)
     e0 = state.efield()
     n_steps = int(round(t_end / grid.dt))
     out_every = max(1, int(round(output_every_t / grid.dt)))
@@ -511,10 +512,9 @@ def run_decay_experiment(profile, grid, amplitude, s_x, s_v, b, t_end, mode=1):
     if not check_axis_stability(profile, grid.T1):
         raise PenroseUnstableError("profile fails the Penrose condition; "
                                    "decay experiment refused")
-    state = sample_profile(profile, grid)
-    f_hom = state.f.copy()
-    state = perturb_cosine(state, amplitude, mode=mode)
-    pert_norm = mixed_norm(state.f - f_hom, (grid.T1,), grid.vgrid, s_x, s_v, b)
+    hom = sample_profile(profile, grid)
+    state = perturb_cosine(hom, amplitude, mode=mode)
+    pert_norm = mixed_norm(state.f - hom.f, (grid.T1,), grid.vgrid, s_x, s_v, b)
 
     final, log = run(state, n_steps, output_every=max(1, n_steps),
                      s_sobolev=1.5 + s_x)

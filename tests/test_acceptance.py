@@ -311,7 +311,7 @@ def test_criterion_10_conservation_suite(nonlinear_decay):
     p = make_builtin("maxwellian", VelocityGrid(1, 8.0, n_v))
     g = PhaseGrid(4 * np.pi, 64, VelocityGrid(1, 8.0, n_v), 0.05)
     st = perturb_cosine(sample_profile(p, g), 0.05)
-    cur = SimState(g, st.f.copy())
+    cur = SimState.dense(g, st.f)
     for _ in range(10):
         cur = step(cur, force_zero_field=True)
     v = g.vaxes[0].axis()
@@ -320,7 +320,7 @@ def test_criterion_10_conservation_suite(nonlinear_decay):
         1 + 0.05 * np.cos(k * (g.x[:, None] - v[None, :] * 10 * g.dt)))
     stream_ok = float(np.max(np.abs(cur.f - exact))) < 1e-8
 
-    cur = SimState(g, st.f.copy())
+    cur = SimState.dense(g, st.f)
     for _ in range(100):
         cur = step(cur)
     cur = reverse_velocity(cur)

@@ -27,7 +27,6 @@ KNOBS = {
     "bgk.BgkWave.sample_phase_space:*trans_axes",
     "bgk.match_period:case",
     "bgk.match_period:v0",
-    "bgk.match_period:delta_bracket",
     "bgk.build_wave:c",
     "bgk.build_wave:eps",
     "bgk.build_wave:s",

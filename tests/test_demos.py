@@ -1,4 +1,4 @@
-"""The Penrose and linear Landau-damping demos run and print their headline numbers."""
+"""Each demo runs and prints its headline number."""
 
 import os
 import subprocess
@@ -12,10 +12,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script, expected", [
     ("01_penrose_stability.py", "T_crit = 14.83"),
+    ("02_bgk_wave_construction.py", "certified distance bound = 0.0454"),
     ("03_linear_landau_damping.py", "rate 0.153359, frequency 1.415662"),
+    ("04_nonlinear_decay.py", "final / max field:            6.736e-05"),
+    ("05_norms_and_scaling.py", "Hardy quotient of v e^(-v^2) at 0: 1.772454"),
 ])
 def test_demo_prints_its_result(tmp_path, script, expected):
-    # run in tmp_path: demo 03 writes its mode CSV to the working directory
+    # run in tmp_path: demos 02, 03 and 04 write their CSVs to the working directory
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))

@@ -12,7 +12,6 @@ from vplab.profiles import VelocityGrid, make_builtin
 from vplab.sim import (
     PhaseGrid,
     SimState,
-    Snapshot,
     _advect_v,
     _clip,
     _factor,
@@ -83,7 +82,7 @@ class TestStep:
 
     def test_free_streaming_exact(self, grid1v, maxprofile):
         st = perturb_cosine(sample_profile(maxprofile, grid1v), 0.05)
-        cur = SimState(grid1v, st.f.copy())
+        cur = SimState.dense(grid1v, st.f)
         n = 10
         for _ in range(n):
             cur = step(cur, force_zero_field=True)
@@ -96,8 +95,8 @@ class TestStep:
 
     def test_time_reversal_100_steps(self, grid1v, maxprofile):
         st = perturb_cosine(sample_profile(maxprofile, grid1v), 1e-2)
-        start = st.f.copy()
-        cur = SimState(grid1v, st.f.copy())
+        start = st.f
+        cur = SimState.dense(grid1v, st.f)
         for _ in range(100):
             cur = step(cur)
         cur = reverse_velocity(cur)
@@ -200,7 +199,13 @@ def _grid2v(nx=32, nv2=32):
 
 
 def _normalised(g, f):
-    return SimState(g, f / SimState(g, f).density().mean())
+    return SimState.dense(g, f / SimState.dense(g, f).density().mean())
+
+
+def _factored(g, f, time=0.0):
+    """The dense state f compressed to its transverse factors."""
+    st = SimState.dense(g, f)
+    return SimState(g, *_factor(st.a, st.b, g)[:2], time, 0.0)
 
 
 def _maxwellian_v(g):
@@ -296,9 +301,9 @@ class TestFactoredRun:
         g = PhaseGrid(2 * np.pi, 64, (VelocityGrid(1, 8.0, 128),
                                       VelocityGrid(1, 8.0, 32)), 0.01)
         f0 = wave.sample_phase_space(g.x, *(ax.axis() for ax in g.vaxes))
-        assert _factor(f0, g)[0].shape[2] == 1
+        assert _factored(g, f0).b.shape[0] == 1
         svds = count_svds(monkeypatch)
-        log = self.check_against_dense(SimState(g, f0))
+        log = self.check_against_dense(SimState.dense(g, f0))
         assert log.snapshots[min(log.snapshots)].clipped_mass > 0
         assert svds == [(32, 32)]
 
@@ -309,7 +314,7 @@ class TestFactoredRun:
         f = _maxwellian_v(g)[None] * (1 + 0.01 * np.cos(g.x)[:, None, None]
                         * (1 + v1[:, None] * v2[None, :])[None])
         st = _normalised(g, f)
-        assert _factor(st.f, g)[0].shape[2] == 2
+        assert _factor(st.a, st.b, g)[0].shape[2] == 2
         self.check_against_dense(st)
 
     def test_full_rank_random_transverse(self, rng):
@@ -324,7 +329,7 @@ class TestFactoredRun:
         rand = 1.0 + 0.02 * modes @ rng.uniform(-1, 1, (17, g.vaxes[1].n))
         f = m1[None, :, None] * rand[:, None, :]
         st = _normalised(g, f)
-        assert _factor(st.f, g)[0].shape[2] == g.vaxes[1].n
+        assert _factor(st.a, st.b, g)[0].shape[2] == g.vaxes[1].n
         self.check_against_dense(st)
 
     def test_clip_refactors_and_conserves_mass(self):
@@ -332,7 +337,7 @@ class TestFactoredRun:
         # fresh weights, and the run goes on with the mass changed by the
         # clipped mass alone
         st = _lobe_datum(_grid2v())
-        assert st.f.min() < 0
+        assert st.a.min() < 0
         fin, log = run(st, 30, output_every=5)
         assert 0 < fin.clipped_mass < 1e-10
         assert fin.f.min() >= 0
@@ -361,9 +366,37 @@ class TestFactoredRun:
         assert len(log.snapshots) == 1 and len(svds) == 1
 
 
+class TestOneState:
+    """A dense state is the factored one with A = f, B = I: ``run`` and
+    ``step`` from it and from its compressed factors give the same state."""
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_and_factored_agree(self, rank, seed):
+        # f = M(v1) M(v2) (p_1(x) + p_2(x) cos(c v2)) with random x-profiles
+        # p_j over the modes |m| <= 3, p_1 near 1, and a random c
+        rng = np.random.default_rng(seed)
+        g = _grid2v(nx=16, nv2=16)
+        v2 = g.vaxes[1].axis()
+        modes = np.concatenate([np.cos(np.outer(g.x, np.arange(1, 4))),
+                                np.sin(np.outer(g.x, np.arange(1, 4)))], axis=1)
+        p = 0.02 * modes @ rng.uniform(-1, 1, (6, rank))
+        p[:, 0] += 1.0
+        rows = np.stack([np.ones_like(v2), np.cos(rng.uniform(0.3, 1.0) * v2)][:rank])
+        f = np.einsum("xj,jw->xw", p, rows)[:, None, :] * _maxwellian_v(g)[None]
+        dense = _normalised(g, f)
+        fac = SimState(g, *_factor(dense.a, dense.b, g)[:2], 0.0, 0.0)
+        assert fac.b.shape[0] == rank
+        assert np.array_equal(run(dense, 10, output_every=5)[0].f,
+                              run(fac, 10, output_every=5)[0].f)
+        for _ in range(10):
+            dense, fac = step(dense), step(fac)
+        assert np.max(np.abs(dense.f - fac.f)) <= 1e-13 * dense.f.max()
+
+
 class TestFactoredOutputs:
     """Outputs stay factored: clip mass, span check and comparisons read
-    the state in row blocks, and ``Snapshot.f`` builds the dense state."""
+    the state in row blocks, and ``SimState.f`` builds the dense state."""
 
     @settings(max_examples=40)
     @given(nx=hst.sampled_from((4, 8, 32)), nv1=hst.sampled_from((64, 128)),
@@ -383,7 +416,7 @@ class TestFactoredOutputs:
         x = u @ rng.standard_normal((rank, nv2))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "_ROWS", block)
-            a, b, _ = _factor(x.reshape(g.shape), g)
+            a, b, _ = _factor(x.reshape(nx, nv1, nv2), np.eye(nv2), g)
         want = np.linalg.svd(x, compute_uv=False)
         got = np.linalg.svd(a.reshape(len(x), -1), compute_uv=False)
         r = len(got)
@@ -424,10 +457,10 @@ class TestFactoredOutputs:
         # the largest difference sits in the last row, in a full or a
         # short (48-row) last block
         g = _grid2v()
-        f = _lobe_datum(g).f
+        f = _lobe_datum(g).a.reshape(g.shape)  # A = f, its negative lobe unclipped
         ref = f + 1e-3 * rng.standard_normal(g.shape)
         ref[-1, -1] += 1.0
-        snap, ref = (Snapshot(g, *_factor(x, g)[:2], 1.3, 0.0) for x in (f, ref))
+        snap, ref = (_factored(g, x, 1.3) for x in (f, ref))
         monkeypatch.setattr(sim, "_ROWS", block)
         a = snap.a
         if c != 0.0:
@@ -442,7 +475,7 @@ class TestFactoredOutputs:
         g = _grid2v()
         a = rng.standard_normal((g.Nx, g.vaxes[0].n, 2))
         b = rng.standard_normal((2, g.vaxes[1].n))
-        snap = Snapshot(g, a, b, 0.5, 0.0)
+        snap = SimState(g, a, b, 0.5, 0.0)
         assert np.array_equal(snap.f, np.maximum(a @ b, 0.0))
         assert snap.f is not snap.f  # built on each read, never kept
 
@@ -640,6 +673,22 @@ class TestNonFiniteScalars:
                                  t_end=kw["t_end"])
 
 
+    @pytest.mark.parametrize("key", ["t_end", "output_every_t"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_steadiness(self, case3_wave, monkeypatch, key, bad):
+        # refused by name before the wave is sampled
+        monkeypatch.setattr(case3_wave, "sample_factors", None)
+        g = PhaseGrid(2 * np.pi, 64, (VelocityGrid(1, 8.0, 128), VelocityGrid(1, 8.0, 64)), 0.01)
+        kw = {"t_end": 1.0, "output_every_t": 0.5, key: bad}
+        with pytest.raises(ValidationError, match=f"{key} must be finite and positive, got {bad}"):
+            run_bgk_steadiness(case3_wave, g, **kw)
+
+    @pytest.mark.parametrize("every", [0, -1, float("nan")])
+    def test_run_diagnostics_every(self, grid1v, maxprofile, every):
+        with pytest.raises(ValidationError, match=f"diagnostics_every must be at least 1, got {every}"):
+            run(sample_profile(maxprofile, grid1v), 2, diagnostics_every=every)
+
+
 class TestDecayExperiment:
     def test_unstable_refused(self):
         db = make_builtin("double_bump", VelocityGrid(1, 12.0, 512), v0=3.0)
@@ -669,7 +718,7 @@ class TestFftWorkers:
     @staticmethod
     def _final(state, monkeypatch, workers):
         monkeypatch.setattr(sim, "FFT_WORKERS", workers)
-        return run(SimState(state.grid, state.f.copy()), 20, output_every=5)[0].f
+        return run(SimState.dense(state.grid, state.f), 20, output_every=5)[0].f
 
     def test_1d1v(self, grid1v, maxprofile, monkeypatch):
         st = perturb_cosine(sample_profile(maxprofile, grid1v), 0.05)
@@ -689,13 +738,13 @@ class TestFftWorkers:
 class TestComoving:
     def test_shift_identity(self, grid1v, maxprofile):
         st = perturb_cosine(sample_profile(maxprofile, grid1v), 0.05)
-        snap = Snapshot(grid1v, *_factor(st.f, grid1v)[:2], 0.0, 0.0)
+        snap = _factored(grid1v, st.f)
         assert comoving_compare(snap, snap, 0.0) == 0.0
         snap.time = 1.7
         # shifting by c t and comparing against the shifted reference is
         # consistent with an explicit roll for commensurate shifts
         c = T1 / (64 * 1.7) * 8
-        ref = Snapshot(grid1v, np.roll(snap.a, -8, axis=0), snap.b, 0.0, 0.0)
+        ref = SimState(grid1v, np.roll(snap.a, -8, axis=0), snap.b, 0.0, 0.0)
         assert comoving_compare(snap, ref, c) < 1e-12
 
 
@@ -706,7 +755,7 @@ def test_clipped_mass_resolution_error():
     vals = np.exp(-((vg.axis() / 0.25) ** 2))
     vals = vals / vg.integrate(vals)
     g = PhaseGrid(2 * np.pi, 16, vg, 0.1)
-    st = perturb_cosine(SimState(g, np.broadcast_to(vals, g.shape).copy()), 0.9)
+    st = perturb_cosine(SimState.dense(g, np.broadcast_to(vals, g.shape).copy()), 0.9)
     with pytest.raises(ValidationError, match="resolution"):
         cur = st
         for _ in range(50):
