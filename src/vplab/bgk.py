@@ -29,7 +29,7 @@ from .errors import (
     RegularityError,
     ValidationError,
 )
-from .profiles import SQRT2PI, GaussianMixture, GaussianPairTerm, Profile
+from .profiles import SQRT2PI, GaussianMixture, GaussianPairTerm, Profile, fourier_multiplier
 
 # relative tolerance of the matched period |T - T1| <= PERIOD_TOL_REL T1
 PERIOD_TOL_REL = 1e-9
@@ -508,9 +508,7 @@ class BgkWave:
         return np.stack(list(groups.values()), axis=2) @ r.T, q.T
 
     def _beta2(self):
-        n = len(self.beta)
-        k = 2.0 * np.pi * sfft.rfftfreq(n, d=self.T1 / n)
-        return sfft.irfft(-(k ** 2) * sfft.rfft(self.beta), n=n)
+        return fourier_multiplier(self.beta, (self.T1 / len(self.beta),), (0,), lambda k: -(k ** 2))
 
     def poisson_residual(self):
         """max |beta'' - h(beta)| on the sample grid (the reduced field equation)."""
@@ -667,9 +665,7 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0):
             "trapped region deeper than the decomposition window a^2; reduce r"
         )
     xs, beta = orb.sample(1024)
-    n = len(beta)
-    k = 2.0 * np.pi * sfft.rfftfreq(n, d=T1 / n)
-    efield = sfft.irfft(-1j * k * sfft.rfft(beta), n=n)
+    efield = fourier_multiplier(beta, (T1 / len(beta),), (0,), lambda k: -1j * k)
 
     wave = BgkWave(
         dim=f1.grid.dim, T1=float(T1), c=0.0, x1=xs, beta=beta, efield=efield,
@@ -741,15 +737,13 @@ def obstruction_diagnostic(mu, beta_candidate, periods):
     gp_max = float(np.max(gprime))
 
     nx, ny = beta.shape
-    kx = 2.0 * np.pi * sfft.fftfreq(nx, d=periods[0] / nx)
-    ky = 2.0 * np.pi * sfft.fftfreq(ny, d=periods[1] / ny)
-    bhat = sfft.fft2(beta)
-    bx = sfft.ifft2(1j * kx[:, None] * bhat).real
-    bxx = sfft.ifft2(-(kx[:, None] ** 2) * bhat).real
-    bxy = sfft.ifft2(1j * kx[:, None] * 1j * ky[None, :] * bhat).real
-    lap = sfft.ifft2(-(kx[:, None] ** 2 + ky[None, :] ** 2) * bhat).real
+    h = (periods[0] / nx, periods[1] / ny)
+    bx = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: 1j * kx)
+    bxx = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: -(kx ** 2))
+    bxy = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: -(kx * ky))
+    lap = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: -(kx ** 2 + ky ** 2))
 
-    cell = (periods[0] / nx) * (periods[1] / ny)
+    cell = h[0] * h[1]
     lhs = float(np.sum(bxx ** 2 + bxy ** 2) * cell)
     rhs = float(np.sum(gprime * bx ** 2) * cell)
     resid = float(np.max(np.abs(-lap - _g_of_beta(mu, beta, 2))))
@@ -767,25 +761,21 @@ def obstruction_fixed_point(mu, periods, beta0):
     """
     beta = np.array(beta0, dtype=float)
     nx, ny = beta.shape
-    kx = 2.0 * np.pi * sfft.fftfreq(nx, d=periods[0] / nx)
-    ky = 2.0 * np.pi * sfft.fftfreq(ny, d=periods[1] / ny)
-    k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+    h = (periods[0] / nx, periods[1] / ny)
     for _ in range(400):
         # shift just above |g'| on the currently visited range keeps the
         # map contracting without crushing the convergence rate
         probes = np.linspace(np.min(beta) - 0.5, np.max(beta) + 0.5, 64)
         m = 2.0 * np.pi * float(np.max(mu(-probes))) + 1.0
         rhs = m * beta + _g_of_beta(mu, beta, 2)
-        new = sfft.ifft2(sfft.fft2(rhs) / (m + k2)).real
+        new = fourier_multiplier(rhs, h, (0, 1), lambda kx, ky: 1.0 / (m + kx ** 2 + ky ** 2))
         if float(np.max(np.abs(new - beta))) < 1e-13:
             beta = new
             break
         beta = new
-    cell = (periods[0] / nx) * (periods[1] / ny)
-    bhat = sfft.fft2(beta)
-    gx = sfft.ifft2(1j * kx[:, None] * bhat).real
-    gy = sfft.ifft2(1j * ky[None, :] * bhat).real
-    grad_l2 = math.sqrt(float(np.sum(gx ** 2 + gy ** 2) * cell))
+    gx = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: 1j * kx)
+    gy = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: 1j * ky)
+    grad_l2 = math.sqrt(float(np.sum(gx ** 2 + gy ** 2) * h[0] * h[1]))
     return beta, grad_l2
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import ValidationError
-from .profiles import SQRT2PI
+from .profiles import SQRT2PI, fourier_multiplier
 
 _GL1 = np.polynomial.legendre.leggauss(1)
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -130,11 +130,7 @@ class Axis1D:
         h = self.h[ax]
         if not self.periodic[ax]:
             return fd_derivative(self.vals, h, ax)
-        n = self.vals.shape[ax]
-        shape = [1] * self.vals.ndim
-        shape[ax] = n // 2 + 1
-        xi = 2.0 * np.pi * sfft.rfftfreq(n, d=h)
-        return sfft.irfft(sfft.rfft(self.vals, axis=ax) * (1j * xi.reshape(shape)), n=n, axis=ax)
+        return fourier_multiplier(self.vals, (h,), (ax,), lambda xi: 1j * xi)
 
 
 def _rows(axes, order, p):

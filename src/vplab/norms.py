@@ -4,8 +4,10 @@ Conventions
 -----------
 * ``weighted_hsb_norm`` realises ||(1+|v|^2)^b (1-Lap)^(s/2) f||_L2 with the
   fractional operator applied as the Fourier multiplier (1+|xi|^2)^(s/2) on
-  the periodic extension of the truncated grid.  The boundary-decay
-  precondition keeps the periodisation error below 1e-10.
+  the periodic extension of the truncated grid (``profiles.fourier_multiplier``).
+  The symbol is real and even, so a complex field's smoothed square is the
+  sum of the squares of its smoothed real and imaginary parts.  The
+  boundary-decay precondition keeps the periodisation error below 1e-10.
 * ``fractional_wsp_norm`` is ``closeness.wsp_pow_separable`` on one fully
   periodic factor: axis-split Gagliardo seminorms (every offset, no wrap)
   for non-integer orders and spectral-derivative L^p norms at integer
@@ -24,6 +26,7 @@ from scipy import fft as sfft
 
 from .closeness import Axis1D, wsp_pow_separable
 from .errors import BoundaryDecayError, ValidationError
+from .profiles import fourier_multiplier
 
 KINDS = ("weighted_Hsb", "mixed_HsxHsvb", "fractional_Wsp", "L1",
          "weighted_L1_second_moment")
@@ -65,13 +68,6 @@ def check_boundary_decay(values, grid):
         raise BoundaryDecayError(res, 1e-12 * scale)
 
 
-def _symbol(grid, s, half=False):
-    """(1 + |xi|^2)^(s/2) on the fftn grid, or on the rfftn half spectrum."""
-    xi2 = grid.freqs() ** 2
-    axes = [xi2] * (grid.dim - 1) + [xi2[:grid.n // 2 + 1] if half else xi2]
-    return (1.0 + functools.reduce(np.add.outer, axes)) ** (s / 2.0)
-
-
 def weighted_hsb_norm(values, grid, s, b):
     """Velocity-weighted fractional Sobolev norm of a (possibly complex) field."""
     if not (math.isfinite(s) and math.isfinite(b)):
@@ -80,12 +76,10 @@ def weighted_hsb_norm(values, grid, s, b):
     if values.shape != grid.shape:
         raise ValidationError("field shape does not match grid")
     check_boundary_decay(values, grid)
-    if np.iscomplexobj(values):
-        smoothed = sfft.ifftn(sfft.fftn(values) * _symbol(grid, s))
-        sq = smoothed.real ** 2 + smoothed.imag ** 2
-    else:
-        sq = sfft.irfftn(sfft.rfftn(values) * _symbol(grid, s, half=True),
-                         s=values.shape) ** 2
+    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    sq = sum(fourier_multiplier(part, (grid.h,) * grid.dim, range(grid.dim),
+                                lambda *xi: (1.0 + sum(x ** 2 for x in xi)) ** (s / 2.0)) ** 2
+             for part in parts)
     w2 = (1.0 + functools.reduce(np.add.outer, [grid.axis() ** 2] * grid.dim)) ** (2.0 * b)
     return math.sqrt(float(np.sum(w2 * sq)) * grid.cell)
 

@@ -85,10 +85,6 @@ class VelocityGrid:
     def mesh(self):
         return np.meshgrid(*self.axes(), indexing="ij")
 
-    def freqs(self):
-        """Angular FFT frequencies for one axis (period 2*vmax)."""
-        return 2.0 * np.pi * sfft.fftfreq(self.n, d=self.h)
-
     @property
     def shape(self):
         return (self.n,) * self.dim
@@ -466,18 +462,34 @@ def _sinc_cauchy(samples, alphas, ys):
     return out
 
 
+def fourier_multiplier(values, h, axes, symbol):
+    """Apply the Fourier multiplier ``symbol`` to real periodic samples along ``axes``.
+
+    ``symbol`` receives one angular wavenumber array per axis in ``axes``
+    (spacing ``h[i]``): 2 pi fftfreq, and 2 pi rfftfreq on the last axis,
+    each shaped to broadcast against the rfftn half spectrum, so a symbol
+    may also vary along an axis that is not transformed.  Returns the real
+    irfftn of rfftn(values) times the symbol.
+    """
+    axes = tuple(axes)
+    ks = []
+    for i, (ax, hi) in enumerate(zip(axes, h)):
+        freq = sfft.rfftfreq if i == len(axes) - 1 else sfft.fftfreq
+        k = 2.0 * np.pi * freq(values.shape[ax], d=hi)
+        shape = [1] * values.ndim
+        shape[ax] = len(k)
+        ks.append(k.reshape(shape))
+    return sfft.irfftn(sfft.rfftn(values, axes=axes) * symbol(*ks),
+                       s=[values.shape[ax] for ax in axes], axes=axes)
+
+
 def _shear(values, ax_moving, ax_fixed, s, coords):
     """Apply f(v) -> f(v + s * v_fixed * e_moving) spectrally along ax_moving."""
-    n = values.shape[ax_moving]
-    h = coords[1] - coords[0]
-    xi = 2.0 * np.pi * sfft.fftfreq(n, d=h)
-    fhat = sfft.fft(values, axis=ax_moving)
-    shape_xi = [1] * values.ndim
-    shape_xi[ax_moving] = n
     shape_y = [1] * values.ndim
     shape_y[ax_fixed] = values.shape[ax_fixed]
-    phase = np.exp(1j * xi.reshape(shape_xi) * (s * coords).reshape(shape_y))
-    return sfft.ifft(fhat * phase, axis=ax_moving).real
+    shift = (s * coords).reshape(shape_y)
+    return fourier_multiplier(values, (coords[1] - coords[0],), (ax_moving,),
+                              lambda xi: np.exp(1j * xi * shift))
 
 
 def rotate_plane(values, coords, theta, ax_a, ax_b):

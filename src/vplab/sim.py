@@ -100,10 +100,10 @@ class PhaseGrid:
 
 
 def poisson_solve(rho, T1):
-    """Spectral zero-mean potential and field from the density on the x grid.
+    """Spectral field E = -phi' of the zero-mean potential from the density on the x grid.
 
     Requires the neutralised source rho - 1 to have zero mean (1e-10) on
-    the torus; returns (phi, E) with E = -phi'.
+    the torus.
     """
     rho = np.asarray(rho, dtype=float)
     n = len(rho)
@@ -116,10 +116,7 @@ def poisson_solve(rho, T1):
     phihat = np.zeros_like(shat)
     # -lap phi = -(rho - 1):  phi'' = rho - 1,  so phi_hat = -src_hat / k^2
     phihat[1:] = -shat[1:] / (k[1:] ** 2)
-    ehat = -1j * k * phihat
-    phi = sfft.irfft(phihat, n=n)
-    efield = sfft.irfft(ehat, n=n)
-    return phi, efield
+    return sfft.irfft(-1j * k * phihat, n=n)
 
 
 def _transverse_table(grid):
@@ -196,7 +193,7 @@ class SimState:
         return self._moments()[1]
 
     def efield(self):
-        return poisson_solve(self.density(), self.grid.T1)[1]
+        return poisson_solve(self.density(), self.grid.T1)
 
     def moments(self):
         return self._moments()[2:]
@@ -317,8 +314,8 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
     diagnostics (mass, momenta, energy, field norms, the current-field
     pairing) are recorded every ``diagnostics_every`` steps; outputs, each a
     ``SimState``, every ``output_every`` steps (default n_steps // 64) and at
-    the last step.  Raises ValidationError when n_steps < 1 or
-    diagnostics_every < 1.
+    the last step.  Raises ValidationError when n_steps < 1,
+    diagnostics_every < 1, or output_every is given and is not an integer >= 1.
     """
     g = state.grid
     if n_steps < 1:
@@ -327,6 +324,9 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
             f"(a t_end below dt/2 = {0.5 * g.dt:g} rounds to zero steps)")
     if not diagnostics_every >= 1:
         raise ValidationError(f"diagnostics_every must be at least 1, got {diagnostics_every}")
+    if output_every is not None and not (
+            isinstance(output_every, (int, np.integer)) and output_every >= 1):
+        raise ValidationError(f"output_every must be an integer >= 1, got {output_every}")
     log = RunLog()
     out_every = output_every or max(1, n_steps // 64)
     half, full = _x_phase(g, 0.5 * g.dt), _x_phase(g, g.dt)
@@ -336,7 +336,7 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
     clipped_mass = state.clipped_mass
     for i in range(n_steps):
         rho, j1, mass, mom, kin = _moments(a, w, g)
-        e = poisson_solve(rho, g.T1)[1]
+        e = poisson_solve(rho, g.T1)
 
         # midpoint diagnostics (x-advection leaves all of them invariant)
         if i % diagnostics_every == 0:

@@ -42,7 +42,6 @@ KNOBS = {
     "closeness.gagliardo_pow:axis",
     "closeness.fd_derivative:axis",
     "linear.efield_mode:kvec",
-    "norms._symbol:half",
     "penrose.penrose_check:threads",
     "profiles.GaussianPairTerm.transverse_val:*axes",
     "profiles.Profile.from_closure:meta",

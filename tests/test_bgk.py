@@ -588,6 +588,25 @@ print(sorted(m for m in ("scipy.integrate", "scipy.interpolate") if m in sys.mod
     assert _fresh_stdout(script) == "[]"
 
 
+def test_fft_wavenumbers_only_in_fourier_multiplier():
+    # every periodic symbol of norms, bgk, closeness and profiles goes through
+    # profiles.fourier_multiplier: no other function there builds FFT
+    # wavenumbers or runs a full complex transform pair
+    import ast
+    from pathlib import Path
+
+    names = {"fft2", "ifft2", "ifftn", "fftfreq", "rfftfreq"}
+    src = Path(bgk_mod.__file__).parent
+    found = []
+    for module in ("norms", "bgk", "closeness", "profiles"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        tree.body = [node for node in tree.body
+                     if getattr(node, "name", None) != "fourier_multiplier"]
+        found += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if getattr(node, "attr", getattr(node, "id", None)) in names]
+    assert found == []
+
+
 class TestMatchPeriod:
     def test_case1_end_to_end(self, maxwellian2, monkeypatch):
         t1 = 2 * np.pi

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,8 @@ import pytest
 from vplab import bgk, container
 from vplab.cli import ExperimentConfig, main, run
 from vplab.errors import ValidationError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -419,5 +422,5 @@ t_end = {t_end}
         proc = subprocess.run(
             [sys.executable, "-m", "vplab", "--config", str(cfg_path),
              "--out", str(tmp_path / "o5")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
         assert proc.returncode == 0

@@ -296,7 +296,7 @@ def gridded_oracle(values, grid, s, p):
         for ax in range(grid.dim):
             acc += gagliardo_pow(values, h, s, p, ax) * (cell / h)
         return acc
-    xi = grid.freqs()
+    xi = 2 * np.pi * sfft.fftfreq(grid.n, d=grid.h)
     grads = []
     for ax in range(grid.dim):
         shape = [1] * values.ndim

@@ -80,7 +80,7 @@ class TestWeightedHsb:
         with pytest.raises(BoundaryDecayError):
             weighted_hsb_norm(bad.astype(complex), grid2, 1.0, 0.5)
 
-    @pytest.mark.parametrize("dim, cplx", [(2, False), (1, True)])
+    @pytest.mark.parametrize("dim, cplx", [(2, False), (1, True), (2, True)])
     def test_matches_mesh_weight_formula(self, dim, cplx, rng):
         # sqrt(sum |(1+|v|^2)^b (1-Lap)^(s/2) f|^2 cell) with the mesh weight
         # and a full complex FFT
@@ -89,7 +89,8 @@ class TestWeightedHsb:
         field = np.exp(-sum(m ** 2 for m in mesh) / 2) * (1 + 0.4 * np.sin(2.0 * mesh[0]))
         if cplx:
             field = field * np.exp(1j * rng.uniform(0.5, 2.0) * mesh[0])
-        xi2 = sum(k ** 2 for k in np.meshgrid(*[grid.freqs()] * dim, indexing="ij"))
+        xi = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
+        xi2 = sum(k ** 2 for k in np.meshgrid(*[xi] * dim, indexing="ij"))
         for s, b in ((0.0, 0.7), (1.3, 0.4), (2.0, 1.0)):
             smoothed = np.fft.ifftn(np.fft.fftn(field) * (1.0 + xi2) ** (s / 2))
             if not cplx:

@@ -9,6 +9,7 @@ from vplab.errors import ValidationError
 from vplab.profiles import (
     GaussianPairTerm,
     VelocityGrid,
+    fourier_multiplier,
     make_builtin,
     project,
     project_field,
@@ -241,6 +242,57 @@ class TestProject:
         vals = project_field(m3.values, g3, e)
         expect = np.exp(-g3.axis() ** 2 / 2) / SQRT2PI
         assert np.max(np.abs(vals - expect)) < 2e-7
+
+
+# Hermitian symbols S(kx, ky) = conj S(-kx, -ky) of the 2-torus multipliers
+MULTIPLIERS = {
+    "dx": lambda kx, ky: 1j * kx,
+    "dy": lambda kx, ky: 1j * ky,
+    "dxx": lambda kx, ky: -(kx ** 2),
+    "dyy": lambda kx, ky: -(ky ** 2),
+    "dxy": lambda kx, ky: -(kx * ky),
+    "resolvent": lambda kx, ky: 1.0 / (0.7 + kx ** 2 + ky ** 2),
+}
+
+
+class TestFourierMultiplier:
+    @settings(max_examples=80)
+    @given(nx=st.integers(4, 17), ny=st.integers(4, 17), lx=st.floats(0.5, 20.0),
+           ly=st.floats(0.5, 20.0), n_modes=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           name=st.sampled_from(sorted(MULTIPLIERS)),
+           axes=st.sampled_from([(0, 1), (1, 0), (0,), (1,)]))
+    def test_trig_polynomials_match_closed_form(self, nx, ny, lx, ly, n_modes, seed, name,
+                                                axes):
+        # f = sum_m Re[c_m e^(i theta_m)], theta_m = kx_m x + ky_m y below
+        # Nyquist, so S(D) f = sum_m Re[S(kx_m, ky_m) c_m e^(i theta_m)] exactly;
+        # a single transformed axis carries only the derivatives along it
+        if len(axes) == 1 and name not in {0: ("dx", "dxx"), 1: ("dy", "dyy")}[axes[0]]:
+            axes = (0, 1)
+        rng = np.random.default_rng(seed)
+        x = lx / nx * np.arange(nx)[:, None]
+        y = ly / ny * np.arange(ny)[None, :]
+        f, want, amp = 0.0, 0.0, 0.0
+        for _ in range(n_modes):
+            kx = 2 * np.pi * rng.integers(-((nx - 1) // 2), (nx - 1) // 2 + 1) / lx
+            ky = 2 * np.pi * rng.integers(-((ny - 1) // 2), (ny - 1) // 2 + 1) / ly
+            c = complex(*rng.normal(size=2))
+            wave = np.exp(1j * (kx * x + ky * y))
+            f = f + (c * wave).real
+            want = want + (MULTIPLIERS[name](kx, ky) * c * wave).real
+            amp += abs(c)
+        op = MULTIPLIERS[name]
+        h = {0: lx / nx, 1: ly / ny}
+
+        def symbol(*k):
+            named = dict(zip(axes, k))
+            return op(named.get(0, 0.0), named.get(1, 0.0))
+
+        got = fourier_multiplier(f, [h[ax] for ax in axes], axes, symbol)
+        kx_all = 2 * np.pi * np.fft.fftfreq(nx, d=h[0])[:, None]
+        ky_all = 2 * np.pi * np.fft.fftfreq(ny, d=h[1])[None, :]
+        norm = float(np.max(np.abs(op(kx_all, ky_all))))  # the multiplier's sup
+        assert got.shape == (nx, ny) and got.dtype == float
+        assert np.max(np.abs(got - want)) <= 1e-12 * norm * amp
 
 
 class TestSingularIntegral:

@@ -44,13 +44,13 @@ def maxprofile():
 
 class TestPoisson:
     def test_uniform_density_no_field(self):
-        _, e = poisson_solve(np.ones(128), T1)
+        e = poisson_solve(np.ones(128), T1)
         assert np.max(np.abs(e)) == 0.0
 
     def test_single_mode_closed_form(self):
         x = T1 / 256 * np.arange(256)
         rho = 1 + 1e-3 * np.cos(2 * np.pi * x / T1)
-        _, e = poisson_solve(rho, T1)
+        e = poisson_solve(rho, T1)
         expect = -1e-3 * (T1 / (2 * np.pi)) * np.sin(2 * np.pi * x / T1)
         assert np.max(np.abs(e - expect)) < 1e-15
 
@@ -61,7 +61,7 @@ class TestPoisson:
             rho += rng.normal(scale=1e-2) * np.cos(2 * np.pi * m * x / T1) \
                 + rng.normal(scale=1e-2) * np.sin(2 * np.pi * m * x / T1)
         rho -= rho.mean() - 1.0
-        _, e = poisson_solve(rho, T1)
+        e = poisson_solve(rho, T1)
         from scipy import fft as sfft
 
         k = 2 * np.pi * sfft.rfftfreq(256, d=T1 / 256)
@@ -687,6 +687,14 @@ class TestNonFiniteScalars:
     def test_run_diagnostics_every(self, grid1v, maxprofile, every):
         with pytest.raises(ValidationError, match=f"diagnostics_every must be at least 1, got {every}"):
             run(sample_profile(maxprofile, grid1v), 2, diagnostics_every=every)
+
+    @pytest.mark.parametrize("every", [-1, 0, 2.5, float("nan")])
+    def test_run_output_every(self, grid1v, maxprofile, monkeypatch, every):
+        # refused by name before the state is factored or any step is taken
+        state = sample_profile(maxprofile, grid1v)
+        monkeypatch.setattr(sim, "_factor", None)
+        with pytest.raises(ValidationError, match=f"output_every must be an integer >= 1, got {every}"):
+            run(state, 2, output_every=every)
 
 
 class TestDecayExperiment:
