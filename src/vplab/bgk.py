@@ -35,6 +35,8 @@ from .profiles import SQRT2PI, GaussianMixture, GaussianPairTerm, Profile, fouri
 PERIOD_TOL_REL = 1e-9
 # ceiling on the reduced field equation residual max |beta'' - h(beta)|
 POISSON_RESIDUAL_TOL = 1e-7
+# offset of the case-1 bump pair in units of its width gamma delta
+BUMP_V0 = 3.0
 
 # ---------------------------------------------------------------------------
 # case selection and the modified profile
@@ -81,9 +83,6 @@ class ModifiedProfile:
                   "delta": self.delta, "case": self.case},
         )
 
-    def mass(self):
-        return self.mixture.mass()
-
     def pv_d_integral(self):
         return self.mixture.pv_d_integral()
 
@@ -101,7 +100,7 @@ def _bump_c0(dim):
     return 2.0 * SQRT2PI * SQRT2PI ** (dim - 1)
 
 
-def build_modified(f1, gamma, delta, case, v0=3.0):
+def build_modified(f1, gamma, delta, case, v0=BUMP_V0):
     """Modified homogeneous profile for the bifurcation.
 
     Cases 1 and 2 add the narrow feature (gamma/delta) F1(v1/(gamma delta))
@@ -599,7 +598,7 @@ def _false_position(fun, lo, hi, f_lo, f_hi, tol):
     return None, brackets
 
 
-def match_period(f1, T1, gamma, r, case=None, v0=3.0):
+def match_period(f1, T1, gamma, r, case=None):
     """Illinois false position on the modification scale until the orbit
     period equals T1 to PERIOD_TOL_REL.
 
@@ -619,7 +618,7 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0):
 
     def at(delta):
         if delta not in cache:
-            mp = build_modified(f1, gamma, delta, case, v0=v0)
+            mp = build_modified(f1, gamma, delta, case)
             h = make_h(mp)
             orb = periodic_orbit(h, r)
             cache[delta] = (mp, h, orb)
@@ -627,7 +626,7 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0):
                 cache.pop(next(iter(cache)))
         return cache[delta]
 
-    d_star = _seed_delta(f1, T1, gamma, case, v0)
+    d_star = _seed_delta(f1, T1, gamma, case, BUMP_V0)
     lo, hi = 0.8 * d_star, 1.25 * d_star
 
     refusals = []
@@ -671,7 +670,7 @@ def match_period(f1, T1, gamma, r, case=None, v0=3.0):
         dim=f1.grid.dim, T1=float(T1), c=0.0, x1=xs, beta=beta, efield=efield,
         amplitude=orb.r, case=case,
         provenance={"gamma": gamma, "delta": mid, "r": orb.r, "case": case,
-                    "v0": v0, "bisection_widths": widths},
+                    "v0": mp.v0, "bisection_widths": widths},
         mp=mp, h=h,
     )
     if wave.count_maxima() != 1:
@@ -858,12 +857,11 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
 
     if 1.0 + 1.0 / p - s <= 0.0:
         raise RegularityError(s, p)
-    v0 = 0.0 if case == 2 else 3.0
 
     def mod_distance(g):
-        d_star = _seed_delta(f0, T1, g, case, v0)
+        d_star = _seed_delta(f0, T1, g, case, BUMP_V0)
         return modified_profile_distance(
-            build_modified(f0, g, d_star, case, v0=v0), s, p).total, d_star
+            build_modified(f0, g, d_star, case), s, p).total, d_star
 
     # log-bisection on gamma against the modification budget
     g_hi = 0.2
@@ -894,11 +892,11 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
         _, d_star = mod_distance(g)
         lam = g * d_star
         if case == 1:
-            beta_cap = 0.125 * lam ** 2 * (math.pi / (2.0 * v0)) ** 2
+            beta_cap = 0.125 * lam ** 2 * (math.pi / (2.0 * BUMP_V0)) ** 2
         else:
             beta_cap = 0.25 * lam ** 2
         r_try = min(beta_cap * kappa_r, 0.02 * kappa_r) if r is None else r
-        delta, wave = match_period(f0, T1, g, r_try, case=case, v0=v0)
+        delta, wave = match_period(f0, T1, g, r_try, case=case)
         rep = closeness_report(wave, s=s, p=p)
         if rep.total < eps:
             return wave, rep

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import container
+from . import __version__, container
 from .errors import PenroseUnstableError, ValidationError, VplabError
 from .norms import NormSpec, fractional_wsp_norm, norm_report, weighted_hsb_norm
 from .penrose import MARGIN_TOL, DualLattice, penrose_check
@@ -122,7 +122,7 @@ def _write_manifest(outdir, config, tolerances, extra=None):
         "versions": {
             "numpy": np.__version__,
             "scipy": __import__("scipy").__version__,
-            "vplab": "0.1.0",
+            "vplab": __version__,
         },
         "tolerances": tolerances,
     }

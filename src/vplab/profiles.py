@@ -6,7 +6,8 @@ components are even pairs in v1).  The closure keeps projections, the
 singular v1-integral and the even continuation in the energy variable
 exact, and ``Mixture1D.cauchy`` gives the Cauchy transform of a projection's
 f_e', the dispersion function F and its PV, in closed form through the
-Faddeeva function.  ``project_field`` projects sampled fields.  Sampled
+Faddeeva function.  ``project_field`` projects sampled fields by the
+Fourier slice theorem, on one path for every d >= 2.  Sampled
 1D data (the per-mode datum) have one interpolant, the sinc interpolant, and
 one boundary value, ``_sinc_cauchy``: its Cauchy integral PV + i pi s(y)
 along the real axis.
@@ -230,9 +231,6 @@ class Mixture1D:
             out = out + w * g * (-(a - mu) / s ** 2)
         return out
 
-    def mass(self):
-        return sum(w for w, _, _ in self.comps)
-
     def cauchy(self, z):
         """int dval(alpha)/(alpha - z) dalpha = -sum (w/s^2)(1 + zeta Z(zeta)).
 
@@ -262,9 +260,6 @@ class GaussianMixture:
         for t in self.terms:
             if len(t.wt) != self.dim - 1:
                 raise ValidationError("transverse width count must be dim-1")
-
-    def mass(self):
-        return sum(t.weight for t in self.terms)
 
     def values_on(self, grid):
         axes = grid.axes()
@@ -483,36 +478,16 @@ def fourier_multiplier(values, h, axes, symbol):
                        s=[values.shape[ax] for ax in axes], axes=axes)
 
 
-def _shear(values, ax_moving, ax_fixed, s, coords):
-    """Apply f(v) -> f(v + s * v_fixed * e_moving) spectrally along ax_moving."""
-    shape_y = [1] * values.ndim
-    shape_y[ax_fixed] = values.shape[ax_fixed]
-    shift = (s * coords).reshape(shape_y)
-    return fourier_multiplier(values, (coords[1] - coords[0],), (ax_moving,),
-                              lambda xi: np.exp(1j * xi * shift))
-
-
-def rotate_plane(values, coords, theta, ax_a, ax_b):
-    """Rotate samples in the (ax_a, ax_b) plane by angle theta via three shears.
-
-    Returns g with g(v) = f(R_theta v); accurate for fields decaying below
-    roundoff at the domain boundary.  |theta| is reduced to <= pi/4 with
-    exact quarter-turn index operations first.
-    """
-    quarter = int(np.round(theta / (np.pi / 2.0)))
-    theta = theta - quarter * np.pi / 2.0
-    out = values
-    for _ in range(quarter % 4):
-        # quarter turn: (a, b) -> (b, -a) sample map, exact on the grid
-        out = np.flip(np.swapaxes(out, ax_a, ax_b), axis=ax_b)
-        out = np.roll(out, 1, axis=ax_b)
-    if abs(theta) > 1e-15:
-        t = -np.tan(theta / 2.0)
-        s = np.sin(theta)
-        out = _shear(out, ax_a, ax_b, t, coords)
-        out = _shear(out, ax_b, ax_a, s, coords)
-        out = _shear(out, ax_a, ax_b, t, coords)
-    return out
+def _unit_direction(e, dim):
+    """``e`` as a float vector, refused unless it has ``dim`` finite entries and unit norm."""
+    e = np.asarray(e, dtype=float).reshape(-1)
+    if e.size != dim:
+        raise ValidationError("direction dimension mismatch")
+    if not np.all(np.isfinite(e)):
+        raise ValidationError(f"direction must be finite, got {tuple(e.tolist())}")
+    if abs(np.linalg.norm(e) - 1.0) > 1e-12:
+        raise ValidationError("direction must be a unit vector (within 1e-12)")
+    return e
 
 
 def project(p, e):
@@ -521,14 +496,7 @@ def project(p, e):
     The values are the exact projected mixture of the closure, sampled on
     the profile's axis; the mixture itself rides along as ``closure1d``.
     """
-    e = np.asarray(e, dtype=float).reshape(-1)
-    if e.size != p.grid.dim:
-        raise ValidationError("direction dimension mismatch")
-    if not np.all(np.isfinite(e)):
-        raise ValidationError(f"direction must be finite, got {tuple(e.tolist())}")
-    if abs(np.linalg.norm(e) - 1.0) > 1e-12:
-        raise ValidationError("direction must be a unit vector (within 1e-12)")
-
+    e = _unit_direction(e, p.grid.dim)
     alphas = p.grid.axis()
     closure1d = p.closure.project_unit(e)
     vals = closure1d.val(alphas)
@@ -542,25 +510,34 @@ def project(p, e):
 
 
 def project_field(values, grid, e):
-    """Marginal of an arbitrary sampled field along a unit direction.
+    """Marginal of a real sampled field along a unit direction, on the grid's axis.
 
-    Spectral shear rotations of the samples, without any mass or
-    positivity requirements (used for per-mode initial data).
+    No mass or positivity is required (the per-mode initial data are
+    signed).  In d = 1 it is the field or its exact mirror v1 -> -v1.  For
+    d >= 2 it is the Fourier slice theorem: the marginal's transform at xi
+    is the field's at xi e.  The Riemann sum sum_v f(v) e^{-i xi e.v} is one
+    matrix product over v1 and one contraction per further axis; times
+    e^{-i xi vmax}, which puts alpha_0 = -vmax at index 0, it is the symbol
+    of ``fourier_multiplier`` on the unit impulse at index 0, and h^(d-1)
+    scales the result.
     """
-    e = np.asarray(e, dtype=float)
-    d = grid.dim
-    cell_t = grid.h ** (d - 1)
-    if d == 1:
+    e = _unit_direction(e, grid.dim)
+    values = np.asarray(values)
+    if np.iscomplexobj(values) or values.shape != grid.shape:
+        raise ValidationError(f"project_field needs a real field of shape {grid.shape}, "
+                              f"got {values.dtype} {values.shape}")
+    if grid.dim == 1:
         # v1 -> -v1 via the periodic index map i -> (n-i) mod n
-        return values if e[0] > 0 else np.roll(values[::-1, ...], 1, axis=0)
-    coords = grid.axis()
-    if d == 2:
-        theta = math.atan2(e[1], e[0])
-        rot = rotate_plane(values, coords, theta, 0, 1)
-        return rot.sum(axis=1) * cell_t
-    # d == 3: rotate e into +e1 by two planar rotations
-    phi = math.atan2(e[1], e[0])
-    rot = rotate_plane(values, coords, phi, 0, 1)
-    theta = math.atan2(e[2], math.hypot(e[0], e[1]))
-    rot = rotate_plane(rot, coords, theta, 0, 2)
-    return rot.sum(axis=(1, 2)) * cell_t
+        return values if e[0] > 0 else np.roll(values[::-1], 1)
+    n, v = grid.n, grid.axis()
+
+    def symbol(xi):
+        acc = np.exp(-1j * np.multiply.outer(xi * e[0], v)) @ values.reshape(n, -1)
+        for ei in e[1:]:
+            acc = np.einsum("mj,mjr->mr", np.exp(-1j * np.multiply.outer(xi * ei, v)),
+                            acc.reshape(len(xi), n, -1))
+        return acc[:, 0] * np.exp(-1j * xi * grid.vmax)
+
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    return fourier_multiplier(impulse, (grid.h,), (0,), symbol) * grid.h ** (grid.dim - 1)

@@ -26,7 +26,6 @@ KNOBS = {
     "bgk.build_modified:v0",
     "bgk.BgkWave.sample_phase_space:*trans_axes",
     "bgk.match_period:case",
-    "bgk.match_period:v0",
     "bgk.build_wave:c",
     "bgk.build_wave:eps",
     "bgk.build_wave:s",

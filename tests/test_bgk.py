@@ -124,7 +124,7 @@ class TestBuildModified:
         for gamma, delta, case in ((0.05, 0.6, 1), (0.01, 1.4, 2),
                                    (0.0, 0.8, 3)):
             mp = build_modified(maxwellian2, gamma, delta, case, v0=3.0)
-            assert abs(mp.mass() - 1.0) < 1e-13
+            assert abs(sum(t.weight for t in mp.mixture.terms) - 1.0) < 1e-13
 
     def test_wsp_distance_vanishes_with_gamma(self, maxwellian2):
         from vplab.closeness import modified_profile_distance
@@ -632,6 +632,7 @@ class TestMatchPeriod:
         assert widths[0] == pytest.approx(0.45 * d_star, rel=1e-12)
         assert 0.8 * d_star < delta < 1.25 * d_star
         assert len(solves) <= 12
+        assert wave.provenance["v0"] == 3.0  # the case-1 bump offset
 
     def test_relative_poisson_residual(self, maxwellian2):
         _, wave = match_period(maxwellian2, 2 * np.pi, gamma=0.1, r=1e-3)
@@ -672,6 +673,7 @@ class TestMatchPeriod:
         assert abs(delta - 1.0) < 0.05
         assert wave.poisson_residual() <= 1e-7
         assert wave.min_distribution_value() >= 0.0
+        assert wave.provenance["v0"] == 0.0  # case 3 adds no bump
 
 
 class TestFalsePosition:

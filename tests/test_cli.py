@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import vplab
 from vplab import bgk, container
 from vplab.cli import ExperimentConfig, main, run
 from vplab.errors import ValidationError
@@ -205,6 +206,7 @@ class TestRun:
         assert report["stable"] is True
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == cfg.hash()
+        assert manifest["versions"]["vplab"] == vplab.__version__
 
     def test_penrose_unstable_exit2(self, tmp_path):
         cfg = ExperimentConfig.parse(write_config(tmp_path, PENROSE_UNSTABLE))

@@ -244,7 +244,8 @@ class TestContinuation:
            side=st.sampled_from((-1.0, 1.0)))
     def test_against_quadrature_oracle(self, m, re, depth, side):
         z = np.array([complex(re, side * depth)])
-        fp = ProjectedProfile(np.array([1.0]), AXIS, m.val(AXIS), m, m.mass())
+        fp = ProjectedProfile(np.array([1.0]), AXIS, m.val(AXIS), m,
+                              sum(w for w, _, _ in m.comps))
         oracle = _continuation_oracle(m, z)
         scale = _pv_scale(m) + float(np.max(np.abs(oracle)))
         assert np.max(np.abs(continued_dispersion(fp, z) - oracle)) < 1e-12 * scale
@@ -326,31 +327,35 @@ class TestCauchyBlocks:
 
 
 class TestReductionConsistency:
-    def test_d2_mode_equals_1d_pipeline(self):
-        # the 2D mode problem along e is exactly the 1D problem for the
-        # projected profile at |k|
-        g2 = VelocityGrid(2, 8.0, 256)
-        m2 = make_builtin("maxwellian", g2)
-        e = np.array([0.6, 0.8])
-        fp2 = project(m2, e)
-        mesh = g2.mesh()
-        datum2d = (mesh[0] + 0.3) * m2.values  # generic smooth mode datum
+    @pytest.mark.parametrize("dim, n, e, kvec", [
+        (2, 256, (0.6, 0.8), (0.42, 0.56)),
+        (3, 64, (2 / 3, -1 / 3, 2 / 3), (1.4 / 3, -0.7 / 3, 1.4 / 3))], ids=["d2", "d3"])
+    def test_d2_mode_equals_1d_pipeline(self, dim, n, e, kvec):
+        # the mode problem along e in d = 2 or 3 is exactly the 1D problem
+        # for the projected profile at |k|
+        g = VelocityGrid(dim, 8.0, n)
+        m = make_builtin("maxwellian", g)
+        e = np.array(e)
+        fp = project(m, e)
+        mesh = g.mesh()
+        datum = (mesh[0] + 0.3) * m.values  # generic smooth mode datum
         from vplab.profiles import project_field
 
-        proj_datum = project_field(datum2d, g2, e)
-        d2 = Datum1D(fp2.alphas, proj_datum)
+        proj_datum = project_field(datum, g, e)
+        d = Datum1D(fp.alphas, proj_datum)
 
-        g1 = VelocityGrid(1, 8.0, 256)
-        m1 = make_builtin("maxwellian", g1)
-        fp1 = project(m1, (1.0,))
+        # in d = 3 the 1D reference is the marginal on e1, since the 1D
+        # Maxwellian on 64 points fails the builtin tail check
+        fp1 = (project(make_builtin("maxwellian", VelocityGrid(1, 8.0, n)), (1.0,))
+               if dim == 2 else project(m, (1.0, 0.0, 0.0)))
         alpha = fp1.alphas
-        exact_marginal = (0.6 * alpha + 0.3) * np.exp(-alpha ** 2 / 2) \
+        exact_marginal = (e[0] * alpha + 0.3) * np.exp(-alpha ** 2 / 2) \
             / np.sqrt(2 * np.pi)
         d1 = Datum1D(alpha, exact_marginal)
 
-        s2 = efield_mode(0.7, fp2, d2, t_end=25.0, kvec=(0.42, 0.56))
+        s = efield_mode(0.7, fp, d, t_end=25.0, kvec=kvec)
         s1 = efield_mode(0.7, fp1, d1, t_end=25.0, kvec=(0.7,))
-        assert np.max(np.abs(s2.values - s1.values)) < 1e-10
+        assert np.max(np.abs(s.values - s1.values)) < 1e-10
 
     def test_conjugate_pair_rejected(self, maxwell_mode):
         hist = FieldHistory()

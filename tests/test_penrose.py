@@ -26,7 +26,7 @@ from vplab.profiles import (
 def closure_only(m, grid):
     """The projection of a bare 1D mixture on the grid's axis."""
     ax = grid.axis()
-    return ProjectedProfile(np.array([1.0]), ax, m.val(ax), m, m.mass())
+    return ProjectedProfile(np.array([1.0]), ax, m.val(ax), m, sum(w for w, _, _ in m.comps))
 
 
 def pv_excision_oracle(fp, a_prime):

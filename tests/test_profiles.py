@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import continued_dval, continued_val, cutoff_sigma
+from vplab import profiles
 from vplab.bgk import _RHO
 from vplab.errors import ValidationError
 from vplab.profiles import (
@@ -244,6 +245,62 @@ class TestProject:
         assert np.max(np.abs(vals - expect)) < 2e-7
 
 
+def _directions(dim):
+    return st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).filter(
+        lambda v: np.linalg.norm(v) > 0.1).map(lambda v: np.array(v) / np.linalg.norm(v))
+
+
+class TestProjectField:
+    @pytest.mark.parametrize("dim, e", [
+        (2, (0.6, 0.8)), (2, (np.cos(np.pi / 4), np.sin(np.pi / 4))),
+        (2, (1.0, 0.0)), (2, (0.0, 1.0)), (3, (2 / 3, -1 / 3, 2 / 3))])
+    def test_maxwellian_closure_marginal(self, dim, e):
+        grid = VelocityGrid(dim, 8.0, 256 if dim == 2 else 64)
+        m = make_builtin("maxwellian", grid)
+        vals = project_field(m.values, grid, e)
+        assert np.max(np.abs(vals - project(m, e).values)) < 1e-14
+
+    @settings(max_examples=30)
+    @given(e=_directions(2), v0=st.floats(0.5, 2.5), w1=st.floats(0.7, 1.2),
+           w2=st.floats(0.7, 1.2))
+    def test_slice_theorem_d2(self, e, v0, w1, w2):
+        grid = VelocityGrid(2, 12.0, 128)
+        p = make_builtin("product", grid, factors=[("double_bump", {"v0": v0, "width": w1}),
+                                                   ("gaussian", {"width": w2})])
+        vals = project_field(p.values, grid, e)
+        assert np.max(np.abs(vals - project(p, e).values)) <= 1e-13 * np.max(p.values)
+
+    @settings(max_examples=20)
+    @given(e=_directions(3), widths=st.lists(st.floats(0.75, 0.95), min_size=3, max_size=3))
+    def test_slice_theorem_d3(self, e, widths):
+        grid = VelocityGrid(3, 8.0, 64)
+        p = make_builtin("product", grid, factors=[("gaussian", {"width": w}) for w in widths])
+        vals = project_field(p.values, grid, e)
+        assert np.max(np.abs(vals - project(p, e).values)) <= 1e-13 * np.max(p.values)
+
+    @pytest.mark.parametrize("dim, e, field, shown", [
+        (1, (float("nan"),), "real", "finite"),
+        (1, (0.5,), "real", "unit vector"),
+        (1, (1.0, 0.0), "real", "dimension mismatch"),
+        (1, (1.0,), "complex", "real field"),
+        (1, (1.0,), "short", "real field"),
+        (2, (float("nan"), 0.0), "real", "finite"),
+        (2, (0.6, 0.8, 0.0), "real", "dimension mismatch"),
+        (2, (0.6, 0.6), "real", "unit vector"),
+        (2, (0.6, 0.8), "complex", "real field"),
+        (2, (0.6, 0.8), "short", "real field"),
+    ])
+    def test_refusals(self, monkeypatch, dim, e, field, shown):
+        # each input is refused before the transform: reaching it fails
+        monkeypatch.setattr(profiles, "fourier_multiplier", None)
+        grid = VelocityGrid(dim, 8.0, 16)
+        values = np.exp(-sum(v ** 2 for v in grid.mesh()) / 2)
+        values = {"real": values, "complex": values * (1.0 + 1j),
+                  "short": values[:-1]}[field]
+        with pytest.raises(ValidationError, match=shown):
+            project_field(values, grid, e)
+
+
 # Hermitian symbols S(kx, ky) = conj S(-kx, -ky) of the 2-torus multipliers
 MULTIPLIERS = {
     "dx": lambda kx, ky: 1j * kx,
@@ -301,4 +358,4 @@ class TestSingularIntegral:
 
         for gamma, delta in ((0.1, 0.7), (0.02, 1.3), (1e-6, 1.0)):
             mp = build_modified(maxwellian2, gamma, delta, 1, v0=3.0)
-            assert abs(mp.mass() - 1.0) < 1e-14
+            assert abs(sum(t.weight for t in mp.mixture.terms) - 1.0) < 1e-14
