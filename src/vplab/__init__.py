@@ -13,7 +13,7 @@ cli        batch experiment front-end
 
 from .profiles import (
     GaussianMixture,
-    GaussianPairTerm,
+    GaussianTerm,
     Profile,
     ProjectedProfile,
     VelocityGrid,

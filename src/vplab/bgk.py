@@ -29,7 +29,8 @@ from .errors import (
     RegularityError,
     ValidationError,
 )
-from .profiles import SQRT2PI, GaussianMixture, GaussianPairTerm, Profile, fourier_multiplier
+from .profiles import (SQRT2PI, GaussianMixture, GaussianTerm, Profile, even_pair,
+                       fourier_multiplier)
 
 # relative tolerance of the matched period |T - T1| <= PERIOD_TOL_REL T1
 PERIOD_TOL_REL = 1e-9
@@ -66,7 +67,8 @@ def select_case(f1, T1):
 
 @dataclass
 class ModifiedProfile:
-    """Base profile with the scaling modification applied (cases 1-3)."""
+    """Base profile with the scaling modification applied (cases 1-3); ``bump``
+    is the added feature as it sits in ``mixture`` (None in case 3)."""
 
     f1: Profile
     gamma: float
@@ -75,6 +77,7 @@ class ModifiedProfile:
     C0: float
     v0: float
     mixture: GaussianMixture
+    bump: GaussianMixture | None
 
     def as_profile(self):
         return Profile.from_closure(
@@ -83,15 +86,10 @@ class ModifiedProfile:
                   "delta": self.delta, "case": self.case},
         )
 
-    def pv_d_integral(self):
-        return self.mixture.pv_d_integral()
-
     @property
     def bump_width(self):
         """v1 width of the added feature (gamma*delta for cases 1-2)."""
-        if self.case == 3:
-            return None
-        return self.gamma * self.delta
+        return None if self.bump is None else self.gamma * self.delta
 
 
 def _bump_c0(dim):
@@ -100,45 +98,50 @@ def _bump_c0(dim):
     return 2.0 * SQRT2PI * SQRT2PI ** (dim - 1)
 
 
+def _require_even(f1):
+    """Refuse a base not even in v1, whose odd part the certificate would miss."""
+    unpaired = f1.closure.unpaired_means()
+    if unpaired:
+        raise ValidationError(f"base closure is not even in v1: the term at mean "
+                              f"{tuple(map(float, unpaired[0]))} has no mirror of equal weight")
+
+
 def build_modified(f1, gamma, delta, case, v0=BUMP_V0):
     """Modified homogeneous profile for the bifurcation.
 
     Cases 1 and 2 add the narrow feature (gamma/delta) F1(v1/(gamma delta))
     F2(v2) and renormalise by 1 + C0 gamma^2; case 3 rescales v1 by delta.
     The closure carries features far below the grid resolution exactly.
+    The bump offset v0 must be finite and positive in every case (only
+    case 1 places the bump there), and the base closure even in v1.
     """
+    if not (v0 is not None and math.isfinite(v0) and v0 > 0):
+        raise ValidationError(f"the bump offset v0 must be finite and positive, got {v0}")
+    _require_even(f1)
     if case == 3:
         if delta <= 0:
             raise ValidationError("case-3 scale must be positive")
         mix = f1.closure.scaled_v1(delta)
-        return ModifiedProfile(f1, 0.0, float(delta), 3, 0.0, 0.0, mix)
+        return ModifiedProfile(f1, 0.0, float(delta), 3, 0.0, 0.0, mix, None)
 
     if gamma <= 0 or delta <= 0:
         raise ValidationError("gamma and delta must be positive")
     lam = gamma * delta
     if case == 1:
-        if v0 is None or v0 <= 0:
-            raise ValidationError("case 1 needs the bump offset v0 > 0")
-        probe = GaussianPairTerm(1.0, v0, 1.0, ())
-        if probe.pv_d_integral() <= 0:
-            raise ValidationError(
-                f"v0={v0} gives a nonpositive bump PV integral; increase v0"
-            )
-        bump_v0 = v0
+        if GaussianMixture(1, even_pair(1.0, v0, (1.0,))).pv_d_integral() <= 0:
+            raise ValidationError(f"v0={v0} gives a nonpositive bump PV integral; increase v0")
     elif case == 2:
-        bump_v0 = 0.0
         v0 = 0.0
     else:
         raise ValidationError(f"unknown case {case}")
 
     dim = f1.grid.dim
     c0 = _bump_c0(dim)
-    bump_mass = gamma ** 2 * c0
-    bump = GaussianMixture(dim, [
-        GaussianPairTerm(bump_mass, lam * bump_v0, lam, (1.0,) * (dim - 1))
-    ])
-    mix = f1.closure.plus(bump).reweighted(1.0 / (1.0 + c0 * gamma ** 2))
-    return ModifiedProfile(f1, float(gamma), float(delta), case, c0, float(v0), mix)
+    scale = 1.0 / (1.0 + c0 * gamma ** 2)
+    bump = GaussianMixture(dim, even_pair(gamma ** 2 * c0, lam * v0,
+                                          (lam,) + (1.0,) * (dim - 1))).reweighted(scale)
+    mix = f1.closure.reweighted(scale).plus(bump)
+    return ModifiedProfile(f1, float(gamma), float(delta), case, c0, float(v0), mix, bump)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +166,7 @@ def _unit_kernel(a):
     converges geometrically (65 nodes give the 2049-node K to roundoff).
     """
     n_cheb, n_taylor = 256, 56
-    t = GaussianPairTerm(1.0, a, 1.0, ())
+    t = GaussianTerm(1.0, (a,), (1.0,))
     cheb = np.polynomial.chebyshev.Chebyshev
     u = np.linspace(0.0, a + 10.0, 129)
 
@@ -191,12 +194,13 @@ class BifurcationH:
     """Callable h(beta) = int f^beta dv - 1, exact down to roundoff amplitudes.
 
     Built on the density-response kernel K(c) = int_R A'(u^2 - c) du of each
-    mixture term, for which exactly
+    term of the mixture's ``even_part`` (A its even part in v1, one term per
+    even pair), for which exactly
 
         h(beta) = -int_0^{2 beta} K(c) dc,
         V(beta) = -int_0^beta h = int_0^{2 beta} K(c) (beta - c/2) dc.
 
-    A pair term of weight W, width w and offset ratio a = v0/w has
+    A term of weight W, v1 width w and offset ratio a = |mean[0]|/w has
     K(c) = (W/w^2) K_a(c/w^2), so one cached Chebyshev/Taylor table of the
     unit kernel K_a serves every term, delta and gamma with that ratio.
     Series algebra on the tables gives h, V and h': cancellation-free,
@@ -209,17 +213,18 @@ class BifurcationH:
         # radius and the scaled Taylor vectors of h and V; the ratio is rounded
         # to 14 digits so that float ratios like (3 lam)/lam share one table
         self._terms = []
-        for t in mp.mixture.terms:
-            P, Q, k_unit = _unit_kernel(float(f"{t.v0 / t.w1:.14g}"))
-            w2 = t.w1 ** 2
+        terms = mp.mixture.even_part().terms
+        for t in terms:
+            P, Q, k_unit = _unit_kernel(float(f"{t.mean[0] / t.widths[0]:.14g}"))
+            w2 = t.widths[0] ** 2
             k_hat = (t.weight / w2) * k_unit
             mm = np.arange(len(k_hat))
             self._terms.append((P, Q, t.weight, w2, w2 * _RHO, k_hat / (mm + 1),
                                 k_hat / (2.0 * (mm + 1) * (mm + 2))))
-        self.c_admissible = _C_OK * min(t.w1 ** 2 for t in mp.mixture.terms)
+        self.c_admissible = _C_OK * min(t.widths[0] ** 2 for t in terms)
 
     def hprime0(self):
-        return -self.mp.pv_d_integral()
+        return -self.mp.mixture.pv_d_integral()
 
     def _guard(self, b):
         cmax = 2.0 * float(np.max(np.abs(b))) if b.size else 0.0
@@ -488,21 +493,22 @@ class BgkWave:
         """Tensor-grid samples f[x, v1, w...] of the distribution at t = 0."""
         y = self._energy(x, v1)
         out = 0.0
-        for t in self.mp.mixture.terms:
+        for t in self.mp.mixture.even_part().terms:
             out = out + np.multiply.outer(t.weight * t.even_val(y), t.transverse_val(*trans_axes))
         return out
 
     def sample_factors(self, x, v1, v2):
         """``sample_phase_space(x, v1, v2)`` as factors A (x, v1, r) and B (r, v2)
         with orthonormal rows (v2 None: f[x, v1] and B = [[1]]).  Terms of one
-        transverse width share a Gaussian row G; the QR G^T = Q R over the r
-        widths gives B = Q^T and A = A_G R^T without building f."""
+        transverse mean and width share a Gaussian row G; the QR G^T = Q R over
+        the r rows gives B = Q^T and A = A_G R^T without building f."""
         y = self._energy(x, v1)
         trans = () if v2 is None else (v2,)
         groups, rows = {}, {}
-        for t in self.mp.mixture.terms:
-            groups[t.wt] = groups.get(t.wt, 0.0) + t.weight * t.even_val(y)
-            rows[t.wt] = np.atleast_1d(t.transverse_val(*trans))
+        for t in self.mp.mixture.even_part().terms:
+            key = (t.mean[1:], t.widths[1:])
+            groups[key] = groups.get(key, 0.0) + t.weight * t.even_val(y)
+            rows[key] = np.atleast_1d(t.transverse_val(*trans))
         q, r = np.linalg.qr(np.stack(list(rows.values()), axis=1))
         return np.stack(list(groups.values()), axis=2) @ r.T, q.T
 
@@ -521,7 +527,7 @@ class BgkWave:
 
     def min_distribution_value(self):
         xs = np.linspace(0.0, self.T1, 64, endpoint=False)
-        vmax = max(t.v0 + 6 * t.w1 for t in self.mp.mixture.terms)
+        vmax = max(t.mean[0] + 6 * t.widths[0] for t in self.mp.mixture.even_part().terms)
         vs = np.linspace(-vmax, vmax, 513) + self.c
         vals = self.sample_phase_space(
             xs, vs, *([np.linspace(-4, 4, 17)] * (self.dim - 1)))
@@ -557,7 +563,7 @@ def _seed_delta(f1, T1, gamma, case, v0):
             raise ValidationError("case 3 requires a positive base PV integral")
         return math.sqrt(d1 / om2)
     c0 = _bump_c0(f1.grid.dim)
-    dunit = GaussianPairTerm(1.0, v0 if case == 1 else 0.0, 1.0, ()).pv_d_integral()
+    dunit = GaussianMixture(1, even_pair(1.0, v0 if case == 1 else 0.0, (1.0,))).pv_d_integral()
     denom = (1.0 + c0 * gamma ** 2) * om2 - d1
     val = c0 * dunit / denom
     if val <= 0:
@@ -609,8 +615,10 @@ def match_period(f1, T1, gamma, r, case=None):
     ``provenance["bisection_widths"]`` is the bracket width after each step;
     it never grows.  The trapped depth 2 max|beta| must stay inside the
     decomposition window a^2 = 1/4, and the reduced field equation residual
-    below POISSON_RESIDUAL_TOL.
+    below POISSON_RESIDUAL_TOL.  A base closure that is not even in v1 is
+    refused before any work.
     """
+    _require_even(f1)
     if case is None:
         case = select_case(f1, T1).case
 
@@ -809,7 +817,8 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
     explicit ``gamma``/``r`` the construction is direct.  A budget at
     s >= 1 + 1/p on the gamma path (cases 1-2) raises RegularityError
     before any search.  A travel speed c != 0 is refused: the boost moves
-    the wave off f0(v) to f0(v - c), which the certificate does not see.
+    the wave off f0(v) to f0(v - c), which the certificate does not see;
+    so is a base f0 that is not even in v1, whose odd part it does not see.
     A non-finite or non-positive T1, eps, gamma or r, and eps together with
     gamma or r, are refused before any work.
 

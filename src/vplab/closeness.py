@@ -178,10 +178,10 @@ def wsp_norm_coupled(field2d, hx, hv, trans_axes, s, p):
 # ---------------------------------------------------------------------------
 
 def _pair_axis(term):
-    """Samples of the unit-mass even pair of a term on its adapted v1 window."""
-    lo = term.v0 + 12.0 * term.w1
+    """Samples of an ``even_part`` term's unit-mass pair on its adapted v1 window."""
+    lo = term.mean[0] + 12.0 * term.widths[0]
     v = np.linspace(-lo, lo, 4096)
-    return Axis1D(term.pair_1d(v), v[1] - v[0]), v
+    return Axis1D(term.even_val(v ** 2), v[1] - v[0]), v
 
 
 def _gauss_axis(width):
@@ -190,12 +190,19 @@ def _gauss_axis(width):
                   v[1] - v[0])
 
 
+def _transverse(term):
+    """A term's transverse factors sampled centred (shifts keep their norms)
+    and their second moment sum (m^2 + w^2)."""
+    return ([_gauss_axis(w) for w in term.widths[1:]],
+            sum(m ** 2 + w ** 2 for m, w in zip(term.mean[1:], term.widths[1:])))
+
+
 def _term_field_norms(term, s, p):
-    """All three norms of one separable mixture term (nonnegative)."""
+    """All three norms of the even part of one ``even_part`` term (nonnegative)."""
     ax1, v = _pair_axis(term)
-    trans = [_gauss_axis(w) for w in term.wt]
+    trans, mom_t = _transverse(term)
     l1 = abs(term.weight)
-    mom = abs(term.weight) * (term.v0 ** 2 + term.w1 ** 2 + sum(w ** 2 for w in term.wt))
+    mom = abs(term.weight) * (term.mean[0] ** 2 + term.widths[0] ** 2 + mom_t)
     scaled = Axis1D(abs(term.weight) * ax1.vals, ax1.h)
     wsp = wsp_pow_separable([scaled] + trans, s, p) ** (1.0 / p)
     return l1, mom, wsp
@@ -228,32 +235,31 @@ def modified_profile_distance(mp, s, p):
     """Distance of the modified profile to its base, all three norms.
 
     Cases 1-2: triangle over the added feature and the renormalisation
-    piece.  Case 3: exact separable difference of the scaled pairs.
+    piece.  Case 3: exact separable difference of the scaled pairs.  Every
+    piece is a term of an ``even_part``.
     """
-    f1 = mp.f1
-    if mp.case in (1, 2):
+    base = mp.f1.closure.even_part().terms
+    if mp.bump is not None:
         scale = 1.0 / (1.0 + mp.C0 * mp.gamma ** 2)
-        bump = [t for t in mp.mixture.terms[len(f1.closure.terms):]]
         l1 = mom = wsp = 0.0
-        for t in bump:
+        for t in mp.bump.even_part().terms:
             a, b, c = _term_field_norms(t, s, p)
             l1, mom, wsp = l1 + a, mom + b, wsp + c
         shrink = mp.C0 * mp.gamma ** 2 * scale
-        for t in f1.closure.terms:
+        for t in base:
             a, b, c = _term_field_norms(t, s, p)
             l1, mom, wsp = l1 + shrink * a, mom + shrink * b, wsp + shrink * c
         return ClosenessReport(l1, mom, wsp, {"kind": "feature+renorm"}, s, p)
 
     # case 3: per-term difference shares the transverse factor exactly
     l1 = mom = wsp = 0.0
-    for t0, t1 in zip(f1.closure.terms, mp.mixture.terms):
-        reach = max(t0.v0 + 12 * t0.w1, t1.v0 + 12 * t1.w1)
+    for t0, t1 in zip(base, mp.mixture.even_part().terms):
+        reach = max(t0.mean[0] + 12 * t0.widths[0], t1.mean[0] + 12 * t1.widths[0])
         v = np.linspace(-reach, reach, 8192)
         h = v[1] - v[0]
-        diff = t0.weight * (t1.pair_1d(v) - t0.pair_1d(v))
-        trans = [_gauss_axis(w) for w in t0.wt]
+        diff = t0.weight * (t1.even_val(v ** 2) - t0.even_val(v ** 2))
+        trans, mom_t = _transverse(t0)
         l1 += float(np.sum(np.abs(diff))) * h
-        mom_t = sum(w ** 2 for w in t0.wt)
         mom += float(np.sum(np.abs(diff) * (v ** 2 + mom_t))) * h
         wsp += wsp_pow_separable([Axis1D(diff, h)] + trans, s, p) ** (1.0 / p)
     return ClosenessReport(l1, mom, wsp, {"kind": "scaling"}, s, p)
@@ -262,7 +268,7 @@ def modified_profile_distance(mp, s, p):
 def wave_profile_distance(wave, s, p):
     """Distance of the wave to its modified profile over one period.
 
-    Each mixture term contributes the cancellation-free field
+    Each term of the mixture's ``even_part`` contributes the cancellation-free field
     D_t(x, v1) = w_t [A_t(v1^2 - 2 beta(x)) - A_t(v1^2)], evaluated by the
     mean-value identity on the term's adapted window; pieces combine by the
     triangle inequality.
@@ -274,24 +280,23 @@ def wave_profile_distance(wave, s, p):
     b_max = float(np.max(np.abs(beta)))
     margin = math.sqrt(2.0 * b_max) * 1.5
     l1 = mom = wsp = 0.0
-    for t in wave.mp.mixture.terms:
-        reach = t.v0 + 12.0 * t.w1
+    for t in wave.mp.mixture.even_part().terms:
+        reach = t.mean[0] + 12.0 * t.widths[0]
         v = np.linspace(-(reach + margin), reach + margin, n_v)
         hv = v[1] - v[0]
         y0 = v[None, :] ** 2
         # D = -2 beta int_0^1 A'(y0 - 2 beta s) ds     (Gauss-Legendre in s);
         # A' varies by eps = 2 max|beta| / w1^2 over s, so at eps <= 1e-8 the
         # one-node rule's error is below roundoff
-        gl_x, gl_w = _GL8 if 2.0 * b_max / t.w1 ** 2 > 1e-8 else _GL1
+        gl_x, gl_w = _GL8 if 2.0 * b_max / t.widths[0] ** 2 > 1e-8 else _GL1
         acc = np.zeros((n_x, n_v))
         for a, wq in zip(0.5 * (gl_x + 1.0), 0.5 * gl_w):
             y = y0 - (2.0 * a) * beta[:, None]
             acc += wq * t.even_dval(y)
         D = -2.0 * t.weight * beta[:, None] * acc
-        trans = [_gauss_axis(w) for w in t.wt]
+        trans, mom_t = _transverse(t)
         cell = hx * hv
         l1 += float(np.sum(np.abs(D))) * cell
-        mom_t = sum(w ** 2 for w in t.wt)
         mom += float(np.sum(np.abs(D) * (v[None, :] ** 2 + mom_t))) * cell
         wsp += wsp_norm_coupled(D, hx, hv, trans, s, p) ** (1.0 / p)
     return ClosenessReport(l1, mom, wsp, {"kind": "wave-vs-profile"}, s, p)

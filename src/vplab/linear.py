@@ -8,7 +8,7 @@ the mode direction.  The field mode is the oscillatory integral
 evaluated by tapered FFT on a compact window plus exact contour-rotated
 tails (the boundary data decay only like 1/y, which no taper can absorb);
 grid refinement covers the t-resolution.  F comes in closed form from the
-projection's closure, ``Mixture1D.cauchy`` (the Faddeeva form of the
+projection's closure, ``GaussianMixture.cauchy`` (the Faddeeva form of the
 plasma dispersion function), on the axis and along the rotated rays alike.
 The sampled datum G takes the package's one boundary value of sampled
 data, ``profiles._sinc_cauchy``: exact for the sinc interpolant s of the

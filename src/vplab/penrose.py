@@ -3,12 +3,12 @@
 For every dual-lattice wave vector k below the truncation bound B, the
 margin |k|^2 - max over critical points a' of PV int f_e'(alpha)/(alpha - a')
 dalpha decides stability (Penrose, Phys. Fluids 3, 1960).  Every PV here is
-the real part of ``Mixture1D.cauchy``, the closed Faddeeva form of the
-projection's Cauchy transform.  ``critical_pv`` and ``margin_ok`` are the
-one margin that ``penrose_check``, ``linear.dispersion`` and
-``sim.check_axis_stability`` read.  Directions sharing a line share one
-projection.  B is sampled; it is certified only where ``certifies`` proves
-it from the profile's analytic closure.
+the real part of ``GaussianMixture.cauchy``, the closed Faddeeva form of the
+Cauchy transform of the projection (its ``GaussianTerm``s in d = 1).
+``critical_pv`` and ``margin_ok`` are the one margin that ``penrose_check``,
+``linear.dispersion`` and ``sim.check_axis_stability`` read.  Directions
+sharing a line share one projection.  B is sampled; it is certified only
+where ``certifies`` proves it from the profile's analytic closure.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def certifies(p, bound):
     projection of a closure term is at least as wide as the term's
     smallest width.
     """
-    proof = sum(max(PV_SUP * t.weight, -t.weight) / min((t.w1,) + t.wt) ** 2
+    proof = sum(max(PV_SUP * t.weight, -t.weight) / min(t.widths) ** 2
                 for t in p.closure.terms)
     return bound >= proof
 
@@ -150,8 +150,8 @@ def truncation_bound(p, s, b):
     """Cut-off B beyond which every |k|^2 is taken to have a positive margin.
 
     B = 2 * max |PV| over 64 probes in each of 20 seeded random directions
-    (one ``Mixture1D.cauchy`` call per direction); the factor 2 is the safety
-    inflation.  The maximum is sampled, so B is certified only when
+    (one ``GaussianMixture.cauchy`` call per direction); the factor 2 is the
+    safety inflation.  The maximum is sampled, so B is certified only when
     ``certifies(p, B)`` holds: B covers the PV bound that the profile's
     closure proves.  s > 3/2 and b > (d-1)/4 are the weighted H^{s,b}
     regularity under which the PV is bounded by the profile's norm.

@@ -1,12 +1,14 @@
 """Homogeneous velocity-space profiles in d = 1, 2, 3.
 
 Profiles are nonnegative unit-mass distributions f(v) on a uniform tensor
-grid, each carrying its analytic closure (a Gaussian mixture whose
-components are even pairs in v1).  The closure keeps projections, the
-singular v1-integral and the even continuation in the energy variable
-exact, and ``Mixture1D.cauchy`` gives the Cauchy transform of a projection's
-f_e', the dispersion function F and its PV, in closed form through the
-Faddeeva function.  ``project_field`` projects sampled fields by the
+grid, each carrying its analytic closure, a ``GaussianMixture`` of
+``GaussianTerm``s (weight, d means, d widths); a projection's closure is
+the same type in d = 1.  The closure keeps projections, the singular
+v1-integral and the even continuation in the energy variable exact:
+``GaussianMixture.cauchy`` gives the Cauchy transform of the v1 marginal's
+derivative, the dispersion function F and its PV, in closed form through
+the Faddeeva function, and ``even_part`` is the one mixture, one term per
+even pair in v1, that the BGK route reads.  ``project_field`` projects sampled fields by the
 Fourier slice theorem, on one path for every d >= 2.  Sampled
 1D data (the per-mode datum) have one interpolant, the sinc interpolant, and
 one boundary value, ``_sinc_cauchy``: its Cauchy integral PV + i pi s(y)
@@ -15,12 +17,13 @@ along the real axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.special import dawsn, wofz
+from scipy.special import wofz
 
 from .errors import QuadratureConvergenceError, ValidationError
 
@@ -111,125 +114,133 @@ class VelocityGrid:
 
 
 # ---------------------------------------------------------------------------
-# analytic closures: mixtures of even Gaussian pairs
+# analytic closures: Gaussian mixtures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianPairTerm:
-    """Even pair [N(v0,w1) + N(-v0,w1)]/2 in v1 times centred Gaussians transversely.
+def _normal(x, mu, s):
+    """The 1D normal density N(mu, s^2) at x, real or complex."""
+    return np.exp(-((x - mu) ** 2) / (2 * s ** 2)) / (s * SQRT2PI)
 
-    weight is the total mass of the term; wt holds the transverse widths
-    (empty tuple in d = 1).
+
+@dataclass(frozen=True)
+class GaussianTerm:
+    """weight times the axis-aligned Gaussian with d ``mean``s and d ``widths`` (tuples).
+
+    ``even_val``/``even_dval`` read its even part in v1, the pair
+    [N(v0, w1) + N(-v0, w1)]/2 with v0 = |mean[0]|, w1 = widths[0], which
+    the term shares with its mirror.
     """
 
     weight: float
-    v0: float
-    w1: float
-    wt: tuple = ()
-
-    def pair_1d(self, v1):
-        """Unit-mass even pair density evaluated at v1."""
-        c = 1.0 / (2.0 * self.w1 * SQRT2PI)
-        return c * (np.exp(-((v1 - self.v0) ** 2) / (2 * self.w1 ** 2))
-                    + np.exp(-((v1 + self.v0) ** 2) / (2 * self.w1 ** 2)))
+    mean: tuple
+    widths: tuple
 
     def even_val(self, y):
-        """Pair density as a function of y = v1^2: pair_1d(sqrt(y)), with the
-        imaginary root i sqrt(-y) continuing it to y < 0 (real there)."""
+        """The pair A(y) at y = v1^2, the root i sqrt(-y) continuing it to y < 0 (real there)."""
         y = np.asarray(y, dtype=float)
-        out = self.pair_1d(np.sqrt(np.abs(y)))
+        v0, w2 = abs(self.mean[0]), 2 * self.widths[0] ** 2
+        c = 1.0 / (2.0 * self.widths[0] * SQRT2PI)
+
+        def pair(s):
+            return c * (np.exp(-((s - v0) ** 2) / w2) + np.exp(-((s + v0) ** 2) / w2))
+
+        out = pair(np.sqrt(np.abs(y)))
         neg = y < 0.0
         if np.any(neg):
-            out[neg] = self.pair_1d(1j * np.sqrt(-y[neg])).real
+            out[neg] = pair(1j * np.sqrt(-y[neg])).real
         return out
 
     def even_dval(self, y):
         """A'(y) = d/dy even_val for real or complex y; real y stays real.
 
         Where |y| >= w1^2/4 (for real y: y >= w1^2/4) it is the branch form
-        pair_1d'(s)/(2 s), s = sqrt(y): two Gaussians and no cosh, so it
-        cannot overflow however large |y| is, and being even in s it is the
-        same function on either root.  Elsewhere, where the branch form
-        would divide by s near 0, it is the entire form
+        pair'(s)/(2 s), s = sqrt(y): two Gaussians and no cosh, so it cannot
+        overflow however large |y| is, and being even in s it is the same
+        function on either root.  Elsewhere, where the branch form would
+        divide by s near 0, it is the entire form
 
             e^{-(y + v0^2)/(2 w1^2)} [v0^2 sinh(z)/(2 z w1^4) - cosh(z)/(2 w1^2)]
             / (w1 sqrt(2 pi)),   z = sqrt(y) v0 / w1^2,
 
         in complex arithmetic; there |Re z| <= v0/(2 w1), so cosh stays tame.
         """
+        v0, w1 = abs(self.mean[0]), self.widths[0]
         cplx = np.iscomplexobj(y)
         y = np.asarray(y, dtype=complex if cplx else float)
         out = np.empty_like(y)
-        branch = (np.abs(y) if cplx else y) >= 0.25 * self.w1 ** 2
+        branch = (np.abs(y) if cplx else y) >= 0.25 * w1 ** 2
         if np.any(branch):
             s = np.sqrt(y[branch])
-            c = 1.0 / (2.0 * self.w1 * SQRT2PI)
-            w2 = 2.0 * self.w1 ** 2
+            c = 1.0 / (2.0 * w1 * SQRT2PI)
+            w2 = 2.0 * w1 ** 2
             out[branch] = c * (
-                np.exp(-((s - self.v0) ** 2) / w2) * (-(s - self.v0) / (w2 * s))
-                + np.exp(-((s + self.v0) ** 2) / w2) * (-(s + self.v0) / (w2 * s))
+                np.exp(-((s - v0) ** 2) / w2) * (-(s - v0) / (w2 * s))
+                + np.exp(-((s + v0) ** 2) / w2) * (-(s + v0) / (w2 * s))
             )
         rest = ~branch
         if np.any(rest):
             yr = y[rest].astype(complex)
-            z = np.sqrt(yr) * (self.v0 / self.w1 ** 2)
+            z = np.sqrt(yr) * (v0 / w1 ** 2)
             # sinh(z)/(2z) with the removable point at z = 0 by its series
             ratio = 0.5 + z ** 2 / 12.0
             big = np.abs(z) >= 1e-8
             ratio[big] = np.sinh(z[big]) / (2.0 * z[big])
-            c = 1.0 / (self.w1 * SQRT2PI)
-            val = c * np.exp(-(yr + self.v0 ** 2) / (2 * self.w1 ** 2)) * (
-                -np.cosh(z) / (2 * self.w1 ** 2) + (self.v0 ** 2 / self.w1 ** 4) * ratio)
+            c = 1.0 / (w1 * SQRT2PI)
+            val = c * np.exp(-(yr + v0 ** 2) / (2 * w1 ** 2)) * (
+                -np.cosh(z) / (2 * w1 ** 2) + (v0 ** 2 / w1 ** 4) * ratio)
             out[rest] = val if cplx else val.real
         return out
 
     def transverse_val(self, *axes):
-        """Product of centred transverse Gaussians on the given axes."""
-        if not self.wt:
-            return 1.0
-        out = None
-        for w, ax in zip(self.wt, axes):
-            g = np.exp(-np.asarray(ax) ** 2 / (2 * w ** 2)) / (w * SQRT2PI)
-            out = g if out is None else np.multiply.outer(out, g)
-        return out
-
-    def pv_d_integral(self):
-        """Exact value of the v1-marginal principal-value integral at 0."""
-        a = self.v0 / self.w1
-        return (math.sqrt(2.0) * a * float(dawsn(a / math.sqrt(2.0))) - 1.0) / self.w1 ** 2
+        """Product of the transverse Gaussians on the given axes (1.0 in d = 1)."""
+        normals = [_normal(np.asarray(ax), m, w)
+                   for m, w, ax in zip(self.mean[1:], self.widths[1:], axes)]
+        return functools.reduce(np.multiply.outer, normals, 1.0)
 
 
-@dataclass(frozen=True)
-class Mixture1D:
-    """1D Gaussian mixture: components (weight, mu, sigma).
+def even_pair(weight, v0, widths):
+    """Mass ``weight`` on the pair at +-v0 in v1, centred transversely: two
+    mirror terms, or one term when v0 = 0."""
+    signs = (1.0,) if v0 == 0.0 else (1.0, -1.0)
+    return [GaussianTerm(weight / len(signs), (s * v0,) + (0.0,) * (len(widths) - 1),
+                         tuple(widths)) for s in signs]
 
-    Used for projected profiles.  Evaluation accepts complex arguments,
-    which is what the analytically continued dispersion function needs.
-    """
 
-    comps: tuple
+class GaussianMixture:
+    """Sum of GaussianTerm components in d dimensions; the analytic closure of a
+    Profile.  ``val``, ``dval`` and ``cauchy`` act on the v1 marginal (in
+    d = 1, a projection, the whole mixture)."""
 
-    @staticmethod
-    def _coerce(a):
-        a = np.asarray(a)
-        if not np.iscomplexobj(a):
-            a = a.astype(float)
-        return a
+    def __init__(self, dim, terms):
+        self.dim = int(dim)
+        self.terms = tuple(terms)
+        for t in self.terms:
+            if len(t.mean) != self.dim or len(t.widths) != self.dim:
+                raise ValidationError("term mean and width counts must equal dim")
+
+    def values_on(self, grid):
+        v1, *trans = grid.axes()
+        return sum(t.weight * np.multiply.outer(_normal(v1, t.mean[0], t.widths[0]),
+                                                t.transverse_val(*trans)) for t in self.terms)
+
+    def project_unit(self, e):
+        """Exact marginal along unit direction e, a 1D mixture: term means mean.e."""
+        e = np.asarray(e, dtype=float)
+        return GaussianMixture(1, [
+            GaussianTerm(t.weight, (sum(m * ei for m, ei in zip(t.mean, e)),),
+                         (math.sqrt(sum((ei * w) ** 2 for ei, w in zip(e, t.widths))),))
+            for t in self.terms])
+
+    def _v1(self):
+        return [(t.weight, t.mean[0], t.widths[0]) for t in self.terms]
 
     def val(self, a):
-        a = self._coerce(a)
-        out = np.zeros(a.shape, dtype=a.dtype)
-        for w, mu, s in self.comps:
-            out = out + w * np.exp(-((a - mu) ** 2) / (2 * s ** 2)) / (s * SQRT2PI)
-        return out
+        a = np.asarray(a)
+        return sum(w * _normal(a, mu, s) for w, mu, s in self._v1())
 
     def dval(self, a):
-        a = self._coerce(a)
-        out = np.zeros(a.shape, dtype=a.dtype)
-        for w, mu, s in self.comps:
-            g = np.exp(-((a - mu) ** 2) / (2 * s ** 2)) / (s * SQRT2PI)
-            out = out + w * g * (-(a - mu) / s ** 2)
-        return out
+        a = np.asarray(a)
+        return sum(w * _normal(a, mu, s) * (-(a - mu) / s ** 2) for w, mu, s in self._v1())
 
     def cauchy(self, z):
         """int dval(alpha)/(alpha - z) dalpha = -sum (w/s^2)(1 + zeta Z(zeta)).
@@ -245,63 +256,43 @@ class Mixture1D:
         z = np.asarray(z, dtype=complex)
         sheet = np.where(z.imag < 0.0, -1.0, 1.0)
         out = np.zeros(z.shape, dtype=complex)
-        for w, mu, s in self.comps:
+        for w, mu, s in self._v1():
             zeta = sheet * (z - mu) / (math.sqrt(2.0) * s)
             out -= (w / s ** 2) * (1.0 + 1j * math.sqrt(math.pi) * zeta * wofz(zeta))
         return out
 
-
-class GaussianMixture:
-    """Sum of GaussianPairTerm components; the analytic closure of a Profile."""
-
-    def __init__(self, dim, terms):
-        self.dim = int(dim)
-        self.terms = tuple(terms)
-        for t in self.terms:
-            if len(t.wt) != self.dim - 1:
-                raise ValidationError("transverse width count must be dim-1")
-
-    def values_on(self, grid):
-        axes = grid.axes()
-        out = np.zeros(grid.shape)
-        v1 = axes[0]
-        for t in self.terms:
-            a = t.weight * t.pair_1d(v1)
-            tr = t.transverse_val(*axes[1:])
-            out += np.multiply.outer(a, tr) if self.dim > 1 else a * tr
-        return out
-
-    def project_unit(self, e):
-        """Exact marginal along unit direction e as a 1D mixture."""
-        e = np.asarray(e, dtype=float)
-        comps = []
-        for t in self.terms:
-            widths = (t.w1,) + t.wt
-            var = sum((e[i] * widths[i]) ** 2 for i in range(self.dim))
-            s = math.sqrt(var)
-            if t.v0 == 0.0:
-                comps.append((t.weight, 0.0, s))
-            else:
-                mu = t.v0 * e[0]
-                comps.append((0.5 * t.weight, mu, s))
-                comps.append((0.5 * t.weight, -mu, s))
-        return Mixture1D(tuple(comps))
-
     def pv_d_integral(self):
-        """Exact integral of d_v1 f / v1 over all of velocity space."""
-        return sum(t.weight * t.pv_d_integral() for t in self.terms)
+        """Exact integral of d_v1 f / v1 over all of velocity space: cauchy(0)'s PV."""
+        return float(self.cauchy(0.0).real)
+
+    def even_part(self):
+        """The mixture the BGK route reads: terms sharing |mean[0]|, the other
+        means and the widths share one even part, so they merge into one term,
+        mean[0] = |mean[0]|, weights summed; one term per even pair."""
+        merged = {}
+        for t in self.terms:
+            key = replace(t, weight=0.0, mean=(abs(t.mean[0]),) + t.mean[1:])
+            merged[key] = merged.get(key, 0.0) + t.weight
+        return GaussianMixture(self.dim, [replace(k, weight=w) for k, w in merged.items()])
+
+    def unpaired_means(self):
+        """Means whose mirror v1 -> -v1 carries another weight: none iff even in v1."""
+        weights = {}
+        for t in self.terms:
+            weights[t.mean, t.widths] = weights.get((t.mean, t.widths), 0.0) + t.weight
+        return [m for (m, ws), w in weights.items()
+                if w != weights.get(((-m[0],) + m[1:], ws), 0.0)]
 
     def scaled_v1(self, delta):
         """The family (1/delta) f(v1/delta, w): same weights, stretched v1."""
-        return GaussianMixture(
-            self.dim,
-            [replace(t, v0=delta * t.v0, w1=delta * t.w1) for t in self.terms],
-        )
+        return GaussianMixture(self.dim, [
+            replace(t, mean=(delta * t.mean[0],) + t.mean[1:],
+                    widths=(delta * t.widths[0],) + t.widths[1:])
+            for t in self.terms])
 
     def reweighted(self, factor):
-        return GaussianMixture(
-            self.dim, [replace(t, weight=factor * t.weight) for t in self.terms]
-        )
+        return GaussianMixture(self.dim,
+                               [replace(t, weight=factor * t.weight) for t in self.terms])
 
     def plus(self, other):
         return GaussianMixture(self.dim, self.terms + tuple(other.terms))
@@ -359,32 +350,27 @@ def make_builtin(name, grid, **params):
     """
     trans = (1.0,) * (grid.dim - 1)
     if name == "maxwellian":
-        clo = GaussianMixture(grid.dim, [GaussianPairTerm(1.0, 0.0, 1.0, trans)])
+        v0, widths = 0.0, (1.0,) + trans
     elif name == "double_bump":
         v0 = _v0(params.get("v0", 0.0))
         if v0 <= 0:
             raise ValidationError("double_bump requires v0 > 0")
-        clo = GaussianMixture(grid.dim, [GaussianPairTerm(1.0, v0, _width(params), trans)])
+        widths = (_width(params),) + trans
     elif name == "product":
         factors = params["factors"]
         if len(factors) != grid.dim:
             raise ValidationError("product needs one factor per axis")
         kind0, p0 = factors[0]
-        if kind0 == "gaussian":
-            v0 = 0.0
-        elif kind0 == "double_bump":
-            v0 = _v0(p0["v0"])
-        else:
+        if kind0 not in ("gaussian", "double_bump"):
             raise ValidationError(f"unknown factor kind {kind0!r}")
-        wt = []
-        for kind, p in factors[1:]:
-            if kind != "gaussian":
-                raise ValidationError("transverse factors must be gaussian")
-            wt.append(_width(p))
-        clo = GaussianMixture(grid.dim, [GaussianPairTerm(1.0, v0, _width(p0), tuple(wt))])
+        v0 = _v0(p0["v0"]) if kind0 == "double_bump" else 0.0
+        if any(kind != "gaussian" for kind, _ in factors[1:]):
+            raise ValidationError("transverse factors must be gaussian")
+        widths = tuple(_width(p) for _, p in factors)
     else:
         raise ValidationError(f"unknown builtin {name!r}")
 
+    clo = GaussianMixture(grid.dim, even_pair(1.0, v0, widths))
     prof = Profile.from_closure(grid, clo, meta={"provenance": "raw", "name": name,
                                                  "params": dict(params)})
     tail = grid.boundary_residual(prof.values)
@@ -407,7 +393,7 @@ class ProjectedProfile:
     direction: np.ndarray
     alphas: np.ndarray
     values: np.ndarray
-    closure1d: Mixture1D
+    closure1d: GaussianMixture
     parent_mass: float
 
     @property

@@ -436,12 +436,11 @@ def run_bgk_steadiness(wave, grid, t_end, output_every_t=0.5, diagnostics_every=
     resolved = True
     width = wave.mp.bump_width
     if width is not None and width < 2.0 * grid.vaxes[0].h:
-        # reject only when the unresolvable feature would actually matter:
-        # sub-roundoff features sample as an exact homogeneous background
-        terms = wave.mp.mixture.terms
-        bump = terms[-1]
-        peak = bump.weight * bump.pair_1d(np.array([bump.v0]))[0]
-        f_scale = max(t.weight * t.pair_1d(np.array([t.v0]))[0] for t in terms[:-1])
+        # reject only when the unresolvable feature would matter (its peak above 1e-6 of the
+        # largest, bump included): sub-roundoff features sample as an exact homogeneous background
+        peak, f_scale = (max(t.weight * t.even_val(np.array([t.mean[0] ** 2]))[0]
+                             for t in m.even_part().terms)
+                         for m in (wave.mp.bump, wave.mp.mixture))
         if peak > 1e-6 * f_scale:
             raise UnresolvableBumpError(
                 f"wave feature width {width:.3g} below the grid resolution "

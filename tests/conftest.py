@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 from scipy.special import dawsn
 
-from vplab.profiles import VelocityGrid, make_builtin, smooth_step
+from vplab.profiles import GaussianMixture, GaussianTerm, VelocityGrid, make_builtin, smooth_step
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -13,6 +13,11 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 # machines vary, so no per-example deadline; a failure prints its blob
 settings.register_profile("vplab", deadline=None, print_blob=True)
 settings.load_profile("vplab")
+
+
+def mixture_1d(*comps):
+    """The 1D mixture of (weight, mean, width) components."""
+    return GaussianMixture(1, [GaussianTerm(w, (mu,), (s,)) for w, mu, s in comps])
 
 
 def cutoff_sigma(x):
@@ -93,67 +98,73 @@ def _coshc_prime(t):
 
 
 def continued_val(term, y):
-    """Oracle: the pair term's density A(y) at y = v1^2, with y < 0 in the
-    real continued form e^{-(y + v0^2)/(2 w1^2)} cos(sqrt(-y) v0/w1^2)."""
+    """Oracle: a term's even part in v1, A(y) at y = v1^2 (v0 = |mean[0]|,
+    w1 = widths[0]), with y < 0 in the real continued form
+    e^{-(y + v0^2)/(2 w1^2)} cos(sqrt(-y) v0/w1^2)."""
+    v0, w1 = abs(term.mean[0]), term.widths[0]
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
     pos = y >= 0.0
-    out[pos] = term.pair_1d(np.sqrt(y[pos]))
+    s = np.sqrt(y[pos])
+    out[pos] = (np.exp(-((s - v0) ** 2) / (2 * w1 ** 2))
+                + np.exp(-((s + v0) ** 2) / (2 * w1 ** 2))) / (2.0 * w1 * SQRT2PI)
     yn = y[~pos]
-    c = 1.0 / (term.w1 * SQRT2PI)
-    t = yn * term.v0 ** 2 / term.w1 ** 4
-    out[~pos] = c * np.exp(-(yn + term.v0 ** 2) / (2 * term.w1 ** 2)) * _coshc(t)
+    c = 1.0 / (w1 * SQRT2PI)
+    t = yn * v0 ** 2 / w1 ** 4
+    out[~pos] = c * np.exp(-(yn + v0 ** 2) / (2 * w1 ** 2)) * _coshc(t)
     return out
 
 
 def continued_dval(term, y):
-    """Oracle: A'(y) in the continued forms, cosh(sqrt(y) v0/w1^2) included.
+    """Oracle: A'(y) of a term's even part in the continued forms, cosh included.
 
     Complex y takes the entire form everywhere (finite while |y| v0^2/w1^4
     keeps cosh below overflow, e.g. a = v0/w1 <= 20 on the unit-kernel
     Taylor circle); real y the two-Gaussian form for y >= w1^2/4 and the
     entire form, through cosh/cos, below.
     """
+    v0, w1 = abs(term.mean[0]), term.widths[0]
     if np.iscomplexobj(y):
         y = np.asarray(y, dtype=complex)
-        c = 1.0 / (term.w1 * SQRT2PI)
-        z = np.sqrt(y * term.v0 ** 2 / term.w1 ** 4)
+        c = 1.0 / (w1 * SQRT2PI)
+        z = np.sqrt(y * v0 ** 2 / w1 ** 4)
         cosh_z = np.cosh(z)
         small = np.abs(z) < 1e-8
         ratio = np.empty_like(z)
         ratio[~small] = np.sinh(z[~small]) / (2.0 * z[~small])
         ratio[small] = 0.5 + z[small] ** 2 / 12.0
-        e = np.exp(-(y + term.v0 ** 2) / (2 * term.w1 ** 2))
-        return c * e * (-cosh_z / (2 * term.w1 ** 2)
-                        + (term.v0 ** 2 / term.w1 ** 4) * ratio)
+        e = np.exp(-(y + v0 ** 2) / (2 * w1 ** 2))
+        return c * e * (-cosh_z / (2 * w1 ** 2)
+                        + (v0 ** 2 / w1 ** 4) * ratio)
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
-    direct = y >= 0.25 * term.w1 ** 2
+    direct = y >= 0.25 * w1 ** 2
     s = np.sqrt(y[direct])
-    c = 1.0 / (2.0 * term.w1 * SQRT2PI)
-    w2 = 2.0 * term.w1 ** 2
+    c = 1.0 / (2.0 * w1 * SQRT2PI)
+    w2 = 2.0 * w1 ** 2
     out[direct] = c * (
-        np.exp(-((s - term.v0) ** 2) / w2) * (-(s - term.v0) / (w2 * s))
-        + np.exp(-((s + term.v0) ** 2) / w2) * (-(s + term.v0) / (w2 * s))
+        np.exp(-((s - v0) ** 2) / w2) * (-(s - v0) / (w2 * s))
+        + np.exp(-((s + v0) ** 2) / w2) * (-(s + v0) / (w2 * s))
     )
     yr = y[~direct]
-    c = 1.0 / (term.w1 * SQRT2PI)
-    t = yr * term.v0 ** 2 / term.w1 ** 4
-    e = np.exp(-(yr + term.v0 ** 2) / (2 * term.w1 ** 2))
-    out[~direct] = c * e * (-_coshc(t) / (2 * term.w1 ** 2)
-                            + (term.v0 ** 2 / term.w1 ** 4) * _coshc_prime(t))
+    c = 1.0 / (w1 * SQRT2PI)
+    t = yr * v0 ** 2 / w1 ** 4
+    e = np.exp(-(yr + v0 ** 2) / (2 * w1 ** 2))
+    out[~direct] = c * e * (-_coshc(t) / (2 * w1 ** 2)
+                            + (v0 ** 2 / w1 ** 4) * _coshc_prime(t))
     return out
 
 
 def pv_exact(m, ap):
-    """Dawson oracle: PV int m'(alpha)/(alpha - ap) dalpha of a 1D mixture m.
+    """Dawson oracle: PV int m'(alpha)/(alpha - ap) dalpha of the v1 marginal
+    of a mixture m (the whole of a 1D one).
 
-    Each Gaussian component of weight w, centre mu and width s contributes
+    Each term of weight w, v1 mean mu and v1 width s contributes
     w (sqrt(2) y D(y/sqrt(2)) - 1)/s^2 with y = (ap - mu)/s and D the
     Dawson function.
     """
     total = 0.0
-    for w, mu, s in m.comps:
+    for w, mu, s in ((t.weight, t.mean[0], t.widths[0]) for t in m.terms):
         y = (ap - mu) / s
         total += w * (np.sqrt(2.0) * y * dawsn(y / np.sqrt(2.0)) - 1.0) / s ** 2
     return float(total)

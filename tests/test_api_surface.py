@@ -42,7 +42,7 @@ KNOBS = {
     "closeness.fd_derivative:axis",
     "linear.efield_mode:kvec",
     "penrose.penrose_check:threads",
-    "profiles.GaussianPairTerm.transverse_val:*axes",
+    "profiles.GaussianTerm.transverse_val:*axes",
     "profiles.Profile.from_closure:meta",
     "profiles.make_builtin:**params",
     "sim.step:force_zero_field",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ellipk
 
 import vplab.bgk as bgk_mod
-from conftest import continued_dval
+from conftest import continued_dval, pv_exact
 from vplab.bgk import (
     _RHO,
     BifurcationH,
@@ -36,8 +36,10 @@ from vplab.errors import (
 )
 from vplab.profiles import (
     GaussianMixture,
-    GaussianPairTerm,
+    GaussianTerm,
+    Profile,
     VelocityGrid,
+    even_pair,
     make_builtin,
 )
 
@@ -71,12 +73,11 @@ class PendulumH:
 def tuned_case3_profile(T1=2 * np.pi, width=0.45):
     """Offset-pair profile tuned so the PV integral equals (2 pi / T1)^2."""
     from scipy.optimize import brentq
-    from vplab.profiles import GaussianPairTerm
 
     target = (2 * np.pi / T1) ** 2
 
     def d_of(v0):
-        return GaussianPairTerm(1.0, v0, width, ()).pv_d_integral() - target
+        return pv_exact(GaussianMixture(1, even_pair(1.0, v0, (width,))), 0.0) - target
 
     v0 = brentq(d_of, 0.9, 1.9, xtol=1e-13)
     grid = VelocityGrid(2, 8.0, 256)
@@ -95,10 +96,9 @@ class TestSelectCase:
     def test_strong_pair_case2(self):
         # tune the pair so the PV integral is twice (2 pi / T1)^2
         from scipy.optimize import brentq
-        from vplab.profiles import GaussianPairTerm
 
         w = 0.35
-        v0 = brentq(lambda v: GaussianPairTerm(1.0, v, w, ()).pv_d_integral()
+        v0 = brentq(lambda v: pv_exact(GaussianMixture(1, even_pair(1.0, v, (w,))), 0.0)
                     - 2.0, 0.7, 1.4, xtol=1e-13)
         grid = VelocityGrid(2, 8.0, 256)
         p = make_builtin("product", grid, factors=[
@@ -138,6 +138,56 @@ class TestBuildModified:
         with pytest.raises(ValidationError):
             build_modified(maxwellian2, 0.05, 1.0, 1, v0=0.3)
 
+    @pytest.mark.parametrize("v0", [float("nan"), 0.0, -3.0])
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_bad_v0_refused_in_every_case(self, maxwellian2, case, v0):
+        # cases 2 and 3 place no bump at v0, and once dropped a nan v0 unseen
+        with pytest.raises(ValidationError, match="v0 must be finite and positive, got"):
+            build_modified(maxwellian2, 0.1, 1.0, case, v0=v0)
+
+    def test_bump_is_its_own_field(self, maxwellian2):
+        # case 1: two mirror terms at +-3 lam, renormalised as in the mixture;
+        # case 2: one centred term; case 3 adds none
+        mp = build_modified(maxwellian2, 0.1, 0.5, 1)
+        lam, scale = 0.05, 1.0 / (1.0 + mp.C0 * 0.01)
+        assert mp.bump.terms == tuple(mp.mixture.terms[1:])
+        assert [t.mean for t in mp.bump.terms] == [(3.0 * lam, 0.0), (-3.0 * lam, 0.0)]
+        assert sum(t.weight for t in mp.bump.terms) == pytest.approx(0.01 * mp.C0 * scale,
+                                                                    rel=1e-15)
+        assert len(build_modified(maxwellian2, 0.1, 0.5, 2).bump.terms) == 1
+        assert build_modified(maxwellian2, 0.0, 0.5, 3).bump is None
+
+
+class TestOddBase:
+    @pytest.fixture
+    def drifting(self, grid2):
+        # a drifting Maxwellian: no mirror for its term at mean (0.5, 0)
+        return Profile.from_closure(
+            grid2, GaussianMixture(2, [GaussianTerm(1.0, (0.5, 0.0), (1.0, 1.0))]))
+
+    @pytest.mark.parametrize("build", [
+        lambda p: build_wave(p, 2 * np.pi, eps=1e-1),
+        lambda p: build_wave(p, 2 * np.pi, gamma=0.1, r=1e-3),
+        lambda p: match_period(p, 2 * np.pi, 0.1, 1e-3),
+        lambda p: match_period(p, 2 * np.pi, 0.0, 1e-3, case=3),
+        lambda p: build_modified(p, 0.1, 1.0, 1),
+    ], ids=["build_wave_eps", "build_wave_r", "match_period", "match_period_case3",
+            "build_modified"])
+    def test_refused_before_any_orbit(self, monkeypatch, drifting, build):
+        # the certificate measures the distance to the even part only, so an
+        # odd base would be certified falsely; no orbit is ever sought
+        monkeypatch.setattr(bgk_mod, "periodic_orbit", None)
+        with pytest.raises(ValidationError,
+                           match=r"not even in v1: the term at mean \(0\.5, 0\.0\)"):
+            build(drifting)
+
+    def test_unequal_mirror_weights_refused(self, grid2):
+        terms = even_pair(1.0, 2.0, (1.0, 1.0))
+        skewed = GaussianMixture(2, [dataclasses.replace(terms[0], weight=0.6),
+                                     dataclasses.replace(terms[1], weight=0.4)])
+        with pytest.raises(ValidationError, match=r"at mean \(2\.0, 0\.0\)"):
+            build_modified(Profile.from_closure(grid2, skewed), 0.1, 1.0, 1)
+
 
 class TestHFunction:
     def test_h_zero_is_zero(self, maxwellian2):
@@ -169,15 +219,16 @@ class TestHFunction:
 
 
 def per_term_h(term, beta, n_v1=2048, n_cheb=256, n_taylor=56):
-    """Oracle: h and V of one pair term from its own Chebyshev/Taylor build.
+    """Oracle: h and V of one term's even part from its own Chebyshev/Taylor build.
 
     The direct construction on the term's own window of shifts, without the
     unit-width tables and their scaling.
     """
     cheb = np.polynomial.chebyshev.Chebyshev
-    extent = term.v0 + 10.0 * term.w1
+    v0, w1 = abs(term.mean[0]), term.widths[0]
+    extent = v0 + 10.0 * w1
     u = np.linspace(0.0, extent, n_v1 + 1)
-    c_ok = min(extent ** 2 - (term.v0 + 8.0 * term.w1) ** 2, 9.0 * term.w1 ** 2)
+    c_ok = min(extent ** 2 - (v0 + 8.0 * w1) ** 2, 9.0 * w1 ** 2)
 
     def kfun(c):
         c = np.atleast_1d(c)
@@ -188,7 +239,7 @@ def per_term_h(term, beta, n_v1=2048, n_cheb=256, n_taylor=56):
     P = cheb.interpolate(kfun, n_cheb, domain=[-c_ok, c_ok]).integ(lbnd=0.0)
     Q = cheb.interpolate(lambda c: np.atleast_1d(c) * kfun(c), n_cheb + 1,
                          domain=[-c_ok, c_ok]).integ(lbnd=0.0)
-    rho = 0.5 * min(c_ok, 4.0 * term.w1 ** 2)
+    rho = 0.5 * min(c_ok, 4.0 * w1 ** 2)
     m = 2 * n_taylor
     circ = rho * np.exp(2j * np.pi * np.arange(m) / m)
     y = u[None, :] ** 2 - circ[:, None]
@@ -212,9 +263,9 @@ def per_call_accumulate(mp, b, mode):
     contracted row by row (``np.vecdot``), as the package does."""
     out = np.zeros_like(b)
     c = 2.0 * b
-    for t in mp.mixture.terms:
-        P, Q, k_unit = _unit_kernel(float(f"{t.v0 / t.w1:.14g}"))
-        weight, w2 = t.weight, t.w1 ** 2
+    for t in mp.mixture.even_part().terms:
+        P, Q, k_unit = _unit_kernel(float(f"{t.mean[0] / t.widths[0]:.14g}"))
+        weight, w2 = t.weight, t.widths[0] ** 2
         rho = w2 * _RHO
         k_hat = (weight / w2) * k_unit
         inner = np.abs(c) <= 0.45 * rho
@@ -246,7 +297,7 @@ class TestKernelTables:
         mp = build_modified(maxwellian2, 0.1, 0.5, case, v0=3.0)
         h = make_h(mp)
         # the whole admissible range, and each term's Taylor disc up to its edge
-        edges = [0.45 * t.w1 ** 2 for t in mp.mixture.terms]
+        edges = [0.45 * t.widths[0] ** 2 for t in mp.mixture.even_part().terms]
         beta = np.concatenate(
             [0.5 * h.c_admissible * np.linspace(-0.99, 0.99, 67), [1e-12, -1e-7, 1e-3]]
             + [e * np.linspace(-1.0, 1.0, 101) for e in edges if 2 * e <= h.c_admissible])
@@ -271,9 +322,9 @@ class TestKernelTables:
     @pytest.mark.parametrize("a", [0.0, 3.0])
     @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.3, 1.0])
     def test_scaled_table_matches_per_term_build(self, a, lam):
-        term = GaussianPairTerm(0.7, a * lam, lam, ())
-        mix = GaussianMixture(1, [term])
-        h = BifurcationH(SimpleNamespace(mixture=mix, pv_d_integral=mix.pv_d_integral))
+        mix = GaussianMixture(1, even_pair(0.7, a * lam, (lam,)))
+        term, = mix.even_part().terms
+        h = BifurcationH(SimpleNamespace(mixture=mix))
         h_ref, V_ref, c_ok = per_term_h(term, np.zeros(1))
         assert h.c_admissible == pytest.approx(c_ok, rel=1e-12)
         # both Taylor and Chebyshev zones, down to roundoff-scale amplitudes
@@ -296,15 +347,26 @@ class TestKernelTables:
         # one beta in the term's Taylor disc and one in its Chebyshev zone,
         # against the direct build (with ** powers) of that term
         lam = 10.0 ** log_lam
-        term = GaussianPairTerm(0.7, a * lam, lam, ())
-        mix = GaussianMixture(1, [term])
-        h = BifurcationH(SimpleNamespace(mixture=mix, pv_d_integral=mix.pv_d_integral))
+        mix = GaussianMixture(1, even_pair(0.7, a * lam, (lam,)))
+        term, = mix.even_part().terms
+        h = BifurcationH(SimpleNamespace(mixture=mix))
         disc = 0.45 * _RHO * lam ** 2  # the Taylor zone |c| <= 0.45 rho
         c = np.array([disc * inner,
                       np.copysign(disc + (0.88 * h.c_admissible - disc) * abs(outer), outer)])
         h_ref, V_ref, _ = per_term_h(term, 0.5 * c)
         assert np.all(np.abs(h(0.5 * c) - h_ref) <= 1e-12 * np.abs(h_ref))
         assert np.all(np.abs(h.potential(0.5 * c) - V_ref) <= 1e-12 * np.abs(V_ref))
+
+    def test_one_table_row_per_even_pair(self, double_bump2):
+        # the double bump and the case-1 bump are two mirror terms each; the
+        # route reads one term per pair, so h keeps two kernel rows and the
+        # certificate two pieces, as it did with pair terms
+        mp = build_modified(double_bump2, 0.1, 1.0, 1)
+        assert len(mp.mixture.terms) == 4
+        assert len(mp.mixture.even_part().terms) == 2
+        assert len(make_h(mp)._terms) == 2
+        assert [t.weight for t in mp.mixture.even_part().terms] == \
+            [mp.mixture.terms[0].weight * 2.0, mp.bump.terms[0].weight * 2.0]
 
     def test_new_delta_builds_no_table(self, maxwellian2):
         _unit_kernel.cache_clear()
@@ -314,8 +376,8 @@ class TestKernelTables:
         ratios = set()
         for delta in (0.7, 1.1):
             mp = build_modified(maxwellian2, 0.1, delta, 1, v0=3.0)
-            bump = mp.mixture.terms[-1]
-            ratios.add(bump.v0 / bump.w1)
+            bump, = mp.bump.even_part().terms
+            ratios.add(bump.mean[0] / bump.widths[0])
             make_h(mp)
         # (3 lam) / lam is 3 at delta = 0.7 and one ulp off at 1.0 and 1.1:
         # all three share one table
@@ -327,7 +389,7 @@ def dense_unit_kernel(a, n_u=2049):
     """Oracle: the unit-kernel tables from a 2049-node u-rule, the rule
     ``_unit_kernel`` used before its geometric convergence was measured."""
     n_cheb, n_taylor = 256, 56
-    t = GaussianPairTerm(1.0, a, 1.0, ())
+    t = GaussianTerm(1.0, (a,), (1.0,))
     cheb = np.polynomial.chebyshev.Chebyshev
     u = np.linspace(0.0, a + 10.0, n_u)
 
@@ -770,7 +832,7 @@ def tensor_sample(wave, x, v1, *trans_axes):
     u = v1 - wave.c
     y = u[None, :] ** 2 - 2.0 * b[:, None]
     out = np.zeros(shape)
-    for t in wave.mp.mixture.terms:
+    for t in wave.mp.mixture.even_part().terms:
         a = t.weight * t.even_val(y.ravel()).reshape(y.shape)
         tv = t.transverse_val(*trans_axes)
         if trans_axes:

@@ -148,14 +148,14 @@ def _pipeline_fields():
     m2 = make_builtin("maxwellian", VelocityGrid(2, 8.0, 256))
     mp = build_modified(m2, 1.6e-7, 1.06, 1, v0=3.0)
     out = []
-    for term in mp.mixture.terms:
+    for term in mp.mixture.even_part().terms:
         ax, v = closeness._pair_axis(term)
         h = v[1] - v[0]
         out += [(ax.vals, h, 0), (fd_derivative(ax.vals, h), h, 0)]
     t0 = m2.closure.terms[0]
     t1 = m2.closure.scaled_v1(0.93).terms[0]
     v = np.linspace(-12.0, 12.0, 8192)
-    diff = t1.pair_1d(v) - t0.pair_1d(v)
+    diff = t1.even_val(v ** 2) - t0.even_val(v ** 2)
     out += [(diff, v[1] - v[0], 0), (fd_derivative(diff, v[1] - v[0]), v[1] - v[0], 0)]
     v = np.linspace(-4.0, 4.0, 8193)
     narrow = np.exp(-(v / 0.125) ** 2 / 2) * np.exp(-v ** 2 / 0.5)

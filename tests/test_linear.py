@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import wofz
 
-from conftest import pv_exact
+from conftest import mixture_1d, pv_exact
 from vplab import linear
 from vplab.errors import PenroseUnstableError, ValidationError
 from vplab.linear import (
@@ -22,7 +22,9 @@ from vplab.linear import (
 )
 from vplab.profiles import (
     _BLOCK,
-    Mixture1D,
+    GaussianMixture,
+    GaussianTerm,
+    Profile,
     ProjectedProfile,
     VelocityGrid,
     _sinc_cauchy,
@@ -155,11 +157,11 @@ def mixtures(draw):
         s = draw(st.floats(0.3, 0.9))
         mu = draw(st.floats(-1.0, 1.0)) * (8.0 - 8.5 * s)
         comps.append((draw(st.floats(0.1, 1.0)), mu, s))
-    return Mixture1D(tuple(comps))
+    return mixture_1d(*comps)
 
 
 def _pv_scale(m):
-    return sum(w / s ** 2 for w, _, s in m.comps)
+    return sum(t.weight / t.widths[0] ** 2 for t in m.terms)
 
 
 def _continuation_oracle(m, z):
@@ -177,7 +179,7 @@ class TestSincPv:
            y_off=st.floats(-8.0, 8.0), y_far=st.floats(8.0, 100.0),
            side=st.sampled_from((-1.0, 1.0)))
     def test_against_dawson_closed_form(self, m, node, y_off, y_far, side):
-        # Mixture1D.cauchy on the real axis against the Dawson form and the
+        # GaussianMixture.cauchy on the real axis against the Dawson form and the
         # sinc boundary value of the sampled m', at a node, at a half-node,
         # off the grid and beyond the sampled range
         ys = np.array([AXIS[node], AXIS[node] + 0.5 * H, y_off, side * y_far])
@@ -231,6 +233,15 @@ class TestContinuation:
             ours = continued_dispersion(fp, zs)
             assert np.max(np.abs(ours - _faddeeva_dispersion(zs))) < 1e-12
 
+    def test_drifting_maxwellian_root_shifts(self, fp_maxwellian):
+        # f0(v - u) has F_u(z) = F_0(z - u): the root moves by z -> z + u
+        u = 0.5
+        p = Profile.from_closure(VelocityGrid(1, 8.0, 512),
+                                 GaussianMixture(1, [GaussianTerm(1.0, (u,), (1.0,))]))
+        z_u = find_damping_root(project(p, (1.0,)), 0.5)[0]
+        z_0 = find_damping_root(fp_maxwellian, 0.5)[0]
+        assert abs(z_u - (z_0 + u)) <= 1e-10 * abs(z_0 + u)
+
     @pytest.mark.parametrize("kmag", [0.25, 0.3])
     def test_small_k_damping_root(self, fp_maxwellian, kmag):
         # weakly damped roots sit close to the axis: Im z = -0.0087 at k = 0.25
@@ -245,7 +256,7 @@ class TestContinuation:
     def test_against_quadrature_oracle(self, m, re, depth, side):
         z = np.array([complex(re, side * depth)])
         fp = ProjectedProfile(np.array([1.0]), AXIS, m.val(AXIS), m,
-                              sum(w for w, _, _ in m.comps))
+                              sum(t.weight for t in m.terms))
         oracle = _continuation_oracle(m, z)
         scale = _pv_scale(m) + float(np.max(np.abs(oracle)))
         assert np.max(np.abs(continued_dispersion(fp, z) - oracle)) < 1e-12 * scale

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pv_exact
+from conftest import mixture_1d, pv_exact
 from vplab.errors import DegenerateProfileError, ValidationError
 from vplab.penrose import (
     PV_SUP,
@@ -14,7 +14,8 @@ from vplab.penrose import (
     truncation_bound,
 )
 from vplab.profiles import (
-    Mixture1D,
+    GaussianMixture,
+    GaussianTerm,
     Profile,
     ProjectedProfile,
     VelocityGrid,
@@ -26,7 +27,7 @@ from vplab.profiles import (
 def closure_only(m, grid):
     """The projection of a bare 1D mixture on the grid's axis."""
     ax = grid.axis()
-    return ProjectedProfile(np.array([1.0]), ax, m.val(ax), m, sum(w for w, _, _ in m.comps))
+    return ProjectedProfile(np.array([1.0]), ax, m.val(ax), m, sum(t.weight for t in m.terms))
 
 
 def pv_excision_oracle(fp, a_prime):
@@ -90,12 +91,18 @@ class TestCriticalPoints:
 
     def test_monotone_stretch_empty(self, grid1):
         # a single Gaussian at 3 is strictly monotone on |alpha| < 1.5
-        crit = critical_points(closure_only(Mixture1D(((1.0, 3.0, 1.0),)), grid1))
+        crit = critical_points(closure_only(mixture_1d((1.0, 3.0, 1.0)), grid1))
         assert [c for c in crit if abs(c) < 1.5] == []
         assert crit == pytest.approx([3.0], abs=1e-12)
 
+    def test_drifting_maxwellian_peak(self, grid1):
+        # a term's mean carries through the projection: the one critical
+        # point of a Maxwellian drifting at u is u
+        p = Profile.from_closure(grid1, GaussianMixture(1, [GaussianTerm(1.0, (0.5,), (1.0,))]))
+        assert critical_points(project(p, (1.0,))) == pytest.approx([0.5], abs=1e-12)
+
     def test_degenerate_rejected(self, grid1):
-        fp = closure_only(Mixture1D(((0.0, 0.0, 1.0),)), grid1)
+        fp = closure_only(mixture_1d((0.0, 0.0, 1.0)), grid1)
         with pytest.raises(DegenerateProfileError):
             critical_points(fp)
 
@@ -117,7 +124,7 @@ class TestPvIntegral:
             assert abs(pv_integral(fp, ap) - pv_exact(fp.closure1d, ap)) < 1e-8
 
     def test_zero_derivative_gives_zero(self, grid1):
-        fp = closure_only(Mixture1D(((0.0, 0.0, 1.0),)), grid1)
+        fp = closure_only(mixture_1d((0.0, 0.0, 1.0)), grid1)
         assert pv_integral(fp, 0.3) == 0.0
 
     def test_linearity(self, maxwellian2, double_bump2):

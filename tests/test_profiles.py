@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import continued_dval, continued_val, cutoff_sigma
+from conftest import continued_dval, continued_val, cutoff_sigma, pv_exact
 from vplab import profiles
 from vplab.bgk import _RHO
 from vplab.errors import ValidationError
 from vplab.profiles import (
-    GaussianPairTerm,
+    GaussianMixture,
+    GaussianTerm,
+    Profile,
     VelocityGrid,
+    even_pair,
     fourier_multiplier,
     make_builtin,
     project,
@@ -146,18 +151,95 @@ class TestEvenContinuation:
         # the Taylor circle of bgk._unit_kernel (the cosh form is finite
         # there for a <= 20)
         w1 = 10.0 ** log_w
-        term = GaussianPairTerm(1.0, a * w1, w1, ())
+        term = GaussianTerm(1.0, (a * w1,), (w1,))
         y = w1 ** 2 * np.concatenate([np.linspace(-9.0, (a + 12.0) ** 2, 2001),
                                       0.25 + np.linspace(-1e-3, 1e-3, 21)])
         for new, old in ((term.even_val(y), continued_val(term, y)),
                          (term.even_dval(y), continued_dval(term, y))):
             assert new.dtype == np.float64
             assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
-        unit = GaussianPairTerm(1.0, a, 1.0, ())
+        unit = GaussianTerm(1.0, (a,), (1.0,))
         u = np.linspace(0.0, a + 10.0, 129)
         y = u[None, :] ** 2 - _RHO * np.exp(2j * np.pi * np.arange(112) / 112)[:, None]
         new, old = unit.even_dval(y), continued_dval(unit, y)
         assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+
+
+@st.composite
+def mirror_mixtures(draw):
+    """1-4 terms in d = 1 or 2, each drawn with or without a mirror v1 -> -v1
+    of its own weight; some terms repeat."""
+    dim = draw(st.sampled_from((1, 2)))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        mean = (draw(st.floats(-3.0, 3.0)),) + (draw(st.floats(-1.0, 1.0)),) * (dim - 1)
+        widths = (draw(st.floats(0.3, 1.5)),) + (draw(st.floats(0.5, 1.5)),) * (dim - 1)
+        term = GaussianTerm(draw(st.floats(0.1, 1.0)), mean, widths)
+        terms.append(term)
+        if draw(st.booleans()):
+            terms.append(replace(term, weight=draw(st.floats(0.1, 1.0)),
+                                 mean=(-mean[0],) + mean[1:]))
+        if draw(st.booleans()):
+            terms.append(term)
+    return GaussianMixture(dim, terms)
+
+
+class TestGaussianMixture:
+    def test_double_bump_is_two_mirror_terms(self, double_bump2):
+        assert double_bump2.closure.terms == (GaussianTerm(0.5, (3.0, 0.0), (1.0, 1.0)),
+                                              GaussianTerm(0.5, (-3.0, 0.0), (1.0, 1.0)))
+        assert double_bump2.closure.even_part().terms == (
+            GaussianTerm(1.0, (3.0, 0.0), (1.0, 1.0)),)
+        assert double_bump2.closure.unpaired_means() == []
+
+    @settings(max_examples=60)
+    @given(mix=mirror_mixtures())
+    def test_even_part_keeps_the_even_route(self, mix):
+        # one term per (|mean[0]|, other means, widths): never more terms, and
+        # the same even part, derivative and PV integral
+        even = mix.even_part()
+        keys = {(abs(t.mean[0]),) + t.mean[1:] + t.widths for t in mix.terms}
+        assert len(even.terms) == len(keys) <= len(mix.terms)
+        assert all(t.mean[0] >= 0.0 for t in even.terms)
+        w_min = min(t.widths[0] for t in mix.terms)
+        y = np.linspace(-w_min ** 2, 30.0, 401)
+        for name in ("even_val", "even_dval"):
+            want = sum(t.weight * getattr(t, name)(y) for t in mix.terms)
+            got = sum(t.weight * getattr(t, name)(y) for t in even.terms)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        scale = sum(t.weight / t.widths[0] ** 2 for t in mix.terms)
+        assert abs(even.pv_d_integral() - mix.pv_d_integral()) <= 1e-13 * scale
+
+    @settings(max_examples=60)
+    @given(a=st.floats(0.0, 30.0), w1=st.floats(0.05, 3.0), weight=st.floats(0.1, 2.0))
+    def test_pv_d_integral_against_dawson(self, a, w1, weight):
+        # cauchy(0).real against the Dawson form sqrt(2) a D(a/sqrt(2)) - 1
+        mix = GaussianMixture(1, even_pair(weight, a * w1, (w1,)))
+        assert abs(mix.pv_d_integral() - pv_exact(mix, 0.0)) <= 1e-12 * weight / w1 ** 2
+
+    def test_unpaired_means(self):
+        pair = even_pair(1.0, 2.0, (1.0, 0.5))
+        assert GaussianMixture(2, pair).unpaired_means() == []
+        assert GaussianMixture(2, pair[:1]).unpaired_means() == [(2.0, 0.0)]
+        heavy = GaussianMixture(2, pair + pair[:1])
+        assert heavy.unpaired_means() == [(2.0, 0.0), (-2.0, 0.0)]
+        centred = GaussianMixture(2, [GaussianTerm(1.0, (0.0, 0.7), (1.0, 1.0))])
+        assert centred.unpaired_means() == []
+
+    def test_drifting_term_projects_to_its_mean(self):
+        # mean (u, 0.3) on an oblique e: the marginal is centred at mean.e,
+        # in the closure, in its sampled first moment and by the slice theorem
+        u, e = 0.5, np.array([0.6, 0.8])
+        grid = VelocityGrid(2, 12.0, 128)
+        p = Profile.from_closure(
+            grid, GaussianMixture(2, [GaussianTerm(1.0, (u, 0.3), (1.0, 0.8))]))
+        fp = project(p, e)
+        term, = fp.closure1d.terms
+        assert term.mean == pytest.approx((u * 0.6 + 0.3 * 0.8,), abs=1e-15)
+        assert term.widths == pytest.approx((np.hypot(0.6, 0.8 * 0.8),), abs=1e-15)
+        assert abs(np.sum(fp.alphas * fp.values) * fp.h - (u * 0.6 + 0.3 * 0.8)) < 1e-12
+        vals = project_field(p.values, grid, e)
+        assert np.max(np.abs(vals - fp.values)) <= 1e-13 * np.max(p.values)
 
 
 class TestProject:

@@ -583,11 +583,11 @@ import sys
 import numpy as np
 from scipy.optimize import brentq
 from vplab.bgk import match_period
-from vplab.profiles import GaussianPairTerm, VelocityGrid, make_builtin
+from vplab.profiles import GaussianMixture, GaussianTerm, VelocityGrid, make_builtin
 from vplab.sim import PhaseGrid, run_bgk_steadiness
 
-v0 = brentq(lambda v: GaussianPairTerm(1.0, v, 0.45, ()).pv_d_integral() - 1.0, 0.9, 1.9,
-           xtol=1e-13)
+v0 = brentq(lambda v: GaussianMixture(1, [GaussianTerm(1.0, (v,), (0.45,))]).pv_d_integral() - 1.0,
+           0.9, 1.9, xtol=1e-13)
 p = make_builtin("product", VelocityGrid(2, 8.0, 256), factors=[
     ("double_bump", {"v0": v0, "width": 0.45}), ("gaussian", {"width": 1.0})])
 _, wave = match_period(p, 2 * np.pi, 0.0, 1e-3, case=3)
