@@ -330,10 +330,12 @@ def _width(params):
 
 
 def _v0(value):
-    """A double bump's offset ``v0`` as a float, refused unless finite."""
+    """A double bump's offset ``v0`` as a float, refused unless finite and positive."""
     v0 = float(value)
     if not math.isfinite(v0):
         raise ValidationError(f"double_bump v0 must be finite, got {v0}")
+    if v0 <= 0:
+        raise ValidationError("double_bump requires v0 > 0")
     return v0
 
 
@@ -353,8 +355,6 @@ def make_builtin(name, grid, **params):
         v0, widths = 0.0, (1.0,) + trans
     elif name == "double_bump":
         v0 = _v0(params.get("v0", 0.0))
-        if v0 <= 0:
-            raise ValidationError("double_bump requires v0 > 0")
         widths = (_width(params),) + trans
     elif name == "product":
         factors = params["factors"]

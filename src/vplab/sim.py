@@ -11,13 +11,13 @@ label: f = sum_j A_j(x, v1) B_j(v2) keeps B and its rank r exactly under every
 step.  A ``SimState`` holds A (Nx, Nv1, r) and B (r, Nv2); a dense state is
 A = f, B = I (B = [[1]] in 1D-1V).  Moments are taken through W = B (1, v2,
 v2^2).  ``run`` compresses the factors once (SVD over v2 above 1e-15 sigma_1
-of a blocked tall-skinny QR of A) and advances A alone.  At each output (and
-after each ``step``) one pass over row blocks of A B gives the negative part
-n that the clip removes, its mass, the clipped state's projection A + n B^T
-onto B and the span residual ||n (I - B^T B)||_F.  B is kept while that
-residual is within the SVD's own threshold 1e-15 sigma_1(A), as roundoff
-clips of a state positive in v2 are; a larger one re-factors the clipped
-state, and the clip at the final output needs neither.
+of a blocked tall-skinny QR of A) and advances A alone.  At each output one
+pass over row blocks of A B gives the negative part n that the clip removes,
+its mass, the clipped state's projection A + n B^T onto B and the span
+residual ||n (I - B^T B)||_F.  The after-clip rule (``_settle``, which every
+``step`` follows too) keeps B while that residual is within the SVD's own
+threshold 1e-15 sigma_1(A), as roundoff clips of a state positive in v2 are,
+and else re-factors the clipped state; ``run``'s final clip does neither.
 """
 
 from __future__ import annotations
@@ -258,18 +258,28 @@ def _clip(rows, b, grid):
     return clipped, kept, max(resid, 0.0)
 
 
-def step(state, force_zero_field=False):
+def _settle(a, b, grid):
+    """(clipped mass, A, B, re-factored) of the output A b by the after-clip
+    rule: the clip's projection onto b, or max(A b, 0) factored afresh."""
+    clipped, kept, resid = _clip(a.reshape(-1, b.shape[0]), b, grid)
+    if not clipped:
+        return clipped, a, b, False
+    sigma1 = math.sqrt(float(np.linalg.eigvalsh(kept.T @ kept)[-1]))
+    if math.sqrt(resid) <= 1e-15 * sigma1:
+        return clipped, kept.reshape(a.shape), b, False
+    dense = SimState.dense(grid, SimState(grid, a, b, 0.0, 0.0).f)
+    return (clipped,) + _factor(dense.a, dense.b, grid)[:2] + (True,)
+
+
+def step(state):
     """One Strang step (x half, Poisson, v kick, x half): the unfused reference
-    for ``run``, clipped by its output pass, which keeps max(A, 0) at B = I and
-    the clip's projection onto any other B (where ``run`` may re-factor)."""
+    for ``run``, settled by the same after-clip rule (``_settle``)."""
     g, b = state.grid, state.b
     half = _x_phase(g, 0.5 * g.dt)
     a = _advect_x(state.a, g, half)
-    e = np.zeros(g.Nx) if force_zero_field else SimState(g, a, b, 0.0, 0.0).efield()
-    a = _advect_x(_advect_v(a, g, e, g.dt), g, half)
-    clipped, kept, _ = _clip(a.reshape(-1, b.shape[0]), b, g)
-    return SimState(g, kept.reshape(a.shape), b, state.time + g.dt,
-                    state.clipped_mass + clipped)
+    a = _advect_x(_advect_v(a, g, SimState(g, a, b, 0.0, 0.0).efield(), g.dt), g, half)
+    clipped, a, b, _ = _settle(a, b, g)
+    return SimState(g, a, b, state.time + g.dt, state.clipped_mass + clipped)
 
 
 def reverse_velocity(state):
@@ -354,21 +364,20 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
         last = i == n_steps - 1
         if last or (i + 1) % out_every == 0:
             a = _advect_x(a, g, half)
-            clipped, kept, resid = _clip(a.reshape(-1, a.shape[2]), b, g)
+            if last:
+                clipped = _clip(a.reshape(-1, a.shape[2]), b, g)[0]
+            else:
+                clipped, a_next, b_next, fresh = _settle(a, b, g)
             clipped_mass += clipped
             snap = SimState(g, a, b, state.time + (i + 1) * g.dt, clipped_mass)
             log.snapshots[round(snap.time, 12)] = snap
             log.ranks.append(b.shape[0])
-            if clipped and not last:
-                sigma1 = math.sqrt(float(np.linalg.eigvalsh(kept.T @ kept)[-1]))
-                if math.sqrt(resid) <= 1e-15 * sigma1:
-                    a = kept.reshape(a.shape)
-                else:
-                    dense = SimState.dense(g, snap.f)
-                    a, b, w = _factor(dense.a, dense.b, g)
-                    log.refactors += 1
-            if not last:
-                a = _advect_x(a, g, half)
+            if last:
+                break
+            if fresh:
+                w = b_next @ _transverse_table(g)
+                log.refactors += 1
+            a, b = _advect_x(a_next, g, half), b_next
         else:
             a = _advect_x(a, g, full)
     return snap, log

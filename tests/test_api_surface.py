@@ -45,7 +45,6 @@ KNOBS = {
     "profiles.GaussianTerm.transverse_val:*axes",
     "profiles.Profile.from_closure:meta",
     "profiles.make_builtin:**params",
-    "sim.step:force_zero_field",
     "sim.run:output_every",
     "sim.run:s_sobolev",
     "sim.run:diagnostics_every",

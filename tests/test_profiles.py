@@ -120,14 +120,19 @@ class TestBuiltins:
             make_builtin(name, VelocityGrid(2, 16.0, 64), **params)
 
     @pytest.mark.parametrize("v0, shown", [(float("nan"), "nan"), (float("inf"), "inf"),
-                                           (-float("inf"), "-inf")])
+                                           (-float("inf"), "-inf"), (0.0, "0.0"),
+                                           (-1.0, "-1.0")])
     @pytest.mark.parametrize("name", ["double_bump", "product"])
     def test_nonfinite_v0_rejected(self, name, v0, shown):
         # nan once gave an all-NaN profile and inf a zero-mass one: both
-        # compare false against v0 <= 0 and the tail check
+        # compare false against v0 <= 0 and the tail check; a product's
+        # factor once took v0 = 0 as a centred Gaussian and v0 < 0 as the
+        # mirrored pair
         params = ({"v0": v0} if name == "double_bump" else
                   {"factors": [("double_bump", {"v0": v0}), ("gaussian", {})]})
-        with pytest.raises(ValidationError, match=f"v0 must be finite, got {shown}"):
+        match = (f"v0 must be finite, got {shown}" if not np.isfinite(v0)
+                 else "double_bump requires v0 > 0")
+        with pytest.raises(ValidationError, match=match):
             make_builtin(name, VelocityGrid(2, 16.0, 64), **params)
 
     def test_tail_requirement(self):

@@ -13,10 +13,12 @@ from vplab.sim import (
     PhaseGrid,
     SimState,
     _advect_v,
+    _advect_x,
     _clip,
     _factor,
     _moments,
     _transverse_table,
+    _x_phase,
     comoving_compare,
     perturb_cosine,
     poisson_solve,
@@ -82,16 +84,18 @@ class TestStep:
 
     def test_free_streaming_exact(self, grid1v, maxprofile):
         st = perturb_cosine(sample_profile(maxprofile, grid1v), 0.05)
-        cur = SimState.dense(grid1v, st.f)
+        # step with the field forced to zero: the solver's x half-shift twice
+        half = _x_phase(grid1v, 0.5 * grid1v.dt)
+        a = st.f[:, :, None]
         n = 10
         for _ in range(n):
-            cur = step(cur, force_zero_field=True)
+            a = _advect_x(_advect_x(a, grid1v, half), grid1v, half)
         k = 2 * np.pi / T1
         v = grid1v.vaxes[0].axis()
         t = n * grid1v.dt
         expect = maxprofile.values[None, :] * (
             1 + 0.05 * np.cos(k * (grid1v.x[:, None] - v[None, :] * t)))
-        assert np.max(np.abs(cur.f - expect)) < 1e-12
+        assert np.max(np.abs(SimState.dense(grid1v, a).f - expect)) < 1e-12
 
     def test_time_reversal_100_steps(self, grid1v, maxprofile):
         st = perturb_cosine(sample_profile(maxprofile, grid1v), 1e-2)
@@ -393,6 +397,18 @@ class TestOneState:
             dense, fac = step(dense), step(fac)
         assert np.max(np.abs(dense.f - fac.f)) <= 1e-13 * dense.f.max()
 
+    def test_step_refactors_where_run_does(self):
+        # the lobe's first clip leaves the rank-2 span: ``step`` re-factors
+        # by run's rule, so the factored steps follow the dense ones
+        g = _grid2v()
+        dense = _lobe_datum(g)
+        fac = _factored(g, dense.a.reshape(g.shape))
+        assert fac.b.shape[0] == 2
+        for _ in range(5):
+            dense, fac = step(dense), step(fac)
+        assert fac.b.shape[0] > 2
+        assert np.max(np.abs(dense.f - fac.f)) <= 1e-13 * dense.f.max()
+
 
 class TestFactoredOutputs:
     """Outputs stay factored: clip mass, span check and comparisons read
@@ -486,6 +502,26 @@ class TestFactoredOutputs:
         assert len(log.ranks) == 3 and log.ranks[0] == 2 < log.ranks[1] == log.ranks[2]
         assert log.refactors == 1
         assert [s.b.shape[0] for _, s in sorted(log.snapshots.items())] == log.ranks
+
+    @pytest.mark.parametrize("lobe", [False, True])
+    def test_run_never_writes_into_input_or_outputs(self, lobe, grid1v, maxprofile):
+        # the 1D-1V perturbed Maxwellian at rank 1, and the lobe, which
+        # re-factors once: the input stays as it was, each snapshot holds
+        # its own A (B is never written, so outputs may share it), and each
+        # equals the final output of a fresh run stopped at its step
+        st = (_lobe_datum(_grid2v()) if lobe
+              else perturb_cosine(sample_profile(maxprofile, grid1v), 0.05))
+        a0, b0 = st.a.copy(), st.b.copy()
+        _, log = run(st, 15, output_every=5)
+        assert np.array_equal(st.a, a0) and np.array_equal(st.b, b0)
+        snaps = [s for _, s in sorted(log.snapshots.items())]
+        assert len(snaps) == 3
+        for i, s in enumerate(snaps):
+            for other in [st.a, st.b] + [t.a for t in snaps[:i]]:
+                assert not np.shares_memory(s.a, other)
+            fresh = run(st, 5 * (i + 1), output_every=5)[0]
+            assert np.array_equal(s.a, fresh.a) and np.array_equal(s.b, fresh.b)
+            assert s.clipped_mass == fresh.clipped_mass
 
 
 @pytest.fixture(scope="module")
