@@ -106,6 +106,11 @@ def _require_even(f1):
                               f"{tuple(map(float, unpaired[0]))} has no mirror of equal weight")
 
 
+def _require_amplitude(r):
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValidationError(f"orbit amplitude r must be finite and positive, got {r}")
+
+
 def build_modified(f1, gamma, delta, case, v0=BUMP_V0):
     """Modified homogeneous profile for the bifurcation.
 
@@ -411,8 +416,9 @@ def periodic_orbit(h, r):
     with G from ``_orbit_g``, smooth through the turning points.  h supplies
     h(beta), h.hprime0() and h.potential(beta) = -int_0^beta h.  Leaving the
     center basin (V losing convexity before the turning point) raises
-    AmplitudeTooLargeError.
+    AmplitudeTooLargeError; a non-finite or non-positive r, ValidationError.
     """
+    _require_amplitude(r)
     hp0 = h.hprime0()
     if not hp0 < 0:
         raise ValidationError(f"h'(0) = {hp0:.3e} is not negative: no center at 0")
@@ -615,9 +621,10 @@ def match_period(f1, T1, gamma, r, case=None):
     ``provenance["bisection_widths"]`` is the bracket width after each step;
     it never grows.  The trapped depth 2 max|beta| must stay inside the
     decomposition window a^2 = 1/4, and the reduced field equation residual
-    below POISSON_RESIDUAL_TOL.  A base closure that is not even in v1 is
-    refused before any work.
+    below POISSON_RESIDUAL_TOL.  A base closure that is not even in v1, and
+    a non-finite or non-positive r, are refused before any work.
     """
+    _require_amplitude(r)
     _require_even(f1)
     if case is None:
         case = select_case(f1, T1).case

@@ -31,19 +31,29 @@ def _write_blob(path, header, payloads):
             fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
 
 
+def _read_exact(fh, path, count):
+    buf = fh.read(count)
+    if len(buf) != count:
+        raise ValidationError(f"{path}: truncated container: expected {count} bytes "
+                              f"at offset {fh.tell() - len(buf)}, read {len(buf)}")
+    return buf
+
+
 def _read_blob(path):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
+        if fh.read(4) != MAGIC:
             raise ValidationError(f"{path}: not a container file")
-        version, hlen = struct.unpack("<II", fh.read(8))
+        version, hlen = struct.unpack("<II", _read_exact(fh, path, 8))
         if version != VERSION:
             raise ValidationError(f"{path}: unsupported container version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(_read_exact(fh, path, hlen).decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValidationError(f"{path}: corrupt container header: {exc}") from exc
         payloads = {}
         for spec in header["payloads"]:
             count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-            buf = fh.read(8 * count)
+            buf = _read_exact(fh, path, 8 * count)
             payloads[spec["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(
                 spec["shape"]
             ).copy()

@@ -5,21 +5,19 @@ the mode direction.  The field mode is the oscillatory integral
 
     E_k(t) = (|k|/2pi) int G_k(y+i0) / (|k|^2 - F_e(y+i0)) e^{-i|k| y t} dy
 
-evaluated by tapered FFT on a compact window plus exact contour-rotated
-tails (the boundary data decay only like 1/y, which no taper can absorb);
-grid refinement covers the t-resolution.  F comes in closed form from the
-projection's closure, ``GaussianMixture.cauchy`` (the Faddeeva form of the
-plasma dispersion function), on the axis and along the rotated rays alike.
-The sampled datum G takes the package's one boundary value of sampled
-data, ``profiles._sinc_cauchy``: exact for the sinc interpolant s of the
-samples, a sum against the kernel (e^{i pi t} - 1)/t whose real part is
-the Hilbert transform of sinc (Weideman, Math. Comp. 64, 1995); along the
-rays it takes the trapezoid Cauchy sum ``_cauchy_quad``.  The stability
-refusal in ``dispersion`` reads the same Penrose margin as
-``penrose.penrose_check``.  The damping-rate oracle finds the
-lower-half-plane root of |k|^2 - F by analytic continuation (residue term
-added below the axis); it is validation plumbing, independent of the FFT
-pipeline.
+evaluated by tapered FFT on a compact window plus one off-window sum over
+the taper's shoulders and the exact contour-rotated tails (the boundary
+data decay only like 1/y, which no taper can absorb); grid refinement
+covers the t-resolution.  F comes in closed form from the projection's
+closure, ``GaussianMixture.cauchy`` (the Faddeeva form of the plasma
+dispersion function), on the axis and along the rotated rays alike; the
+sampled datum G from the package's one Cauchy transform of sampled data,
+``_sinc_cauchy``, exact for the sinc interpolant of the samples, on the
+axis and below it.  The stability refusal in ``dispersion`` reads the
+same Penrose margin as ``penrose.penrose_check``.  The damping-rate
+oracle finds the lower-half-plane root of |k|^2 - F by analytic
+continuation (residue term added below the axis); it is validation
+plumbing, independent of the FFT pipeline.
 """
 
 from __future__ import annotations
@@ -32,14 +30,15 @@ from scipy import fft as sfft
 
 from .errors import PenroseUnstableError, RefinementCapError, ValidationError
 from .penrose import critical_pv, margin_ok
-from .profiles import _BLOCK, _sinc_cauchy, smooth_step
+from .profiles import smooth_step
 
-# nodes of the ray-tail and taper-wedge quadratures
+# nodes of the off-window sum, on the taper shoulders and the rays
 _GL96 = np.polynomial.legendre.leggauss(96)
 # the window self-check: full and 20%-narrower core agree to WINDOW_TOL of the peak
 WINDOW_TOL = 1e-8
 # share of the window's half-width over which the taper falls to zero
 _TAPER_FRAC = 0.1
+_BLOCK = 1 << 16  # kernel entries per Cauchy-transform block: 1 MiB of complex128
 
 
 @dataclass
@@ -72,9 +71,45 @@ def dispersion(fp, ygrid, k2_min):
     return F
 
 
-def initial_transform(datum, ygrid):
-    """Boundary values G_k(y+i0) = PV + i pi datum(y), from the sinc interpolant."""
-    return _sinc_cauchy(datum.values, datum.alphas, ygrid)
+def _sinc_cauchy(samples, alphas, z):
+    """int s(alpha)/(alpha - z) dalpha for the sinc interpolant s of uniform samples.
+
+    A real z gives the boundary value PV + i pi s(z) from above; Im z < 0
+    the Cauchy integral, which decays there (the continuation is what grows).
+    With u = (z - alpha_0)/h it is sum_j s_j expm1(i sigma pi (u - j))/(u - j),
+    sigma = -1 below the axis and +1 elsewhere; on the axis the real part is the
+    Hilbert transform of sinc (Weideman, Math. Comp. 64, 1995).  By parity of
+    j the expm1 factor is expm1(i sigma pi r) or expm1(i sigma pi q), with
+    r = u mod 2 in |Re r| <= 1 and q = r -+ 1, each exact near its own nodes;
+    the even and odd sums of s_j/(u - j) take one real matrix product per
+    block of ``_BLOCK`` kernel entries.  An exact node adds i pi s_j.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    j = np.arange(len(alphas), dtype=float)
+    w = np.stack([samples * (1.0 - j % 2), samples * (j % 2)], axis=1)
+    u = (np.asarray(z) - alphas[0]) / (alphas[1] - alphas[0])
+    if np.iscomplexobj(u):
+        # the kernel's interleaved real and imaginary parts meet w and i w
+        w = np.stack([w, 1j * w], axis=1).reshape(-1, 2)
+    w = w.view(float)
+    r = u - 2.0 * np.round(0.5 * u.real)
+    rq = np.stack([r, r - np.copysign(1.0, r.real)], axis=1)
+    parity = np.expm1(np.where(u.imag < 0.0, -1j, 1j)[:, None] * math.pi * rq)
+    out = np.empty(len(u), dtype=complex)
+    rows = max(1, _BLOCK // len(alphas))
+    for i0 in range(0, len(u), rows):
+        d = u[i0:i0 + rows, None] - j[None, :]
+        d[d == 0.0] = np.inf  # the node term is added below
+        acc = (np.reciprocal(d, out=d).view(float) @ w).view(complex)
+        out[i0:i0 + rows] = np.sum(parity[i0:i0 + rows] * acc, axis=1)
+    node = (u == np.round(u.real)) & (u.real >= 0) & (u.real <= len(alphas) - 1)
+    out[node] += 1j * math.pi * samples[u[node].real.astype(int)]
+    return out
+
+
+def initial_transform(datum, z):
+    """G_k(z) of the sinc interpolant: PV + i pi datum(z) on the axis, the integral below."""
+    return _sinc_cauchy(datum.values, datum.alphas, z)
 
 
 @dataclass
@@ -101,57 +136,35 @@ def _taper(y, y_max):
     return out
 
 
-def _cauchy_quad(samples, alphas, z_batch):
-    """int samples(alpha)/(alpha - z) dalpha for complex z off the real axis.
+def _off_window(kmag, ym, t, fp, datum):
+    """sum dz H(z) e^{-i |k| z t}, H = G/(|k|^2 - F), over what the tapered window leaves out.
 
-    The trapezoid form treats the datum samples as a discrete measure, which
-    is what the contour-rotated ray tails need: the Cauchy transform of the
-    sinc interpolant is entire and grows like e^{pi |Im z|/h} below the
-    axis, so ``_sinc_cauchy`` serves the real axis only.  The trapezoid
-    weights go into the samples once; each block of about ``_BLOCK``
-    kernel entries is one reciprocal pass and one matrix product.
-    """
-    z = np.asarray(z_batch).ravel()
-    weighted = samples * np.convolve(np.diff(alphas), [0.5, 0.5])
-    out = np.empty(len(z), dtype=complex)
-    rows = max(1, _BLOCK // len(alphas))
-    for i0 in range(0, len(z), rows):
-        d = alphas[None, :] - z[i0:i0 + rows, None]
-        out[i0:i0 + rows] = np.reciprocal(d, out=d) @ weighted
-    return out.reshape(np.shape(z_batch))
-
-
-def _ray_tail(kmag, y0, t, fp, datum):
-    """Exact completion of the two |y| > y0 tails by contour rotation.
-
-    For t >= 0 the rays rotate into the lower half-plane where the
-    integrand decays like e^{-k s t}; there are no dispersion roots beyond
-    the projected support, so the deformation crosses nothing.  The paired
-    rays make the s-integral absolutely convergent even at t = 0.
+    Gauss-Legendre nodes on the two taper shoulders carry (1 - taper) dy;
+    their spacing stays well below 1/(k t_end) for the runs this serves.
+    The |y| > ym tails rotate into the lower half-plane, z = +-ym - i s with
+    weights -+i ds, where the integrand decays like e^{-k s t}; no
+    dispersion root lies beyond the projected support, so the deformation
+    crosses nothing, and the paired rays converge down to t = 0.
     """
     x, w = _GL96
+    lo = (1.0 - _TAPER_FRAC) * ym
+    ys = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in ((lo, ym), (-ym, -lo))])
+    dy = np.tile(0.5 * (ym - lo) * w, 2) * (1.0 - _taper(ys, ym))
     phi = 0.25 * math.pi * (x + 1.0)
-    wphi = 0.25 * math.pi * w
-    s = y0 * np.tan(phi)
-    ds = y0 / np.cos(phi) ** 2 * wphi
-    Hp, Hm = (_cauchy_quad(datum.values, datum.alphas, z) / (kmag ** 2 - fp.closure1d.cauchy(z))
-              for z in (y0 - 1j * s, -y0 - 1j * s))
-    # int_{y0}^{inf} = -i int_0^inf H(y0 - i s) e^{-i k (y0 - i s) t} ds, and
-    # the left tail mirrors with the opposite sign; pairing keeps the
-    # s-integral absolutely convergent down to t = 0
-    decay = np.exp(-kmag * np.outer(t, s))
-    plus = decay @ (Hp * ds)
-    minus = decay @ (Hm * ds)
-    return -1j * (np.exp(-1j * kmag * y0 * t) * plus
-                  - np.exp(1j * kmag * y0 * t) * minus)
+    s = ym * np.tan(phi)
+    ds = ym / np.cos(phi) ** 2 * 0.25 * math.pi * w
+    z = np.concatenate([ys, ym - 1j * s, -ym - 1j * s])
+    dz = np.concatenate([dy, -1j * ds, 1j * ds])
+    H = initial_transform(datum, z) / (kmag ** 2 - fp.closure1d.cauchy(z))
+    return np.exp(-1j * kmag * np.outer(t, z)) @ (dz * H)
 
 
 def efield_mode(kmag, fp, datum, t_end, kvec=None):
-    """Field mode series: tapered FFT over the core window plus exact ray tails.
+    """Field mode series: tapered FFT over the core window plus the off-window sum.
 
     The Cauchy tails of the boundary data decay only like 1/y, so a taper
-    alone cannot reach tolerance; the two tails are completed exactly by
-    rotating them into the lower half-plane.  The window reaches beyond the
+    alone cannot reach tolerance; ``_off_window`` restores the shoulders and
+    completes the two tails exactly.  The window reaches beyond the
     projected support and every dispersion root; it starts at 4096 points,
     more when t_end needs them.  The window self-check (against a 20%
     narrower core, to WINDOW_TOL) then verifies quadrature convergence and
@@ -161,10 +174,9 @@ def efield_mode(kmag, fp, datum, t_end, kvec=None):
         raise ValidationError(f"mode wavenumber must be finite and positive, got {kmag}")
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValidationError(f"t_end must be finite and nonnegative, got {t_end}")
-    support = float(fp.alphas[-1])
     # rays must stay beyond the projected support and beyond every
     # dispersion root (phase velocities scale like 1/k)
-    y_max = float(max(support + 4.0, 2.0 + 2.0 / kmag))
+    y_max = max(float(fp.alphas[-1]) + 4.0, 2.0 + 2.0 / kmag)
     n_y = 4096
     for _ in range(4):
         # keep the oscillation resolved out to t_end: k * t * dy <= 1/2
@@ -173,60 +185,29 @@ def efield_mode(kmag, fp, datum, t_end, kvec=None):
             n_y = 2 ** int(math.ceil(math.log2(n_min)))
         dy = 2.0 * y_max / n_y
         y = -y_max + dy * np.arange(n_y)
-        F = dispersion(fp, y, kmag ** 2)
-        G = initial_transform(datum, y)
-        H = G / (kmag ** 2 - F)
+        H = initial_transform(datum, y) / (kmag ** 2 - dispersion(fp, y, kmag ** 2))
 
         def series(window_scale):
             ym = window_scale * y_max
-            Hw = H * _taper(y, ym) * (np.abs(y) <= ym)
-            fhat = sfft.fft(Hw)
             t = 2.0 * np.pi * np.arange(n_y) / (kmag * n_y * dy)
-            phase = np.exp(1j * kmag * y_max * t)
-            vals = (kmag / (2.0 * np.pi)) * dy * phase * fhat
             keep = t <= t_end
             t = t[keep]
-            vals = vals[keep]
-            # the taper removes a smooth wedge on the shoulders; add it back
-            # by Gauss-Legendre, and complete |y| > ym along the rotated rays
-            vals = vals + (kmag / (2.0 * np.pi)) * (
-                _ray_tail(kmag, ym, t, fp, datum)
-                + _wedge_correction(kmag, ym, t, fp, datum))
-            return t, vals
+            window = dy * np.exp(1j * kmag * y_max * t) * sfft.fft(
+                H * _taper(y, ym) * (np.abs(y) <= ym))[keep]
+            return t, (kmag / (2.0 * np.pi)) * (window + _off_window(kmag, ym, t, fp, datum))
 
         t, vals = series(1.0)
         _, vals_narrow = series(0.8)
         err = float(np.max(np.abs(vals - vals_narrow)))
         scale = float(np.max(np.abs(vals)))
         if err <= WINDOW_TOL * max(scale, 1e-300):
-            mass = datum.mass()
-            e0_expected = -mass / (1j * kmag)
-            pois = abs(vals[0] - e0_expected) / max(abs(e0_expected), 1e-300)
-            return ModeSeries(tuple(kvec) if kvec is not None else (kmag,),
-                              kmag, t, vals, y_max, n_y, err / max(scale, 1e-300),
-                              pois)
+            e0 = -datum.mass() / (1j * kmag)
+            pois = abs(vals[0] - e0) / max(abs(e0), 1e-300)
+            return ModeSeries(tuple(kvec) if kvec is not None else (kmag,), kmag, t, vals,
+                              y_max, n_y, err / max(scale, 1e-300), pois)
         n_y *= 2
     raise RefinementCapError(
         f"window truncation error {err:.2e} above {WINDOW_TOL} after 3 refinements")
-
-
-def _wedge_correction(kmag, ym, t, fp, datum):
-    """Oscillatory integral of (1 - taper) H over the two tapered shoulders.
-
-    Gauss-Legendre on each shoulder with fresh boundary-value evaluations;
-    node spacing stays well below 1/(k t_end) for the runs this serves.
-    """
-    x, w = _GL96
-    lo = (1.0 - _TAPER_FRAC) * ym
-    out = np.zeros(len(t), dtype=complex)
-    for a, b in ((lo, ym), (-ym, -lo)):
-        ys = 0.5 * (a + b) + 0.5 * (b - a) * x
-        ws = 0.5 * (b - a) * w
-        F = fp.closure1d.cauchy(ys)
-        G = initial_transform(datum, ys)
-        Hs = (G / (kmag ** 2 - F)) * (1.0 - _taper(ys, ym)) * ws
-        out += np.exp(-1j * kmag * np.outer(t, ys)) @ Hs
-    return out
 
 
 @dataclass
@@ -294,11 +275,15 @@ def fit_damped_mode(t, values, t_lo, t_hi):
     """Damping rate and frequency by a matrix-pencil fit on a time window.
 
     Returns (rate, freq) of the least-damped pole with positive frequency.
+    The rank-2 pencil needs at least six samples in [t_lo, t_hi].
     """
     sel = (t >= t_lo) & (t <= t_hi)
     ts, vs = t[sel], np.asarray(values)[sel]
-    dt = ts[1] - ts[0]
     n = len(vs)
+    if n < 6:
+        raise ValidationError(f"fit window [{t_lo:g}, {t_hi:g}] holds {n} samples; "
+                              "the rank-2 pencil needs at least 6")
+    dt = ts[1] - ts[0]
     L = n // 3
     Y = np.array([vs[i:i + L] for i in range(n - L)])
     Y0, Y1 = Y[:-1], Y[1:]

@@ -10,9 +10,9 @@ derivative, the dispersion function F and its PV, in closed form through
 the Faddeeva function, and ``even_part`` is the one mixture, one term per
 even pair in v1, that the BGK route reads.  ``project_field`` projects sampled fields by the
 Fourier slice theorem, on one path for every d >= 2.  Sampled
-1D data (the per-mode datum) have one interpolant, the sinc interpolant, and
-one boundary value, ``_sinc_cauchy``: its Cauchy integral PV + i pi s(y)
-along the real axis.
+1D data (the per-mode datum) have one interpolant, the sinc interpolant,
+and one Cauchy transform, ``linear._sinc_cauchy``, on the real axis and
+below it.
 """
 
 from __future__ import annotations
@@ -399,48 +399,6 @@ class ProjectedProfile:
     @property
     def h(self):
         return float(self.alphas[1] - self.alphas[0])
-
-
-_BLOCK = 1 << 16  # kernel entries per Cauchy-transform block: 1 MiB of complex128
-
-
-def _sinc_cauchy(samples, alphas, ys):
-    """Boundary value int s(alpha)/(alpha - y - i0) dalpha = PV + i pi s(y).
-
-    s is the sinc interpolant of the uniform samples, the one interpolant
-    of sampled 1D data in the package.  With u = (y - alpha_0)/h the value
-    is sum_j s_j K(u - j) for the kernel K(t) = (e^{i pi t} - 1)/t,
-    K(0) = i pi: Re K = -2 sin^2(pi t/2)/t is the Hilbert transform of sinc
-    (Weideman, Math. Comp. 64, 1995) and Im K = pi sinc(t) the interpolant
-    itself.  sin^2(pi (u - j)/2) is sin^2 or cos^2 of pi u/2 and
-    sin(pi (u - j)) is +-sin(pi u) by the parity of j, so the sines are
-    taken once per y, and each row block of about ``_BLOCK`` kernel entries
-    is one real matrix product over the real and imaginary columns split by
-    parity.  An exact node adds i pi s_j.  Returns complex.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    cols = samples.view(float).reshape(-1, 2)
-    j = np.arange(len(alphas), dtype=float)
-    odd = (j % 2)[:, None]
-    weights = np.hstack([cols * (1.0 - odd), cols * odd])
-    u = (np.asarray(ys, dtype=float) - alphas[0]) / (alphas[1] - alphas[0])
-    r = u - 2.0 * np.round(0.5 * u)  # |r| <= 1 keeps the sines exact at the nodes
-    sin2 = np.sin(0.5 * math.pi * np.stack([r, 1.0 - np.abs(r)], axis=1)) ** 2
-    sin1 = np.sin(math.pi * r)[:, None]
-    pv = np.empty((len(u), 2))
-    sinc = np.empty((len(u), 2))  # pi s(y)
-    rows = max(1, _BLOCK // len(alphas))
-    for i0 in range(0, len(u), rows):
-        d = u[i0:i0 + rows, None] - j[None, :]
-        d[d == 0.0] = np.inf  # the node term is added below
-        acc = np.reciprocal(d, out=d) @ weights
-        s = sin2[i0:i0 + rows]
-        pv[i0:i0 + rows] = -2.0 * (s[:, :1] * acc[:, :2] + s[:, 1:] * acc[:, 2:])
-        sinc[i0:i0 + rows] = sin1[i0:i0 + rows] * (acc[:, :2] - acc[:, 2:])
-    out = pv.view(complex).ravel() + 1j * sinc.view(complex).ravel()
-    node = (u == np.round(u)) & (u >= 0) & (u <= len(alphas) - 1)
-    out[node] += 1j * math.pi * samples[u[node].astype(int)]
-    return out
 
 
 def fourier_multiplier(values, h, axes, symbol):

@@ -195,3 +195,16 @@ def test_every_read_name_is_bound():
         unbound |= {f"{path.stem}.{node.id}" for node in ast.walk(tree)
                     if isinstance(node, ast.Name) and node.id not in bound}
     assert sorted(unbound) == [], "read but never bound: a NameError when reached"
+
+
+def test_no_private_name_crosses_modules():
+    # a private name stays behind its module: a second reader imports the
+    # module's public surface, or the definition moves to its one reader
+    crossings = [f"{path.stem}: from .{node.module or ''} import {alias.name}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
+                 if isinstance(node, ast.ImportFrom) and node.level > 0
+                 for alias in node.names
+                 if alias.name.startswith("_")
+                 and not (alias.name.startswith("__") and alias.name.endswith("__"))]
+    assert crossings == [], "private names imported across modules"

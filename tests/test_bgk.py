@@ -488,6 +488,12 @@ class TestPeriodicOrbit:
         with pytest.raises(AmplitudeTooLargeError):
             periodic_orbit(h, 1.0)
 
+    @pytest.mark.parametrize("r", [0.0, -1e-3, math.nan])
+    def test_bad_amplitude_refused(self, r):
+        # r = 0 once read as an escaping orbit, r < 0 as a math domain error
+        with pytest.raises(ValidationError, match=f"r must be finite and positive, got {r}"):
+            periodic_orbit(HarmonicH(1.0), r)
+
 
 def dop853_sample(orb, n):
     """Oracle: uniform samples of one period of beta'' = h(beta) from the
@@ -670,6 +676,17 @@ def test_fft_wavenumbers_only_in_fourier_multiplier():
 
 
 class TestMatchPeriod:
+    @pytest.mark.parametrize("r", [0.0, -1e-3, math.nan])
+    def test_bad_amplitude_refused_before_bracket(self, maxwellian2, monkeypatch, r):
+        # inside the bracket a ValidationError reads as a NaN period: r = nan
+        # once took 2.8 s to end as "orbit escapes"
+        def no_work(*args, **kw):
+            raise AssertionError("bracket reached")
+
+        monkeypatch.setattr(bgk_mod, "build_modified", no_work)
+        with pytest.raises(ValidationError, match=f"r must be finite and positive, got {r}"):
+            match_period(maxwellian2, 2 * np.pi, 0.1, r, case=1)
+
     def test_case1_end_to_end(self, maxwellian2, monkeypatch):
         t1 = 2 * np.pi
         solves = []

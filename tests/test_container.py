@@ -45,6 +45,29 @@ def test_bad_magic_rejected(tmp_path):
         container.load_wave_header(path)
 
 
+@pytest.mark.parametrize("cut", [6, 30, -100, -8])
+def test_truncated_container_rejected(tmp_path, cut):
+    # the four cuts once raised struct.error, JSONDecodeError and two
+    # numpy ValueErrors
+    path = tmp_path / "v.vplb"
+    container.save_profile(path, VelocityGrid(1, 8.0, 64), np.arange(64.0), {})
+    raw = path.read_bytes()
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValidationError, match=r"truncated container: expected \d+ bytes "
+                                              r"at offset \d+, read \d+"):
+        container.load_wave_header(path)
+
+
+def test_corrupt_header_rejected(tmp_path):
+    path = tmp_path / "v.vplb"
+    container.save_profile(path, VelocityGrid(1, 8.0, 64), np.arange(64.0), {})
+    raw = bytearray(path.read_bytes())
+    raw[12] = ord("]")  # the header's opening brace
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValidationError, match="corrupt container header"):
+        container.load_wave_header(path)
+
+
 def test_json_writer_handles_numpy(tmp_path):
     path = tmp_path / "r.json"
     container.write_json(path, {"a": np.float64(1.5), "b": np.arange(3),

@@ -12,7 +12,8 @@ from vplab.errors import PenroseUnstableError, ValidationError
 from vplab.linear import (
     Datum1D,
     FieldHistory,
-    _cauchy_quad,
+    _BLOCK,
+    _sinc_cauchy,
     continued_dispersion,
     dispersion,
     efield_mode,
@@ -21,13 +22,11 @@ from vplab.linear import (
     initial_transform,
 )
 from vplab.profiles import (
-    _BLOCK,
     GaussianMixture,
     GaussianTerm,
     Profile,
     ProjectedProfile,
     VelocityGrid,
-    _sinc_cauchy,
     make_builtin,
     project,
 )
@@ -167,7 +166,7 @@ def _pv_scale(m):
 def _continuation_oracle(m, z):
     """Trapezoid Cauchy sum of m' on AXIS plus the residue 2 pi i m'(z) below
     the axis; its error e^{-2 pi |Im z|/h} is roundoff only from |Im z| = 0.3."""
-    out = _cauchy_quad(m.dval(AXIS), AXIS, z)
+    out = np.trapezoid(m.dval(AXIS)[None, :] / (AXIS[None, :] - z[:, None]), AXIS, axis=1)
     below = z.imag < 0
     out[below] += 2j * np.pi * m.dval(z[below])
     return out
@@ -191,14 +190,35 @@ class TestSincPv:
 
     @settings(max_examples=60)
     @given(m=mixtures(), y0=st.floats(9.6, 40.0))
-    def test_below_axis_against_cauchy_quad(self, m, y0):
-        # the lower-half-plane branch on the rotated rays of the field mode,
-        # where the trapezoid sum of the sampled m' is exact to roundoff
+    def test_below_axis_against_closure(self, m, y0):
+        # the lower-half-plane branch on the rotated rays of the field mode:
+        # the Cauchy integral of the sinc interpolant of the sampled m'
         x, _ = linear._GL96
         s = y0 * np.tan(0.25 * np.pi * (x + 1.0))
         for z in (y0 - 1j * s, -y0 - 1j * s):
-            quad = _cauchy_quad(m.dval(AXIS), AXIS, z)
-            assert np.max(np.abs(m.cauchy(z) - quad)) < 1e-12 * _pv_scale(m)
+            sinc = _sinc_cauchy(m.dval(AXIS), AXIS, z)
+            assert np.max(np.abs(m.cauchy(z) - sinc)) < 1e-12 * _pv_scale(m)
+
+    @settings(max_examples=30)
+    @given(m=mixtures())
+    def test_near_axis_against_closure(self, m):
+        # |Im z| = 0.05 on both sides, where a trapezoid sum is off by 1e-4,
+        # and one grid step above and below the nodes, which must not count as nodes
+        z = np.linspace(-6.0, 6.0, 49) + 0.3 * H
+        for zs in (z - 0.05j, z + 0.05j, AXIS[::64] - 1j * H, AXIS[::64] + 1j * H):
+            sinc = _sinc_cauchy(m.dval(AXIS), AXIS, zs)
+            assert np.max(np.abs(m.cauchy(zs) - sinc)) < 1e-12 * _pv_scale(m)
+
+    @pytest.mark.parametrize("offset", [1e-9, 1e-11, -1e-12])
+    def test_imaginary_part_near_nodes(self, fp_maxwellian, offset):
+        # Im = pi s(y) against a direct sinc sum just off the nodes, where
+        # sin(pi r) at r near +-1 would lose the leading digits
+        a = fp_maxwellian.alphas
+        ys = a[200:312] + offset
+        for samples in (fp_maxwellian.values, fp_maxwellian.closure1d.dval(a)):
+            direct = np.pi * (np.sinc((ys[:, None] - a[None, :]) / H) @ samples)
+            err = np.max(np.abs(_sinc_cauchy(samples, a, ys).imag - direct))
+            assert err <= 1e-13 * np.pi * np.max(np.abs(samples))
 
     @settings(max_examples=30)
     @given(m1=mixtures(), m2=mixtures(),
@@ -286,13 +306,14 @@ class TestContinuation:
 
 
 class TestCauchyBlocks:
-    """Both Cauchy transforms work through blocks of ``_BLOCK`` kernel entries."""
+    """The sampled Cauchy transform works through blocks of ``_BLOCK`` kernel entries."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from((64, 512, 1000)), seed=st.integers(0, 2 ** 32 - 1),
            complex_samples=st.booleans(), side=st.sampled_from((-1.0, 1.0)),
            count=st.sampled_from(("one", "below", "equal", "ragged")))
-    def test_against_trapezoid_oracle(self, n, seed, complex_samples, side, count):
+    def test_complex_pieces_match_whole(self, n, seed, complex_samples, side, count):
+        # off the axis, split at points that are not block edges
         rng = np.random.default_rng(seed)
         alphas = np.linspace(-8.0, 8.0, n)
         samples = rng.standard_normal(n)
@@ -301,10 +322,13 @@ class TestCauchyBlocks:
         rows = _BLOCK // n
         m = {"one": 1, "below": rows - 1, "equal": rows, "ragged": 2 * rows + 3}[count]
         z = rng.uniform(-10.0, 10.0, m) + 1j * side * rng.uniform(0.05, 3.0, m)
-        kernel = 1.0 / (alphas[None, :] - z[:, None])
-        oracle = np.trapezoid(samples[None, :] * kernel, alphas, axis=1)
-        scale = np.trapezoid(np.abs(samples[None, :] * kernel), alphas, axis=1)
-        assert np.all(np.abs(_cauchy_quad(samples, alphas, z) - oracle) <= 1e-13 * scale)
+        whole = _sinc_cauchy(samples, alphas, z)
+        pieces = np.concatenate([_sinc_cauchy(samples, alphas, part)
+                                 for part in np.array_split(z, 7)])
+        # every kernel term is at most 2 |s_j| / |u - j| in grid units
+        u = (z - alphas[0]) / (alphas[1] - alphas[0])
+        scale = 2.0 * np.abs(1.0 / (u[:, None] - np.arange(n)[None, :])) @ np.abs(samples)
+        assert np.all(np.abs(whole - pieces) <= 1e-13 * scale)
 
     def test_sinc_cauchy_pieces_match_whole(self, fp_maxwellian):
         # nine blocks of ys, split at points that are not block edges,
@@ -462,6 +486,21 @@ class TestPencilFit:
         rate, freq = fit_damped_mode(t, series, 2.0, 38.0)
         assert abs(rate - 0.15) < 1e-8
         assert abs(freq - 1.4) < 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_short_window(self, n):
+        # below six samples the rank-2 pencil is underdetermined: two samples
+        # once raised IndexError, three to five returned rates near 2.9 with
+        # frequency 0
+        t = 5.0 + 0.3 * np.arange(40)
+        series = np.exp(-0.15 * t) * np.cos(1.4 * t)
+        t_hi = t[n - 1] + 0.1
+        if n < 6:
+            with pytest.raises(ValidationError, match=rf"\[5, {t_hi:g}\] holds {n} samples"):
+                fit_damped_mode(t, series, 5.0, t_hi)
+        else:
+            rate, freq = fit_damped_mode(t, series, 5.0, t_hi)
+            assert abs(rate - 0.15) < 1e-10 and abs(freq - 1.4) < 1e-10
 
 
 def test_zero_wavenumber_rejected(fp_maxwellian):
