@@ -106,9 +106,9 @@ def _require_even(f1):
                               f"{tuple(map(float, unpaired[0]))} has no mirror of equal weight")
 
 
-def _require_amplitude(r):
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValidationError(f"orbit amplitude r must be finite and positive, got {r}")
+def _require_positive(what, x):
+    if not (x is not None and math.isfinite(x) and x > 0.0):
+        raise ValidationError(f"{what} must be finite and positive, got {x}")
 
 
 def build_modified(f1, gamma, delta, case, v0=BUMP_V0):
@@ -117,20 +117,18 @@ def build_modified(f1, gamma, delta, case, v0=BUMP_V0):
     Cases 1 and 2 add the narrow feature (gamma/delta) F1(v1/(gamma delta))
     F2(v2) and renormalise by 1 + C0 gamma^2; case 3 rescales v1 by delta.
     The closure carries features far below the grid resolution exactly.
-    The bump offset v0 must be finite and positive in every case (only
-    case 1 places the bump there), and the base closure even in v1.
+    The bump offset v0 and the scale delta must be finite and positive in
+    every case (only case 1 places the bump at v0), gamma in cases 1-2 (case
+    3 ignores it), and the base closure must be even in v1.
     """
-    if not (v0 is not None and math.isfinite(v0) and v0 > 0):
-        raise ValidationError(f"the bump offset v0 must be finite and positive, got {v0}")
+    _require_positive("the bump offset v0", v0)
+    _require_positive("the scale delta", delta)
     _require_even(f1)
     if case == 3:
-        if delta <= 0:
-            raise ValidationError("case-3 scale must be positive")
         mix = f1.closure.scaled_v1(delta)
         return ModifiedProfile(f1, 0.0, float(delta), 3, 0.0, 0.0, mix, None)
 
-    if gamma <= 0 or delta <= 0:
-        raise ValidationError("gamma and delta must be positive")
+    _require_positive("the feature scale gamma", gamma)
     lam = gamma * delta
     if case == 1:
         if GaussianMixture(1, even_pair(1.0, v0, (1.0,))).pv_d_integral() <= 0:
@@ -418,7 +416,7 @@ def periodic_orbit(h, r):
     center basin (V losing convexity before the turning point) raises
     AmplitudeTooLargeError; a non-finite or non-positive r, ValidationError.
     """
-    _require_amplitude(r)
+    _require_positive("orbit amplitude r", r)
     hp0 = h.hprime0()
     if not hp0 < 0:
         raise ValidationError(f"h'(0) = {hp0:.3e} is not negative: no center at 0")
@@ -621,13 +619,16 @@ def match_period(f1, T1, gamma, r, case=None):
     ``provenance["bisection_widths"]`` is the bracket width after each step;
     it never grows.  The trapped depth 2 max|beta| must stay inside the
     decomposition window a^2 = 1/4, and the reduced field equation residual
-    below POISSON_RESIDUAL_TOL.  A base closure that is not even in v1, and
-    a non-finite or non-positive r, are refused before any work.
+    below POISSON_RESIDUAL_TOL.  A base closure that is not even in v1, a
+    non-finite or non-positive r and, in cases 1-2, such a gamma are refused
+    before any work.
     """
-    _require_amplitude(r)
+    _require_positive("orbit amplitude r", r)
     _require_even(f1)
     if case is None:
         case = select_case(f1, T1).case
+    if case != 3:
+        _require_positive("the feature scale gamma", gamma)
 
     cache = {}
 

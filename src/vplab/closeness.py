@@ -6,14 +6,15 @@ The distance is measured in the triple norm
 
 over one spatial period times velocity space.  Every contribution is
 separable or two-scale (broad base plus narrow feature), so each piece is
-evaluated on its own adapted grid.  ``wsp_pow_separable`` is the one
-W^{s,p} assembly: a tensor product of ``Axis1D`` factors of any rank, each
-axis periodic (spectral derivative) or decaying (fourth-order stencil).
-The coupled wave field here and ``norms.fractional_wsp_norm`` on a gridded
-field are single calls to it.  For p = 2 each axis Gagliardo seminorm is
-one spectral quadratic form (``gagliardo_pow``): the discrete, no-wrap
-version of the Fourier-multiplier identity for W^{s,2}.  Pieces combine by
-the triangle inequality, so the reported total is a certified upper bound.
+evaluated on its own adapted grid by one routine, ``_piece``: the feature,
+renormalisation, scaling and wave pieces differ only in their samples.
+``wsp_pow_separable`` is the one W^{s,p} assembly, a tensor product of
+``Axis1D`` factors of any rank, each axis periodic (spectral derivative) or
+decaying (fourth-order stencil); ``_piece`` and ``norms.fractional_wsp_norm``
+call it once.  For p = 2 each axis Gagliardo seminorm is one spectral
+quadratic form (``gagliardo_pow``): the discrete, no-wrap version of the
+Fourier-multiplier identity for W^{s,2}.  Pieces combine by the triangle
+inequality (``ClosenessReport.of``), so the total is a certified upper bound.
 """
 
 from __future__ import annotations
@@ -163,49 +164,38 @@ def wsp_pow_separable(axes, s, p):
 
 
 def wsp_norm_coupled(field2d, hx, hv, trans_axes, s, p):
-    """W^{s,p} norm (p-th power) of D(x, v1) times transverse 1D factors.
-
-    The x direction is the periodic box, differentiated spectrally; offsets
-    never wrap, matching the box convention of the velocity-grid Gagliardo
-    sums.
-    """
+    """W^{s,p} norm (p-th power) of D(x, v1), x the periodic box, times
+    transverse 1D factors."""
     coupled = Axis1D(field2d, (hx, hv), periodic=(True, False))
     return wsp_pow_separable([coupled] + list(trans_axes), s, p)
 
 
 # ---------------------------------------------------------------------------
-# adapted sampling of mixture pieces
+# one distance piece per mixture term
 # ---------------------------------------------------------------------------
-
-def _pair_axis(term):
-    """Samples of an ``even_part`` term's unit-mass pair on its adapted v1 window."""
-    lo = term.mean[0] + 12.0 * term.widths[0]
-    v = np.linspace(-lo, lo, 4096)
-    return Axis1D(term.even_val(v ** 2), v[1] - v[0]), v
-
 
 def _gauss_axis(width):
     v = np.linspace(-10.0 * width, 10.0 * width, 2048)
-    return Axis1D(np.exp(-v ** 2 / (2 * width ** 2)) / (width * SQRT2PI),
-                  v[1] - v[0])
+    return Axis1D(np.exp(-v ** 2 / (2 * width ** 2)) / (width * SQRT2PI), v[1] - v[0])
 
 
-def _transverse(term):
-    """A term's transverse factors sampled centred (shifts keep their norms)
-    and their second moment sum (m^2 + w^2)."""
-    return ([_gauss_axis(w) for w in term.widths[1:]],
-            sum(m ** 2 + w ** 2 for m, w in zip(term.mean[1:], term.widths[1:])))
+def _window(terms, n, margin):
+    """n points on +-(max_t (|m_t| + 12 w_t) + margin) in v1."""
+    reach = max(abs(t.mean[0]) + 12.0 * t.widths[0] for t in terms)
+    return np.linspace(-(reach + margin), reach + margin, n)
 
 
-def _term_field_norms(term, s, p):
-    """All three norms of the even part of one ``even_part`` term (nonnegative)."""
-    ax1, v = _pair_axis(term)
-    trans, mom_t = _transverse(term)
-    l1 = abs(term.weight)
-    mom = abs(term.weight) * (term.mean[0] ** 2 + term.widths[0] ** 2 + mom_t)
-    scaled = Axis1D(abs(term.weight) * ax1.vals, ax1.h)
-    wsp = wsp_pow_separable([scaled] + trans, s, p) ** (1.0 / p)
-    return l1, mom, wsp
+def _piece(vals, h, v, term, s, p):
+    """(L1, second moment, W^{s,p}) of samples over (x?, v1), v1 = ``v`` last
+    and x the periodic box, times the term's transverse Gaussians sampled
+    centred (shifts keep norms); moment weight v1^2 + sum_t (m_t^2 + w_t^2)."""
+    field = Axis1D(vals, h, periodic=(True,) * (np.ndim(vals) - 1) + (False,))
+    cell = math.prod(field.h)
+    mom_t = sum(m ** 2 + w ** 2 for m, w in zip(term.mean[1:], term.widths[1:]))
+    absv = np.abs(field.vals)
+    trans = [_gauss_axis(w) for w in term.widths[1:]]
+    return (float(np.sum(absv)) * cell, float(np.sum(absv * (v ** 2 + mom_t))) * cell,
+            wsp_pow_separable([field] + trans, s, p) ** (1.0 / p))
 
 
 @dataclass
@@ -218,6 +208,12 @@ class ClosenessReport:
     pieces: dict
     s: float
     p: float
+
+    @classmethod
+    def of(cls, pieces, info, s, p):
+        """Triangle sum of (l1, second moment, wsp) triples, added in order."""
+        l1, mom, wsp = (sum(col) for col in zip(*pieces))
+        return cls(l1, mom, wsp, info, s, p)
 
     @property
     def total(self):
@@ -234,35 +230,29 @@ class ClosenessReport:
 def modified_profile_distance(mp, s, p):
     """Distance of the modified profile to its base, all three norms.
 
-    Cases 1-2: triangle over the added feature and the renormalisation
-    piece.  Case 3: exact separable difference of the scaled pairs.  Every
+    Cases 1-2: triangle over the added feature (share 1) and the
+    renormalisation piece (share C0 gamma^2 / (1 + C0 gamma^2) of each base
+    term).  Case 3: exact separable difference of the scaled pairs.  Every
     piece is a term of an ``even_part``.
     """
     base = mp.f1.closure.even_part().terms
     if mp.bump is not None:
-        scale = 1.0 / (1.0 + mp.C0 * mp.gamma ** 2)
-        l1 = mom = wsp = 0.0
-        for t in mp.bump.even_part().terms:
-            a, b, c = _term_field_norms(t, s, p)
-            l1, mom, wsp = l1 + a, mom + b, wsp + c
-        shrink = mp.C0 * mp.gamma ** 2 * scale
-        for t in base:
-            a, b, c = _term_field_norms(t, s, p)
-            l1, mom, wsp = l1 + shrink * a, mom + shrink * b, wsp + shrink * c
-        return ClosenessReport(l1, mom, wsp, {"kind": "feature+renorm"}, s, p)
+        renorm = mp.C0 * mp.gamma ** 2 / (1.0 + mp.C0 * mp.gamma ** 2)
+        shares = [(1.0, t) for t in mp.bump.even_part().terms] + [(renorm, t) for t in base]
+        pieces = []
+        for share, t in shares:
+            v = _window([t], 4096, 0.0)
+            vals = share * abs(t.weight) * t.even_val(v ** 2)
+            pieces.append(_piece(vals, v[1] - v[0], v, t, s, p))
+        return ClosenessReport.of(pieces, {"kind": "feature+renorm"}, s, p)
 
     # case 3: per-term difference shares the transverse factor exactly
-    l1 = mom = wsp = 0.0
+    pieces = []
     for t0, t1 in zip(base, mp.mixture.even_part().terms):
-        reach = max(t0.mean[0] + 12 * t0.widths[0], t1.mean[0] + 12 * t1.widths[0])
-        v = np.linspace(-reach, reach, 8192)
-        h = v[1] - v[0]
+        v = _window([t0, t1], 8192, 0.0)
         diff = t0.weight * (t1.even_val(v ** 2) - t0.even_val(v ** 2))
-        trans, mom_t = _transverse(t0)
-        l1 += float(np.sum(np.abs(diff))) * h
-        mom += float(np.sum(np.abs(diff) * (v ** 2 + mom_t))) * h
-        wsp += wsp_pow_separable([Axis1D(diff, h)] + trans, s, p) ** (1.0 / p)
-    return ClosenessReport(l1, mom, wsp, {"kind": "scaling"}, s, p)
+        pieces.append(_piece(diff, v[1] - v[0], v, t0, s, p))
+    return ClosenessReport.of(pieces, {"kind": "scaling"}, s, p)
 
 
 def wave_profile_distance(wave, s, p):
@@ -273,33 +263,27 @@ def wave_profile_distance(wave, s, p):
     mean-value identity on the term's adapted window; pieces combine by the
     triangle inequality.
     """
-    n_x, n_v = 192, 1024
+    n_x = 192
     xs = np.linspace(0.0, wave.T1, n_x, endpoint=False)
     hx = wave.T1 / n_x
     beta = wave.beta_at(xs)
     b_max = float(np.max(np.abs(beta)))
     margin = math.sqrt(2.0 * b_max) * 1.5
-    l1 = mom = wsp = 0.0
+    pieces = []
     for t in wave.mp.mixture.even_part().terms:
-        reach = t.mean[0] + 12.0 * t.widths[0]
-        v = np.linspace(-(reach + margin), reach + margin, n_v)
-        hv = v[1] - v[0]
+        v = _window([t], 1024, margin)
         y0 = v[None, :] ** 2
         # D = -2 beta int_0^1 A'(y0 - 2 beta s) ds     (Gauss-Legendre in s);
         # A' varies by eps = 2 max|beta| / w1^2 over s, so at eps <= 1e-8 the
         # one-node rule's error is below roundoff
         gl_x, gl_w = _GL8 if 2.0 * b_max / t.widths[0] ** 2 > 1e-8 else _GL1
-        acc = np.zeros((n_x, n_v))
+        acc = np.zeros((n_x, v.size))
         for a, wq in zip(0.5 * (gl_x + 1.0), 0.5 * gl_w):
             y = y0 - (2.0 * a) * beta[:, None]
             acc += wq * t.even_dval(y)
         D = -2.0 * t.weight * beta[:, None] * acc
-        trans, mom_t = _transverse(t)
-        cell = hx * hv
-        l1 += float(np.sum(np.abs(D))) * cell
-        mom += float(np.sum(np.abs(D) * (v[None, :] ** 2 + mom_t))) * cell
-        wsp += wsp_norm_coupled(D, hx, hv, trans, s, p) ** (1.0 / p)
-    return ClosenessReport(l1, mom, wsp, {"kind": "wave-vs-profile"}, s, p)
+        pieces.append(_piece(D, (hx, v[1] - v[0]), v, t, s, p))
+    return ClosenessReport.of(pieces, {"kind": "wave-vs-profile"}, s, p)
 
 
 def closeness_report(wave, s, p):
@@ -307,5 +291,5 @@ def closeness_report(wave, s, p):
     d_mod = modified_profile_distance(wave.mp, s, p)
     d_wave = wave_profile_distance(wave, s, p)
     pieces = {"modified_vs_base": d_mod.to_json(), "wave_vs_modified": d_wave.to_json()}
-    return ClosenessReport(d_mod.l1 + d_wave.l1, d_mod.second_moment + d_wave.second_moment,
-                           d_mod.wsp + d_wave.wsp, pieces, s, p)
+    return ClosenessReport.of([(d.l1, d.second_moment, d.wsp) for d in (d_mod, d_wave)],
+                              pieces, s, p)

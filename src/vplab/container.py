@@ -9,6 +9,7 @@ without this package.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -50,14 +51,24 @@ def _read_blob(path):
             header = json.loads(_read_exact(fh, path, hlen).decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ValidationError(f"{path}: corrupt container header: {exc}") from exc
+        specs = header.get("payloads") if isinstance(header, dict) else None
+        if not (isinstance(specs, list) and all(map(_is_payload_spec, specs))):
+            raise ValidationError(f"{path}: container header needs a list 'payloads' of entries "
+                                  "with a string name and a shape of non-negative ints")
         payloads = {}
-        for spec in header["payloads"]:
-            count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-            buf = _read_exact(fh, path, 8 * count)
-            payloads[spec["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(
-                spec["shape"]
-            ).copy()
+        for spec in specs:
+            buf = _read_exact(fh, path, 8 * math.prod(spec["shape"]))
+            payloads[spec["name"]] = np.frombuffer(buf, np.float64).reshape(spec["shape"]).copy()
+        if fh.read(1):
+            raise ValidationError(f"{path}: bytes follow the declared payloads "
+                                  f"at offset {fh.tell() - 1}")
     return header, payloads
+
+
+def _is_payload_spec(spec):
+    return (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+            and isinstance(spec.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in spec["shape"]))
 
 
 def save_profile(path, grid, values, meta):

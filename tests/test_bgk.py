@@ -687,6 +687,23 @@ class TestMatchPeriod:
         with pytest.raises(ValidationError, match=f"r must be finite and positive, got {r}"):
             match_period(maxwellian2, 2 * np.pi, 0.1, r, case=1)
 
+    @pytest.mark.parametrize("gamma", [math.nan, -0.1, 0.0])
+    def test_bad_gamma_refused_before_bracket(self, monkeypatch, gamma):
+        # a refusal inside the bracket reads as a NaN period: these once
+        # raised BracketError "[nan, nan]", NaN with 12 RuntimeWarnings
+        m2 = make_builtin("maxwellian", VelocityGrid(2, 8.0, 128))
+        for case in (1, 2):
+            with pytest.raises(ValidationError,
+                               match=f"gamma must be finite and positive, got {gamma}"):
+                build_modified(m2, gamma, 1.0, case)
+
+        def no_work(*args, **kw):
+            raise AssertionError("bracket reached")
+
+        monkeypatch.setattr(bgk_mod, "build_modified", no_work)
+        with pytest.raises(ValidationError, match=f"gamma must be finite and positive, got {gamma}"):
+            match_period(m2, 2 * np.pi, gamma, 1e-3, case=1)
+
     def test_case1_end_to_end(self, maxwellian2, monkeypatch):
         t1 = 2 * np.pi
         solves = []

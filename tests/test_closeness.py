@@ -9,9 +9,11 @@ from scipy import fft as sfft
 from vplab import closeness
 from vplab.closeness import (
     Axis1D,
+    closeness_report,
     fd_derivative,
     gagliardo_pow,
     lp_pow,
+    modified_profile_distance,
     wave_profile_distance,
     wsp_norm_coupled,
     wsp_pow_separable,
@@ -19,7 +21,7 @@ from vplab.closeness import (
 from vplab.errors import ValidationError
 from vplab.bgk import build_modified
 from vplab.norms import fractional_wsp_norm
-from vplab.profiles import VelocityGrid, make_builtin
+from vplab.profiles import GaussianMixture, GaussianTerm, Profile, VelocityGrid, make_builtin
 
 
 def gagliardo_double_sum(vals, h, order, p, axis):
@@ -149,9 +151,10 @@ def _pipeline_fields():
     mp = build_modified(m2, 1.6e-7, 1.06, 1, v0=3.0)
     out = []
     for term in mp.mixture.even_part().terms:
-        ax, v = closeness._pair_axis(term)
+        v = closeness._window([term], 4096, 0.0)
         h = v[1] - v[0]
-        out += [(ax.vals, h, 0), (fd_derivative(ax.vals, h), h, 0)]
+        vals = term.even_val(v ** 2)
+        out += [(vals, h, 0), (fd_derivative(vals, h), h, 0)]
     t0 = m2.closure.terms[0]
     t1 = m2.closure.scaled_v1(0.93).terms[0]
     v = np.linspace(-12.0, 12.0, 8192)
@@ -387,3 +390,56 @@ class TestWspAssembly:
     def test_order_out_of_range(self):
         with pytest.raises(ValidationError, match="0 <= s < 2"):
             wsp_norm_coupled(np.ones((4, 4)), 0.1, 0.1, [], 2.0, 2.0)
+
+
+class TestPieces:
+    """Every piece of the certificate goes through ``closeness._piece``."""
+
+    def test_feature_and_renorm_against_closed_forms(self, grid2, monkeypatch):
+        # L1 = share |w| and moment = share |w| (m^2 + w^2 + sum_t (m_t^2 + w_t^2))
+        # for the unit-mass pair of every feature (share 1) and base term
+        # (share C0 gamma^2 / (1 + C0 gamma^2)); one base term sits at
+        # transverse mean 0.5
+        closure = GaussianMixture(2, [
+            GaussianTerm(0.6, (0.0, 0.5), (1.0, 0.8)),
+            GaussianTerm(0.2, (1.5, 0.0), (0.7, 1.2)),
+            GaussianTerm(0.2, (-1.5, 0.0), (0.7, 1.2))])
+        mp = build_modified(Profile.from_closure(grid2, closure), 0.1, 1.0, 1, v0=3.0)
+        seen = []
+        real_piece = closeness._piece
+
+        def recorded(vals, h, v, term, s, p):
+            seen.append(real_piece(vals, h, v, term, s, p))
+            return seen[-1]
+
+        monkeypatch.setattr(closeness, "_piece", recorded)
+        report = modified_profile_distance(mp, 1.2, 2.0)
+        renorm = mp.C0 * mp.gamma ** 2 / (1.0 + mp.C0 * mp.gamma ** 2)
+        shares = ([(1.0, t) for t in mp.bump.even_part().terms]
+                  + [(renorm, t) for t in closure.even_part().terms])
+        assert [t.mean[1] for _, t in shares[1:]] == [0.5, 0.0]
+        assert len(seen) == len(shares) == 3
+        for (l1, mom, _), (share, t) in zip(seen, shares):
+            mass = share * abs(t.weight)
+            moment = mass * sum(m ** 2 + w ** 2 for m, w in zip(t.mean, t.widths))
+            assert abs(l1 - mass) <= 1e-12 * mass
+            assert abs(mom - moment) <= 1e-12 * moment
+        assert report.l1 == sum(piece[0] for piece in seen)
+        assert report.second_moment == sum(piece[1] for piece in seen)
+
+    @pytest.mark.parametrize("which, kind", [("budget", "feature+renorm"),
+                                             ("steady", "scaling")])
+    def test_report_structure(self, budget_wave, steady_wave, which, kind):
+        # the CLI manifest writes this dictionary under "closeness"
+        wave = budget_wave[0] if which == "budget" else steady_wave
+        out = closeness_report(wave, 1.2, 2.0).to_json()
+        assert set(out) == {"l1", "second_moment", "wsp", "total", "s", "p",
+                            "upper_bound", "pieces"}
+        parts = out["pieces"]
+        assert set(parts) == {"modified_vs_base", "wave_vs_modified"}
+        assert parts["modified_vs_base"]["pieces"] == {"kind": kind}
+        assert parts["wave_vs_modified"]["pieces"] == {"kind": "wave-vs-profile"}
+        for key in ("l1", "second_moment", "wsp"):
+            assert out[key] == parts["modified_vs_base"][key] + parts["wave_vs_modified"][key]
+        assert out["total"] == out["l1"] + out["second_moment"] + out["wsp"]
+        assert (out["s"], out["p"], out["upper_bound"]) == (1.2, 2.0, True)

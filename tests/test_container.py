@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +67,23 @@ def test_corrupt_header_rejected(tmp_path):
     raw[12] = ord("]")  # the header's opening brace
     path.write_bytes(bytes(raw))
     with pytest.raises(ValidationError, match="corrupt container header"):
+        container.load_wave_header(path)
+
+
+@pytest.mark.parametrize("header, tail, match", [
+    ({"kind": "bgk_wave"}, b"", "needs a list 'payloads' of entries"),
+    ({"kind": "bgk_wave", "payloads": [{"name": "beta", "shape": [-3]}]}, b"",
+     "shape of non-negative ints"),
+    ({"kind": "bgk_wave", "payloads": [{"name": "beta", "shape": [4]}]}, bytes(16),
+     r"bytes follow the declared payloads at offset \d+"),
+], ids=["no_payloads", "negative_shape", "trailing_bytes"])
+def test_header_structure_checked(tmp_path, header, tail, match):
+    # these once raised KeyError, a bare ValueError, and nothing at all
+    raw = json.dumps(header).encode("utf-8")
+    path = tmp_path / "v.vplb"
+    path.write_bytes(container.MAGIC + struct.pack("<II", container.VERSION, len(raw)) + raw
+                     + np.arange(4.0).tobytes() + tail)
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: .*{match}"):
         container.load_wave_header(path)
 
 
