@@ -21,7 +21,6 @@ from .profiles import (
     project,
 )
 from .norms import (
-    NormSpec,
     check_norm_equivalence,
     fractional_wsp_norm,
     hardy_quotient,

@@ -827,7 +827,8 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
     before any search.  A travel speed c != 0 is refused: the boost moves
     the wave off f0(v) to f0(v - c), which the certificate does not see;
     so is a base f0 that is not even in v1, whose odd part it does not see.
-    A non-finite or non-positive T1, eps, gamma or r, and eps together with
+    A non-finite or non-positive T1, eps, gamma or r, a non-finite s, a
+    p <= 1 (for which the triangle sum is no bound), and eps together with
     gamma or r, are refused before any work.
 
     Returns (wave, ClosenessReport).
@@ -836,9 +837,12 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
 
     if not (math.isfinite(T1) and T1 > 0):
         raise ValidationError(f"period T1 must be finite and positive, got {T1}")
-    for name, val in (("eps", eps), ("gamma", gamma), ("r", r)):
+    for name, val in (("s", s), ("p", p), ("eps", eps), ("gamma", gamma), ("r", r)):
         if val is not None and not math.isfinite(val):
             raise ValidationError(f"{name} must be finite, got {val}")
+    if not p > 1.0:
+        raise ValidationError(f"p must be > 1, got {p}: below, the triangle sum bounds nothing")
+    for name, val in (("eps", eps), ("gamma", gamma), ("r", r)):
         if val is not None and val <= 0.0:
             raise ValidationError(f"{name} must be positive, got {val}")
     for name, val in (("gamma", gamma), ("r", r)):
@@ -877,18 +881,17 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
 
     def mod_distance(g):
         d_star = _seed_delta(f0, T1, g, case, BUMP_V0)
-        return modified_profile_distance(
-            build_modified(f0, g, d_star, case), s, p).total, d_star
+        return modified_profile_distance(build_modified(f0, g, d_star, case), s, p).total
 
     # log-bisection on gamma against the modification budget
     g_hi = 0.2
-    d_hi, _ = mod_distance(g_hi)
+    d_hi = mod_distance(g_hi)
     g = g_hi
     if d_hi > target_mod:
         g_lo = g_hi
         while True:
             g_lo *= 0.05
-            d_lo, _ = mod_distance(g_lo)
+            d_lo = mod_distance(g_lo)
             if d_lo <= target_mod:
                 break
             if g_lo < 1e-60:
@@ -896,7 +899,7 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
         lo, hi = math.log(g_lo), math.log(g_hi)
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            d_mid, _ = mod_distance(math.exp(mid))
+            d_mid = mod_distance(math.exp(mid))
             if d_mid <= 0.9 * target_mod:
                 lo = mid
             elif d_mid > target_mod:
@@ -906,8 +909,7 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
         g = math.exp(mid if d_mid <= target_mod else lo)
 
     for _ in range(6):
-        _, d_star = mod_distance(g)
-        lam = g * d_star
+        lam = g * _seed_delta(f0, T1, g, case, BUMP_V0)
         if case == 1:
             beta_cap = 0.125 * lam ** 2 * (math.pi / (2.0 * BUMP_V0)) ** 2
         else:

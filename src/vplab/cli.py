@@ -20,43 +20,43 @@ import numpy as np
 
 from . import __version__, container
 from .errors import PenroseUnstableError, ValidationError, VplabError
-from .norms import NormSpec, fractional_wsp_norm, norm_report, weighted_hsb_norm
+from .norms import fractional_wsp_norm, weighted_hsb_norm
 from .penrose import MARGIN_TOL, DualLattice, penrose_check
-from .profiles import VelocityGrid, make_builtin
+from .profiles import VelocityGrid, make_builtin, project
 from . import linear as linear_mod
 from . import sim as sim_mod
 from .bgk import PERIOD_TOL_REL, POISSON_RESIDUAL_TOL, build_wave
-from .profiles import project
 
-COMMANDS = ("penrose", "bgk-build", "linear-decay", "simulate", "norms")
+PROFILE_KEYS = {"profile.name", "profile.v0", "profile.width",
+                "grid.n", "grid.vmax", "grid.dim"}
+
+# kind -> (the config keys it reads, with their defaults; norm(values, grid, **keys))
+NORMS = {
+    "weighted_Hsb": ({"s": 0.0, "b": 0.0}, weighted_hsb_norm),
+    "fractional_Wsp": ({"s": 0.0, "p": 2.0}, fractional_wsp_norm),
+    "L1": ({}, lambda f, grid: float(np.sum(np.abs(f))) * grid.cell),
+    "weighted_L1_second_moment": ({}, lambda f, grid: float(
+        np.sum(np.abs(f) * sum(m ** 2 for m in grid.mesh()))) * grid.cell),
+}
 
 
 class ExperimentConfig:
     """Validated flat key-value configuration with a stable hash."""
 
-    SCHEMAS = {
-        "penrose": {"profile.name", "profile.v0", "profile.width", "grid.n",
-                    "grid.vmax", "grid.dim", "periods", "s", "b"},
-        "bgk-build": {"profile.name", "profile.v0", "profile.width", "grid.n",
-                      "grid.vmax", "grid.dim", "T1", "c", "eps", "gamma", "r"},
-        "linear-decay": {"profile.name", "profile.v0", "profile.width",
-                         "grid.n", "grid.vmax", "grid.dim", "kmag",
-                         "s_x", "s_v", "t_end", "amplitude"},
-        "simulate": {"profile.name", "profile.v0", "profile.width", "grid.n",
-                     "grid.vmax", "grid.dim", "T1", "Nx", "dt", "t_end",
-                     "amplitude", "mode", "s_x", "s_v", "b"},
-        "norms": {"profile.name", "profile.v0", "profile.width", "grid.n",
-                  "grid.vmax", "grid.dim", "kind", "s", "s_x", "s_v", "b", "p"},
-    }
+    SCHEMAS = {command: PROFILE_KEYS | keys for command, keys in {
+        "penrose": {"periods", "s", "b"},
+        "bgk-build": {"T1", "c", "eps", "gamma", "r"},
+        "linear-decay": {"kmag", "s_x", "s_v", "t_end", "amplitude"},
+        "simulate": {"T1", "Nx", "dt", "t_end", "amplitude", "mode", "s_x", "s_v", "b"},
+        "norms": {"kind", "s", "b", "p"},
+    }.items()}
 
     def __init__(self, command, values):
-        if command not in COMMANDS:
+        if command not in self.SCHEMAS:
             raise ValidationError(f"unknown command {command!r}")
-        allowed = self.SCHEMAS[command]
-        bad = [k for k in values if k not in allowed]
+        bad = sorted(set(values) - self.SCHEMAS[command])
         if bad:
-            raise ValidationError(
-                f"config keys not in the {command} schema: {sorted(bad)}")
+            raise ValidationError(f"config keys not in the {command} schema: {bad}")
         self.command = command
         self.values = dict(values)
 
@@ -102,16 +102,12 @@ def _profile_from(config):
     grid = VelocityGrid(dim, config.get("grid.vmax", 8.0, float),
                         config.get("grid.n", 256, int))
     name = config.get("profile.name", "maxwellian")
-    params = {}
-    if name == "double_bump":
-        params["v0"] = config.get("profile.v0", 3.0, float)
-        params["width"] = config.get("profile.width", 1.0, float)
-    if name == "product":
-        params["factors"] = [
-            ("double_bump", {"v0": config.get("profile.v0", 3.0, float),
-                             "width": config.get("profile.width", 1.0, float)}),
-        ] + [("gaussian", {"width": 1.0})] * (dim - 1)
-    return make_builtin(name, grid, **params)
+    bump = {"v0": config.get("profile.v0", 3.0, float),
+            "width": config.get("profile.width", 1.0, float)}
+    params = {"double_bump": bump,
+              "product": {"factors": [("double_bump", bump)]
+                          + [("gaussian", {"width": 1.0})] * (dim - 1)}}
+    return make_builtin(name, grid, **params.get(name, {}))
 
 
 def _write_manifest(outdir, config, tolerances, extra=None):
@@ -135,9 +131,9 @@ def run(config, outdir, threads=1, verbose=False):
     """Execute one experiment; returns the process exit code."""
     os.makedirs(outdir, exist_ok=True)
     sim_mod.set_fft_workers(threads)
+    profile = _profile_from(config)
 
     if config.command == "penrose":
-        profile = _profile_from(config)
         periods = config.get("periods", cast=lambda t: tuple(map(float, t.split(","))))
         report = penrose_check(profile, DualLattice(periods),
                                config.get("s", 1.6, float),
@@ -151,7 +147,6 @@ def run(config, outdir, threads=1, verbose=False):
         return 0 if report.stable else 2
 
     if config.command == "bgk-build":
-        profile = _profile_from(config)
         t1 = config.get("T1", 6.283185307179586, float)
         given = {k: config.get(k, cast=float) for k in ("eps", "gamma", "r")
                  if k in config.values}
@@ -173,7 +168,6 @@ def run(config, outdir, threads=1, verbose=False):
         return 0
 
     if config.command == "linear-decay":
-        profile = _profile_from(config)
         kmag = config.get("kmag", 0.5, float)
         direction = tuple([1.0] + [0.0] * (profile.grid.dim - 1))
         fp = project(profile, direction)
@@ -186,9 +180,8 @@ def run(config, outdir, threads=1, verbose=False):
         hist.add(series)
         s_v = config.get("s_v", 1.6, float)
         value = hist.decay_norm(config.get("s_x", 0.0, float), s_v)
-        datum_norm = weighted_hsb_norm(
-            np.asarray(datum.values.real), profile.grid if profile.grid.dim == 1
-            else VelocityGrid(1, profile.grid.vmax, profile.grid.n), s_v, 0.0)
+        datum_norm = weighted_hsb_norm(np.asarray(datum.values.real), VelocityGrid(
+            1, profile.grid.vmax, profile.grid.n), s_v, 0.0)
         container.write_csv(
             os.path.join(outdir, f"mode_k{kmag:g}.csv"),
             ["t", "re_E", "im_E", "abs_E"],
@@ -206,7 +199,6 @@ def run(config, outdir, threads=1, verbose=False):
         return 0
 
     if config.command == "simulate":
-        profile = _profile_from(config)
         grid = sim_mod.PhaseGrid(config.get("T1", 12.566370614359172, float),
                                  config.get("Nx", 128, int), profile.grid,
                                  config.get("dt", 0.02, float))
@@ -241,35 +233,20 @@ def run(config, outdir, threads=1, verbose=False):
         return 0
 
     if config.command == "norms":
-        profile = _profile_from(config)
         kind = config.get("kind", "weighted_Hsb")
-        spec = NormSpec(kind, dim=profile.grid.dim,
-                        s=config.get("s", 0.0, float),
-                        s_x=config.get("s_x", 0.0, float),
-                        s_v=config.get("s_v", 0.0, float),
-                        b=config.get("b", 0.0, float),
-                        p=config.get("p", 2.0, float))
-        if kind == "weighted_Hsb":
-            value = weighted_hsb_norm(profile.values, profile.grid, spec.s, spec.b)
-            coarse = weighted_hsb_norm(
-                profile.values[(slice(None, None, 2),) * profile.grid.dim],
-                profile.grid.coarsened(), spec.s, spec.b)
-        elif kind == "fractional_Wsp":
-            value = fractional_wsp_norm(profile.values, profile.grid, spec.s, spec.p)
-            coarse = fractional_wsp_norm(
-                profile.values[(slice(None, None, 2),) * profile.grid.dim],
-                profile.grid.coarsened(), spec.s, spec.p)
-        elif kind == "L1":
-            value = float(np.sum(np.abs(profile.values))) * profile.grid.cell
-            coarse = value
-        elif kind == "weighted_L1_second_moment":
-            mesh = profile.grid.mesh()
-            w = sum(m ** 2 for m in mesh)
-            value = float(np.sum(np.abs(profile.values) * w)) * profile.grid.cell
-            coarse = value
-        else:
-            raise ValidationError(f"norms command does not support {kind!r}")
-        rec = norm_report(kind, spec.__dict__, value, abs(value - coarse))
+        if kind not in NORMS:
+            raise ValidationError(f"unknown norm kind {kind!r}; known: {sorted(NORMS)}")
+        defaults, norm = NORMS[kind]
+        bad = sorted(set(config.values) - PROFILE_KEYS - {"kind"} - set(defaults))
+        if bad:
+            raise ValidationError(f"config keys not read by norm kind {kind!r}: {bad}")
+        params = {key: config.get(key, default, float) for key, default in defaults.items()}
+        grid = profile.grid
+        value = norm(profile.values, grid, **params)
+        coarse = norm(profile.values[(slice(None, None, 2),) * grid.dim],
+                      grid.coarsened(), **params)
+        rec = {"kind": kind, "params": {"kind": kind, "dim": grid.dim, **params},
+               "value": float(value), "error_estimate": float(abs(value - coarse))}
         container.write_json(os.path.join(outdir, "norm.json"), rec)
         _write_manifest(outdir, config, {})
         if verbose:

@@ -57,6 +57,8 @@ def _read_blob(path):
                                   "with a string name and a shape of non-negative ints")
         payloads = {}
         for spec in specs:
+            if spec["name"] in payloads:
+                raise ValidationError(f"{path}: payload name {spec['name']!r} listed twice")
             buf = _read_exact(fh, path, 8 * math.prod(spec["shape"]))
             payloads[spec["name"]] = np.frombuffer(buf, np.float64).reshape(spec["shape"]).copy()
         if fh.read(1):

@@ -13,13 +13,15 @@ Conventions
   for non-integer orders and spectral-derivative L^p norms at integer
   orders; pieces combine in the l^p sense, so for p = 2 and integer s the
   value matches the Fourier norm up to quadrature error.
+
+Each norm checks the parameters it reads before any work, and names the
+one it refuses.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -28,37 +30,12 @@ from .closeness import Axis1D, wsp_pow_separable
 from .errors import BoundaryDecayError, ValidationError
 from .profiles import fourier_multiplier
 
-KINDS = ("weighted_Hsb", "mixed_HsxHsvb", "fractional_Wsp", "L1",
-         "weighted_L1_second_moment")
 
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Validated parameter record for a norm computation."""
-
-    kind: str
-    dim: int = 1
-    s: float = 0.0
-    s_x: float = 0.0
-    s_v: float = 0.0
-    b: float = 0.0
-    p: float = 2.0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown norm kind {self.kind!r}")
-        for name in ("s", "s_x", "s_v", "b", "p"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.kind == "mixed_HsxHsvb" and not self.b > (self.dim - 1) / 4.0:
-            raise ValidationError("mixed norm requires b > (d-1)/4")
-        if self.kind == "fractional_Wsp":
-            if not self.p > 1.0:
-                raise ValidationError("fractional norm requires p > 1")
-            if not 0.0 <= self.s < 2.0:
-                raise ValidationError("fractional norm supports 0 <= s < 2 only")
-        if min(self.s, self.s_x, self.s_v) < 0:
-            raise ValidationError("orders must be nonnegative")
+def _require_finite(pairs):
+    """Refuse the first non-finite value of the (name, value) pairs by name."""
+    for name, x in pairs:
+        if not math.isfinite(x):
+            raise ValidationError(f"{name} must be finite, got {x}")
 
 
 def check_boundary_decay(values, grid):
@@ -70,8 +47,9 @@ def check_boundary_decay(values, grid):
 
 def weighted_hsb_norm(values, grid, s, b):
     """Velocity-weighted fractional Sobolev norm of a (possibly complex) field."""
-    if not (math.isfinite(s) and math.isfinite(b)):
-        raise ValidationError(f"order s and weight b must be finite, got s = {s}, b = {b}")
+    _require_finite((("s", s), ("b", b)))
+    if s < 0:
+        raise ValidationError(f"order s must be nonnegative, got {s}")
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValidationError("field shape does not match grid")
@@ -104,7 +82,16 @@ def mixed_norm(h, x_periods, vgrid, s_x, s_v, b):
 
 
 def mixed_norm_modes(modes, vgrid, s_x, s_v, b):
-    """Same norm from an explicit {k-tuple: h_k(v)} mode dictionary."""
+    """Same norm from an explicit {k-tuple: h_k(v)} mode dictionary.
+
+    The weight needs b > (d - 1)/4 in velocity dimension d.
+    """
+    _require_finite((("s_x", s_x), ("s_v", s_v), ("b", b)))
+    if min(s_x, s_v) < 0:
+        raise ValidationError(f"orders must be nonnegative, got s_x = {s_x}, s_v = {s_v}")
+    if not b > (vgrid.dim - 1) / 4.0:
+        raise ValidationError(f"mixed norm needs b > (d - 1)/4 = {(vgrid.dim - 1) / 4.0:g} "
+                              f"in d = {vgrid.dim}, got b = {b}")
     total = 0.0
     for k, hk in modes.items():
         k2 = float(sum(ki ** 2 for ki in k))
@@ -115,7 +102,9 @@ def mixed_norm_modes(modes, vgrid, s_x, s_v, b):
 
 def fractional_wsp_norm(values, grid, s, p):
     """W^{s,p} norm for 0 <= s < 2: one ``wsp_pow_separable`` call on a periodic factor."""
-    NormSpec("fractional_Wsp", dim=grid.dim, s=s, p=p)
+    _require_finite((("s", s), ("p", p)))
+    if not p > 1.0:
+        raise ValidationError(f"fractional norm needs p > 1, got p = {p}")
     return wsp_pow_separable([Axis1D(values, grid.h, periodic=True)], s, p) ** (1.0 / p)
 
 
@@ -165,12 +154,3 @@ def hardy_quotient(u, alphas, v0):
     integrand[j] = abs((u[jr] - u[jl]) / (alphas[jr] - alphas[jl]))
     return float(np.sum(integrand) * h)
 
-
-def norm_report(kind, params, value, error_estimate):
-    """JSON record for a norm computation."""
-    return {
-        "kind": kind,
-        "params": dict(params),
-        "value": float(value),
-        "error_estimate": float(error_estimate),
-    }

@@ -31,7 +31,7 @@ from scipy import fft as sfft
 from .errors import PenroseUnstableError, UnresolvableBumpError, ValidationError
 from .norms import mixed_norm
 from .penrose import critical_pv, margin_ok
-from .profiles import VelocityGrid, project
+from .profiles import VelocityGrid, fourier_multiplier, project
 
 FFT_WORKERS = 1
 # rows of the (Nx Nv1, Nv2) state per block in the dense passes: a block of
@@ -111,12 +111,9 @@ def poisson_solve(rho, T1):
     if abs(float(np.mean(src))) > 1e-10:
         raise ValidationError(
             f"mean source {np.mean(src):.3e} violates torus solvability")
-    k = 2.0 * np.pi * sfft.rfftfreq(n, d=T1 / n)
-    shat = sfft.rfft(src)
-    phihat = np.zeros_like(shat)
-    # -lap phi = -(rho - 1):  phi'' = rho - 1,  so phi_hat = -src_hat / k^2
-    phihat[1:] = -shat[1:] / (k[1:] ** 2)
-    return sfft.irfft(-1j * k * phihat, n=n)
+    # phi'' = rho - 1 and E = -phi', so E_hat = i src_hat / k (0 at k = 0)
+    return fourier_multiplier(src, (T1 / n,), (0,), lambda k: np.divide(
+        1j, k, out=np.zeros(k.shape, complex), where=k != 0))
 
 
 def _transverse_table(grid):
@@ -312,9 +309,10 @@ class RunLog:
 
 
 def _e_sobolev_sq(efield, T1, s):
-    n = len(efield)
-    k = 2.0 * np.pi * sfft.fftfreq(n, d=T1 / n)
-    return float(T1 * np.sum((1.0 + k ** 2) ** s * np.abs(sfft.fft(efield) / n) ** 2))
+    """||E||_{H^s}^2 on the torus, by Parseval from (1 + k^2)^(s/2) E."""
+    h = T1 / len(efield)
+    smooth = fourier_multiplier(efield, (h,), (0,), lambda k: (1.0 + k ** 2) ** (s / 2.0))
+    return float(h * np.sum(smooth ** 2))
 
 
 def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):

@@ -919,11 +919,18 @@ class TestBuildWave:
         (2 * np.pi, {"gamma": 0.1, "r": 0.0}, "r must be positive, got 0.0"),
         (2 * np.pi, {"eps": 0.5, "gamma": 0.05}, "eps = 0.5 and gamma = 0.05 given together"),
         (2 * np.pi, {"eps": 0.5, "r": 1e-3}, "eps = 0.5 and r = 0.001 given together"),
+        (2 * np.pi, {"eps": 0.1, "p": float("nan")}, "p must be finite, got nan"),
+        (2 * np.pi, {"eps": 0.1, "s": float("nan")}, "s must be finite, got nan"),
+        (2 * np.pi, {"eps": 0.1, "s": float("inf")}, "s must be finite, got inf"),
+        (2 * np.pi, {"eps": 0.1, "p": 0.5}, "p must be > 1, got 0.5"),
+        (2 * np.pi, {"eps": 0.1, "p": 1.0}, "p must be > 1, got 1.0"),
+        (2 * np.pi, {"gamma": 0.1, "r": 1e-3, "p": 0.5}, "p must be > 1, got 0.5"),
     ])
     def test_bad_scalars_refused_before_work(self, maxwellian2, monkeypatch, t1, kw, shown):
         # T1 = -1 once raised a math domain error, eps = nan searched for 3 s,
         # r = nan reported the bracket [nan, nan], and gamma = -3 or 0.05
-        # beside a budget was dropped without a word
+        # beside a budget was dropped without a word; p = nan searched for
+        # 73 s, and p = 0.5 "certified" a triangle sum that bounds nothing
         def no_work(*args):
             raise AssertionError("construction started")
 

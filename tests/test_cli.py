@@ -59,7 +59,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("command,key", [
         ("bgk-build", "v0"), ("linear-decay", "periods"), ("linear-decay", "b"),
-        ("simulate", "cadence")])
+        ("simulate", "cadence"), ("norms", "s_x")])
     def test_unread_key_refused(self, tmp_path, capsys, command, key):
         # keys the command never reads are refused, not silently ignored
         path = write_config(tmp_path, f"command = {command}\n{key} = 1\n")
@@ -145,10 +145,15 @@ grid.n = 512
         ("T1", "nan", "T1 must be finite and positive, got nan"),
         ("T1", "-5", "T1 must be finite and positive, got -5.0"),
         ("amplitude", "nan", "amplitude must be finite, got nan"),
+        ("s_x", "nan", "s_x must be finite, got nan"),
+        ("s_v", "nan", "s_v must be finite, got nan"),
+        ("b", "nan", "b must be finite, got nan"),
+        ("b", "-2", "b > (d - 1)/4 = 0 in d = 1, got b = -2.0"),
     ])
     def test_bad_simulate_scalar_exit1(self, tmp_path, capsys, key, value, shown):
         # once tracebacks (dt, t_end), a Penrose refusal (T1 = nan), the
-        # splitting guard's name (T1 = -5) and an all-NaN summary (amplitude)
+        # splitting guard's name (T1 = -5), an all-NaN summary (amplitude),
+        # a NaN norm in summary.json (s_x = nan) and exit 0 (b = -2)
         values = {"T1": "12.566370614359172", "dt": "0.05", "t_end": "0.5",
                   "amplitude": "1e-3", key: value}
         text = ("command = simulate\nprofile.name = maxwellian\ngrid.dim = 1\n"
@@ -182,15 +187,25 @@ grid.n = 512
         assert err.startswith("error:") and "Traceback" not in err
         assert shown in err
 
-    @pytest.mark.parametrize("key", ["s", "b"])
-    def test_nan_norm_order_exit1(self, tmp_path, capsys, key):
-        # once value NaN with exit 0
-        text = f"command = norms\nprofile.name = maxwellian\ngrid.dim = 1\n{key} = nan\n"
+    @pytest.mark.parametrize("kind,key,shown", [
+        pytest.param("weighted_Hsb", "s", "s must be finite, got nan", id="s"),
+        pytest.param("weighted_Hsb", "b", "b must be finite, got nan", id="b"),
+        ("fractional_Wsp", "p", "p must be finite, got nan"),
+        ("weighted_Hsb", "p", "not read by norm kind 'weighted_Hsb': ['p']"),
+        ("L1", "s", "not read by norm kind 'L1': ['s']"),
+        ("weighted_L1_second_moment", "b",
+         "not read by norm kind 'weighted_L1_second_moment': ['b']"),
+    ])
+    def test_nan_norm_order_exit1(self, tmp_path, capsys, kind, key, shown):
+        # once value NaN with exit 0, and later NaN in the params of a kind
+        # that does not read the key
+        text = (f"command = norms\nprofile.name = maxwellian\ngrid.dim = 1\n"
+                f"kind = {kind}\n{key} = nan\n")
         path = write_config(tmp_path, text)
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        assert f"{key} must be finite, got nan" in err
+        assert shown in err
 
     def test_missing_command(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -346,6 +361,7 @@ b = 0.3
         assert main(["--config", str(path), "--out", str(out)]) == 0
         rec = json.loads((out / "norm.json").read_text())
         assert rec["kind"] == "weighted_Hsb"
+        assert rec["params"] == {"kind": "weighted_Hsb", "dim": 2, "s": 1.0, "b": 0.3}
         assert rec["value"] > 0
         assert rec["error_estimate"] < 1e-8 * rec["value"] + 1e-12
 

@@ -76,9 +76,12 @@ def test_corrupt_header_rejected(tmp_path):
      "shape of non-negative ints"),
     ({"kind": "bgk_wave", "payloads": [{"name": "beta", "shape": [4]}]}, bytes(16),
      r"bytes follow the declared payloads at offset \d+"),
-], ids=["no_payloads", "negative_shape", "trailing_bytes"])
+    ({"kind": "bgk_wave", "payloads": [{"name": "beta", "shape": [2]}] * 2}, b"",
+     "payload name 'beta' listed twice"),
+], ids=["no_payloads", "negative_shape", "trailing_bytes", "duplicate_name"])
 def test_header_structure_checked(tmp_path, header, tail, match):
-    # these once raised KeyError, a bare ValueError, and nothing at all
+    # these once raised KeyError, a bare ValueError, and nothing at all;
+    # a duplicate name kept the last payload and dropped the first
     raw = json.dumps(header).encode("utf-8")
     path = tmp_path / "v.vplb"
     path.write_bytes(container.MAGIC + struct.pack("<II", container.VERSION, len(raw)) + raw

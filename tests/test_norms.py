@@ -1,16 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+import vplab.norms as norms_mod
 from conftest import cutoff_sigma
+from vplab.cli import NORMS, main
 from vplab.errors import BoundaryDecayError, ValidationError
 from vplab.norms import (
-    NormSpec,
     check_norm_equivalence,
     fractional_wsp_norm,
     hardy_quotient,
     mixed_norm,
     mixed_norm_modes,
-    norm_report,
     weighted_hsb_norm,
 )
 from vplab.profiles import VelocityGrid, make_builtin
@@ -18,28 +20,80 @@ from vplab.profiles import VelocityGrid, make_builtin
 SQRT_PI = np.sqrt(np.pi)
 
 
+def _no_work(monkeypatch):
+    """Make every norm's first step fail, so a refusal must come before it."""
+    def fail(*args):
+        raise AssertionError("norm computation started")
+
+    for name in ("check_boundary_decay", "fourier_multiplier", "wsp_pow_separable"):
+        monkeypatch.setattr(norms_mod, name, fail)
+
+
 class TestNormSpec:
-    def test_mixed_requires_b(self):
-        with pytest.raises(ValidationError):
-            NormSpec("mixed_HsxHsvb", dim=2, b=0.2)  # needs b > 1/4
-        NormSpec("mixed_HsxHsvb", dim=2, b=0.3)
+    """Each norm refuses the parameters it reads, by name and before any work."""
 
-    def test_fractional_ranges(self):
-        with pytest.raises(ValidationError):
-            NormSpec("fractional_Wsp", s=2.0, p=2.0)
-        with pytest.raises(ValidationError):
-            NormSpec("fractional_Wsp", s=0.5, p=1.0)
+    def test_mixed_requires_b(self, maxwellian1, grid1, maxwellian2, grid2, monkeypatch):
+        modes2 = {(0.0, 0.0): maxwellian2.values}
+        assert mixed_norm_modes(modes2, grid2, 0.0, 1.0, 0.3) > 0
+        h2 = np.broadcast_to(maxwellian2.values[None], (4,) + grid2.shape)
+        h1 = np.broadcast_to(maxwellian1.values[None], (4,) + grid1.shape)
+        _no_work(monkeypatch)
+        # b > (d - 1)/4: 1/4 in d = 2 and 0 in d = 1; mixed_norm(b = 0.1) was 0.418
+        for b in (0.1, 0.25):
+            with pytest.raises(ValidationError, match=rf"b > \(d - 1\)/4 = 0.25 in d = 2, "
+                                                      rf"got b = {b}"):
+                mixed_norm_modes(modes2, grid2, 0.0, 1.0, b)
+            with pytest.raises(ValidationError, match="in d = 2"):
+                mixed_norm(h2, (2 * np.pi,), grid2, 0.0, 1.0, b)
+        for b in (-2.0, 0.0):
+            with pytest.raises(ValidationError, match=f"= 0 in d = 1, got b = {b}"):
+                mixed_norm(h1, (2 * np.pi,), grid1, 0.0, 1.6, b)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            NormSpec("bogus")
+    def test_fractional_ranges(self, maxwellian1, grid1, monkeypatch):
+        with pytest.raises(ValidationError, match="supports 0 <= s < 2"):
+            fractional_wsp_norm(maxwellian1.values, grid1, 2.0, 2.0)
+        _no_work(monkeypatch)
+        for p in (1.0, 0.5):
+            with pytest.raises(ValidationError, match=f"needs p > 1, got p = {p}"):
+                fractional_wsp_norm(maxwellian1.values, grid1, 0.5, p)
+
+    def test_unknown_kind(self, tmp_path, capsys):
+        # the norms command reads one table of kinds; the mixed norm needs
+        # phase-space modes that a velocity profile does not have
+        for kind in ("bogus", "mixed_HsxHsvb"):
+            (tmp_path / "n.cfg").write_text(
+                f"command = norms\nprofile.name = maxwellian\ngrid.dim = 1\nkind = {kind}\n")
+            assert main(["--config", str(tmp_path / "n.cfg"), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"unknown norm kind {kind!r}" in err
 
     @pytest.mark.parametrize("name", ["s", "s_x", "s_v", "b", "p"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_rejected(self, name, bad):
+    def test_non_finite_rejected(self, maxwellian2, grid2, monkeypatch, name, bad):
         # a nan order once gave value NaN with exit 0 from the norms command
-        with pytest.raises(ValidationError, match=f"{name} must be finite, got {bad}"):
-            NormSpec("weighted_Hsb", dim=2, **{name: bad})
+        f, modes = maxwellian2.values, {(0.0, 0.0): maxwellian2.values}
+        readers = {
+            "s": [lambda x: weighted_hsb_norm(f, grid2, x, 0.3),
+                  lambda x: fractional_wsp_norm(f, grid2, x, 2.0)],
+            "s_x": [lambda x: mixed_norm_modes(modes, grid2, x, 1.0, 0.3)],
+            "s_v": [lambda x: mixed_norm_modes(modes, grid2, 0.5, x, 0.3)],
+            "b": [lambda x: weighted_hsb_norm(f, grid2, 1.0, x),
+                  lambda x: mixed_norm_modes(modes, grid2, 0.5, 1.0, x)],
+            "p": [lambda x: fractional_wsp_norm(f, grid2, 0.5, x)],
+        }
+        _no_work(monkeypatch)
+        for norm in readers[name]:
+            with pytest.raises(ValidationError, match=f"^{name} must be finite, got {bad}$"):
+                norm(bad)
+
+    def test_negative_orders_rejected(self, maxwellian2, grid2, monkeypatch):
+        modes = {(0.0, 0.0): maxwellian2.values}
+        _no_work(monkeypatch)
+        with pytest.raises(ValidationError, match="order s must be nonnegative, got -0.5"):
+            weighted_hsb_norm(maxwellian2.values, grid2, -0.5, 0.3)
+        for s_x, s_v in ((-1.0, 1.0), (0.5, -0.1)):
+            with pytest.raises(ValidationError, match=f"got s_x = {s_x}, s_v = {s_v}"):
+                mixed_norm_modes(modes, grid2, s_x, s_v, 0.3)
 
 
 class TestWeightedHsb:
@@ -49,8 +103,8 @@ class TestWeightedHsb:
     @pytest.mark.parametrize("s, b", [(float("nan"), 0.3), (1.0, float("nan")),
                                       (float("inf"), 0.3)])
     def test_non_finite_order_rejected(self, maxwellian2, grid2, s, b):
-        with pytest.raises(ValidationError,
-                           match=f"order s and weight b must be finite, got s = {s}, b = {b}"):
+        name, bad = ("s", s) if not np.isfinite(s) else ("b", b)
+        with pytest.raises(ValidationError, match=f"{name} must be finite, got {bad}"):
             weighted_hsb_norm(maxwellian2.values, grid2, s, b)
 
     def test_gaussian_l2(self, maxwellian2, grid2):
@@ -299,6 +353,20 @@ class TestScalingLemmas:
         assert seq[-1] < 0.5 * seq[0]
 
 
-def test_norm_report_shape():
-    rec = norm_report("weighted_Hsb", {"s": 1.0, "b": 0.3}, 1.25, 1e-9)
-    assert set(rec) == {"kind", "params", "value", "error_estimate"}
+def test_norm_report_shape(tmp_path):
+    # the norms command writes one record shape for every kind it knows;
+    # params hold the dimension and exactly the keys the kind reads
+    given = {"s": 0.5, "b": 0.3, "p": 1.5}
+    for kind, (defaults, _) in sorted(NORMS.items()):
+        keys = "".join(f"{key} = {given[key]}\n" for key in defaults)
+        (tmp_path / "n.cfg").write_text("command = norms\nprofile.name = maxwellian\n"
+                                        f"grid.dim = 1\ngrid.n = 256\nkind = {kind}\n{keys}")
+        assert main(["--config", str(tmp_path / "n.cfg"), "--out", str(tmp_path / kind)]) == 0
+        rec = json.loads((tmp_path / kind / "norm.json").read_text())
+        assert set(rec) == {"kind", "params", "value", "error_estimate"}
+        assert rec["params"] == {"kind": kind, "dim": 1, **{key: given[key] for key in defaults}}
+        assert rec["value"] > 0 and 0 <= rec["error_estimate"] < rec["value"]
+        if not defaults:
+            # the Riemann sums of a Gaussian on every second point agree to
+            # rounding, so the L1 kinds' estimate is no longer 0 by fiat but near it
+            assert rec["error_estimate"] < 1e-12 * rec["value"]
