@@ -1,7 +1,7 @@
 """Per-mode linear field evolution and the Landau damping rate.
 
 The field mode is evaluated from its explicit representation integral
-(tapered FFT over the core window, exact contour-rotated tails).  The
+(Gauss-Legendre panels on a real window, exact contour-rotated rays).  The
 late-time envelope is fitted with a matrix pencil and compared against
 the root of the analytically continued dispersion relation.
 """

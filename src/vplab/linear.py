@@ -1,23 +1,23 @@
 """Linearised field evolution per Fourier mode and its weighted decay norm.
 
 Each lattice mode reduces to a 1D problem for the profile projected along
-the mode direction.  The field mode is the oscillatory integral
+the mode direction.  The field mode is the Landau contour integral
 
     E_k(t) = (|k|/2pi) int G_k(y+i0) / (|k|^2 - F_e(y+i0)) e^{-i|k| y t} dy
 
-evaluated by tapered FFT on a compact window plus one off-window sum over
-the taper's shoulders and the exact contour-rotated tails (the boundary
-data decay only like 1/y, which no taper can absorb); grid refinement
-covers the t-resolution.  F comes in closed form from the projection's
-closure, ``GaussianMixture.cauchy`` (the Faddeeva form of the plasma
-dispersion function), on the axis and along the rotated rays alike; the
-sampled datum G from the package's one Cauchy transform of sampled data,
-``_sinc_cauchy``, exact for the sinc interpolant of the samples, on the
-axis and below it.  The stability refusal in ``dispersion`` reads the
-same Penrose margin as ``penrose.penrose_check``.  The damping-rate
-oracle finds the lower-half-plane root of |k|^2 - F by analytic
-continuation (residue term added below the axis); it is validation
-plumbing, independent of the FFT pipeline.
+along the real axis from above, taken as one contour: Gauss-Legendre
+panels on a compact window and two rays rotated into the lower half-plane
+off its ends (the boundary data decay only like 1/y).  F comes in closed
+form from the projection's closure, ``GaussianMixture.cauchy`` (the
+Faddeeva form of the plasma dispersion function), on the axis and along
+the rays alike; the sampled datum G from the package's one Cauchy
+transform of sampled data, ``_sinc_cauchy``, exact for the sinc
+interpolant of the samples, on the axis and below it.  The stability
+refusal in ``dispersion`` reads the same Penrose margin as
+``penrose.penrose_check``.  The damping-rate oracle finds the
+lower-half-plane root of |k|^2 - F by analytic continuation (residue term
+added below the axis); it is validation plumbing, independent of the
+contour.
 """
 
 from __future__ import annotations
@@ -26,18 +26,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import PenroseUnstableError, RefinementCapError, ValidationError
 from .penrose import critical_pv, margin_ok
-from .profiles import smooth_step
 
-# nodes of the off-window sum, on the taper shoulders and the rays
-_GL96 = np.polynomial.legendre.leggauss(96)
-# the window self-check: full and 20%-narrower core agree to WINDOW_TOL of the peak
-WINDOW_TOL = 1e-8
-# share of the window's half-width over which the taper falls to zero
-_TAPER_FRAC = 0.1
+# window panels of 16 Gauss-Legendre nodes, each spanning at most _PANEL_RAD of
+# e^{-i|k| y t_end}, in tens (four at least) so that +-_NARROW y_max are panel edges
+_GL16 = np.polynomial.legendre.leggauss(16)
+_PANEL_RAD, _PANEL_GROUP, _MIN_GROUPS = 8.0, 10, 4
+_GL96 = np.polynomial.legendre.leggauss(96)  # nodes of each ray
+# the window self-check: closed at y_max and at _NARROW y_max, the contour agrees to this
+WINDOW_TOL = 1e-8  # share of the peak
+_NARROW = 0.8
 _BLOCK = 1 << 16  # kernel entries per Cauchy-transform block: 1 MiB of complex128
 
 
@@ -114,7 +114,10 @@ def initial_transform(datum, z):
 
 @dataclass
 class ModeSeries:
-    """Complex field mode on its conjugate FFT time grid."""
+    """Complex field mode on its time grid t_j = pi j/(|k| y_max) <= t_end.
+
+    ``n_y`` counts the window's Gauss-Legendre nodes in the accepted round;
+    ``truncation_error`` is the window self-check's gap relative to the peak."""
 
     kvec: tuple
     kmag: float
@@ -129,85 +132,79 @@ class ModeSeries:
         return fit_damped_mode(self.t, self.values, t_lo, t_hi)
 
 
-def _taper(y, y_max):
-    out = np.ones_like(y)
-    edge = np.abs(y) > (1.0 - _TAPER_FRAC) * y_max
-    out[edge] = smooth_step((y_max - np.abs(y[edge])) / (_TAPER_FRAC * y_max))
-    return out
+def _rays(ym):
+    """Nodes z = +-ym - i s and weights -+i ds, s = ym tan(phi), of the rays off +-ym.
 
-
-def _off_window(kmag, ym, t, fp, datum):
-    """sum dz H(z) e^{-i |k| z t}, H = G/(|k|^2 - F), over what the tapered window leaves out.
-
-    Gauss-Legendre nodes on the two taper shoulders carry (1 - taper) dy;
-    their spacing stays well below 1/(k t_end) for the runs this serves.
-    The |y| > ym tails rotate into the lower half-plane, z = +-ym - i s with
-    weights -+i ds, where the integrand decays like e^{-k s t}; no
-    dispersion root lies beyond the projected support, so the deformation
-    crosses nothing, and the paired rays converge down to t = 0.
+    The |y| > ym tails rotate into the lower half-plane, where the integrand
+    decays like e^{-|k| s t}; no dispersion root lies beyond the projected
+    support, so the deformation crosses nothing.
     """
     x, w = _GL96
-    lo = (1.0 - _TAPER_FRAC) * ym
-    ys = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in ((lo, ym), (-ym, -lo))])
-    dy = np.tile(0.5 * (ym - lo) * w, 2) * (1.0 - _taper(ys, ym))
     phi = 0.25 * math.pi * (x + 1.0)
     s = ym * np.tan(phi)
     ds = ym / np.cos(phi) ** 2 * 0.25 * math.pi * w
-    z = np.concatenate([ys, ym - 1j * s, -ym - 1j * s])
-    dz = np.concatenate([dy, -1j * ds, 1j * ds])
-    H = initial_transform(datum, z) / (kmag ** 2 - fp.closure1d.cauchy(z))
-    return np.exp(-1j * kmag * np.outer(t, z)) @ (dz * H)
+    return np.concatenate([ym - 1j * s, -ym - 1j * s]), np.concatenate([-1j * ds, 1j * ds])
+
+
+def _fourier_sum(n, kz, wH):
+    """sum_j wH_j e^{-i kz_j m} for m < n, as one product of a fine and a coarse table:
+    e^{-i kz m} = e^{-i kz b q} e^{-i kz r} with m = b q + r and b = ceil(sqrt(n)), so
+    each node costs 2 sqrt(n) exponentials and the sum runs in BLAS.
+    """
+    b = math.isqrt(n - 1) + 1
+    fine = np.exp(np.outer(np.arange(b), -1j * kz))
+    coarse = np.exp(np.outer(b * np.arange(-(-n // b)), -1j * kz)) * wH
+    return (coarse @ fine.T).ravel()[:n]
 
 
 def efield_mode(kmag, fp, datum, t_end, kvec=None):
-    """Field mode series: tapered FFT over the core window plus the off-window sum.
+    """Field mode series at t_j = pi j/(|k| y_max) <= t_end: panels on the window plus rays.
 
-    The Cauchy tails of the boundary data decay only like 1/y, so a taper
-    alone cannot reach tolerance; ``_off_window`` restores the shoulders and
-    completes the two tails exactly.  The window reaches beyond the
-    projected support and every dispersion root; it starts at 4096 points,
-    more when t_end needs them.  The window self-check (against a 20%
-    narrower core, to WINDOW_TOL) then verifies quadrature convergence and
-    doubles the grid up to three times; RefinementCapError if the cap is hit.
+    The window [-y_max, y_max] reaches beyond the projected support and
+    every dispersion root, and ``_rays`` closes the contour below it.  The
+    self-check closes the same contour at _NARROW y_max on the window's own
+    nodes; below WINDOW_TOL of the peak it accepts, else it doubles the
+    panels, up to three times, then raises RefinementCapError.
     """
     if not (math.isfinite(kmag) and kmag > 0):
         raise ValidationError(f"mode wavenumber must be finite and positive, got {kmag}")
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValidationError(f"t_end must be finite and nonnegative, got {t_end}")
+    bad = datum.values[~np.isfinite(datum.values)]
+    if bad.size:
+        raise ValidationError(f"mode datum must be finite, got {bad[0]} at {bad.size} "
+                              f"of {datum.values.size} samples")
     # rays must stay beyond the projected support and beyond every
     # dispersion root (phase velocities scale like 1/k)
     y_max = max(float(fp.alphas[-1]) + 4.0, 2.0 + 2.0 / kmag)
-    n_y = 4096
+    t = np.pi * np.arange(int(t_end * kmag * y_max / np.pi) + 2) / (kmag * y_max)
+    t = t[t <= t_end]
+    n_t, step = len(t), np.pi / y_max  # |k| z t_m = step z m
+    k2, c = kmag ** 2, kmag / (2.0 * np.pi)
+    rz, rdz = map(np.concatenate, zip(_rays(y_max), _rays(_NARROW * y_max)))
+    rH = rdz * initial_transform(datum, rz) / (k2 - fp.closure1d.cauchy(rz))
+    half = len(rz) // 2
+    panels = _PANEL_GROUP * max(_MIN_GROUPS, math.ceil(
+        2.0 * kmag * y_max * t_end / (_PANEL_GROUP * _PANEL_RAD)))
+    x, w = _GL16
     for _ in range(4):
-        # keep the oscillation resolved out to t_end: k * t * dy <= 1/2
-        n_min = int(2.0 * y_max * kmag * t_end / 0.5) + 2
-        if n_y < n_min:
-            n_y = 2 ** int(math.ceil(math.log2(n_min)))
-        dy = 2.0 * y_max / n_y
-        y = -y_max + dy * np.arange(n_y)
-        H = initial_transform(datum, y) / (kmag ** 2 - dispersion(fp, y, kmag ** 2))
-
-        def series(window_scale):
-            ym = window_scale * y_max
-            t = 2.0 * np.pi * np.arange(n_y) / (kmag * n_y * dy)
-            keep = t <= t_end
-            t = t[keep]
-            window = dy * np.exp(1j * kmag * y_max * t) * sfft.fft(
-                H * _taper(y, ym) * (np.abs(y) <= ym))[keep]
-            return t, (kmag / (2.0 * np.pi)) * (window + _off_window(kmag, ym, t, fp, datum))
-
-        t, vals = series(1.0)
-        _, vals_narrow = series(0.8)
-        err = float(np.max(np.abs(vals - vals_narrow)))
-        scale = float(np.max(np.abs(vals)))
-        if err <= WINDOW_TOL * max(scale, 1e-300):
+        h = y_max / panels
+        y = (-y_max + h * (2.0 * np.arange(panels)[:, None] + 1.0 + x)).ravel()
+        yH = np.tile(h * w, panels) * initial_transform(datum, y) / (k2 - dispersion(fp, y, k2))
+        core = np.abs(y) < _NARROW * y_max
+        inner = _fourier_sum(n_t, step * y[core], yH[core])
+        vals = c * (inner + _fourier_sum(n_t, step * np.concatenate([y[~core], rz[:half]]),
+                                         np.concatenate([yH[~core], rH[:half]])))
+        narrow = c * (inner + _fourier_sum(n_t, step * rz[half:], rH[half:]))
+        err = float(np.max(np.abs(vals - narrow))) / max(float(np.max(np.abs(vals))), 1e-300)
+        if err <= WINDOW_TOL:
             e0 = -datum.mass() / (1j * kmag)
             pois = abs(vals[0] - e0) / max(abs(e0), 1e-300)
             return ModeSeries(tuple(kvec) if kvec is not None else (kmag,), kmag, t, vals,
-                              y_max, n_y, err / max(scale, 1e-300), pois)
-        n_y *= 2
+                              y_max, len(y), err, pois)
+        panels *= 2
     raise RefinementCapError(
-        f"window truncation error {err:.2e} above {WINDOW_TOL} after 3 refinements")
+        f"window truncation error {err:.2e} of the peak above {WINDOW_TOL} after 3 refinements")
 
 
 @dataclass
@@ -221,10 +218,10 @@ class FieldHistory:
     modes: dict = field(default_factory=dict)  # kvec tuple -> ModeSeries
 
     def add(self, series):
-        minus = tuple(-c for c in series.kvec)
-        if minus in self.modes:
-            raise ValidationError(
-                f"mode {series.kvec} conflicts with stored representative {minus}")
+        for stored in (series.kvec, tuple(-c for c in series.kvec)):
+            if stored in self.modes:
+                raise ValidationError(
+                    f"mode {series.kvec} conflicts with stored representative {stored}")
         self.modes[series.kvec] = series
 
     def decay_norm(self, s_x, s_v):

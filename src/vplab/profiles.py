@@ -31,23 +31,6 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# smooth cut-off machinery
-# ---------------------------------------------------------------------------
-
-def smooth_step(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, built from exp(-1/t)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    out[t >= 1.0] = 1.0
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
-    out[mid] = a / (a + b)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # velocity grid
 # ---------------------------------------------------------------------------
 

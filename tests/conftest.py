@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 from scipy.special import dawsn
 
-from vplab.profiles import GaussianMixture, GaussianTerm, VelocityGrid, make_builtin, smooth_step
+from vplab.profiles import GaussianMixture, GaussianTerm, VelocityGrid, make_builtin
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -18,6 +18,19 @@ settings.load_profile("vplab")
 def mixture_1d(*comps):
     """The 1D mixture of (weight, mean, width) components."""
     return GaussianMixture(1, [GaussianTerm(w, (mu,), (s,)) for w, mu, s in comps])
+
+
+def smooth_step(t):
+    """C-infinity step: 0 for t <= 0, 1 for t >= 1, built from exp(-1/t)."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    out[t >= 1.0] = 1.0
+    mid = (t > 0.0) & (t < 1.0)
+    tm = t[mid]
+    a = np.exp(-1.0 / tm)
+    b = np.exp(-1.0 / (1.0 - tm))
+    out[mid] = a / (a + b)
+    return out
 
 
 def cutoff_sigma(x):

@@ -126,6 +126,23 @@ grid.n = 512
         assert err.startswith("error:")
         assert "must be finite" in err and f"got {value}" in err
 
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_amplitude_exit1(self, tmp_path, capsys, amplitude):
+        # amplitude = nan once ran four refinement rounds into "truncation
+        # error nan", and inf printed RuntimeWarnings from the transform
+        text = f"""
+command = linear-decay
+profile.name = maxwellian
+grid.dim = 1
+grid.n = 512
+amplitude = {amplitude}
+"""
+        path = write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mode datum must be finite, got ")
+        assert "of 512 samples" in err
+
     @pytest.mark.parametrize("vmax", ["nan", "inf"])
     def test_non_finite_vmax_exit1(self, tmp_path, capsys, vmax):
         # once exit 0 with stable: true, B: 0.0 and no entries

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from scipy.special import wofz
 
 from conftest import mixture_1d, pv_exact
 from vplab import linear
-from vplab.errors import PenroseUnstableError, ValidationError
+from vplab.errors import PenroseUnstableError, RefinementCapError, ValidationError
 from vplab.linear import (
     Datum1D,
     FieldHistory,
@@ -118,6 +120,19 @@ class TestInitialTransform:
         assert np.max(np.abs(g.imag - np.pi * fp_maxwellian.closure1d.val(y))) < 1e-12
 
 
+def _record_window_sizes(monkeypatch):
+    """The sizes of the real node sets efield_mode takes the datum's transform at."""
+    sizes = []
+
+    def recording(d, z):
+        if not np.iscomplexobj(z):
+            sizes.append(len(z))
+        return initial_transform(d, z)
+
+    monkeypatch.setattr(linear, "initial_transform", recording)
+    return sizes
+
+
 class TestEfieldMode:
     def test_zero_datum_zero_field(self, fp_maxwellian):
         datum = Datum1D(fp_maxwellian.alphas,
@@ -142,6 +157,62 @@ class TestEfieldMode:
         datum2 = Datum1D(fp_maxwellian.alphas, 2.0 * fp_maxwellian.values)
         ser2 = efield_mode(0.5, fp_maxwellian, datum2, t_end=50.0, kvec=(0.5,))
         assert np.max(np.abs(ser2.values - 2.0 * maxwell_mode.values)) < 1e-10
+
+    def test_time_grid(self, maxwell_mode):
+        # t_j = pi j/(|k| y_max), the last one at or below t_end = 50
+        ser = maxwell_mode
+        dt = np.pi / (ser.kmag * ser.y_max)
+        assert np.array_equal(ser.t, np.pi * np.arange(len(ser.t)) / (ser.kmag * ser.y_max))
+        assert ser.t[-1] <= 50.0 < ser.t[-1] + dt
+
+    def test_zero_end_time(self, fp_maxwellian):
+        datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.values.copy())
+        ser = efield_mode(0.5, fp_maxwellian, datum, t_end=0.0)
+        assert np.array_equal(ser.t, [0.0])
+        assert ser.poisson_relerr < 1e-6
+
+    def test_n_y_counts_window_nodes(self, fp_maxwellian, monkeypatch):
+        # the window's nodes are the real points the datum's transform is taken at
+        datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.values.copy())
+        real_sizes = _record_window_sizes(monkeypatch)
+        ser = efield_mode(0.5, fp_maxwellian, datum, t_end=45.0)
+        assert real_sizes == [ser.n_y]
+        assert ser.n_y % (16 * linear._PANEL_GROUP) == 0
+
+    def test_refinement_cap(self, fp_maxwellian, monkeypatch):
+        # no error meets a zero tolerance: four rounds, then the error reached
+        datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.values.copy())
+        real_sizes = _record_window_sizes(monkeypatch)
+        monkeypatch.setattr(linear, "WINDOW_TOL", 0.0)
+        with pytest.raises(RefinementCapError,
+                           match=r"window truncation error (\S+) of the peak above 0\.0 "
+                                 r"after 3 refinements") as info:
+            efield_mode(0.5, fp_maxwellian, datum, t_end=10.0)
+        assert real_sizes == [real_sizes[0] * 2 ** i for i in range(4)]
+        reached = float(re.search(r"error (\S+) of", str(info.value)).group(1))
+        assert 0.0 < reached < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 305])
+    def test_fourier_sum_factorised(self, n):
+        # fine times coarse table equals the one-table sum, window and ray nodes alike
+        z, _ = linear._rays(12.0)
+        kz = 0.26 * np.concatenate([np.linspace(-12.0, 12.0, 40), z])
+        wH = np.random.default_rng(n).normal(size=(len(kz), 2)) @ [1.0, 1j]
+        direct = np.exp(-1j * np.outer(np.arange(n), kz)) @ wH
+        got = linear._fourier_sum(n, kz, wH)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - direct)) < 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_datum_refused(self, fp_maxwellian, monkeypatch, bad):
+        # a NaN datum once ran four refinement rounds into "error nan"
+        values = fp_maxwellian.values.copy()
+        values[100] = bad
+        monkeypatch.setattr(linear, "initial_transform",
+                            lambda d, z: pytest.fail("transform reached"))
+        with pytest.raises(ValidationError,
+                           match=f"mode datum must be finite, got {bad} at 1 of 512 samples"):
+            efield_mode(0.5, fp_maxwellian, Datum1D(fp_maxwellian.alphas, values), t_end=10.0)
 
 
 AXIS = VelocityGrid(1, 8.0, 512).axis()
@@ -193,11 +264,9 @@ class TestSincPv:
     def test_below_axis_against_closure(self, m, y0):
         # the lower-half-plane branch on the rotated rays of the field mode:
         # the Cauchy integral of the sinc interpolant of the sampled m'
-        x, _ = linear._GL96
-        s = y0 * np.tan(0.25 * np.pi * (x + 1.0))
-        for z in (y0 - 1j * s, -y0 - 1j * s):
-            sinc = _sinc_cauchy(m.dval(AXIS), AXIS, z)
-            assert np.max(np.abs(m.cauchy(z) - sinc)) < 1e-12 * _pv_scale(m)
+        z, _ = linear._rays(y0)
+        sinc = _sinc_cauchy(m.dval(AXIS), AXIS, z)
+        assert np.max(np.abs(m.cauchy(z) - sinc)) < 1e-12 * _pv_scale(m)
 
     @settings(max_examples=30)
     @given(m=mixtures())
@@ -400,6 +469,15 @@ class TestReductionConsistency:
         minus = dataclasses.replace(maxwell_mode, kvec=(-0.5,))
         with pytest.raises(ValidationError):
             hist.add(minus)
+
+    def test_duplicate_mode_rejected(self, maxwell_mode):
+        # a second series at the same kvec once replaced the first silently
+        hist = FieldHistory()
+        hist.add(maxwell_mode)
+        tripled = dataclasses.replace(maxwell_mode, values=3.0 * maxwell_mode.values)
+        with pytest.raises(ValidationError, match=r"mode \(0\.5,\) conflicts with stored"):
+            hist.add(tripled)
+        assert hist.modes[(0.5,)] is maxwell_mode
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import continued_dval, continued_val, cutoff_sigma, pv_exact
+from conftest import continued_dval, continued_val, cutoff_sigma, pv_exact, smooth_step
 from vplab import profiles
 from vplab.bgk import _RHO
 from vplab.errors import ValidationError
@@ -19,7 +19,6 @@ from vplab.profiles import (
     make_builtin,
     project,
     project_field,
-    smooth_step,
 )
 
 SQRT2PI = np.sqrt(2 * np.pi)
