@@ -2,7 +2,8 @@
 
 Walks through the Penrose check: project the profile along each lattice
 direction, locate the critical points of the marginal, evaluate the
-principal-value integral there, and compare against |k|^2.  A Maxwellian
+principal-value integral there, and compare against |k|^2 for every
+lattice vector up to the closed-form truncation bound B.  A Maxwellian
 is stable on every box; a well-separated double bump loses stability once
 the box is long enough to admit a small wave vector.
 """
@@ -31,8 +32,11 @@ print(f"\nDouble bump (v0 = 3): PV at the central dip = {pv_at_dip:.4f}")
 
 for T in (6.0, 12.0, 24.0):
     rep = penrose_check(double_bump, DualLattice((T, T)), s=1.6, b=0.3)
-    worst = min((e.margin for e in rep.entries), default=np.inf)
-    print(f"  box T = {T:5.1f}: stable = {rep.stable}, worst margin = {worst:+.4f}")
+    if rep.entries:
+        detail = f"worst margin = {min(e.margin for e in rep.entries):+.4f}"
+    else:
+        detail = f"no lattice vector lies at or below B = {rep.bound:.3f}"
+    print(f"  box T = {T:5.1f}: stable = {rep.stable}, {detail}")
 
 print("\nThe instability threshold sits where (2 pi / T)^2 crosses the PV value:")
 print(f"  T_crit = {2 * np.pi / np.sqrt(pv_at_dip):.2f}")

@@ -64,6 +64,7 @@ class ExperimentConfig:
     def parse(cls, path):
         values = {}
         command = None
+        first_line = {}
         with open(path) as fh:
             text = fh.read()
         for line_no, line in enumerate(text.splitlines(), 1):
@@ -73,6 +74,10 @@ class ExperimentConfig:
             if "=" not in body:
                 raise ValidationError(f"{path}:{line_no}: expected key = value")
             key, val = (part.strip() for part in body.split("=", 1))
+            if key in first_line:
+                raise ValidationError(f"{path}: key {key!r} set twice, on lines "
+                                      f"{first_line[key]} and {line_no}")
+            first_line[key] = line_no
             if key == "command":
                 command = val
             else:

@@ -7,8 +7,11 @@ the real part of ``GaussianMixture.cauchy``, the closed Faddeeva form of the
 Cauchy transform of the projection (its ``GaussianTerm``s in d = 1).
 ``critical_pv`` and ``margin_ok`` are the one margin that ``penrose_check``,
 ``linear.dispersion`` and ``sim.check_axis_stability`` read.  Directions
-sharing a line share one projection.  B is sampled; it is certified only
-where ``certifies`` proves it from the profile's analytic closure.
+sharing a line share one projection.  B = sum_j |w_j|/min(widths_j)^2
+comes in closed form from the closure: a term's PV along any direction is
+w (2x D(x) - 1)/s_e^2 with D the Dawson function, 2x D(x) - 1 lies in
+[-1, 0.2848], and the projected width s_e is never below the term's
+smallest width, so B bounds |PV| in every direction.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from .errors import DegenerateProfileError, ValidationError
 from .profiles import project
 
 MARGIN_TOL = 1e-8
-# sup over x of 2x D(x) - 1, D the Dawson function: 0.2847494 at x = 1.502
-PV_SUP = 0.28475
 
 
 @dataclass(frozen=True)
@@ -120,53 +121,25 @@ def _direction_key(e):
     return tuple(np.round(e, 12))
 
 
-def _random_directions(dim, count, seed):
-    rng = np.random.default_rng(seed)
-    if dim == 1:
-        return [np.array([1.0])]
-    dirs = []
-    while len(dirs) < count:
-        v = rng.normal(size=dim)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-6:
-            dirs.append(v / nrm)
-    return dirs
-
-
-def certifies(p, bound):
-    """True when every |k|^2 > bound provably has a positive margin.
-
-    A Gaussian component of weight w and width s has PV
-    w (2x D(x) - 1)/s^2 <= max(PV_SUP w, -w)/s^2 at every point, and any
-    projection of a closure term is at least as wide as the term's
-    smallest width.
-    """
-    proof = sum(max(PV_SUP * t.weight, -t.weight) / min(t.widths) ** 2
-                for t in p.closure.terms)
-    return bound >= proof
-
-
 def truncation_bound(p, s, b):
-    """Cut-off B beyond which every |k|^2 is taken to have a positive margin.
+    """Cut-off B = sum_j |w_j| / min(widths_j)^2 over the closure's terms.
 
-    B = 2 * max |PV| over 64 probes in each of 20 seeded random directions
-    (one ``GaussianMixture.cauchy`` call per direction); the factor 2 is the
-    safety inflation.  The maximum is sampled, so B is certified only when
-    ``certifies(p, B)`` holds: B covers the PV bound that the profile's
-    closure proves.  s > 3/2 and b > (d-1)/4 are the weighted H^{s,b}
-    regularity under which the PV is bounded by the profile's norm.
+    Along a unit direction e a term of weight w projects to a Gaussian of
+    width s_e = |(e_i widths_i)| >= min(widths), and its PV at any point is
+    w (2x D(x) - 1)/s_e^2 with D the Dawson function.  Since
+    2x D(x) - 1 lies in [-1, 0.2848], that PV is at most |w|/min(widths)^2
+    in modulus, so B bounds |PV| in every direction and every margin with
+    |k|^2 > B is positive.  s > 3/2 and b > (d-1)/4 are the weighted
+    H^{s,b} regularity under which the PV is bounded by the profile's norm.
     """
+    for name, x in (("s", s), ("b", b)):
+        if not math.isfinite(x):
+            raise ValidationError(f"{name} must be finite, got {x}")
     if not s > 1.5:
         raise ValidationError("truncation bound requires s > 3/2")
     if not b > (p.grid.dim - 1) / 4.0:
         raise ValidationError("truncation bound requires b > (d-1)/4")
-    pv_max = 0.0
-    for e in _random_directions(p.grid.dim, 20, 7):
-        fp = project(p, e)
-        probes = fp.alphas[:: max(1, len(fp.alphas) // 64)]
-        pv = fp.closure1d.cauchy(probes).real
-        pv_max = max(pv_max, float(np.max(np.abs(pv))))
-    return 2.0 * pv_max
+    return sum(abs(t.weight) / min(t.widths) ** 2 for t in p.closure.terms)
 
 
 @dataclass
@@ -187,16 +160,12 @@ class PenroseEntry:
 class PenroseReport:
     stable: bool
     bound: float
-    pv_max: float
-    certified: bool
     entries: list = field(default_factory=list)
 
     def to_json(self):
         return {
             "stable": bool(self.stable),
             "B": self.bound,
-            "pv_max": self.pv_max,
-            "certified_beyond_B": bool(self.certified),
             "entries": [e.to_json() for e in self.entries],
         }
 
@@ -234,4 +203,4 @@ def penrose_check(p, lattice, s, b, threads=None):
             entries.append(PenroseEntry(k, k2, key, crit, pvs, margin))
             stable = stable and margin_ok(margin, k2)
     entries.sort(key=lambda e: (e.k2, e.k))
-    return PenroseReport(stable, bound, 0.5 * bound, certifies(p, bound), entries)
+    return PenroseReport(stable, bound, entries)

@@ -10,7 +10,8 @@ removes it here.
 Likewise a definition that only tests read is code the pipeline never
 runs.  Every module-level function or class and every non-dunder method
 must be read by name somewhere in ``src/``, ``demos/`` or ``perfbench/``,
-or be on the reviewed ``ORACLES`` list.  The converse also holds: every
+or be on the reviewed ``ORACLES`` list, and every module-level assignment
+must be read there outside its own line.  The converse also holds: every
 name a module reads must be bound somewhere in it, so deleting a
 definition cannot leave a reader behind that fails only when reached.
 """
@@ -152,7 +153,9 @@ def _reads(tree, shadowed=frozenset()):
         yield from _reads(child, shadowed)
 
 
-def test_every_definition_has_a_reader():
+def _package_reads():
+    """Parsed trees of ``src/``, ``demos/`` and ``perfbench/``, and for every
+    name read there the (path, line) of each read."""
     trees = {path: ast.parse(path.read_text(), filename=path.name)
              for top in ("src", "demos", "perfbench")
              for path in sorted((ROOT / top).rglob("*.py"))}
@@ -160,6 +163,11 @@ def test_every_definition_has_a_reader():
     for path, tree in trees.items():
         for name, line in _reads(tree):
             reads.setdefault(name, []).append((path, line))
+    return trees, reads
+
+
+def test_every_definition_has_a_reader():
+    trees, reads = _package_reads()
     unread = set()
     for path in sorted(SRC.glob("*.py")):
         for qualname, node in _definitions(trees[path]):
@@ -169,6 +177,22 @@ def test_every_definition_has_a_reader():
                 unread.add(f"{path.stem}.{qualname}")
     assert sorted(unread - ORACLES) == [], "only tests read these: delete them"
     assert sorted(ORACLES - unread) == [], "read in the package now: drop from ORACLES"
+
+
+def test_every_module_constant_has_a_reader():
+    # a module-level assignment read only on its own line is a dead constant
+    trees, reads = _package_reads()
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if not any(p != path or not node.lineno <= line <= node.end_lineno
+                           for p, line in reads.get(name, ())):
+                    unread.add(f"{path.stem}.{name}")
+    assert sorted(unread) == [], "module constants nothing reads: delete them"
 
 
 def _bound(tree):

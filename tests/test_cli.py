@@ -224,6 +224,28 @@ amplitude = {amplitude}
         assert err.startswith("error:") and "Traceback" not in err
         assert shown in err
 
+    @pytest.mark.parametrize("extra, key, lines", [
+        ("s = 1.6", "s", (8, 10)), ("command = norms", "command", (2, 10))])
+    def test_repeated_key_exit1(self, tmp_path, capsys, extra, key, lines):
+        # the last of two lines once won silently, and the hash saw only it
+        path = write_config(tmp_path, PENROSE_STABLE.replace("s = 1.6", "s = 1.0")
+                            + extra + "\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"key {key!r} set twice, on lines {lines[0]} and {lines[1]}" in err
+
+    @pytest.mark.parametrize("key, value", [("s", "inf"), ("b", "inf"), ("s", "nan")])
+    def test_non_finite_penrose_order_exit1(self, tmp_path, capsys, key, value):
+        # s = b = inf once ran to "stable=True" with exit 0
+        text = "".join(line + "\n" for line in PENROSE_STABLE.splitlines()
+                       if not line.startswith(f"{key} =")) + f"{key} = {value}\n"
+        path = write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"{key} must be finite, got {value}" in err
+
     def test_missing_command(self, tmp_path):
         with pytest.raises(ValidationError):
             ExperimentConfig.parse(write_config(tmp_path, "s = 1.6\n"))

@@ -12,6 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script, expected", [
     ("01_penrose_stability.py", "T_crit = 14.83"),
+    ("01_penrose_stability.py",
+     "box T =   6.0: stable = True, no lattice vector lies at or below B = 1.000"),
     ("02_bgk_wave_construction.py", "certified distance bound = 0.0454"),
     ("03_linear_landau_damping.py", "rate 0.153359, frequency 1.415662"),
     ("04_nonlinear_decay.py", "final / max field:            6.736e-05"),

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mixture_1d, pv_exact
 from vplab.errors import DegenerateProfileError, ValidationError
 from vplab.penrose import (
-    PV_SUP,
     DualLattice,
-    certifies,
     critical_points,
     critical_pv,
     penrose_check,
@@ -28,6 +28,42 @@ def closure_only(m, grid):
     """The projection of a bare 1D mixture on the grid's axis."""
     ax = grid.axis()
     return ProjectedProfile(np.array([1.0]), ax, m.val(ax), m, sum(t.weight for t in m.terms))
+
+
+def random_directions(dim, count, seed):
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        return [np.array([1.0])]
+    dirs = []
+    while len(dirs) < count:
+        v = rng.normal(size=dim)
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-6:
+            dirs.append(v / nrm)
+    return dirs
+
+
+def sampled_pv_max(p):
+    """Oracle of the truncation bound: max |PV| over 64 probes of the grid
+    axis in each of 20 seeded random directions (the closure's projection,
+    which ``project`` carries as ``closure1d``)."""
+    pv_max = 0.0
+    for e in random_directions(p.grid.dim, 20, 7):
+        probes = p.grid.axis()[:: max(1, p.grid.n // 64)]
+        pv = p.closure.project_unit(e).cauchy(probes).real
+        pv_max = max(pv_max, float(np.max(np.abs(pv))))
+    return pv_max
+
+
+@st.composite
+def signed_mixtures(draw):
+    """1-3 anisotropic terms in d = 1, 2 or 3 with weights of either sign."""
+    dim = draw(st.integers(1, 3))
+    terms = [GaussianTerm(draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.1, 2.0)),
+                          tuple(draw(st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim))),
+                          tuple(draw(st.lists(st.floats(0.3, 2.0), min_size=dim, max_size=dim))))
+             for _ in range(draw(st.integers(1, 3)))]
+    return GaussianMixture(dim, terms)
 
 
 def pv_excision_oracle(fp, a_prime):
@@ -168,10 +204,9 @@ class TestCriticalPv:
 
 class TestTruncationBound:
     def test_maxwellian_bound(self, maxwellian2):
-        b = truncation_bound(maxwellian2, 1.6, 0.3)
-        # direction sweep keeps |PV| <= 1 + tiny, so B <= 2 (1 + eps)
-        assert b <= 2.0 * (1.0 + 1e-6)
-        assert b > 1.0
+        # unit weight, unit widths: B = 1, the |PV| at the Maxwellian's peak
+        assert truncation_bound(maxwellian2, 1.6, 0.3) == 1.0
+        assert sampled_pv_max(maxwellian2) == pytest.approx(1.0, abs=1e-9)
 
     def test_linearity_in_profile(self, maxwellian2):
         doubled = Profile(maxwellian2.grid, 2.0 * maxwellian2.values,
@@ -180,22 +215,46 @@ class TestTruncationBound:
         b2 = truncation_bound(doubled, 1.6, 0.3)
         assert abs(b2 - 2.0 * b1) < 1e-8 * b1
 
-    def test_certified_only_by_the_proof_bound(self, maxwellian2):
-        bound = truncation_bound(maxwellian2, 1.6, 0.3)
-        rep = penrose_check(maxwellian2, DualLattice((2 * np.pi, 2 * np.pi)), 1.6, 0.3)
-        assert rep.bound == bound == 2.0 * rep.pv_max
-        assert rep.certified and certifies(maxwellian2, bound)
-        # unit weight and unit widths: the proven PV bound is PV_SUP itself
-        assert certifies(maxwellian2, PV_SUP)
-        assert not certifies(maxwellian2, 0.99 * PV_SUP)
+    def test_certified_only_by_the_proof_bound(self, double_bump2):
+        # the report's B is the closed form over the closure's terms
+        rep = penrose_check(double_bump2, DualLattice((2 * np.pi, 2 * np.pi)), 1.6, 0.3)
+        closed = sum(abs(t.weight) / min(t.widths) ** 2 for t in double_bump2.closure.terms)
+        assert rep.bound == truncation_bound(double_bump2, 1.6, 0.3) == closed
+        assert closed == pytest.approx(1.0, abs=1e-12)
 
     def test_pv_sup_bounds_the_dawson_form(self):
+        # the bound's premise: 2x D(x) - 1 lies in [-1, 0.28475]
         from scipy.special import dawsn
 
         x = np.linspace(0.0, 10.0, 200001)
         peak = 2.0 * x * dawsn(x) - 1.0
-        assert 0.28474 < peak.max() <= PV_SUP
+        assert peak.min() == -1.0 and peak.max() <= 0.28475
+        assert 0.28474 < peak.max()
         assert abs(x[np.argmax(peak)] - 1.502) < 1e-3
+
+    @settings(max_examples=40)
+    @given(mix=signed_mixtures())
+    def test_bound_covers_the_sampled_pv(self, mix):
+        p = Profile.from_closure(VelocityGrid(mix.dim, 8.0, 64), mix)
+        bound = truncation_bound(p, 1.6, max(0.3, mix.dim / 4.0))
+        # B is attained at a term's mean along its narrowest axis, where the
+        # Faddeeva evaluation may round one ulp above it
+        assert sampled_pv_max(p) <= bound * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("s, b, shown", [
+        (float("inf"), 0.3, "s must be finite, got inf"),
+        (float("nan"), 0.3, "s must be finite, got nan"),
+        (1.6, float("inf"), "b must be finite, got inf"),
+        (1.6, float("nan"), "b must be finite, got nan"),
+    ])
+    def test_non_finite_order_rejected(self, maxwellian2, monkeypatch, s, b, shown):
+        # refused by name before any projection is made
+        def unreachable(*args):
+            raise AssertionError("project reached")
+
+        monkeypatch.setattr("vplab.penrose.project", unreachable)
+        with pytest.raises(ValidationError, match=shown):
+            penrose_check(maxwellian2, DualLattice((2 * np.pi, 2 * np.pi)), s, b)
 
     def test_bad_weight_rejected(self, maxwellian2):
         with pytest.raises(ValidationError):
@@ -214,7 +273,7 @@ class TestPenroseCheck:
             assert abs(e.margin - (e.k2 + 1.0)) < 1e-6
 
     def test_threads_match_serial(self, maxwellian2):
-        # four directions below B, so two threads take the pooled path
+        # two directions below B, so two threads take the pooled path
         lattice = DualLattice((2 * np.pi, 2 * np.pi))
         serial = penrose_check(maxwellian2, lattice, 1.6, 0.3, threads=1)
         assert len({e.direction for e in serial.entries}) > 1
@@ -250,6 +309,6 @@ class TestPenroseCheck:
         rep = penrose_check(maxwellian2, DualLattice((2 * np.pi, 2 * np.pi)),
                             1.6, 0.3)
         js = rep.to_json()
+        assert set(js) == {"stable", "B", "entries"}
         assert js["stable"] is True
-        assert js["certified_beyond_B"] is True
         assert {"k", "k2", "direction", "S", "pv", "margin"} <= set(js["entries"][0])
