@@ -294,8 +294,8 @@ def hprime0_centered(h, scale):
 # periodic orbits of beta'' = h(beta)
 # ---------------------------------------------------------------------------
 
-# the 128-node Gauss-Legendre rule of the period quadrature, on (-pi/2, pi/2)
-_THETA, _THETA_W = (a * (math.pi / 2.0) for a in np.polynomial.legendre.leggauss(128))
+# the 64 midpoint nodes phi_j = (j + 1/2) pi / 64 of every orbit integral
+_PHI = (np.arange(64) + 0.5) * (math.pi / 64)
 # the 6-node Gauss-Legendre rule of a segment mean, on (0, 1) with unit total weight
 _SEG, _SEG_W = np.polynomial.legendre.leggauss(6)
 _SEG, _SEG_W = 0.5 * (_SEG + 1.0), 0.5 * _SEG_W
@@ -308,7 +308,7 @@ def _orbit_g(h, bp, bm, sin_t):
     E - V(beta) = V(b) - V(beta) is rho (1 -+ sin theta) times the mean of -+h
     over [beta, b], and (1 -+ sin theta) / cos^2 theta = 1 / (1 +- sin theta):
     G = <-+h> / (rho (1 +- sin theta)).  Neither E nor a 0/0 enters, and the
-    turning points enter only smoothly.
+    turning points enter only smoothly.  ``_orbit_at`` takes sin theta = -cos phi.
     """
     rho, s = 0.5 * (bp - bm), np.abs(sin_t)
     toward = np.where(sin_t >= 0, 1.0, -1.0)
@@ -322,25 +322,19 @@ class OrbitSolution:
     beta_plus: float
     beta_minus: float
     r: float
-    h: BifurcationH = field(repr=False)
+    # cosine coefficients of dx/dphi on [0, pi], a[0] halved: period = 2 pi a[0]
+    a: np.ndarray = field(repr=False)
 
     def sample(self, n):
         """Uniform samples of beta over one period, maximum at x = 0.
 
-        With beta = mid - rho cos phi (phi = theta + pi/2 of ``periodic_orbit``),
-        dx/dphi = 1/sqrt(2 G) is smooth and even about both turning points, and
-        G comes from ``_orbit_g``.  Its cosine series integrates exactly to
-        x(phi); Newton steps invert x at the uniform points of the descending
-        half, and beta(T - x) = beta(x) gives the rest.  The samples span the
-        series' own period 2 pi a_0.
+        The cosine series ``a`` of dx/dphi (``_orbit_at``) integrates exactly
+        to x(phi) = a_0 phi + sum_k a_k sin(k phi) / k; Newton steps invert x
+        at the uniform points of the descending half, beta = mid - rho cos phi
+        there, and beta(T - x) = beta(x) gives the rest.  No h is evaluated.
         """
-        bp, bm = self.beta_plus, self.beta_minus
-        mid, rho = 0.5 * (bp + bm), 0.5 * (bp - bm)
-        m = 64  # cosine modes: 32 already converge on every orbit the tests sample
-        phi = (np.arange(m) + 0.5) * (math.pi / m)
-        a = sfft.dct(1.0 / np.sqrt(2.0 * _orbit_g(self.h, bp, bm, -np.cos(phi))), type=2) / m
-        a[0] *= 0.5
-        k, half = np.arange(1, m), math.pi * a[0]
+        a, bp, bm = self.a, self.beta_plus, self.beta_minus
+        k, half = np.arange(1, len(a)), math.pi * a[0]
         # distance from the maximum along the descending half, and its phi
         xs = np.arange(n // 2 + 1) * (2.0 * half / n)
         phi = math.pi * (1.0 - xs / half)
@@ -351,7 +345,7 @@ class OrbitSolution:
             phi = np.clip(phi + step, 0.0, math.pi)
             if np.max(np.abs(step)) <= 1e-15:
                 break
-        beta = mid - rho * np.cos(phi)
+        beta = 0.5 * (bp + bm) - 0.5 * (bp - bm) * np.cos(phi)
         return np.linspace(0.0, self.period, n, endpoint=False), \
             np.concatenate([beta, beta[1:(n + 1) // 2][::-1]])
 
@@ -363,6 +357,11 @@ def _orbit_at(h, bp):
     on the bracket found by growing the harmonic guess -bp by 1.5 until V
     exceeds V(bp).  A potential that loses convexity on either side before
     its turning point raises AmplitudeTooLargeError.
+
+    On the 64 midpoints ``_PHI`` of phi (beta = mid - rho cos phi), dx/dphi =
+    1/sqrt(2 G) is smooth, even and periodic, so one midpoint rule gives all:
+    its DCT a (a_0 halved, for ``sample``), T = 2 pi a_0 and, over both halves,
+    r^2 = 2 pi mean_j [(beta^2 + h(beta)^2) dx/dphi + (rho sin phi)^2 / (dx/dphi)].
     """
     def check_convex(b):
         if np.any(h(np.linspace(0.1 * b, b, 24)) * math.copysign(1.0, b) > 0):
@@ -388,33 +387,29 @@ def _orbit_at(h, bp):
             raise AmplitudeTooLargeError("turning point not converged in 300 steps")
     check_convex(bm)
 
-    th_w, sin_t, cos_t = _THETA_W, np.sin(_THETA), np.cos(_THETA)
-    G = _orbit_g(h, bp, bm, sin_t)
+    G = _orbit_g(h, bp, bm, -np.cos(_PHI))
     if np.any(G <= 0):
         raise AmplitudeTooLargeError("potential not convex inside the orbit")
     mid, rho = 0.5 * (bp + bm), 0.5 * (bp - bm)
-    b_theta = mid + rho * sin_t
-    invsq = 1.0 / np.sqrt(G)
-    period = math.sqrt(2.0) * float(th_w @ invsq)
-    int_b2 = math.sqrt(2.0) * float(th_w @ (b_theta ** 2 * invsq))
-    int_db2 = 2.0 * math.sqrt(2.0) * rho ** 2 * float(th_w @ (cos_t ** 2 * np.sqrt(G)))
-    int_d2b2 = math.sqrt(2.0) * float(th_w @ (h(b_theta) ** 2 * invsq))
-    return OrbitSolution(period, bp, bm, math.sqrt(int_b2 + int_db2 + int_d2b2), h)
+    beta = mid - rho * np.cos(_PHI)
+    dx = 1.0 / np.sqrt(2.0 * G)
+    a = sfft.dct(dx, type=2) / len(dx)
+    a[0] *= 0.5
+    r2 = 2.0 * math.pi * float(np.mean((beta ** 2 + h(beta) ** 2) * dx
+                                       + (rho * np.sin(_PHI)) ** 2 / dx))
+    return OrbitSolution(2.0 * math.pi * float(a[0]), bp, bm, math.sqrt(r2), a)
 
 
 def periodic_orbit(h, r):
     """Periodic solution of beta'' = h(beta) with H^2 amplitude r over one period.
 
     The orbit is labelled by its upper turning point beta_+ (``_orbit_at``),
-    which a secant iteration on log beta_+ against log r selects; the period
-    and the norm integrals use the turning-point-regularised quadrature
-
-        T = sqrt(2) * int dtheta / sqrt(G),  G = (E - V) / (rho cos theta)^2,
-
-    with G from ``_orbit_g``, smooth through the turning points.  h supplies
-    h(beta), h.hprime0() and h.potential(beta) = -int_0^beta h.  Leaving the
-    center basin (V losing convexity before the turning point) raises
-    AmplitudeTooLargeError; a non-finite or non-positive r, ValidationError.
+    which a secant iteration on log beta_+ against log r selects.  T, r and
+    the samples come from one cosine series of dx/dphi = 1/sqrt(2 G) on 64
+    midpoints in phi (``_orbit_at``).  h supplies h(beta), h.hprime0() and
+    h.potential(beta) = -int_0^beta h.  Leaving the center basin (V losing
+    convexity before the turning point) raises AmplitudeTooLargeError; a
+    non-finite or non-positive r, ValidationError.
     """
     _require_positive("orbit amplitude r", r)
     hp0 = h.hprime0()

@@ -107,6 +107,9 @@ def _profile_from(config):
     grid = VelocityGrid(dim, config.get("grid.vmax", 8.0, float),
                         config.get("grid.n", 256, int))
     name = config.get("profile.name", "maxwellian")
+    unread = sorted({"profile.v0", "profile.width"} & set(config.values))
+    if unread and name not in ("double_bump", "product"):
+        raise ValidationError(f"config keys not read by profile {name!r}: {unread}")
     bump = {"v0": config.get("profile.v0", 3.0, float),
             "width": config.get("profile.width", 1.0, float)}
     params = {"double_bump": bump,

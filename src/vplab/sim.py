@@ -322,19 +322,18 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
     diagnostics (mass, momenta, energy, field norms, the current-field
     pairing) are recorded every ``diagnostics_every`` steps; outputs, each a
     ``SimState``, every ``output_every`` steps (default n_steps // 64) and at
-    the last step.  Raises ValidationError when n_steps < 1,
-    diagnostics_every < 1, or output_every is given and is not an integer >= 1.
+    the last step.  Raises ValidationError when n_steps < 1, or when
+    diagnostics_every, or output_every if given, is not an integer >= 1.
     """
     g = state.grid
     if n_steps < 1:
         raise ValidationError(
             f"n_steps = {n_steps}: no step of dt = {g.dt:g} is taken "
             f"(a t_end below dt/2 = {0.5 * g.dt:g} rounds to zero steps)")
-    if not diagnostics_every >= 1:
-        raise ValidationError(f"diagnostics_every must be at least 1, got {diagnostics_every}")
-    if output_every is not None and not (
-            isinstance(output_every, (int, np.integer)) and output_every >= 1):
-        raise ValidationError(f"output_every must be an integer >= 1, got {output_every}")
+    for name, every in (("diagnostics_every", diagnostics_every),
+                        ("output_every", 1 if output_every is None else output_every)):
+        if not (isinstance(every, (int, np.integer)) and every >= 1):
+            raise ValidationError(f"{name} must be an integer >= 1, got {every}")
     log = RunLog()
     out_every = output_every or max(1, n_steps // 64)
     half, full = _x_phase(g, 0.5 * g.dt), _x_phase(g, g.dt)

@@ -495,7 +495,7 @@ class TestPeriodicOrbit:
             periodic_orbit(HarmonicH(1.0), r)
 
 
-def dop853_sample(orb, n):
+def dop853_sample(orb, h, n):
     """Oracle: uniform samples of one period of beta'' = h(beta) from the
     maximum, by DOP853 at rtol 1e-13 (the sampler ``OrbitSolution.sample``
     replaced)."""
@@ -503,11 +503,75 @@ def dop853_sample(orb, n):
 
     scale = max(abs(orb.beta_plus), abs(orb.beta_minus))
     xs = np.linspace(0.0, orb.period, n, endpoint=False)
-    sol = solve_ivp(lambda x, yv: [yv[1], orb.h(yv[0])], (0.0, orb.period),
+    sol = solve_ivp(lambda x, yv: [yv[1], h(yv[0])], (0.0, orb.period),
                     [orb.beta_plus, 0.0], t_eval=xs, method="DOP853", rtol=1e-13,
                     atol=1e-16 * scale, max_step=orb.period / 16)
     assert sol.success
     return xs, sol.y[0]
+
+
+def theta_rule(h, orb):
+    """Oracle: the period and H^2 amplitude of ``orb`` on the 128-node
+    Gauss-Legendre rule in theta (beta = mid + rho sin theta) that the
+    cosine series of ``_orbit_at`` replaced."""
+    nodes, weights = np.polynomial.legendre.leggauss(128)
+    th, w = nodes * (np.pi / 2.0), weights * (np.pi / 2.0)
+    bp, bm = orb.beta_plus, orb.beta_minus
+    rho, sin_t, cos_t = 0.5 * (bp - bm), np.sin(th), np.cos(th)
+    G = bgk_mod._orbit_g(h, bp, bm, sin_t)
+    beta, invsq = 0.5 * (bp + bm) + rho * sin_t, 1.0 / np.sqrt(G)
+    period = math.sqrt(2.0) * float(w @ invsq)
+    r2 = math.sqrt(2.0) * float(w @ ((beta ** 2 + h(beta) ** 2) * invsq)) \
+        + 2.0 * math.sqrt(2.0) * rho ** 2 * float(w @ (cos_t ** 2 * np.sqrt(G)))
+    return period, math.sqrt(r2)
+
+
+class CountingH:
+    """h with a count of the points at which it is evaluated."""
+
+    def __init__(self, h):
+        self.h, self.points = h, 0
+
+    def __call__(self, b):
+        self.points += np.size(b)
+        return self.h(b)
+
+    def hprime0(self):
+        return self.h.hprime0()
+
+    def potential(self, b):
+        return self.h.potential(b)
+
+
+@pytest.fixture(scope="module")
+def edge_h(maxwellian2):
+    """The gamma = 0.05 case-1 h, whose centre basin ends near r = 0.0134."""
+    return make_h(build_modified(maxwellian2, 0.05, 1.0, 1, v0=3.0))
+
+
+class TestOrbitSeries:
+    @settings(max_examples=30, deadline=None)
+    @given(r=st.floats(1e-3, 5.0))
+    def test_pendulum_matches_theta_rule(self, r):
+        orb = periodic_orbit(PendulumH(), r)
+        for ours, ref in zip((orb.period, orb.r), theta_rule(PendulumH(), orb)):
+            assert abs(ours - ref) <= 1e-14 * ref
+
+    @settings(max_examples=20, deadline=None)
+    @given(r=st.floats(1e-3, 0.012))
+    def test_basin_edge_matches_theta_rule(self, edge_h, r):
+        # at r = 0.0134 the period is 9.66 against the harmonic 5.70
+        orb = periodic_orbit(edge_h, r)
+        for ours, ref in zip((orb.period, orb.r), theta_rule(edge_h, orb)):
+            assert abs(ours - ref) <= 1e-14 * ref
+
+    def test_sample_evaluates_no_h(self, edge_h):
+        h = CountingH(edge_h)
+        orb = bgk_mod._orbit_at(h, 1e-3)
+        assert h.points > 0
+        h.points = 0
+        orb.sample(1024)
+        assert h.points == 0
 
 
 class TestOrbitSample:
@@ -515,7 +579,7 @@ class TestOrbitSample:
     def check_against_dop853(wave):
         orb = periodic_orbit(wave.h, wave.amplitude)
         xs, beta = orb.sample(1024)
-        xs_ref, beta_ref = dop853_sample(orb, 1024)
+        xs_ref, beta_ref = dop853_sample(orb, wave.h, 1024)
         assert np.array_equal(xs, xs_ref)
         scale = np.max(np.abs(beta_ref))
         # the maximum at x = 0 and the minimum at half the period
@@ -536,7 +600,7 @@ class TestOrbitSample:
         # the mirrored half meets itself for odd and even counts alike
         orb = periodic_orbit(PendulumH(), 2.0)
         _, beta = orb.sample(n)
-        _, beta_ref = dop853_sample(orb, n)
+        _, beta_ref = dop853_sample(orb, PendulumH(), n)
         assert len(beta) == n
         assert np.max(np.abs(beta - beta_ref)) <= 1e-11 * np.max(np.abs(beta_ref))
 

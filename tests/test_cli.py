@@ -66,6 +66,17 @@ class TestConfig:
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys", [("profile.v0",), ("profile.width",),
+                                      ("profile.v0", "profile.width")])
+    def test_maxwellian_refuses_bump_keys(self, tmp_path, capsys, keys):
+        # a Maxwellian once ran with both keys ignored, though the hash saw them
+        extra = "".join(f"{key} = {value}\n" for key, value in zip(keys, ("2.5", "0.3")))
+        path = write_config(tmp_path, PENROSE_STABLE + extra)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'maxwellian'" in err
+        assert all(repr(key) in err for key in keys)
+
     def test_schema_violation_lists_keys(self, tmp_path):
         path = write_config(tmp_path, PENROSE_STABLE + "bogus.key = 1\n")
         with pytest.raises(ValidationError) as err:

@@ -719,9 +719,10 @@ class TestNonFiniteScalars:
         with pytest.raises(ValidationError, match=f"{key} must be finite and positive, got {bad}"):
             run_bgk_steadiness(case3_wave, g, **kw)
 
-    @pytest.mark.parametrize("every", [0, -1, float("nan")])
+    @pytest.mark.parametrize("every", [0, -1, float("nan"), 2.5, 1.0000001])
     def test_run_diagnostics_every(self, grid1v, maxprofile, every):
-        with pytest.raises(ValidationError, match=f"diagnostics_every must be at least 1, got {every}"):
+        # 2.5 once recorded every 5th step and 1.0000001 step 0 only
+        with pytest.raises(ValidationError, match=f"diagnostics_every must be an integer >= 1, got {every}"):
             run(sample_profile(maxprofile, grid1v), 2, diagnostics_every=every)
 
     @pytest.mark.parametrize("every", [-1, 0, 2.5, float("nan")])
