@@ -23,12 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import (
-    AmplitudeTooLargeError,
-    BracketError,
-    RegularityError,
-    ValidationError,
-)
+from .errors import (AmplitudeTooLargeError, BracketError, RegularityError, ValidationError,
+                     require)
 from .profiles import (SQRT2PI, GaussianMixture, GaussianTerm, Profile, even_pair,
                        fourier_multiplier)
 
@@ -106,11 +102,6 @@ def _require_even(f1):
                               f"{tuple(map(float, unpaired[0]))} has no mirror of equal weight")
 
 
-def _require_positive(what, x):
-    if not (x is not None and math.isfinite(x) and x > 0.0):
-        raise ValidationError(f"{what} must be finite and positive, got {x}")
-
-
 def build_modified(f1, gamma, delta, case, v0=BUMP_V0):
     """Modified homogeneous profile for the bifurcation.
 
@@ -121,14 +112,13 @@ def build_modified(f1, gamma, delta, case, v0=BUMP_V0):
     every case (only case 1 places the bump at v0), gamma in cases 1-2 (case
     3 ignores it), and the base closure must be even in v1.
     """
-    _require_positive("the bump offset v0", v0)
-    _require_positive("the scale delta", delta)
+    require("finite and positive", (("the bump offset v0", v0), ("the scale delta", delta)))
     _require_even(f1)
     if case == 3:
         mix = f1.closure.scaled_v1(delta)
         return ModifiedProfile(f1, 0.0, float(delta), 3, 0.0, 0.0, mix, None)
 
-    _require_positive("the feature scale gamma", gamma)
+    require("finite and positive", (("the feature scale gamma", gamma),))
     lam = gamma * delta
     if case == 1:
         if GaussianMixture(1, even_pair(1.0, v0, (1.0,))).pv_d_integral() <= 0:
@@ -411,7 +401,7 @@ def periodic_orbit(h, r):
     convexity before the turning point) raises AmplitudeTooLargeError; a
     non-finite or non-positive r, ValidationError.
     """
-    _require_positive("orbit amplitude r", r)
+    require("finite and positive", (("orbit amplitude r", r),))
     hp0 = h.hprime0()
     if not hp0 < 0:
         raise ValidationError(f"h'(0) = {hp0:.3e} is not negative: no center at 0")
@@ -618,12 +608,12 @@ def match_period(f1, T1, gamma, r, case=None):
     non-finite or non-positive r and, in cases 1-2, such a gamma are refused
     before any work.
     """
-    _require_positive("orbit amplitude r", r)
+    require("finite and positive", (("orbit amplitude r", r),))
     _require_even(f1)
     if case is None:
         case = select_case(f1, T1).case
     if case != 3:
-        _require_positive("the feature scale gamma", gamma)
+        require("finite and positive", (("the feature scale gamma", gamma),))
 
     cache = {}
 
@@ -830,16 +820,13 @@ def build_wave(f0, T1, c=0.0, eps=None, s=1.2, p=2.0, gamma=None, r=None):
     """
     from .closeness import closeness_report, modified_profile_distance
 
-    if not (math.isfinite(T1) and T1 > 0):
-        raise ValidationError(f"period T1 must be finite and positive, got {T1}")
-    for name, val in (("s", s), ("p", p), ("eps", eps), ("gamma", gamma), ("r", r)):
-        if val is not None and not math.isfinite(val):
-            raise ValidationError(f"{name} must be finite, got {val}")
+    require("finite and positive", (("period T1", T1),))
+    given = tuple((name, val) for name, val in (("eps", eps), ("gamma", gamma), ("r", r))
+                  if val is not None)
+    require("finite", (("s", s), ("p", p)) + given)
     if not p > 1.0:
         raise ValidationError(f"p must be > 1, got {p}: below, the triangle sum bounds nothing")
-    for name, val in (("eps", eps), ("gamma", gamma), ("r", r)):
-        if val is not None and val <= 0.0:
-            raise ValidationError(f"{name} must be positive, got {val}")
+    require("positive", given)
     for name, val in (("gamma", gamma), ("r", r)):
         if eps is not None and val is not None:
             raise ValidationError(f"eps = {eps:g} and {name} = {val:g} given together: "

@@ -22,7 +22,7 @@ from . import __version__, container
 from .errors import PenroseUnstableError, ValidationError, VplabError
 from .norms import fractional_wsp_norm, weighted_hsb_norm
 from .penrose import MARGIN_TOL, DualLattice, penrose_check
-from .profiles import VelocityGrid, make_builtin, project
+from .profiles import BUILTIN_PARAMS, VelocityGrid, make_builtin, project
 from . import linear as linear_mod
 from . import sim as sim_mod
 from .bgk import PERIOD_TOL_REL, POISSON_RESIDUAL_TOL, build_wave
@@ -108,7 +108,8 @@ def _profile_from(config):
                         config.get("grid.n", 256, int))
     name = config.get("profile.name", "maxwellian")
     unread = sorted({"profile.v0", "profile.width"} & set(config.values))
-    if unread and name not in ("double_bump", "product"):
+    # a builtin that reads parameters reads both: a product through its v1 factor
+    if unread and not BUILTIN_PARAMS.get(name):
         raise ValidationError(f"config keys not read by profile {name!r}: {unread}")
     bump = {"v0": config.get("profile.v0", 3.0, float),
             "width": config.get("profile.width", 1.0, float)}
@@ -235,9 +236,17 @@ def run(config, outdir, threads=1, verbose=False):
             "clipped_mass": snap.clipped_mass,
             "ranks": report.log.ranks,
             "refactors": report.log.refactors,
+            "mass_drift_per_step": report.mass_drift_per_step,
+            "energy_drift_rel": report.energy_drift_rel,
         })
-        _write_manifest(outdir, config, {
-            "mass_tol_per_step": 1e-10, "energy_rel_tol": 1e-6})
+        if not (report.mass_drift_per_step <= sim_mod.MASS_TOL_PER_STEP
+                and report.energy_drift_rel <= sim_mod.ENERGY_REL_TOL):
+            raise ValidationError(f"conservation drift: mass {report.mass_drift_per_step:.3e} "
+                                  f"per step, energy {report.energy_drift_rel:.3e} relative; "
+                                  f"tolerances {sim_mod.MASS_TOL_PER_STEP:g} and "
+                                  f"{sim_mod.ENERGY_REL_TOL:g}")
+        _write_manifest(outdir, config, {"mass_tol_per_step": sim_mod.MASS_TOL_PER_STEP,
+                                         "energy_rel_tol": sim_mod.ENERGY_REL_TOL})
         return 0
 
     if config.command == "norms":

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``require``, the one
+check of every scalar parameter."""
+
+import math
+
+import numpy as np
 
 
 class VplabError(Exception):
@@ -20,8 +25,7 @@ class BoundaryDecayError(VplabError):
         self.tol = float(tol)
         super().__init__(
             f"boundary residual {self.residual:.3e} exceeds {self.tol:.1e}; "
-            "aliasing would corrupt the spectral operator"
-        )
+            "aliasing would corrupt the spectral operator")
 
 
 class UnresolvableBumpError(ValidationError):
@@ -42,8 +46,7 @@ class RegularityError(ValidationError):
         super().__init__(
             f"regularity s = {self.s:.6g} is not below the critical "
             f"1 + 1/p = {1.0 + 1.0 / self.p:.6g} (gap {self.gap:.3g}); "
-            "no modification size meets the distance budget"
-        )
+            "no modification size meets the distance budget")
 
 
 class QuadratureConvergenceError(VplabError):
@@ -63,8 +66,7 @@ class BracketError(VplabError):
         self.t_hi = float(t_hi)
         super().__init__(
             f"period bracket failure: target {target:.6g} not inside "
-            f"[{t_lo:.6g}, {t_hi:.6g}]"
-        )
+            f"[{t_lo:.6g}, {t_hi:.6g}]")
 
 
 class AmplitudeTooLargeError(VplabError):
@@ -77,3 +79,29 @@ class PenroseUnstableError(VplabError):
 
 class RefinementCapError(VplabError):
     """Automatic grid refinement hit its cap without meeting the tolerance."""
+
+
+def _finite(x):
+    try:
+        return math.isfinite(x)
+    except TypeError:  # None, a string
+        return False
+
+
+def _count(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+# rule -> predicate; a count is an int or np.integer, never a bool or a float
+RULES = {"finite": _finite, "positive": lambda x: x > 0, "nonnegative": lambda x: x >= 0,
+         "finite and positive": lambda x: _finite(x) and x > 0,
+         "finite and nonnegative": lambda x: _finite(x) and x >= 0,
+         "an integer": _count, "an integer >= 1": lambda x: _count(x) and x >= 1,
+         "a power of two >= 4": lambda x: _count(x) and x >= 4 and x & (x - 1) == 0}
+
+
+def require(rule, pairs):
+    """Refuse the first (name, value) pair that breaks ``RULES[rule]``, by name."""
+    for name, x in pairs:
+        if not RULES[rule](x):
+            raise ValidationError(f"{name} must be {rule}, got {x}")

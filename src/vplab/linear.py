@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PenroseUnstableError, RefinementCapError, ValidationError
+from .errors import PenroseUnstableError, RefinementCapError, ValidationError, require
 from .penrose import critical_pv, margin_ok
 
 # window panels of 16 Gauss-Legendre nodes, each spanning at most _PANEL_RAD of
@@ -166,10 +166,8 @@ def efield_mode(kmag, fp, datum, t_end, kvec=None):
     nodes; below WINDOW_TOL of the peak it accepts, else it doubles the
     panels, up to three times, then raises RefinementCapError.
     """
-    if not (math.isfinite(kmag) and kmag > 0):
-        raise ValidationError(f"mode wavenumber must be finite and positive, got {kmag}")
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise ValidationError(f"t_end must be finite and nonnegative, got {t_end}")
+    require("finite and positive", (("mode wavenumber", kmag),))
+    require("finite and nonnegative", (("t_end", t_end),))
     bad = datum.values[~np.isfinite(datum.values)]
     if bad.size:
         raise ValidationError(f"mode datum must be finite, got {bad[0]} at {bad.size} "
@@ -226,9 +224,7 @@ class FieldHistory:
 
     def decay_norm(self, s_x, s_v):
         """|| t^{s_v} E ||_{L^2_t H_x^{3/2+s_x+s_v}} from the mode series."""
-        for name, val in (("s_x", s_x), ("s_v", s_v)):
-            if not math.isfinite(val):
-                raise ValidationError(f"{name} must be finite, got {val}")
+        require("finite", (("s_x", s_x), ("s_v", s_v)))
         total = 0.0
         suggestions = []
         for kvec, series in self.modes.items():

@@ -14,8 +14,8 @@ Conventions
   orders; pieces combine in the l^p sense, so for p = 2 and integer s the
   value matches the Fourier norm up to quadrature error.
 
-Each norm checks the parameters it reads before any work, and names the
-one it refuses.
+Each norm checks the parameters it reads before any work, through
+``errors.require``, and names the one it refuses.
 """
 
 from __future__ import annotations
@@ -27,15 +27,8 @@ import numpy as np
 from scipy import fft as sfft
 
 from .closeness import Axis1D, wsp_pow_separable
-from .errors import BoundaryDecayError, ValidationError
+from .errors import BoundaryDecayError, ValidationError, require
 from .profiles import fourier_multiplier
-
-
-def _require_finite(pairs):
-    """Refuse the first non-finite value of the (name, value) pairs by name."""
-    for name, x in pairs:
-        if not math.isfinite(x):
-            raise ValidationError(f"{name} must be finite, got {x}")
 
 
 def check_boundary_decay(values, grid):
@@ -47,9 +40,8 @@ def check_boundary_decay(values, grid):
 
 def weighted_hsb_norm(values, grid, s, b):
     """Velocity-weighted fractional Sobolev norm of a (possibly complex) field."""
-    _require_finite((("s", s), ("b", b)))
-    if s < 0:
-        raise ValidationError(f"order s must be nonnegative, got {s}")
+    require("finite", (("s", s), ("b", b)))
+    require("nonnegative", (("order s", s),))
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValidationError("field shape does not match grid")
@@ -86,8 +78,8 @@ def mixed_norm_modes(modes, vgrid, s_x, s_v, b):
 
     The weight needs b > (d - 1)/4 in velocity dimension d.
     """
-    _require_finite((("s_x", s_x), ("s_v", s_v), ("b", b)))
-    if min(s_x, s_v) < 0:
+    require("finite", (("s_x", s_x), ("s_v", s_v), ("b", b)))
+    if min(s_x, s_v) < 0:  # one message names both orders
         raise ValidationError(f"orders must be nonnegative, got s_x = {s_x}, s_v = {s_v}")
     if not b > (vgrid.dim - 1) / 4.0:
         raise ValidationError(f"mixed norm needs b > (d - 1)/4 = {(vgrid.dim - 1) / 4.0:g} "
@@ -102,7 +94,7 @@ def mixed_norm_modes(modes, vgrid, s_x, s_v, b):
 
 def fractional_wsp_norm(values, grid, s, p):
     """W^{s,p} norm for 0 <= s < 2: one ``wsp_pow_separable`` call on a periodic factor."""
-    _require_finite((("s", s), ("p", p)))
+    require("finite", (("s", s), ("p", p)))
     if not p > 1.0:
         raise ValidationError(f"fractional norm needs p > 1, got p = {p}")
     return wsp_pow_separable([Axis1D(values, grid.h, periodic=True)], s, p) ** (1.0 / p)

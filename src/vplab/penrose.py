@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateProfileError, ValidationError
+from .errors import RULES, DegenerateProfileError, ValidationError, require
 from .profiles import project
 
 MARGIN_TOL = 1e-8
@@ -35,7 +35,7 @@ class DualLattice:
     periods: tuple
 
     def __post_init__(self):
-        if not self.periods or not all(math.isfinite(T) and T > 0 for T in self.periods):
+        if not self.periods or not all(map(RULES["finite and positive"], self.periods)):
             raise ValidationError(f"periods must be finite and positive, got {self.periods}")
 
     @property
@@ -65,8 +65,7 @@ class DualLattice:
 def pv_integral(fp, a_prime):
     """PV integral of f'_e(alpha)/(alpha - a') at any finite a', the closed form's real part."""
     a_prime = float(a_prime)
-    if not math.isfinite(a_prime):
-        raise ValidationError(f"a' must be finite, got {a_prime}")
+    require("finite", (("a'", a_prime),))
     return float(fp.closure1d.cauchy(a_prime).real)
 
 
@@ -132,9 +131,7 @@ def truncation_bound(p, s, b):
     |k|^2 > B is positive.  s > 3/2 and b > (d-1)/4 are the weighted
     H^{s,b} regularity under which the PV is bounded by the profile's norm.
     """
-    for name, x in (("s", s), ("b", b)):
-        if not math.isfinite(x):
-            raise ValidationError(f"{name} must be finite, got {x}")
+    require("finite", (("s", s), ("b", b)))
     if not s > 1.5:
         raise ValidationError("truncation bound requires s > 3/2")
     if not b > (p.grid.dim - 1) / 4.0:

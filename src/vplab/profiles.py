@@ -25,7 +25,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.special import wofz
 
-from .errors import QuadratureConvergenceError, ValidationError
+from .errors import QuadratureConvergenceError, ValidationError, require
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -48,12 +48,11 @@ class VelocityGrid:
     n: int
 
     def __post_init__(self):
+        require("an integer", (("dim", self.dim),))
         if self.dim not in (1, 2, 3):
             raise ValidationError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not (math.isfinite(self.vmax) and self.vmax > 0):
-            raise ValidationError(f"vmax must be finite and positive, got {self.vmax}")
-        if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ValidationError(f"n must be a power of two >= 4, got {self.n}")
+        require("finite and positive", (("vmax", self.vmax),))
+        require("a power of two >= 4", (("n", self.n),))
 
     @property
     def h(self):
@@ -85,15 +84,8 @@ class VelocityGrid:
 
     def boundary_residual(self, values):
         """Largest |value| on the outermost grid shell."""
-        res = 0.0
-        for ax in range(self.dim):
-            sl0 = [slice(None)] * self.dim
-            sl0[ax] = 0
-            sl1 = [slice(None)] * self.dim
-            sl1[ax] = -1
-            res = max(res, float(np.max(np.abs(values[tuple(sl0)]))),
-                      float(np.max(np.abs(values[tuple(sl1)]))))
-        return res
+        return max(float(np.max(np.abs(np.take(values, (0, -1), axis=ax))))
+                   for ax in range(self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +296,9 @@ class Profile:
         return self.grid.integrate(self.values)
 
 
-def _width(params):
-    """The ``width`` entry of a builtin's parameters (default 1), finite and positive."""
-    w = float(params.get("width", 1.0))
-    if not (math.isfinite(w) and w > 0.0):
-        raise ValidationError(f"profile width must be finite and positive, got {w}")
-    return w
-
-
-def _v0(value):
-    """A double bump's offset ``v0`` as a float, refused unless finite and positive."""
-    v0 = float(value)
-    if not math.isfinite(v0):
-        raise ValidationError(f"double_bump v0 must be finite, got {v0}")
-    if v0 <= 0:
-        raise ValidationError("double_bump requires v0 > 0")
-    return v0
+# the parameters each builtin reads, and each kind of product factor
+BUILTIN_PARAMS = {"maxwellian": (), "double_bump": ("v0", "width"), "product": ("factors",)}
+FACTOR_PARAMS = {"gaussian": ("width",), "double_bump": ("v0", "width")}
 
 
 def make_builtin(name, grid, **params):
@@ -332,35 +311,40 @@ def make_builtin(name, grid, **params):
       product               -- f1(v1) x f2(v2) [x f3(v3)] from factor specs
                                ("gaussian", {"width": w}) or
                                ("double_bump", {"v0": v0, "width": w})
+    A parameter that the builtin, or a product's factor, does not read
+    (``BUILTIN_PARAMS``, ``FACTOR_PARAMS``) is refused by name.
     """
-    trans = (1.0,) * (grid.dim - 1)
-    if name == "maxwellian":
-        v0, widths = 0.0, (1.0,) + trans
-    elif name == "double_bump":
-        v0 = _v0(params.get("v0", 0.0))
-        widths = (_width(params),) + trans
-    elif name == "product":
-        factors = params["factors"]
-        if len(factors) != grid.dim:
-            raise ValidationError("product needs one factor per axis")
-        kind0, p0 = factors[0]
-        if kind0 not in ("gaussian", "double_bump"):
-            raise ValidationError(f"unknown factor kind {kind0!r}")
-        v0 = _v0(p0["v0"]) if kind0 == "double_bump" else 0.0
-        if any(kind != "gaussian" for kind, _ in factors[1:]):
-            raise ValidationError("transverse factors must be gaussian")
-        widths = tuple(_width(p) for _, p in factors)
-    else:
+    if name not in BUILTIN_PARAMS:
         raise ValidationError(f"unknown builtin {name!r}")
+    unread = sorted(set(params) - set(BUILTIN_PARAMS[name])) + [
+        f"{kind}.{key}" for kind, p in params.get("factors", ()) if kind in FACTOR_PARAMS
+        for key in sorted(set(p) - set(FACTOR_PARAMS[kind]))]
+    if unread:
+        raise ValidationError(f"parameters not read by builtin {name!r}: {unread}")
+    # every builtin is a product: a Gaussian or a double bump in v1, Gaussians across
+    trans = [("gaussian", {})] * (grid.dim - 1)
+    factors = {"maxwellian": [("gaussian", {})] + trans,
+               "double_bump": [("double_bump", params)] + trans}.get(name) or params["factors"]
+    if len(factors) != grid.dim:
+        raise ValidationError("product needs one factor per axis")
+    kind0, p0 = factors[0]
+    if kind0 not in FACTOR_PARAMS:
+        raise ValidationError(f"unknown factor kind {kind0!r}")
+    if any(kind != "gaussian" for kind, _ in factors[1:]):
+        raise ValidationError("transverse factors must be gaussian")
+    v0 = float(p0.get("v0", 0.0)) if kind0 == "double_bump" else 0.0
+    require("finite", (("double_bump v0", v0),))
+    if kind0 == "double_bump" and v0 <= 0:
+        raise ValidationError("double_bump requires v0 > 0")
+    widths = tuple(float(p.get("width", 1.0)) for _, p in factors)
+    require("finite and positive", (("profile width", w) for w in widths))
 
     clo = GaussianMixture(grid.dim, even_pair(1.0, v0, widths))
     prof = Profile.from_closure(grid, clo, meta={"provenance": "raw", "name": name,
                                                  "params": dict(params)})
     tail = grid.boundary_residual(prof.values)
     if not tail < 1e-14:
-        raise ValidationError(
-            f"builtin tail {tail:.2e} not below 1e-14 at vmax; enlarge the grid"
-        )
+        raise ValidationError(f"builtin tail {tail:.2e} not below 1e-14 at vmax; enlarge the grid")
     prof.meta["truncated_mass"] = max(0.0, 1.0 - prof.mass_grid)
     return prof
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import PenroseUnstableError, UnresolvableBumpError, ValidationError
+from .errors import PenroseUnstableError, UnresolvableBumpError, ValidationError, require
 from .norms import mixed_norm
 from .penrose import critical_pv, margin_ok
 from .profiles import VelocityGrid, fourier_multiplier, project
@@ -37,6 +37,10 @@ FFT_WORKERS = 1
 # rows of the (Nx Nv1, Nv2) state per block in the dense passes: a block of
 # 64 v2 columns is 512 KiB, so it stays in cache while it is read
 _ROWS = 1024
+# conservation a decay run must keep: the largest change of mass in one step,
+# and the largest energy drift relative to the initial energy
+MASS_TOL_PER_STEP = 1e-10
+ENERGY_REL_TOL = 1e-6
 
 
 def set_fft_workers(n):
@@ -53,8 +57,9 @@ class PhaseGrid:
     """
 
     def __init__(self, T1, Nx, vaxes, dt):
+        require("a power of two >= 4", (("Nx", Nx),))
         self.T1 = float(T1)
-        self.Nx = int(Nx)
+        self.Nx = Nx
         self.dt = float(dt)
         if hasattr(vaxes, "dim"):
             self.vgrid = vaxes
@@ -66,13 +71,9 @@ class PhaseGrid:
                       for g in self.vaxes)
             self.vgrid = VelocityGrid(len(self.vaxes), self.vaxes[0].vmax,
                                       self.vaxes[0].n) if iso else None
-        if self.Nx < 4 or (self.Nx & (self.Nx - 1)) != 0:
-            raise ValidationError("Nx must be a power of two")
         if len(self.vaxes) not in (1, 2):
             raise ValidationError("solver supports 1D-1V and 1D-2V")
-        for name, val in (("T1", self.T1), ("dt", self.dt)):
-            if not (math.isfinite(val) and val > 0):
-                raise ValidationError(f"{name} must be finite and positive, got {val}")
+        require("finite and positive", (("T1", self.T1), ("dt", self.dt)))
         if self.dt * self.vaxes[0].vmax > self.T1 / 4.0 + 1e-12:
             raise ValidationError(
                 f"dt*vmax = {self.dt * self.vaxes[0].vmax:.3g} violates the "
@@ -322,18 +323,17 @@ def run(state, n_steps, output_every=None, s_sobolev=1.5, diagnostics_every=1):
     diagnostics (mass, momenta, energy, field norms, the current-field
     pairing) are recorded every ``diagnostics_every`` steps; outputs, each a
     ``SimState``, every ``output_every`` steps (default n_steps // 64) and at
-    the last step.  Raises ValidationError when n_steps < 1, or when
-    diagnostics_every, or output_every if given, is not an integer >= 1.
+    the last step.  Raises ValidationError, before any work, when n_steps,
+    diagnostics_every or output_every (if given) is not an integer >= 1.
     """
     g = state.grid
+    require("an integer", (("n_steps", n_steps),))
     if n_steps < 1:
         raise ValidationError(
             f"n_steps = {n_steps}: no step of dt = {g.dt:g} is taken "
             f"(a t_end below dt/2 = {0.5 * g.dt:g} rounds to zero steps)")
-    for name, every in (("diagnostics_every", diagnostics_every),
-                        ("output_every", 1 if output_every is None else output_every)):
-        if not (isinstance(every, (int, np.integer)) and every >= 1):
-            raise ValidationError(f"{name} must be an integer >= 1, got {every}")
+    require("an integer >= 1", (("diagnostics_every", diagnostics_every),
+                                ("output_every", 1 if output_every is None else output_every)))
     log = RunLog()
     out_every = output_every or max(1, n_steps // 64)
     half, full = _x_phase(g, 0.5 * g.dt), _x_phase(g, g.dt)
@@ -436,9 +436,7 @@ def run_bgk_steadiness(wave, grid, t_end, output_every_t=0.5, diagnostics_every=
     Raises ValidationError on a non-finite or non-positive t_end or
     output_every_t, before the wave is sampled.
     """
-    for name, val in (("t_end", t_end), ("output_every_t", output_every_t)):
-        if not (math.isfinite(val) and val > 0):
-            raise ValidationError(f"{name} must be finite and positive, got {val}")
+    require("finite and positive", (("t_end", t_end), ("output_every_t", output_every_t)))
     resolved = True
     width = wave.mp.bump_width
     if width is not None and width < 2.0 * grid.vaxes[0].h:
@@ -482,6 +480,8 @@ class DecayReport:
     final_over_max: float
     identity_residual: float
     perturbation_norm: float
+    mass_drift_per_step: float
+    energy_drift_rel: float
     log: RunLog
 
 
@@ -503,12 +503,14 @@ def run_decay_experiment(profile, grid, amplitude, s_x, s_v, b, t_end, mode=1):
     Reports the weighted space-time integral at T_end/2 and T_end,
     the late-time field fraction, and the worst residual of the power
     identity d/dt ||E||^2 = 2 int j E dx over the midpoint series.
+    Also reports the largest per-step mass change and the relative energy
+    drift, which callers compare with MASS_TOL_PER_STEP and ENERGY_REL_TOL.
     Raises ValidationError when t_end / dt rounds to fewer than 5 steps,
-    and on a non-finite t_end or amplitude.
+    on a non-finite t_end or amplitude, and on a mode that is not an
+    integer >= 1.
     """
-    for name, val in (("t_end", t_end), ("amplitude", amplitude)):
-        if not math.isfinite(val):
-            raise ValidationError(f"{name} must be finite, got {val}")
+    require("finite", (("t_end", t_end), ("amplitude", amplitude)))
+    require("an integer >= 1", (("mode", mode),))
     n_steps = int(round(t_end / grid.dt))
     if n_steps < 5:
         raise ValidationError(
@@ -538,10 +540,13 @@ def run_decay_experiment(profile, grid, amplitude, s_x, s_v, b, t_end, mode=1):
     dE2 = np.gradient(el2, t)
     resid = np.abs(dE2 - 2.0 * np.asarray(log.je))
     e_norm = np.sqrt(el2)
+    energy = np.asarray(log.energy)
     return DecayReport(
         e_l2=e_norm, t=t,
         weighted_integral_half=half, weighted_integral_full=full,
         growth_fraction=growth,
         final_over_max=float(e_norm[-1] / max(e_norm.max(), 1e-300)),
         identity_residual=float(np.max(resid[2:-2])),
-        perturbation_norm=pert_norm, log=log)
+        perturbation_norm=pert_norm,
+        mass_drift_per_step=float(np.max(np.abs(np.diff(log.mass)))),
+        energy_drift_rel=float(np.max(np.abs(energy - energy[0])) / energy[0]), log=log)

@@ -232,3 +232,22 @@ def test_no_private_name_crosses_modules():
                  if alias.name.startswith("_")
                  and not (alias.name.startswith("__") and alias.name.endswith("__"))]
     assert crossings == [], "private names imported across modules"
+
+
+def _isfinite_reads(tree):
+    """Lines that read ``math.isfinite`` or import it from ``math``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module == "math"
+              and any(alias.name == "isfinite" for alias in node.names)):
+            yield node.lineno
+
+
+def test_scalar_checks_go_through_require():
+    # every scalar refusal goes through errors.require; an inline
+    # math.isfinite check would fork its rule and its wording
+    forks = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py")) if path.stem != "errors"
+             for line in _isfinite_reads(ast.parse(path.read_text(), filename=path.name))]
+    assert forks == [], "scalar checks outside errors.require"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import vplab
-from vplab import bgk, container
+from vplab import bgk, container, sim
 from vplab.cli import ExperimentConfig, main, run
 from vplab.errors import ValidationError
 
@@ -467,6 +467,36 @@ t_end = {t_end}
         else:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["ranks"] == [1] and summary["refactors"] == 0
+
+    @pytest.mark.parametrize("tol", [None, "MASS_TOL_PER_STEP", "ENERGY_REL_TOL"])
+    def test_simulate_conservation_gate(self, tmp_path, capsys, monkeypatch, tol):
+        # the manifest's tolerances are checked: the drifts go to summary.json,
+        # and a drift above either one exits 1 naming both numbers
+        text = """
+command = simulate
+profile.name = maxwellian
+grid.dim = 1
+grid.n = 64
+grid.vmax = 9.0
+T1 = 12.566370614359172
+Nx = 16
+dt = 0.05
+t_end = 0.5
+"""
+        if tol:  # below any drift: this run's mass drift can be exactly 0
+            monkeypatch.setattr(sim, tol, -1.0)
+        out = tmp_path / "o8"
+        code = main(["--config", str(write_config(tmp_path, text)), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        mass, energy = summary["mass_drift_per_step"], summary["energy_drift_rel"]
+        if tol is None:
+            assert code == 0 and mass <= sim.MASS_TOL_PER_STEP and energy <= sim.ENERGY_REL_TOL
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["tolerances"] == {"mass_tol_per_step": 1e-10, "energy_rel_tol": 1e-6}
+        else:
+            err = capsys.readouterr().err
+            assert code == 1 and f"mass {mass:.3e}" in err and f"energy {energy:.3e}" in err
+            assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("t_end", [0.05, 0.1, 0.15, 0.2])
     def test_simulate_too_few_steps_exit1(self, tmp_path, capsys, t_end):

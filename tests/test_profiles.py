@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +65,20 @@ class TestGridQuadrature:
                 VelocityGrid(2, vmax, 64)
 
 
+    @pytest.mark.parametrize("n", [64.0, 64.5, True, float("nan"), "64"])
+    def test_grid_n_is_a_count(self, n):
+        # 64.0 and 64.5 once raised a bare TypeError from n & (n - 1)
+        with pytest.raises(ValidationError, match=f"^n must be a power of two >= 4, got {n}$"):
+            VelocityGrid(1, 8.0, n)
+        assert VelocityGrid(1, 8.0, np.int64(64)).axis().shape == (64,)
+
+    @pytest.mark.parametrize("dim", [2.0, True])
+    def test_grid_dim_is_a_count(self, dim):
+        # 2.0 once passed the dim check and failed later in a bare TypeError
+        with pytest.raises(ValidationError, match=f"^dim must be an integer, got {dim}$"):
+            VelocityGrid(dim, 8.0, 64)
+
+
 class TestCutoffs:
     def test_smooth_step_ends(self):
         assert smooth_step(-1.0) == 0.0
@@ -116,6 +131,23 @@ class TestBuiltins:
         # a width <= 0 once gave negative mass, a ZeroDivisionError or an
         # all-NaN profile that slipped past the tail check
         with pytest.raises(ValidationError, match=f"width must be finite and positive, got {shown}"):
+            make_builtin(name, VelocityGrid(2, 16.0, 64), **params)
+
+    @pytest.mark.parametrize("name, params, unread", [
+        ("maxwellian", {"width": 0.3}, "builtin 'maxwellian': ['width']"),
+        ("maxwellian", {"v0": 3.0, "width": 0.3}, "builtin 'maxwellian': ['v0', 'width']"),
+        ("double_bump", {"v0": 3.0, "widht": 0.5}, "builtin 'double_bump': ['widht']"),
+        ("product", {"factors": [("gaussian", {})] * 2, "width": 0.3},
+         "builtin 'product': ['width']"),
+        ("product", {"factors": [("double_bump", {"v0": 3.0, "widht": 0.5}), ("gaussian", {})]},
+         "builtin 'product': ['double_bump.widht']"),
+        ("product", {"factors": [("gaussian", {}), ("gaussian", {"v0": 3.0})]},
+         "builtin 'product': ['gaussian.v0']"),
+    ])
+    def test_unread_parameter_rejected(self, name, params, unread):
+        # a Maxwellian once ignored width = 0.3 but recorded it in meta["params"],
+        # and the typo widht built a double bump of width 1
+        with pytest.raises(ValidationError, match=rf"^parameters not read by {re.escape(unread)}$"):
             make_builtin(name, VelocityGrid(2, 16.0, 64), **params)
 
     @pytest.mark.parametrize("v0, shown", [(float("nan"), "nan"), (float("inf"), "inf"),

@@ -734,6 +734,50 @@ class TestNonFiniteScalars:
             run(state, 2, output_every=every)
 
 
+class TestCounts:
+    """A count is an int or np.integer: a float once gave a bare TypeError
+    or was truncated, and True ran as 1."""
+
+    @pytest.mark.parametrize("nx", [64.7, 64.0, True, float("nan"), 48])
+    def test_phase_grid_nx(self, monkeypatch, nx):
+        # refused by name before any velocity axis is built
+        monkeypatch.setattr(sim, "VelocityGrid", None)
+        with pytest.raises(ValidationError, match=f"^Nx must be a power of two >= 4, got {nx}$"):
+            PhaseGrid(2 * np.pi, nx, VelocityGrid(1, 8.0, 64), 0.01)
+
+    def test_phase_grid_numpy_integer(self):
+        assert PhaseGrid(2 * np.pi, np.int64(64), VelocityGrid(1, 8.0, 64), 0.01).shape == (64, 64)
+
+    @pytest.mark.parametrize("n_steps", [2.5, 1.5, 3.0, float("nan"), True])
+    def test_run_n_steps(self, grid1v, maxprofile, monkeypatch, n_steps):
+        # 2.5 and nan once reached range() after _factor had compressed the state
+        state = sample_profile(maxprofile, grid1v)
+        monkeypatch.setattr(sim, "_factor", None)
+        with pytest.raises(ValidationError, match=f"^n_steps must be an integer, got {n_steps}$"):
+            run(state, n_steps)
+
+    @pytest.mark.parametrize("key", ["output_every", "diagnostics_every"])
+    def test_run_bool_every(self, grid1v, maxprofile, monkeypatch, key):
+        # output_every=True once ran as output_every = 1
+        state = sample_profile(maxprofile, grid1v)
+        monkeypatch.setattr(sim, "_factor", None)
+        with pytest.raises(ValidationError, match=f"^{key} must be an integer >= 1, got True$"):
+            run(state, 3, **{key: True})
+
+    @pytest.mark.parametrize("mode", [1.5, 0, -1, True])
+    def test_decay_mode(self, grid1v, maxprofile, monkeypatch, mode):
+        # 1.5 once ran a perturbation that jumps at the box edge
+        monkeypatch.setattr(sim, "sample_profile", None)
+        with pytest.raises(ValidationError, match=f"^mode must be an integer >= 1, got {mode}$"):
+            run_decay_experiment(maxprofile, grid1v, 1e-3, 0.0, 1.6, 0.3, t_end=1.0, mode=mode)
+
+    def test_run_numpy_integer_counts(self, grid1v, maxprofile):
+        state = sample_profile(maxprofile, grid1v)
+        fin, log = run(state, np.int64(4), output_every=np.int64(2),
+                       diagnostics_every=np.int32(2))
+        assert sorted(log.snapshots) == [2 * grid1v.dt, 4 * grid1v.dt] and len(log.mass) == 2
+
+
 class TestDecayExperiment:
     def test_unstable_refused(self):
         db = make_builtin("double_bump", VelocityGrid(1, 12.0, 512), v0=3.0)
@@ -754,6 +798,11 @@ class TestDecayExperiment:
         assert rep.identity_residual < 1e-6
         assert rep.final_over_max < 0.1
         assert rep.perturbation_norm > 0
+        mass, energy = np.asarray(rep.log.mass), np.asarray(rep.log.energy)
+        assert rep.mass_drift_per_step == np.max(np.abs(np.diff(mass)))
+        assert rep.energy_drift_rel == np.max(np.abs(energy - energy[0])) / energy[0]
+        assert rep.mass_drift_per_step <= sim.MASS_TOL_PER_STEP
+        assert 0 < rep.energy_drift_rel <= sim.ENERGY_REL_TOL
 
 
 class TestFftWorkers:
