@@ -1,7 +1,8 @@
 """Per-mode linear field evolution and the Landau damping rate.
 
 The field mode is evaluated from its explicit representation integral
-(Gauss-Legendre panels on a real window, exact contour-rotated rays).  The
+(Gauss-Legendre panels on a real window and on contour-rotated rays, refined
+until two rounds agree).  The
 late-time envelope is fitted with a matrix pencil and compared against
 the root of the analytically continued dispersion relation.
 """
@@ -18,7 +19,7 @@ datum = Datum1D(fp.alphas, fp.values.copy())
 print("mode |k| = 0.5 on the unit Maxwellian")
 series = efield_mode(0.5, fp, datum, t_end=60.0, kvec=(0.5,))
 print(f"  t = 0 field vs direct Poisson solve: rel. err {series.poisson_relerr:.1e}")
-print(f"  window self-check: {series.truncation_error:.1e}")
+print(f"  gap between the last two contour rounds: {series.truncation_error:.1e}")
 
 rate, freq = series.envelope_fit(5.0, 40.0)
 z, orate, ofreq = find_damping_root(fp, 0.5)

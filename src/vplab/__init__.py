@@ -39,7 +39,7 @@ from .bgk import (
     periodic_orbit,
     select_case,
 )
-from .linear import Datum1D, FieldHistory, dispersion, efield_mode, initial_transform
+from .linear import Datum1D, FieldHistory, efield_mode, initial_transform
 from .sim import PhaseGrid, SimState, poisson_solve, run_bgk_steadiness, run_decay_experiment, step
 
 __version__ = "0.1.0"

@@ -615,17 +615,17 @@ def match_period(f1, T1, gamma, r, case=None):
     if case != 3:
         require("finite and positive", (("the feature scale gamma", gamma),))
 
-    cache = {}
+    # the final at(mid) repeats the last evaluation of the false position
+    last = {}
 
     def at(delta):
-        if delta not in cache:
+        if delta not in last:
             mp = build_modified(f1, gamma, delta, case)
             h = make_h(mp)
             orb = periodic_orbit(h, r)
-            cache[delta] = (mp, h, orb)
-            if len(cache) > 8:
-                cache.pop(next(iter(cache)))
-        return cache[delta]
+            last.clear()
+            last[delta] = (mp, h, orb)
+        return last[delta]
 
     d_star = _seed_delta(f1, T1, gamma, case, BUMP_V0)
     lo, hi = 0.8 * d_star, 1.25 * d_star

@@ -7,16 +7,17 @@ the mode direction.  The field mode is the Landau contour integral
 
 along the real axis from above, taken as one contour: Gauss-Legendre
 panels on a compact window and two rays rotated into the lower half-plane
-off its ends (the boundary data decay only like 1/y).  F comes in closed
-form from the projection's closure, ``GaussianMixture.cauchy`` (the
-Faddeeva form of the plasma dispersion function), on the axis and along
-the rays alike; the sampled datum G from the package's one Cauchy
-transform of sampled data, ``_sinc_cauchy``, exact for the sinc
-interpolant of the samples, on the axis and below it.  The stability
-refusal in ``dispersion`` reads the same Penrose margin as
-``penrose.penrose_check``.  The damping-rate oracle finds the
-lower-half-plane root of |k|^2 - F by analytic continuation (residue term
-added below the axis); it is validation plumbing, independent of the
+off its ends (the boundary data decay only like 1/y), their panels graded
+toward the axis.  The contour's one error estimate is the gap between two
+successive rounds, the second with every panel cut in two.  F comes in
+closed form from the projection's closure, ``GaussianMixture.cauchy`` (the
+Faddeeva form of the plasma dispersion function), on every node; the
+sampled datum G from the package's one Cauchy transform of sampled data,
+``_sinc_cauchy``, exact for the sinc interpolant of the samples, on the
+axis and below it.  The stability refusal reads the same Penrose margin as
+``penrose.penrose_check``, once per mode.  The damping-rate oracle finds
+the lower-half-plane root of |k|^2 - F by analytic continuation (residue
+term added below the axis); it is validation plumbing, independent of the
 contour.
 """
 
@@ -30,14 +31,14 @@ import numpy as np
 from .errors import PenroseUnstableError, RefinementCapError, ValidationError, require
 from .penrose import critical_pv, margin_ok
 
-# window panels of 16 Gauss-Legendre nodes, each spanning at most _PANEL_RAD of
-# e^{-i|k| y t_end}, in tens (four at least) so that +-_NARROW y_max are panel edges
+# every panel of the contour, window and rays alike, takes 16 Gauss-Legendre
+# nodes; a window panel spans at most _PANEL_RAD of e^{-i|k| y t_end}, at least
+# _MIN_PANELS of them, and the first ray panel at most _PANEL_RAD of e^{-|k| s t_end}
 _GL16 = np.polynomial.legendre.leggauss(16)
-_PANEL_RAD, _PANEL_GROUP, _MIN_GROUPS = 8.0, 10, 4
-_GL96 = np.polynomial.legendre.leggauss(96)  # nodes of each ray
-# the window self-check: closed at y_max and at _NARROW y_max, the contour agrees to this
-WINDOW_TOL = 1e-8  # share of the peak
-_NARROW = 0.8
+_PANEL_RAD, _MIN_PANELS = 8.0, 40
+# two successive rounds of the contour, the second with every panel cut in two,
+# agree to this share of the peak
+WINDOW_TOL = 1e-8
 _BLOCK = 1 << 16  # kernel entries per Cauchy-transform block: 1 MiB of complex128
 
 
@@ -50,25 +51,6 @@ class Datum1D:
 
     def mass(self):
         return complex(np.trapezoid(self.values, self.alphas))
-
-
-def dispersion(fp, ygrid, k2_min):
-    """Complex boundary values F(y+i0) on the grid, for a profile stable at |k|^2 = k2_min.
-
-    F = PV + i pi f'(y) is the closed-form boundary value of the projection's
-    closure.  Stability refusal: the boundary minimum c0 of |k2_min - F|^2 / k2_min
-    alone cannot see roots off the real axis, so the check also evaluates the
-    stability margin |k|^2 - max PV over the critical points of the
-    projection and raises PenroseUnstableError when either fails.
-    """
-    F = fp.closure1d.cauchy(np.asarray(ygrid, dtype=float))
-    c0 = float(np.min(np.abs(k2_min - F) ** 2) / k2_min)
-    margin = k2_min - max(critical_pv(fp)[1], default=-math.inf)
-    if c0 <= 1e-14 or not margin_ok(margin, k2_min):
-        raise PenroseUnstableError(
-            f"margin {margin:.3e}, c0 {c0:.3e}: profile not "
-            f"Penrose-stable at |k|^2 = {k2_min}")
-    return F
 
 
 def _sinc_cauchy(samples, alphas, z):
@@ -117,7 +99,7 @@ class ModeSeries:
     """Complex field mode on its time grid t_j = pi j/(|k| y_max) <= t_end.
 
     ``n_y`` counts the window's Gauss-Legendre nodes in the accepted round;
-    ``truncation_error`` is the window self-check's gap relative to the peak."""
+    ``truncation_error`` is the gap between the last two rounds relative to the peak."""
 
     kvec: tuple
     kmag: float
@@ -132,17 +114,24 @@ class ModeSeries:
         return fit_damped_mode(self.t, self.values, t_lo, t_hi)
 
 
-def _rays(ym):
-    """Nodes z = +-ym - i s and weights -+i ds, s = ym tan(phi), of the rays off +-ym.
+def _panel_nodes(edges):
+    """Nodes and weights of the 16-node Gauss-Legendre rule on each panel between edges."""
+    x, w = _GL16
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def _rays(ym, edges):
+    """Nodes z = +-ym - i s and weights -+i ds, s = ym tan(phi), of the rays off +-ym,
+    on the panels in phi between ``edges`` (0 to pi/2).
 
     The |y| > ym tails rotate into the lower half-plane, where the integrand
     decays like e^{-|k| s t}; no dispersion root lies beyond the projected
     support, so the deformation crosses nothing.
     """
-    x, w = _GL96
-    phi = 0.25 * math.pi * (x + 1.0)
+    phi, dphi = _panel_nodes(edges)
     s = ym * np.tan(phi)
-    ds = ym / np.cos(phi) ** 2 * 0.25 * math.pi * w
+    ds = ym / np.cos(phi) ** 2 * dphi
     return np.concatenate([ym - 1j * s, -ym - 1j * s]), np.concatenate([-1j * ds, 1j * ds])
 
 
@@ -162,9 +151,13 @@ def efield_mode(kmag, fp, datum, t_end, kvec=None):
 
     The window [-y_max, y_max] reaches beyond the projected support and
     every dispersion root, and ``_rays`` closes the contour below it.  The
-    self-check closes the same contour at _NARROW y_max on the window's own
-    nodes; below WINDOW_TOL of the peak it accepts, else it doubles the
-    panels, up to three times, then raises RefinementCapError.
+    ray panels in phi have edges 0, phi0, 2 phi0, 4 phi0, ..., pi/2, with
+    e^{-|k| s t_end} fallen by e^{-_PANEL_RAD} at phi0, so the layer at the
+    ray's foot is resolved at every t.  Each round evaluates the whole
+    contour; the next cuts every panel in two.  When two successive rounds
+    agree to WINDOW_TOL of the peak the later is accepted; after three
+    refinements RefinementCapError is raised.  A profile that is not
+    Penrose-stable at |k|^2 is refused before any transform.
     """
     require("finite and positive", (("mode wavenumber", kmag),))
     require("finite and nonnegative", (("t_end", t_end),))
@@ -172,37 +165,43 @@ def efield_mode(kmag, fp, datum, t_end, kvec=None):
     if bad.size:
         raise ValidationError(f"mode datum must be finite, got {bad[0]} at {bad.size} "
                               f"of {datum.values.size} samples")
+    k2 = kmag ** 2
+    margin = k2 - max(critical_pv(fp)[1], default=-math.inf)
+    if not margin_ok(margin, k2):
+        raise PenroseUnstableError(
+            f"margin {margin:.3e}: profile not Penrose-stable at |k|^2 = {k2}")
     # rays must stay beyond the projected support and beyond every
     # dispersion root (phase velocities scale like 1/k)
     y_max = max(float(fp.alphas[-1]) + 4.0, 2.0 + 2.0 / kmag)
     t = np.pi * np.arange(int(t_end * kmag * y_max / np.pi) + 2) / (kmag * y_max)
     t = t[t <= t_end]
-    n_t, step = len(t), np.pi / y_max  # |k| z t_m = step z m
-    k2, c = kmag ** 2, kmag / (2.0 * np.pi)
-    rz, rdz = map(np.concatenate, zip(_rays(y_max), _rays(_NARROW * y_max)))
-    rH = rdz * initial_transform(datum, rz) / (k2 - fp.closure1d.cauchy(rz))
-    half = len(rz) // 2
-    panels = _PANEL_GROUP * max(_MIN_GROUPS, math.ceil(
-        2.0 * kmag * y_max * t_end / (_PANEL_GROUP * _PANEL_RAD)))
-    x, w = _GL16
+    n_t, step, c = len(t), np.pi / y_max, kmag / (2.0 * np.pi)  # |k| z t_m = step z m
+    y_edges = np.linspace(-y_max, y_max, 1 + max(
+        _MIN_PANELS, math.ceil(2.0 * kmag * y_max * t_end / _PANEL_RAD)))
+    phi0 = math.atan2(_PANEL_RAD, kmag * y_max * t_end)
+    phi_edges = np.concatenate([[0.0], phi0 * 2.0 ** np.arange(
+        math.ceil(math.log2(0.5 * math.pi / phi0))), [0.5 * math.pi]])
+    previous = None
     for _ in range(4):
-        h = y_max / panels
-        y = (-y_max + h * (2.0 * np.arange(panels)[:, None] + 1.0 + x)).ravel()
-        yH = np.tile(h * w, panels) * initial_transform(datum, y) / (k2 - dispersion(fp, y, k2))
-        core = np.abs(y) < _NARROW * y_max
-        inner = _fourier_sum(n_t, step * y[core], yH[core])
-        vals = c * (inner + _fourier_sum(n_t, step * np.concatenate([y[~core], rz[:half]]),
-                                         np.concatenate([yH[~core], rH[:half]])))
-        narrow = c * (inner + _fourier_sum(n_t, step * rz[half:], rH[half:]))
-        err = float(np.max(np.abs(vals - narrow))) / max(float(np.max(np.abs(vals))), 1e-300)
-        if err <= WINDOW_TOL:
-            e0 = -datum.mass() / (1j * kmag)
-            pois = abs(vals[0] - e0) / max(abs(e0), 1e-300)
-            return ModeSeries(tuple(kvec) if kvec is not None else (kmag,), kmag, t, vals,
-                              y_max, len(y), err, pois)
-        panels *= 2
+        y, wy = _panel_nodes(y_edges)
+        rz, rdz = _rays(y_max, phi_edges)
+        z = np.concatenate([y, rz])
+        G = np.concatenate([initial_transform(datum, y), initial_transform(datum, rz)])
+        H = np.concatenate([wy, rdz]) * G / (k2 - fp.closure1d.cauchy(z))
+        vals = c * _fourier_sum(n_t, step * z, H)
+        if previous is not None:
+            err = float(np.max(np.abs(vals - previous))) / max(
+                float(np.max(np.abs(vals))), 1e-300)
+            if err <= WINDOW_TOL:
+                e0 = -datum.mass() / (1j * kmag)
+                pois = abs(vals[0] - e0) / max(abs(e0), 1e-300)
+                return ModeSeries(tuple(kvec) if kvec is not None else (kmag,), kmag, t, vals,
+                                  y_max, len(y), err, pois)
+        previous = vals
+        y_edges, phi_edges = (np.sort(np.concatenate([e, 0.5 * (e[1:] + e[:-1])]))
+                              for e in (y_edges, phi_edges))
     raise RefinementCapError(
-        f"window truncation error {err:.2e} of the peak above {WINDOW_TOL} after 3 refinements")
+        f"contour truncation error {err:.2e} of the peak above {WINDOW_TOL} after 3 refinements")
 
 
 @dataclass
@@ -302,7 +301,8 @@ def continued_dispersion(fp, z):
     transform plus the residue 2 pi i f'(z) below the axis."""
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag == 0):
-        raise ValidationError("use the boundary-value path on the real axis")
+        raise ValidationError("on the real axis use fp.closure1d.cauchy, the boundary value "
+                              "from above")
     base = fp.closure1d.cauchy(z)
     below = z.imag < 0
     base[below] += 2j * math.pi * fp.closure1d.dval(z[below])

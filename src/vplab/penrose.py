@@ -6,7 +6,7 @@ dalpha decides stability (Penrose, Phys. Fluids 3, 1960).  Every PV here is
 the real part of ``GaussianMixture.cauchy``, the closed Faddeeva form of the
 Cauchy transform of the projection (its ``GaussianTerm``s in d = 1).
 ``critical_pv`` and ``margin_ok`` are the one margin that ``penrose_check``,
-``linear.dispersion`` and ``sim.check_axis_stability`` read.  Directions
+``linear.efield_mode`` and ``sim.check_axis_stability`` read.  Directions
 sharing a line share one projection.  B = sum_j |w_j|/min(widths_j)^2
 comes in closed form from the closure: a term's PV along any direction is
 w (2x D(x) - 1)/s_e^2 with D the Dawson function, 2x D(x) - 1 lies in

@@ -357,11 +357,9 @@ def make_builtin(name, grid, **params):
 class ProjectedProfile:
     """Marginal f_e(alpha) of a profile along a unit direction, with its closure."""
 
-    direction: np.ndarray
     alphas: np.ndarray
     values: np.ndarray
     closure1d: GaussianMixture
-    parent_mass: float
 
     @property
     def h(self):
@@ -411,11 +409,11 @@ def project(p, e):
     alphas = p.grid.axis()
     closure1d = p.closure.project_unit(e)
     vals = closure1d.val(alphas)
-    pp = ProjectedProfile(e, alphas, vals, closure1d, p.mass_grid)
-    m = float(np.sum(vals) * pp.h)
-    if abs(m - pp.parent_mass) > 1e-8 * max(1.0, abs(pp.parent_mass)):
+    pp = ProjectedProfile(alphas, vals, closure1d)
+    m, parent = float(np.sum(vals) * pp.h), p.mass_grid
+    if abs(m - parent) > 1e-8 * max(1.0, abs(parent)):
         raise QuadratureConvergenceError(
-            f"projected mass {m:.10f} != parent mass {pp.parent_mass:.10f}"
+            f"projected mass {m:.10f} != parent mass {parent:.10f}"
         )
     return pp
 

@@ -45,7 +45,8 @@ ENERGY_REL_TOL = 1e-6
 
 def set_fft_workers(n):
     global FFT_WORKERS
-    FFT_WORKERS = max(1, int(n))
+    require("an integer >= 1", (("FFT workers", n),))
+    FFT_WORKERS = n
 
 
 class PhaseGrid:

@@ -251,3 +251,21 @@ def test_scalar_checks_go_through_require():
     forks = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py")) if path.stem != "errors"
              for line in _isfinite_reads(ast.parse(path.read_text(), filename=path.name))]
     assert forks == [], "scalar checks outside errors.require"
+
+
+def _nested_leggauss(tree):
+    """Lines of ``leggauss`` calls inside a function or lambda, which run per call."""
+    for scope in ast.walk(tree):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and "leggauss" in (
+                        getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                    yield node.lineno
+
+
+def test_quadrature_rules_built_at_import():
+    # every Gauss-Legendre rule is a module constant, built once at import; a
+    # per-call leggauss(96) once cost 0.03 s of each field mode
+    nested = sorted({f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
+                     for line in _nested_leggauss(ast.parse(path.read_text(), filename=path.name))})
+    assert nested == [], "leggauss called inside a function: make the rule a module constant"

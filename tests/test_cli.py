@@ -273,6 +273,14 @@ class TestRun:
         assert manifest["config_hash"] == cfg.hash()
         assert manifest["versions"]["vplab"] == vplab.__version__
 
+    def test_zero_threads_exit1(self, tmp_path, capsys, monkeypatch):
+        # --threads 0 once ran one FFT worker without a word
+        monkeypatch.setattr(sim, "FFT_WORKERS", 1)
+        path = write_config(tmp_path, PENROSE_STABLE)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"), "--threads", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "FFT workers must be an integer >= 1, got 0" in err
+
     def test_penrose_unstable_exit2(self, tmp_path):
         cfg = ExperimentConfig.parse(write_config(tmp_path, PENROSE_UNSTABLE))
         assert run(cfg, tmp_path / "out") == 2

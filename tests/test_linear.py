@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -17,7 +18,6 @@ from vplab.linear import (
     _BLOCK,
     _sinc_cauchy,
     continued_dispersion,
-    dispersion,
     efield_mode,
     find_damping_root,
     fit_damped_mode,
@@ -68,33 +68,40 @@ def maxwell_mode(fp_maxwellian):
 
 
 class TestDispersion:
+    """F(y+i0) = PV + i pi f'(y), the closure's boundary value the field mode divides by."""
+
     def test_maxwellian_at_origin(self, fp_maxwellian):
-        f0 = dispersion(fp_maxwellian, [0.0], 0.25)[0]
+        f0 = fp_maxwellian.closure1d.cauchy(np.array([0.0]))[0]
         assert abs(f0.real + 1.0) < 1e-9
         assert abs(f0.imag) < 1e-14
 
     def test_imaginary_part_definition(self, fp_maxwellian):
         y = np.linspace(-5, 5, 101)
-        F = dispersion(fp_maxwellian, y, 0.25)
+        F = fp_maxwellian.closure1d.cauchy(y)
         assert np.max(np.abs(F.imag
                              - np.pi * fp_maxwellian.closure1d.dval(y))) < 1e-14
 
     def test_large_y_decay(self, fp_maxwellian):
         vals = []
         for y0 in (10.0, 20.0, 40.0):
-            F = dispersion(fp_maxwellian, np.array([-y0, y0]), 0.25)
+            F = fp_maxwellian.closure1d.cauchy(np.array([-y0, y0]))
             vals.append(float(np.max(np.abs(F))))
         assert vals[0] < 1e-1 and all(np.diff(vals) < 0)
         assert vals[-1] < 1e-3
 
-    def test_unstable_profile_refused(self):
+    def test_unstable_profile_refused(self, monkeypatch):
+        # the margin is asked once per mode, before any transform
         g = VelocityGrid(2, 12.0, 512)
         db = make_builtin("double_bump", g, v0=3.0)
         fp = project(db, (1.0, 0.0))
-        k2 = (2 * np.pi / 24.0) ** 2  # long box: inside the unstable window
-        with pytest.raises(PenroseUnstableError):
-            dispersion(fp, np.linspace(-10, 10, 401), k2)
-
+        kmag = 2 * np.pi / 24.0  # long box: inside the unstable window
+        datum = Datum1D(fp.alphas, fp.values.copy())
+        monkeypatch.setattr(linear, "initial_transform",
+                            lambda d, z: pytest.fail("transform reached"))
+        with pytest.raises(PenroseUnstableError,
+                           match=rf"margin -\d\.\d{{3}}e-\d\d: profile not Penrose-stable "
+                                 rf"at \|k\|\^2 = {re.escape(str(kmag ** 2))}"):
+            efield_mode(kmag, fp, datum, t_end=10.0)
 
 
 class TestInitialTransform:
@@ -109,7 +116,7 @@ class TestInitialTransform:
         datum = Datum1D(fp_maxwellian.alphas,
                         fp_maxwellian.closure1d.dval(fp_maxwellian.alphas))
         g = initial_transform(datum, y)
-        f = dispersion(fp_maxwellian, y, 0.25)
+        f = fp_maxwellian.closure1d.cauchy(y)
         assert np.max(np.abs(g - f)) < 1e-7
 
     def test_nonnegative_bump_imaginary_part(self, fp_maxwellian):
@@ -172,12 +179,13 @@ class TestEfieldMode:
         assert ser.poisson_relerr < 1e-6
 
     def test_n_y_counts_window_nodes(self, fp_maxwellian, monkeypatch):
-        # the window's nodes are the real points the datum's transform is taken at
+        # the window's nodes are the real points the datum's transform is taken
+        # at: two rounds, the second with every panel cut in two
         datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.values.copy())
         real_sizes = _record_window_sizes(monkeypatch)
         ser = efield_mode(0.5, fp_maxwellian, datum, t_end=45.0)
-        assert real_sizes == [ser.n_y]
-        assert ser.n_y % (16 * linear._PANEL_GROUP) == 0
+        assert real_sizes == [ser.n_y // 2, ser.n_y]
+        assert ser.n_y == 32 * math.ceil(2.0 * 0.5 * ser.y_max * 45.0 / linear._PANEL_RAD)
 
     def test_refinement_cap(self, fp_maxwellian, monkeypatch):
         # no error meets a zero tolerance: four rounds, then the error reached
@@ -185,17 +193,44 @@ class TestEfieldMode:
         real_sizes = _record_window_sizes(monkeypatch)
         monkeypatch.setattr(linear, "WINDOW_TOL", 0.0)
         with pytest.raises(RefinementCapError,
-                           match=r"window truncation error (\S+) of the peak above 0\.0 "
+                           match=r"contour truncation error (\S+) of the peak above 0\.0 "
                                  r"after 3 refinements") as info:
             efield_mode(0.5, fp_maxwellian, datum, t_end=10.0)
         assert real_sizes == [real_sizes[0] * 2 ** i for i in range(4)]
         reached = float(re.search(r"error (\S+) of", str(info.value)).group(1))
         assert 0.0 < reached < 1e-12
 
+    @pytest.mark.parametrize("kmag, t_end", [(0.25, 100.0), (0.3, 80.0), (0.35, 60.0),
+                                             (0.5, 45.0), (1.0, 30.0)])
+    def test_accepted_series_is_converged(self, fp_maxwellian, monkeypatch, kmag, t_end):
+        # near-real roots at small k: a series the rounds accept agrees with
+        # the mode whose every panel is cut in sixteen, a first round finer
+        # than any round the mode accepts; else the rounds refuse it
+        datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.values.copy())
+        try:
+            ser = efield_mode(kmag, fp_maxwellian, datum, t_end=t_end)
+        except RefinementCapError:
+            return
+        # each panel's rule becomes sixteen copies on its sixteenths
+        x, w = linear._GL16
+        cuts = np.arange(16)[:, None]
+        monkeypatch.setattr(linear, "_GL16", (((2 * cuts + 1 + x) / 16 - 1).ravel(),
+                                              np.tile(w / 16, 16)))
+        ref = efield_mode(kmag, fp_maxwellian, datum, t_end=t_end)
+        peak = float(np.max(np.abs(ref.values)))
+        assert np.max(np.abs(ser.values - ref.values)) <= 10 * linear.WINDOW_TOL * peak
+        assert ser.poisson_relerr < 1e-6
+
+    def test_long_time_accepted(self, fp_maxwellian):
+        # the graded rays follow the e^{-|k| s t} layer out to t_end = 1000
+        datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.values.copy())
+        ser = efield_mode(0.5, fp_maxwellian, datum, t_end=1000.0)
+        assert ser.truncation_error <= linear.WINDOW_TOL
+
     @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 305])
     def test_fourier_sum_factorised(self, n):
         # fine times coarse table equals the one-table sum, window and ray nodes alike
-        z, _ = linear._rays(12.0)
+        z, _ = linear._rays(12.0, np.array([0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 0.5 * np.pi]))
         kz = 0.26 * np.concatenate([np.linspace(-12.0, 12.0, 40), z])
         wH = np.random.default_rng(n).normal(size=(len(kz), 2)) @ [1.0, 1j]
         direct = np.exp(-1j * np.outer(np.arange(n), kz)) @ wH
@@ -262,9 +297,10 @@ class TestSincPv:
     @settings(max_examples=60)
     @given(m=mixtures(), y0=st.floats(9.6, 40.0))
     def test_below_axis_against_closure(self, m, y0):
-        # the lower-half-plane branch on the rotated rays of the field mode:
-        # the Cauchy integral of the sinc interpolant of the sampled m'
-        z, _ = linear._rays(y0)
+        # the lower-half-plane branch on the rotated rays of the field mode,
+        # graded toward the axis: the Cauchy integral of the sinc interpolant
+        # of the sampled m'
+        z, _ = linear._rays(y0, np.concatenate([[0.0], 0.01 * 2.0 ** np.arange(8), [0.5 * np.pi]]))
         sinc = _sinc_cauchy(m.dval(AXIS), AXIS, z)
         assert np.max(np.abs(m.cauchy(z) - sinc)) < 1e-12 * _pv_scale(m)
 
@@ -344,8 +380,7 @@ class TestContinuation:
            side=st.sampled_from((-1.0, 1.0)))
     def test_against_quadrature_oracle(self, m, re, depth, side):
         z = np.array([complex(re, side * depth)])
-        fp = ProjectedProfile(np.array([1.0]), AXIS, m.val(AXIS), m,
-                              sum(t.weight for t in m.terms))
+        fp = ProjectedProfile(AXIS, m.val(AXIS), m)
         oracle = _continuation_oracle(m, z)
         scale = _pv_scale(m) + float(np.max(np.abs(oracle)))
         assert np.max(np.abs(continued_dispersion(fp, z) - oracle)) < 1e-12 * scale

@@ -27,7 +27,7 @@ from vplab.profiles import (
 def closure_only(m, grid):
     """The projection of a bare 1D mixture on the grid's axis."""
     ax = grid.axis()
-    return ProjectedProfile(np.array([1.0]), ax, m.val(ax), m, sum(t.weight for t in m.terms))
+    return ProjectedProfile(ax, m.val(ax), m)
 
 
 def random_directions(dim, count, seed):

@@ -828,6 +828,20 @@ class TestFftWorkers:
         one = self._final(st, monkeypatch, 1)
         assert np.array_equal(self._final(st, monkeypatch, 2), one)
 
+    @pytest.mark.parametrize("bad", [2.7, True, 0, -1, float("nan")])
+    def test_bad_count_refused(self, monkeypatch, bad):
+        # 2.7 once ran two workers and 0 or -1 one, silently
+        monkeypatch.setattr(sim, "FFT_WORKERS", 3)
+        with pytest.raises(ValidationError,
+                           match=rf"FFT workers must be an integer >= 1, got {bad}$"):
+            sim.set_fft_workers(bad)
+        assert sim.FFT_WORKERS == 3
+
+    def test_numpy_count_accepted(self, monkeypatch):
+        monkeypatch.setattr(sim, "FFT_WORKERS", 1)
+        sim.set_fft_workers(np.int64(2))
+        assert sim.FFT_WORKERS == 2
+
 
 class TestComoving:
     def test_shift_identity(self, grid1v, maxprofile):
