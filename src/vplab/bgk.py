@@ -12,6 +12,7 @@ cancellation-free mean-value form
     h(beta) = -2 beta * int_0^1 [ int d/dy f(v1^2 - 2 beta s) dv1 ] ds,
 
 which stays numerically exact down to amplitudes at the roundoff floor.
+The obstruction to radial-energy waves, at the end, runs on the d-torus.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import (AmplitudeTooLargeError, BracketError, RegularityError, ValidationError,
-                     require)
+from .errors import (AmplitudeTooLargeError, BracketError, RefinementCapError, RegularityError,
+                     ValidationError, require)
 from .profiles import (SQRT2PI, GaussianMixture, GaussianTerm, Profile, even_pair,
                        fourier_multiplier)
 
@@ -686,11 +687,12 @@ def match_period(f1, T1, gamma, r, case=None):
 
 
 # ---------------------------------------------------------------------------
-# obstruction diagnostic: no truly multi-dimensional waves of this type
+# obstruction diagnostic on the d-torus: no truly multi-dimensional waves of this type
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ObstructionCertificate:
+    gprime_min: float
     gprime_max: float
     certificate: str | None
     grad_identity_lhs: float
@@ -701,98 +703,102 @@ class ObstructionCertificate:
 # the 32-node Gauss-Legendre rule of g on s = |v| / sqrt(2) in [0, 9]: energies to 81
 _S, _S_W = np.polynomial.legendre.leggauss(32)
 _S, _S_W = 4.5 * (_S + 1.0), 4.5 * _S_W
+# centred-difference step of g': the cube root of the float64 epsilon
+_DBETA = np.finfo(float).eps ** (1.0 / 3.0)
+# step cap of the contracting fixed-point iteration
+_FIXED_POINT_STEPS = 400
 
 
-def _g_of_beta(mu, beta, d):
-    """g_d(beta) = 1 - int mu(|v|^2/2 - beta) dv over R^d, for radial energy profiles.
-
-    With s^2 = |v|^2/2 this is 1 - |S^{d-1}| 2^{d/2} int_0^9 s^{d-1} mu(s^2 - beta) ds,
-    on the one fixed Gauss-Legendre rule ``_S`` for every batch and every d.
-    """
+def _mass(mu, beta, d):
+    """int mu(|v|^2/2 - beta) dv over R^d = |S^{d-1}| 2^{d/2} int_0^9 s^{d-1} mu(s^2 - beta) ds
+    (s^2 = |v|^2/2), on the one rule ``_S`` for every batch and every d."""
     beta = np.asarray(beta, dtype=float)
     sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     weights = sphere * 2.0 ** (d / 2.0) * _S ** (d - 1) * _S_W
-    return 1.0 - mu(_S ** 2 - beta[..., None]) @ weights
+    return mu(_S ** 2 - beta[..., None]) @ weights
+
+
+def _g_of_beta(mu, beta, d):
+    """g_d(beta) = 1 - int mu(|v|^2/2 - beta) dv over R^d."""
+    return 1.0 - _mass(mu, beta, d)
+
+
+def _g_prime(mu, beta, d):
+    """g_d'(beta) = int mu'(|v|^2/2 - beta) dv, the centred difference of g on ``_S``,
+    taken on the mass so that the 1 of g costs no digits where the mass is small."""
+    return (_mass(mu, beta - _DBETA, d) - _mass(mu, beta + _DBETA, d)) / (2.0 * _DBETA)
+
+
+def _torus_spacing(beta, periods):
+    """Grid spacing of ``beta`` on the torus: one finite, positive period per axis."""
+    if beta.ndim == 0 or len(periods) != beta.ndim:
+        raise ValidationError(f"{len(periods)} periods for a candidate on {beta.ndim} axes")
+    require("finite and positive", ((f"period {i}", p) for i, p in enumerate(periods)))
+    return tuple(p / n for p, n in zip(periods, beta.shape))
+
+
+def _gradient(values, h):
+    """The partial derivatives of periodic samples with spacing ``h``, one per axis."""
+    axes = tuple(range(values.ndim))
+    return [fourier_multiplier(values, h, axes, lambda *k: 1j * k[j]) for j in axes]
 
 
 def obstruction_diagnostic(mu, beta_candidate, periods):
-    """Certify that a radial-energy ansatz on the 2-torus has only trivial fields.
+    """Certify that a radial-energy ansatz on the d-torus, d = ``beta_candidate.ndim``,
+    has only trivial fields.
 
-    Checks mu >= 0, evaluates g'(beta) = -2 pi mu(-beta) on the candidate's
-    range, and compares both sides of the gradient identity
-    int |grad beta_x1|^2 = int g'(beta) |beta_x1|^2 <= 0.  A nonconstant
-    candidate therefore cannot satisfy the field equation; the residual of
-    -Lap beta = g(beta) is reported, with g from ``_g_of_beta`` at d = 2
-    (the 32-node Gauss-Legendre rule in s = |v| / sqrt(2)).
+    Checks mu >= 0 and compares both sides of the gradient identity
+    int |grad beta_x1|^2 = int g'(beta) |beta_x1|^2 of -Lap beta = g(beta).
+    With g' <= 0 on the candidate, as every mu >= 0 gives once d >= 2, only
+    constants solve it.  In d = 1, g' can change sign (gprime_min < 0 <
+    gprime_max), and then ``certificate`` is None.  Reports max |-Lap beta - g|.
     """
     beta = np.asarray(beta_candidate, dtype=float)
-    if beta.ndim != 2:
-        raise ValidationError("candidate must live on a 2-torus grid")
-    probes = np.linspace(-float(np.max(beta)) - 1.0, -float(np.min(beta)) + 1.0, 512)
-    mu_vals = mu(probes)
-    if np.min(mu_vals) < -1e-14:
-        raise ValidationError("mu must be nonnegative")
+    h = _torus_spacing(beta, periods)
+    d = beta.ndim
+    if np.min(mu(np.linspace(-np.max(beta) - 1.0, 82.0 - np.min(beta), 512))) < -1e-14:
+        raise ValidationError("mu must be nonnegative on the energies the rule of g reads")
+    gprime = _g_prime(mu, beta, d)
+    bx = _gradient(beta, h)[0]
+    lap = fourier_multiplier(beta, h, tuple(range(d)), lambda *k: -sum(kj ** 2 for kj in k))
 
-    gprime = -2.0 * np.pi * mu(-beta)
-    gp_max = float(np.max(gprime))
-
-    nx, ny = beta.shape
-    h = (periods[0] / nx, periods[1] / ny)
-    bx = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: 1j * kx)
-    bxx = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: -(kx ** 2))
-    bxy = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: -(kx * ky))
-    lap = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: -(kx ** 2 + ky ** 2))
-
-    cell = h[0] * h[1]
-    lhs = float(np.sum(bxx ** 2 + bxy ** 2) * cell)
+    cell = math.prod(h)
+    lhs = float(sum(np.sum(g ** 2) for g in _gradient(bx, h)) * cell)
     rhs = float(np.sum(gprime * bx ** 2) * cell)
-    resid = float(np.max(np.abs(-lap - _g_of_beta(mu, beta, 2))))
+    resid = float(np.max(np.abs(-lap - _g_of_beta(mu, beta, d))))
 
-    cert = "only_trivial_solutions" if gp_max <= 0.0 else None
-    return ObstructionCertificate(gp_max, cert, lhs, rhs, resid)
+    cert = "only_trivial_solutions" if np.max(gprime) <= 0.0 else None
+    return ObstructionCertificate(float(np.min(gprime)), float(np.max(gprime)), cert,
+                                  lhs, rhs, resid)
 
 
 def obstruction_fixed_point(mu, periods, beta0):
-    """Solve -Lap beta = g(beta) on the 2-torus by a contracting split iteration.
+    """Solve -Lap beta = g(beta) on the d-torus by a contracting split iteration.
 
     With g' <= 0 the map beta -> (m - Lap)^(-1)(m beta + g(beta)) contracts
     for m above |g'|; the unique solution is the constant root of g.  The
-    grid is beta0's, and g is ``_g_of_beta`` at d = 2.
+    grid is beta0's.  Returns beta and the L^2 norm of its gradient.
     """
     beta = np.array(beta0, dtype=float)
-    nx, ny = beta.shape
-    h = (periods[0] / nx, periods[1] / ny)
-    for _ in range(400):
+    h = _torus_spacing(beta, periods)
+    d = beta.ndim
+    for _ in range(_FIXED_POINT_STEPS):
         # shift just above |g'| on the currently visited range keeps the
         # map contracting without crushing the convergence rate
         probes = np.linspace(np.min(beta) - 0.5, np.max(beta) + 0.5, 64)
-        m = 2.0 * np.pi * float(np.max(mu(-probes))) + 1.0
-        rhs = m * beta + _g_of_beta(mu, beta, 2)
-        new = fourier_multiplier(rhs, h, (0, 1), lambda kx, ky: 1.0 / (m + kx ** 2 + ky ** 2))
-        if float(np.max(np.abs(new - beta))) < 1e-13:
-            beta = new
-            break
+        m = float(np.max(np.abs(_g_prime(mu, probes, d)))) + 1.0
+        rhs = m * beta + _g_of_beta(mu, beta, d)
+        new = fourier_multiplier(rhs, h, tuple(range(d)),
+                                 lambda *k: 1.0 / (m + sum(kj ** 2 for kj in k)))
+        update = float(np.max(np.abs(new - beta)))
         beta = new
-    gx = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: 1j * kx)
-    gy = fourier_multiplier(beta, h, (0, 1), lambda kx, ky: 1j * ky)
-    grad_l2 = math.sqrt(float(np.sum(gx ** 2 + gy ** 2) * h[0] * h[1]))
+        if update < 1e-13:
+            break
+    else:
+        raise RefinementCapError(f"fixed point not reached in {_FIXED_POINT_STEPS} steps: "
+                                 f"last update {update:.2e} above 1e-13")
+    grad_l2 = math.sqrt(sum(float(np.sum(g ** 2)) for g in _gradient(beta, h)) * math.prod(h))
     return beta, grad_l2
-
-
-def obstruction_1d_contrast(mu, beta_range):
-    """1D analogue where g' has no sign certificate; reports observed signs.
-
-    g' is the central difference of ``_g_of_beta`` at d = 1, on the same rule.
-    """
-    betas = np.linspace(beta_range[0], beta_range[1], 512)
-    eps = 1e-6 * max(1.0, beta_range[1] - beta_range[0])
-    gprime = (_g_of_beta(mu, betas + eps, 1) - _g_of_beta(mu, betas - eps, 1)) / (2 * eps)
-    return {
-        "gprime": gprime,
-        "betas": betas,
-        "changes_sign": bool(np.min(gprime) < 0 < np.max(gprime)),
-        "certificate": None,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -133,12 +133,17 @@ def _write_manifest(outdir, config, tolerances, extra=None):
     }
     if extra:
         manifest.update(extra)
-    container.write_json(os.path.join(outdir, "manifest.json"), manifest)
+    container.write_json(_artifact(outdir, "manifest.json"), manifest)
+
+
+def _artifact(outdir, name):
+    """Path of artifact ``name``; the first artifact creates ``outdir``."""
+    os.makedirs(outdir, exist_ok=True)
+    return os.path.join(outdir, name)
 
 
 def run(config, outdir, threads=1, verbose=False):
     """Execute one experiment; returns the process exit code."""
-    os.makedirs(outdir, exist_ok=True)
     sim_mod.set_fft_workers(threads)
     profile = _profile_from(config)
 
@@ -147,7 +152,7 @@ def run(config, outdir, threads=1, verbose=False):
         report = penrose_check(profile, DualLattice(periods),
                                config.get("s", 1.6, float),
                                config.get("b", 0.3, float), threads=threads)
-        container.write_json(os.path.join(outdir, "penrose.json"),
+        container.write_json(_artifact(outdir, "penrose.json"),
                              report.to_json())
         _write_manifest(outdir, config, {"margin_tol": MARGIN_TOL})
         if verbose:
@@ -160,8 +165,8 @@ def run(config, outdir, threads=1, verbose=False):
         given = {k: config.get(k, cast=float) for k in ("eps", "gamma", "r")
                  if k in config.values}
         wave, rep = build_wave(profile, t1, c=config.get("c", 0.0, float), **given)
-        container.save_wave(os.path.join(outdir, "wave.vplb"), wave)
-        container.wave_to_csv(os.path.join(outdir, "wave.csv"), wave)
+        container.save_wave(_artifact(outdir, "wave.vplb"), wave)
+        container.wave_to_csv(_artifact(outdir, "wave.csv"), wave)
         resid = wave.poisson_residual()
         _write_manifest(outdir, config, {
             "period_tol_rel": PERIOD_TOL_REL, "poisson_residual_tol": POISSON_RESIDUAL_TOL},
@@ -192,11 +197,11 @@ def run(config, outdir, threads=1, verbose=False):
         datum_norm = weighted_hsb_norm(np.asarray(datum.values.real), VelocityGrid(
             1, profile.grid.vmax, profile.grid.n), s_v, 0.0)
         container.write_csv(
-            os.path.join(outdir, f"mode_k{kmag:g}.csv"),
+            _artifact(outdir, f"mode_k{kmag:g}.csv"),
             ["t", "re_E", "im_E", "abs_E"],
             [series.t, series.values.real, series.values.imag,
              np.abs(series.values)])
-        container.write_json(os.path.join(outdir, "decay.json"), {
+        container.write_json(_artifact(outdir, "decay.json"), {
             "s_x": config.get("s_x", 0.0, float),
             "s_v": s_v,
             "norm": value,
@@ -218,16 +223,16 @@ def run(config, outdir, threads=1, verbose=False):
             mode=config.get("mode", 1, int))
         arrays = report.log.arrays()
         container.write_csv(
-            os.path.join(outdir, "diagnostics.csv"),
+            _artifact(outdir, "diagnostics.csv"),
             ["t", "mass", "kinetic", "e_l2sq", "e_hs", "je", "energy"],
             [arrays[k] for k in ("t_mid", "mass", "kinetic", "e_l2sq",
                                  "e_hs", "je", "energy")])
         last = sorted(report.log.snapshots)[-1]
         snap = report.log.snapshots[last]
-        container.save_profile(os.path.join(outdir, "final_state.vplb"),
+        container.save_profile(_artifact(outdir, "final_state.vplb"),
                                profile.grid, snap.f.mean(axis=0),
                                {"provenance": "simulation-final-xmean"})
-        container.write_json(os.path.join(outdir, "summary.json"), {
+        container.write_json(_artifact(outdir, "summary.json"), {
             "final_over_max": report.final_over_max,
             "weighted_integral": report.weighted_integral_full,
             "growth_fraction": report.growth_fraction,
@@ -264,7 +269,7 @@ def run(config, outdir, threads=1, verbose=False):
                       grid.coarsened(), **params)
         rec = {"kind": kind, "params": {"kind": kind, "dim": grid.dim, **params},
                "value": float(value), "error_estimate": float(abs(value - coarse))}
-        container.write_json(os.path.join(outdir, "norm.json"), rec)
+        container.write_json(_artifact(outdir, "norm.json"), rec)
         _write_manifest(outdir, config, {})
         if verbose:
             print(json.dumps(rec))

@@ -78,7 +78,7 @@ class PenroseUnstableError(VplabError):
 
 
 class RefinementCapError(VplabError):
-    """Automatic grid refinement hit its cap without meeting the tolerance."""
+    """A refinement, of a grid or of an iterate, hit its cap without meeting its tolerance."""
 
 
 def _finite(x):

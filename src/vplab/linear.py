@@ -222,44 +222,26 @@ class FieldHistory:
         self.modes[series.kvec] = series
 
     def decay_norm(self, s_x, s_v):
-        """|| t^{s_v} E ||_{L^2_t H_x^{3/2+s_x+s_v}} from the mode series."""
+        """|| t^{s_v} E ||_{L^2_t H_x^{3/2+s_x+s_v}} from the mode series' trapezoids.
+
+        A mode is refused when its tail, half its recent level times its end
+        time, exceeds 1 % of its integral, unless that level is at roundoff."""
         require("finite", (("s_x", s_x), ("s_v", s_v)))
         total = 0.0
-        suggestions = []
         for kvec, series in self.modes.items():
             k2 = float(sum(c * c for c in kvec))
-            t, v = series.t, series.values
-            integrand = t ** (2.0 * s_v) * np.abs(v) ** 2
+            t = series.t
+            integrand = t ** (2.0 * s_v) * np.abs(series.values) ** 2
             integral = float(np.trapezoid(integrand, t))
-            # tail estimate from the decay slope over the last fifth
-            n5 = max(len(t) // 5, 8)
-            tt, vv = t[-n5:], np.abs(v[-n5:])
-            good = vv > 0
-            lam = 1e-3
-            if np.sum(good) > 4:
-                slope = np.polyfit(tt[good], np.log(vv[good]), 1)[0]
-                if slope < 0:
-                    lam = -2.0 * slope
-                    tail = integrand[-1] / lam
-                else:
-                    tail = math.inf
-            else:
-                tail = 0.0
-            # oscillatory series defeat slope fits on short windows; the
-            # recent contribution level itself must already be negligible
-            recent = float(np.max(integrand[-n5:]))
-            tail = max(tail, 0.5 * recent * max(t[-1], 1.0))
-            # a mode already at the roundoff floor has nothing left to damp
-            if recent < 1e-12 * float(np.max(integrand)):
-                tail = 0.0
-            if tail > 0.01 * max(integral, 1e-300):
-                suggestions.append(t[-1] + (6.0 / max(lam, 1e-3)))
-            total += (1.0 if k2 == 0 else k2 ** (1.5 + s_x + s_v)) * \
-                (integral * 2.0)  # +-k pair
-        if suggestions:
-            raise ValidationError(
-                f"time grid too short for the weighted integral; extend to "
-                f"T_end ~ {max(suggestions):.1f}")
+            # the recent level rather than a fitted decay slope, which
+            # oscillatory series defeat on short windows
+            recent = float(np.max(integrand[-max(len(t) // 5, 8):]))
+            share = 0.5 * recent * max(t[-1], 1.0) / max(integral, 1e-300)
+            if recent >= 1e-12 * float(np.max(integrand)) and share > 0.01:
+                raise ValidationError(
+                    f"time grid too short for the weighted integral of mode {kvec}: "
+                    f"the tail after its end t = {t[-1]:.4g} is about {share:.1%} of it, above 1%")
+            total += (1.0 if k2 == 0 else k2 ** (1.5 + s_x + s_v)) * 2.0 * integral  # +-k pair
         return math.sqrt(total)
 
 

@@ -128,9 +128,13 @@ def hardy_quotient(u, alphas, v0):
     """Integral of |u(v)/(v - v0)| with the singular cell replaced by |u'(v0)|.
 
     Requires |u(v0)| < 1e-10; otherwise the integral genuinely diverges.
+    v0 must be finite and lie within the samples.
     """
     u = np.asarray(u, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
+    require("finite", (("v0", v0),))
+    if not alphas[0] <= v0 <= alphas[-1]:
+        raise ValidationError(f"v0 = {v0} lies outside the samples [{alphas[0]:g}, {alphas[-1]:g}]")
     h = alphas[1] - alphas[0]
     j = int(np.argmin(np.abs(alphas - v0)))
     u_at = np.interp(v0, alphas, u)

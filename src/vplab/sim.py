@@ -104,9 +104,10 @@ class PhaseGrid:
 def poisson_solve(rho, T1):
     """Spectral field E = -phi' of the zero-mean potential from the density on the x grid.
 
-    Requires the neutralised source rho - 1 to have zero mean (1e-10) on
-    the torus.
+    Requires a finite, positive period T1 and a neutralised source rho - 1
+    of zero mean (1e-10) on the torus.
     """
+    require("finite and positive", (("period T1", T1),))
     rho = np.asarray(rho, dtype=float)
     n = len(rho)
     src = rho - 1.0

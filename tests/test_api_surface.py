@@ -10,10 +10,11 @@ removes it here.
 Likewise a definition that only tests read is code the pipeline never
 runs.  Every module-level function or class and every non-dunder method
 must be read by name somewhere in ``src/``, ``demos/`` or ``perfbench/``,
-or be on the reviewed ``ORACLES`` list, and every module-level assignment
-must be read there outside its own line.  The converse also holds: every
-name a module reads must be bound somewhere in it, so deleting a
-definition cannot leave a reader behind that fails only when reached.
+or be on the reviewed ``ORACLES`` list, whose every entry some test reads
+by name, and every module-level assignment must be read there outside its
+own line.  The converse also holds: every name a module reads must be
+bound somewhere in it, so deleting a definition cannot leave a reader
+behind that fails only when reached.
 """
 
 import ast
@@ -91,7 +92,6 @@ ORACLES = {
     # criterion 9: the obstruction to invariant structures above the threshold
     "bgk.obstruction_diagnostic",
     "bgk.obstruction_fixed_point",
-    "bgk.obstruction_1d_contrast",
     # independent oracles the tests compare the pipeline against
     "bgk.hprime0_centered",
     "sim.reverse_velocity",
@@ -177,6 +177,15 @@ def test_every_definition_has_a_reader():
                 unread.add(f"{path.stem}.{qualname}")
     assert sorted(unread - ORACLES) == [], "only tests read these: delete them"
     assert sorted(ORACLES - unread) == [], "read in the package now: drop from ORACLES"
+
+
+def test_every_oracle_is_read_by_a_test():
+    # an oracle stays only for the tests that check against it: one that no
+    # test reads by name is a definition nothing runs
+    reads = {name for path in sorted((ROOT / "tests").rglob("*.py"))
+             for name, _ in _reads(ast.parse(path.read_text(), filename=path.name))}
+    unread = sorted(oracle for oracle in ORACLES if oracle.rsplit(".", 1)[-1] not in reads)
+    assert unread == [], "oracles no test reads: delete them"
 
 
 def test_every_module_constant_has_a_reader():

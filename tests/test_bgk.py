@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,6 @@ from vplab.bgk import (
     hprime0_centered,
     make_h,
     match_period,
-    obstruction_1d_contrast,
     obstruction_diagnostic,
     obstruction_fixed_point,
     periodic_orbit,
@@ -31,6 +31,7 @@ from vplab.bgk import (
 from vplab.errors import (
     AmplitudeTooLargeError,
     BracketError,
+    RefinementCapError,
     RegularityError,
     ValidationError,
 )
@@ -702,19 +703,18 @@ print("scipy.optimize" in sys.modules)
 
 
 def test_obstruction_imports_no_quadrature_or_spline():
-    # g(beta) is one fixed Gauss-Legendre rule: the three obstruction oracles
-    # need neither scipy.integrate nor scipy.interpolate
+    # g(beta) is one fixed Gauss-Legendre rule: the obstruction on the 1-, 2-
+    # and 3-torus needs neither scipy.integrate nor scipy.interpolate
     script = """
 import sys
 import numpy as np
-from vplab.bgk import obstruction_1d_contrast, obstruction_diagnostic, obstruction_fixed_point
+from vplab.bgk import obstruction_diagnostic, obstruction_fixed_point
 
-periods = (2 * np.pi, 2 * np.pi)
-x = np.linspace(0.0, periods[0], 32, endpoint=False)
-beta = 0.3 * np.cos(x[:, None]) * np.sin(2 * x[None, :])
-obstruction_diagnostic(lambda e: np.exp(-e), beta, periods)
-obstruction_fixed_point(lambda e: np.exp(-e), periods, beta)
-obstruction_1d_contrast(lambda e: np.exp(-e), (-3.0, 3.0))
+x = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+for d in (1, 2, 3):
+    beta = 0.3 * np.cos(x).reshape((-1,) + (1,) * (d - 1)) + np.zeros((16,) * d)
+    obstruction_diagnostic(lambda e: np.exp(-e), beta, (2 * np.pi,) * d)
+    obstruction_fixed_point(lambda e: np.exp(-e), (2 * np.pi,) * d, beta)
 print(sorted(m for m in ("scipy.integrate", "scipy.interpolate") if m in sys.modules))
 """
     assert _fresh_stdout(script) == "[]"
@@ -1064,12 +1064,88 @@ class TestObstruction:
             obstruction_diagnostic(lambda e: e, np.zeros((16, 16)),
                                    (2 * np.pi, 2 * np.pi))
 
+    def test_mu_negative_at_high_energy_rejected(self):
+        # e^{-e} - 1e-3 is negative above e = 6.9, where the rule of g reads
+        # it; probing near -beta alone once certified it
+        with pytest.raises(ValidationError, match="mu must be nonnegative"):
+            obstruction_diagnostic(lambda e: np.exp(-e) - 1e-3, np.zeros((16, 16)),
+                                   (2 * np.pi, 2 * np.pi))
+
+    @pytest.mark.parametrize("periods, shown", [
+        ((2 * np.pi,), "1 periods for a candidate on 2 axes"),
+        ((2 * np.pi,) * 3, "3 periods for a candidate on 2 axes"),
+        ((2 * np.pi, np.nan), "period 1 must be finite and positive, got nan"),
+        ((np.inf, 2 * np.pi), "period 0 must be finite and positive, got inf"),
+        ((2 * np.pi, 0.0), "period 1 must be finite and positive, got 0.0"),
+        ((-1.0, 2 * np.pi), "period 0 must be finite and positive, got -1.0"),
+    ])
+    def test_bad_periods_rejected(self, periods, shown):
+        beta = np.zeros((16, 16))
+        with pytest.raises(ValidationError, match=shown):
+            obstruction_diagnostic(lambda e: np.exp(-e), beta, periods)
+        with pytest.raises(ValidationError, match=shown):
+            obstruction_fixed_point(lambda e: np.exp(-e), periods, beta)
+
+    @settings(max_examples=30)
+    @given(d=st.sampled_from((1, 2, 3)), lo=st.floats(-10.0, 10.0), width=st.floats(0.0, 10.0))
+    def test_g_prime_against_exponential_closed_form(self, d, lo, width):
+        # mu = e^{-e}: g_d'(beta) = -(2 pi)^{d/2} e^beta in every dimension
+        beta = np.linspace(lo, min(lo + width, 10.0), 64)
+        want = -(2.0 * np.pi) ** (d / 2.0) * np.exp(beta)
+        got = bgk_mod._g_prime(lambda e: np.exp(-e), beta, d)
+        assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want))
+
+    @pytest.mark.parametrize("mu", [
+        lambda e: np.exp(-e),
+        lambda e: np.exp(-e) + 0.5 * np.exp(-2.0 * e),
+    ], ids=["exponential", "two-temperature"])
+    def test_gprime_max_against_2d_closed_form(self, rng, mu):
+        # on the 2-torus g'(beta) = -2 pi mu(-beta), the closed form the
+        # diagnostic once hard-coded
+        x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        beta = (0.4 * np.cos(x[:, None] + rng.uniform(0, 6))
+                * np.sin(2 * x[None, :] + rng.uniform(0, 6)))
+        cert = obstruction_diagnostic(mu, beta, (2 * np.pi, 2 * np.pi))
+        want_max = float(np.max(-2.0 * np.pi * mu(-beta)))
+        want_min = float(np.min(-2.0 * np.pi * mu(-beta)))
+        assert abs(cert.gprime_max - want_max) <= 1e-9 * abs(want_max)
+        assert abs(cert.gprime_min - want_min) <= 1e-9 * abs(want_min)
+
+    def test_three_torus_certificate_and_fixed_point(self, rng):
+        # d = 3: g' = -(2 pi)^{3/2} e^beta < 0, and the only solution is the
+        # constant root -(3/2) log 2 pi of g
+        periods = (2 * np.pi,) * 3
+        x = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+        beta = (0.3 * np.cos(x[:, None, None]) * np.sin(2 * x[None, :, None])
+                * np.cos(x[None, None, :] + 1.0))
+        start = time.perf_counter()
+        cert = obstruction_diagnostic(lambda e: np.exp(-e), beta, periods)
+        assert cert.certificate == "only_trivial_solutions"
+        assert cert.gprime_min <= cert.gprime_max < 0
+        assert cert.grad_identity_rhs <= 0 <= cert.grad_identity_lhs
+        root, grad = obstruction_fixed_point(lambda e: np.exp(-e), periods,
+                                             0.2 * rng.standard_normal((32, 32, 32)))
+        elapsed = time.perf_counter() - start
+        assert grad < 1e-8
+        assert np.max(np.abs(root + 1.5 * np.log(2 * np.pi))) < 1e-8
+        assert elapsed < 5.0
+
+    def test_fixed_point_step_cap(self, monkeypatch):
+        # the iteration once returned after its last step whether or not
+        # the update had settled
+        monkeypatch.setattr(bgk_mod, "_FIXED_POINT_STEPS", 2)
+        beta0 = 0.2 * np.cos(np.linspace(0, 2 * np.pi, 32, endpoint=False))
+        with pytest.raises(RefinementCapError, match=r"in 2 steps: last update \d\.\d\de-\d\d"):
+            obstruction_fixed_point(lambda e: np.exp(-e), (2 * np.pi,), beta0)
+
     def test_1d_contrast_sign_change(self):
-        # mu(e) = e^2 exp(-e) on e > 0 gives a 1D source slope of both signs
+        # mu(e) = e^2 exp(-e) on e > 0 gives a 1D source slope of both signs,
+        # so the 1-torus diagnostic carries no certificate
         def mu(e):
             e = np.asarray(e, dtype=float)
             return np.where(e > 0, e ** 2 * np.exp(-np.clip(e, 0, 700)), 0.0)
 
-        rep = obstruction_1d_contrast(mu, (-3.0, 3.0))
-        assert rep["certificate"] is None
-        assert rep["changes_sign"]
+        x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        cert = obstruction_diagnostic(mu, 3.0 * np.cos(x), (2 * np.pi,))
+        assert cert.certificate is None
+        assert cert.gprime_min < 0 < cert.gprime_max

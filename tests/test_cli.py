@@ -281,6 +281,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "FFT workers must be an integer >= 1, got 0" in err
 
+    @pytest.mark.parametrize("text, flags, shown", [
+        (PENROSE_STABLE, ["--threads", "0"], "FFT workers must be an integer >= 1, got 0"),
+        ("command = bgk-build\nprofile.name = maxwellian\ngrid.dim = 2\ngrid.n = 128\n"
+         "eps = 0.5\ngamma = 0.05\n", [], "eps = 0.5 and gamma = 0.05 given together"),
+        ("command = norms\nprofile.name = maxwellian\ngrid.dim = 1\nkind = H1\n", [],
+         "unknown norm kind 'H1'"),
+    ], ids=["zero-threads", "eps-and-gamma", "unknown-norm"])
+    def test_refused_run_leaves_no_directory(self, tmp_path, capsys, monkeypatch,
+                                             text, flags, shown):
+        # the output directory was once made before any check, so a refused
+        # run left it behind empty
+        monkeypatch.setattr(sim, "FFT_WORKERS", 1)
+        out = tmp_path / "o"
+        assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]
+                    + flags) == 1
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+
     def test_penrose_unstable_exit2(self, tmp_path):
         cfg = ExperimentConfig.parse(write_config(tmp_path, PENROSE_UNSTABLE))
         assert run(cfg, tmp_path / "out") == 2

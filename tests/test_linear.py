@@ -555,9 +555,12 @@ class TestDecayNorm:
     def test_short_grid_suggests_extension(self, fp_maxwellian):
         datum = Datum1D(fp_maxwellian.alphas, fp_maxwellian.values.copy())
         hist = FieldHistory()
-        hist.add(efield_mode(0.5, fp_maxwellian, datum, t_end=4.0,
-                             kvec=(0.5,)))
-        with pytest.raises(ValidationError):
+        series = efield_mode(0.5, fp_maxwellian, datum, t_end=4.0, kvec=(0.5,))
+        hist.add(series)
+        # the refusal names the mode, where its series ends and the tail's share
+        with pytest.raises(ValidationError, match=re.escape(
+                f"mode (0.5,): the tail after its end t = {series.t[-1]:.4g} is about ")
+                + r"\d+\.\d% of it, above 1%"):
             hist.decay_norm(0.0, 1.6)
 
     @pytest.mark.parametrize("s_x, s_v, shown", [

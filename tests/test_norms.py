@@ -306,6 +306,17 @@ class TestHardy:
         with pytest.raises(ValidationError):
             hardy_quotient(np.exp(-ax ** 2), ax, 0.0)
 
+    @pytest.mark.parametrize("v0, shown", [
+        (np.nan, "v0 must be finite, got nan"),
+        (np.inf, "v0 must be finite, got inf"),
+        (100.0, "v0 = 100.0 lies outside the samples"),
+    ], ids=["nan", "inf", "outside"])
+    def test_v0_outside_samples_rejected(self, grid1, v0, shown):
+        # once nan for v0 = nan, 8.2e-28 for inf and 0.0100 for 100
+        ax = grid1.axis()
+        with pytest.raises(ValidationError, match=shown):
+            hardy_quotient(ax * np.exp(-ax ** 2), ax, v0)
+
     def test_projected_derivative_bound(self, maxwellian2):
         # |f'_e| integrated against 1/(v-v0) at the critical point stays
         # below a refinement-stable multiple of the weighted norm

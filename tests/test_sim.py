@@ -74,6 +74,15 @@ class TestPoisson:
         with pytest.raises(ValidationError):
             poisson_solve(np.full(64, 1.01), T1)
 
+    @pytest.mark.parametrize("period, shown", [
+        (np.nan, "period T1 must be finite and positive, got nan"),
+        (-1.0, "period T1 must be finite and positive, got -1.0"),
+    ], ids=["nan", "negative"])
+    def test_bad_period_rejected(self, period, shown):
+        # once a NaN field with a RuntimeWarning, and a sign-flipped field for -1
+        with pytest.raises(ValidationError, match=shown):
+            poisson_solve(np.ones(64), period)
+
 
 class TestStep:
     def test_homogeneous_is_fixed_point(self, grid1v, maxprofile):
@@ -254,6 +263,17 @@ class TestMoments:
         scale = tensordot_moments(a, w, g, absolute=True)
         for got, want, size in zip(ours, exact, scale):
             assert np.all(np.abs(np.asarray(got) - want) <= 1e-13 * np.asarray(size))
+
+    def test_state_current_is_the_v1_moment(self):
+        # SimState.current, which the benchmark times as a diagnostic, is
+        # int v1 f dv: here (1 + cos x / 10) times a Maxwellian drifting at 1/2
+        g = _grid2v(nx=16, nv2=16)
+        v1, v2 = (ax.axis() for ax in g.vaxes)
+        f = ((1.0 + 0.1 * np.cos(g.x))[:, None, None]
+             * np.exp(-((v1[:, None] - 0.5) ** 2 + v2[None, :] ** 2) / 2)[None] / (2 * np.pi))
+        st = _factored(g, f)
+        want = np.einsum("xuw,u->x", f, v1) * g.cell_v
+        assert np.max(np.abs(st.current() - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def count_svds(monkeypatch):
